@@ -27,6 +27,7 @@ ball, for which the disc is known in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -74,6 +75,7 @@ class AnalyticDisc:
     grid: CircleGrid
     domain: ConvexDomain | None = None
     attachment_residual: float | None = None
+    solver_g: np.ndarray | None = None    # boundary factor of a Gauss-Newton solve
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -180,9 +182,8 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     phi'(0) a positive multiple of ``direction_v``, in closed form.
 
     The image is the affine complex line through the point cut by the
-    ball, parametrized by composing a straight disc through the center
-    with the standard ball automorphism; the power-series coefficients
-    are geometric, a_k = mu^{k-1} a_1.
+    ball; the power-series coefficients are geometric, a_k = mu^{k-1} a_1
+    (see :func:`_ball_series`).
     """
     if domain.kind != "ball":
         raise PreconditionError("ball_geodesic needs a ball domain")
@@ -197,20 +198,10 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     v = v / nv
     if np.linalg.norm(z) >= 1.0:
         raise PreconditionError("center point is not inside the ball")
-    s = np.sqrt(1.0 - np.linalg.norm(z) ** 2)
-    if np.linalg.norm(z) == 0.0:
-        proj = np.zeros_like(v)
-    else:
-        proj = (_herm(v, z) / _herm(z, z)) * z
-    u_raw = proj / s ** 2 + (v - proj) / s
-    u = -u_raw / np.linalg.norm(u_raw)
-    mu = _herm(u, z)
-    pu = (_herm(u, z) / _herm(z, z)) * z if np.linalg.norm(z) > 0 else np.zeros_like(u)
-    q = pu + s * (u - pu)
+    a1, mu = _ball_series(z, v)
     M = settings.modes
     a = np.zeros((M + 1, len(z)), dtype=complex)
     a[0] = z
-    a1 = mu * z - q
     powers = mu ** np.arange(M)
     a[1:] = powers[:, None] * a1[None, :]
     a = a * R
@@ -218,6 +209,51 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     disc = AnalyticDisc(a, settings.grid, domain)
     disc.attachment_residual = disc.boundary_residual()
     return disc
+
+
+def _ball_series(z, v):
+    """(a_1, mu) of the unit-ball geodesic phi(tau) = z + a_1 tau/(1 - mu tau)
+    through z with unit direction v.
+
+    The line z + t v meets the ball in the disc |t + conj(b)| < rho with
+    b = <v, z> and rho^2 = 1 - |z|^2 + |b|^2; the Moebius map of the unit
+    disc onto it with t(0) = 0, t'(0) > 0 gives a_1 = (1 - |z|^2)/rho v
+    and mu = -b/rho.
+    """
+    b = _herm(v, z)
+    nz2 = float(np.real(_herm(z, z)))
+    rho = np.sqrt(1.0 - nz2 + abs(b) ** 2)
+    return (1.0 - nz2) / rho * v, -b / rho
+
+
+def _ball_point_sensitivity(domain, z, v, s, modes, dz, dv):
+    """Derivative of phi(s) for the ball geodesic of :func:`ball_geodesic`
+    (truncated at ``modes``) along P perturbations: ``dz`` (P, n) of the
+    center and ``dv`` (P, n) of the unit direction; returns (P, n).
+
+    Differentiates phi(s) = c + R (z' + a_1 sum_{k=1..M} mu^{k-1} s^k) in
+    the normalized coordinates z' = (z - c)/R, an O(n M) map."""
+    c = domain.center
+    R = domain.meta["radius"]
+    zp = (np.asarray(z, dtype=complex) - c) / R
+    dzp = dz / R
+    b = _herm(v, zp)
+    nz2 = float(np.real(_herm(zp, zp)))
+    rho = np.sqrt(1.0 - nz2 + abs(b) ** 2)
+    scale = (1.0 - nz2) / rho                      # a_1 = scale * v
+    mu = -b / rho
+    db = dv @ np.conj(zp) + np.conj(dzp) @ v       # (P,)
+    dnz2 = 2.0 * np.real(np.conj(dzp) @ zp)
+    drho = (np.real(np.conj(b) * db) - 0.5 * dnz2) / rho
+    dscale = -(dnz2 + scale * drho) / rho
+    dmu = -(db + mu * drho) / rho
+    k = np.arange(1, modes + 1)
+    series = np.sum(mu ** (k - 1) * s ** k)
+    j = k[:-1]
+    dseries = np.sum(j * mu ** (j - 1) * s ** (j + 1))   # d series / d mu
+    da1 = dscale[:, None] * v + scale * dv
+    return dz + R * (da1 * series
+                     + (scale * dseries * dmu)[:, None] * v[None, :])
 
 
 def _ball_two_point_data(domain: ConvexDomain, z, w):
@@ -256,6 +292,22 @@ def _ball_automorphism(a, w):
 # the spectral Gauss-Newton system
 
 
+@cache
+def _collocation(modes, grid_size):
+    """(tau, V, cos_mat, sin_mat) on the 2x oversampled residual grid:
+    the nodes, the powers tau^0..tau^M and cos/sin(m theta), m = 1..M.
+    Shared between systems, hence read-only."""
+    nn = 2 * grid_size
+    theta = 2.0 * np.pi * np.arange(nn) / nn
+    tau = np.exp(1j * theta)
+    V = tau[:, None] ** np.arange(modes + 1)[None, :]
+    m = np.arange(1, modes + 1)
+    arrays = (tau, V, np.cos(np.outer(theta, m)), np.sin(np.outer(theta, m)))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 class _CenterDirectionSystem:
     """Residual and Jacobian of the stationary-disc equations for fixed
     (domain, z, v) on an oversampled collocation grid."""
@@ -270,12 +322,7 @@ class _CenterDirectionSystem:
         N = settings.grid.size
         self.L = N // 2
         self.nn = 2 * N                          # residual grid
-        theta = 2.0 * np.pi * np.arange(self.nn) / self.nn
-        self.tau = np.exp(1j * theta)
-        self.V = self.tau[:, None] ** np.arange(self.M + 1)[None, :]
-        m = np.arange(1, self.K + 1)
-        self.cos_mat = np.cos(np.outer(theta, m))
-        self.sin_mat = np.sin(np.outer(theta, m))
+        self.tau, self.V, self.cos_mat, self.sin_mat = _collocation(self.M, N)
         self.n_a = 2 * self.n * (self.M - 1)
         self.n_g = 1 + 2 * self.K
         self.size = 1 + self.n_a + self.n_g
@@ -349,59 +396,98 @@ class _CenterDirectionSystem:
         }
         return F, diag
 
-    def jacobian(self, u):
+    def _linearization(self, u):
+        """Boundary factor times tau, gradient and Hessian blocks of rho
+        along the disc at state u."""
         _, phi, g = self._fields(u)
-        grads = self.domain.grad(phi)
         A, C = self.domain.hess_complex(phi)
-        nn, n, M, K, L = self.nn, self.n, self.M, self.K, self.L
-        gt = g * self.tau
+        return g * self.tau, self.domain.grad(phi), A, C
 
-        # r-column: delta phi = v * tau
-        dphi_r = self.tau[:, None] * self.v[None, :]
-        drho_r = 2.0 * np.real(np.sum(grads * dphi_r, axis=1))
-        dgrad_r = np.einsum("jab,jb->ja", A, dphi_r) \
-            + np.einsum("jab,jb->ja", C, np.conj(dphi_r))
-        dw_r = gt[:, None] * dgrad_r
+    def _field_columns(self, lin, dphi, Drho, Dw):
+        """Write the pointwise residual derivatives along field
+        perturbations ``dphi`` (nn, P, n) into ``Drho`` (nn, P) and
+        ``Dw`` (nn, n, P)."""
+        gt, grads, A, C = lin
+        Drho[:] = 2.0 * np.real(np.einsum("ja,jpa->jp", grads, dphi))
+        Dw[:] = np.einsum("jab,jpb->jap", A, dphi) \
+            + np.einsum("jab,jpb->jap", C, np.conj(dphi))
+        Dw *= gt[:, None, None]
 
-        # a-block: unknown order (k, c, re/im), k = 2..M
-        Vk = self.V[:, 2:]                                  # (nn, M-1)
-        GT = grads[:, None, :] * Vk[:, :, None]             # (nn, M-1, n)
-        drho_a = np.empty((nn, M - 1, n, 2))
-        drho_a[..., 0] = 2.0 * GT.real
-        drho_a[..., 1] = -2.0 * GT.imag
-        SA = A[:, :, None, :] * Vk[:, None, :, None]        # (nn, n, M-1, n)
-        SC = C[:, :, None, :] * np.conj(Vk)[:, None, :, None]
-        dw_a = np.empty((nn, n, M - 1, n, 2), dtype=complex)
-        dw_a[..., 0] = SA + SC
-        dw_a[..., 1] = 1j * SA - 1j * SC
-        dw_a *= gt[:, None, None, None, None]
-
-        # g-block: columns [gamma0, (cos_m, sin_m)...]
-        Bg = np.empty((nn, self.n_g))
-        Bg[:, 0] = 1.0
-        Bg[:, 1::2] = self.cos_mat
-        Bg[:, 2::2] = self.sin_mat
-        dw_g = Bg[:, None, :] * (self.tau[:, None] * grads)[:, :, None]
-
-        Drho = np.concatenate(
-            [drho_r[:, None], drho_a.reshape(nn, -1), np.zeros((nn, self.n_g))],
-            axis=1)
-        Dw = np.concatenate(
-            [dw_r[:, :, None], dw_a.reshape(nn, n, -1), dw_g], axis=2)
-
-        Drho_hat = np.fft.fft(Drho, axis=0) / nn
-        Dw_hat = np.fft.fft(Dw.reshape(nn, -1), axis=0).reshape(nn, n, -1) / nn
-
+    def _spectral_rows(self, Drho, Dw, gauge):
+        """Residual rows (attachment modes, lift modes, gauge) of the
+        pointwise derivative columns ``Drho`` (nn, P), ``Dw`` (nn, n, P)."""
+        nn, n, L = self.nn, self.n, self.L
+        Drho_hat = np.fft.fft(Drho, axis=0, norm="forward")
+        Dw_hat = np.fft.fft(Dw.reshape(nn, -1), axis=0,
+                            norm="forward").reshape(Dw.shape)
         rows = [Drho_hat[0].real[None, :],
                 _interleave_rows(Drho_hat[1:L + 1])]
         for c in range(n):
             neg = Dw_hat[nn - 1:nn - 1 - L:-1, c, :]
             rows.append(_interleave_rows(neg))
-        gauge = np.zeros((1, self.size))
-        gauge[0, 1 + self.n_a] = 1.0
-        gauge[0, 2 + self.n_a::2] = 1.0      # cos coefficients at theta = 0
-        rows.append(gauge)
+        rows.append(gauge[None, :])
         return np.vstack(rows)
+
+    def jacobian(self, u):
+        lin = self._linearization(u)
+        gt, grads, A, C = lin
+        nn, n, M, n_a = self.nn, self.n, self.M, self.n_a
+        Drho = np.zeros((nn, self.size))
+        Dw = np.empty((nn, n, self.size), dtype=complex)
+
+        # r-column: delta phi = v * tau
+        self._field_columns(lin, (self.tau[:, None] * self.v)[:, None, :],
+                            Drho[:, :1], Dw[:, :, :1])
+
+        # a-block: unknown order (k, c, re/im), k = 2..M
+        Vk = self.V[:, 2:]                                  # (nn, M-1)
+        GT = grads[:, None, :] * Vk[:, :, None]             # (nn, M-1, n)
+        drho_a = Drho[:, 1:1 + n_a].reshape(nn, M - 1, n, 2)
+        drho_a[..., 0] = 2.0 * GT.real
+        drho_a[..., 1] = -2.0 * GT.imag
+        del GT
+        dw_a = Dw[:, :, 1:1 + n_a].reshape(nn, n, M - 1, n, 2)
+        SA = A[:, :, None, :] * Vk[:, None, :, None]        # (nn, n, M-1, n)
+        SC = C[:, :, None, :] * np.conj(Vk)[:, None, :, None]
+        np.add(SA, SC, out=dw_a[..., 0])
+        np.subtract(SA, SC, out=dw_a[..., 1])
+        del SA, SC
+        dw_a[..., 1] *= 1j
+        dw_a *= gt[:, None, None, None, None]
+
+        # g-block: columns [gamma0, (cos_m, sin_m)...]; rho does not see g
+        tg = self.tau[:, None] * grads                      # (nn, n)
+        Dw[:, :, 1 + n_a] = tg
+        Dw[:, :, 2 + n_a::2] = tg[:, :, None] * self.cos_mat[:, None, :]
+        Dw[:, :, 3 + n_a::2] = tg[:, :, None] * self.sin_mat[:, None, :]
+
+        gauge = np.zeros(self.size)
+        gauge[1 + n_a] = 1.0
+        gauge[2 + n_a::2] = 1.0              # cos coefficients at theta = 0
+        return self._spectral_rows(Drho, Dw, gauge)
+
+    def sensitivity(self, u, s, dz, dv):
+        """Derivative of phi(s) at a converged state u along P parameter
+        perturbations: ``dz`` (P, n) of the center z and ``dv`` (P, n) of
+        the unit direction v; returns (P, n).
+
+        At fixed u a perturbation moves the disc by the field
+        delta phi = dz + r tau dv; the solution follows by the implicit-
+        function theorem, du = -(J^T J)^{-1} J^T F_p, with F_p the
+        residual's derivative along those fields."""
+        P = len(dz)
+        nn, n, M, n_a = self.nn, self.n, self.M, self.n_a
+        r = u[0]
+        Drho = np.empty((nn, P))
+        Dw = np.empty((nn, n, P), dtype=complex)
+        dphi = dz[None, :, :] + r * self.tau[:, None, None] * dv[None, :, :]
+        self._field_columns(self._linearization(u), dphi, Drho, Dw)
+        Fp = self._spectral_rows(Drho, Dw, np.zeros(P))
+        du = self._ls_step(self.jacobian(u), Fp)           # (size, P)
+        da = (du[1:1 + n_a:2] + 1j * du[2:1 + n_a:2]).reshape(M - 1, n, P)
+        powers = s ** np.arange(2, M + 1)
+        return dz + s * (du[0][:, None] * self.v + r * dv) \
+            + np.einsum("k,kcp->pc", powers, da)
 
     # -- the iteration --------------------------------------------------
 
@@ -468,9 +554,8 @@ def _interleave_rows(rows):
 
 
 def _inscribed_ball_radius(domain, samples=64, seed=0):
-    cached = domain.meta.get("_inscribed_radius")
-    if cached is not None:
-        return cached
+    if domain._inscribed_radius is not None:
+        return domain._inscribed_radius
     if domain.kind == "ball":
         r = domain.meta["radius"]
     else:
@@ -481,7 +566,7 @@ def _inscribed_ball_radius(domain, samples=64, seed=0):
         dists = [np.linalg.norm(domain.boundary_point(d) - domain.center)
                  for d in dirs]
         r = 0.999 * float(np.min(dists))
-    domain.meta["_inscribed_radius"] = r
+    domain._inscribed_radius = r
     return r
 
 
@@ -582,10 +667,82 @@ def solve_from_center_direction(domain: ConvexDomain, z, v,
         raise PreconditionError("domain fails its convexity certificate")
     coeffs, gamma, diag = _solve_cd_raw(domain, z, v, settings)
     disc = AnalyticDisc(coeffs, settings.grid, domain,
-                        attachment_residual=diag["attachment"])
-    disc.solver_g = gamma          # boundary factor found by the solver
+                        attachment_residual=diag["attachment"],
+                        solver_g=gamma)
     lift = lift_from_disc(domain, disc)
     return disc, lift
+
+
+class _TwoPointSystem:
+    """Residual and Jacobian of the two-point equations over
+    x = (Re v, Im v, xi): phi(xi) = w and |v|^2 = 1, where phi is the
+    stationary disc with phi(0) = z and direction v/|v|, solved with warm
+    starts."""
+
+    def __init__(self, domain, z, w, settings):
+        self.domain = domain
+        self.z = z
+        self.w = w
+        self.n = len(z)
+        self.settings = settings
+        self.warm = None
+
+    def residual(self, x):
+        """(G, disc), or (None, None) outside the admissible region."""
+        n = self.n
+        v = x[:n] + 1j * x[n:2 * n]
+        xi = x[2 * n]
+        if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
+            return None, None
+        coeffs, gamma, diag = _solve_cd_raw(self.domain, self.z, v,
+                                            self.settings, warm=self.warm)
+        self.warm = (coeffs, gamma)
+        disc = AnalyticDisc(coeffs, self.settings.grid, self.domain,
+                            attachment_residual=diag["attachment"],
+                            solver_g=gamma)
+        val = disc(np.array([xi]))[0] - self.w
+        G = np.concatenate([val.real, val.imag,
+                            [np.linalg.norm(v) ** 2 - 1.0]])
+        return G, disc
+
+    def jacobian(self, x, disc):
+        """dG/dx at x, whose converged inner disc is ``disc``: the v
+        columns are sensitivities of the disc, the xi column is phi'(xi)."""
+        n = self.n
+        v = x[:n] + 1j * x[n:2 * n]
+        xi = x[2 * n] + 0.0j
+        system = _CenterDirectionSystem(self.domain, self.z,
+                                        v / np.linalg.norm(v), self.settings)
+        dv = _direction_tangents(v)
+        dphi = system.sensitivity(system.initial_state(disc.coeffs,
+                                                       disc.solver_g),
+                                  xi, np.zeros_like(dv), dv)     # (2n, n)
+        dxi = disc.derivative(np.array([xi]))[0]
+        J = np.zeros((2 * n + 1, 2 * n + 1))
+        J[:n, :2 * n] = dphi.T.real
+        J[n:2 * n, :2 * n] = dphi.T.imag
+        J[:n, 2 * n] = dxi.real
+        J[n:2 * n, 2 * n] = dxi.imag
+        J[2 * n, :2 * n] = 2.0 * x[:2 * n]
+        return J
+
+
+def _direction_tangents(d):
+    """Derivatives of the unit direction d/|d| along the real coordinates
+    (Re d_1..Re d_n, Im d_1..Im d_n) of d, as rows (2n, n):
+    (e - v Re<e, v>)/|d| with v = d/|d|."""
+    n = len(d)
+    nd = np.linalg.norm(d)
+    v = d / nd
+    E = _coordinate_tangents(n)
+    return (E - np.real(E @ np.conj(v))[:, None] * v) / nd
+
+
+def _coordinate_tangents(n):
+    """The real coordinate directions (e_1..e_n, i e_1..i e_n) of C^n as
+    rows (2n, n)."""
+    eye = np.eye(n)
+    return np.concatenate([eye, 1j * eye])
 
 
 def solve_two_point(domain: ConvexDomain, z, w,
@@ -594,7 +751,9 @@ def solve_two_point(domain: ConvexDomain, z, w,
     phi(xi) = w with xi in (0, 1); returns (disc, xi).
 
     Outer Newton iteration over the direction sphere and xi with the
-    center-direction solver inside.
+    center-direction solver inside.  The outer Jacobian comes from the
+    implicit-function sensitivities of the converged inner disc, so each
+    outer iteration costs no disc solves beyond its line search.
     """
     settings = settings or SolverSettings()
     z = np.asarray(z, dtype=complex)
@@ -617,43 +776,16 @@ def solve_two_point(domain: ConvexDomain, z, w,
         xi0 = 0.5
     xi0 = min(max(xi0, 1e-4), 1.0 - 1e-4)
 
-    state = {"warm": None}
-
-    def evaluate(x):
-        v = x[:n] + 1j * x[n:2 * n]
-        xi = x[2 * n]
-        if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
-            return None, None
-        coeffs, gamma, diag = _solve_cd_raw(domain, z, v, settings,
-                                            warm=state["warm"])
-        state["warm"] = (coeffs, gamma)
-        disc = AnalyticDisc(coeffs, settings.grid, domain,
-                            attachment_residual=diag["attachment"])
-        val = disc(np.array([xi]))[0]
-        G = np.concatenate([(val - w).real, (val - w).imag,
-                            [np.linalg.norm(v) ** 2 - 1.0]])
-        return G, disc
-
+    system = _TwoPointSystem(domain, z, w, settings)
     x = np.concatenate([v0.real, v0.imag, [xi0]])
-    G, disc = evaluate(x)
+    G, disc = system.residual(x)
     if G is None:
         raise SolverDivergence("two-point initialization failed")
     tol = max(1e-9, settings.newton_tol)
     for _ in range(30):
         if np.max(np.abs(G)) <= tol:
             break
-        J = np.empty((2 * n + 1, 2 * n + 1))
-        h = 1e-6
-        for i in range(2 * n + 1):
-            xp = x.copy()
-            xp[i] += h
-            Gp, _ = evaluate(xp)
-            if Gp is None:
-                xp[i] -= 2 * h
-                Gp, _ = evaluate(xp)
-                J[:, i] = (G - Gp) / h
-            else:
-                J[:, i] = (Gp - G) / h
+        J = system.jacobian(x, disc)
         try:
             step = np.linalg.solve(J, -G)
         except np.linalg.LinAlgError:
@@ -662,7 +794,7 @@ def solve_two_point(domain: ConvexDomain, z, w,
         while t >= 1.0 / 64:
             x_new = x + t * step
             x_new[2 * n] = min(max(x_new[2 * n], 1e-6), 1.0 - 1e-6)
-            G_new, disc_new = evaluate(x_new)
+            G_new, disc_new = system.residual(x_new)
             if G_new is not None and np.linalg.norm(G_new) \
                     <= (1.0 - 1e-4 * t) * np.linalg.norm(G) + tol:
                 break

@@ -37,6 +37,7 @@ class ConvexDomain:
         if self.dimension < 2:
             raise PreconditionError("domains need dimension n >= 2")
         self._certificate = None
+        self._inscribed_radius = None   # cache of discs._inscribed_ball_radius
 
     def hess(self, pts) -> np.ndarray:
         """Real Hessian (alias of :meth:`hess_real`)."""

@@ -17,6 +17,12 @@ direction d.  Centering at the touch point keeps the disc coefficients
 spectrally small even when z_o is close to the outer boundary.  The
 locus (a curve for n = 2) is traced by predictor-corrector continuation
 along the kernel of the residual Jacobian.
+
+The Jacobian is analytic and solves no disc: the inner-domain rows come
+from the gradient and Hessian of rho2, and the through-point rows from
+the derivative of psi(sigma) in (w, d) -- the implicit-function
+sensitivities of the converged Gauss-Newton disc, or the closed form
+when the outer domain is a ball.
 """
 
 from __future__ import annotations
@@ -25,8 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import (AnalyticDisc, SolverSettings, _herm, _solve_cd_raw,
-                    _ball_automorphism)
+from .discs import (AnalyticDisc, SolverSettings, _CenterDirectionSystem,
+                    _ball_automorphism, _ball_point_sensitivity,
+                    _coordinate_tangents, _direction_tangents, _herm,
+                    _solve_cd_raw)
 from .domains import ConvexDomain, tangency_order_constant
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
 
@@ -156,9 +164,9 @@ class _TangencySystem:
         coeffs, gamma, diag = _solve_cd_raw(self.d1, w, dn, self.settings,
                                             warm=self.warm)
         self.warm = (coeffs, gamma)
-        disc = AnalyticDisc(coeffs, self.settings.grid, self.d1,
-                            attachment_residual=diag["attachment"])
-        return disc
+        return AnalyticDisc(coeffs, self.settings.grid, self.d1,
+                            attachment_residual=diag["attachment"],
+                            solver_g=gamma)
 
     def residual(self, u, disc=None):
         w, d, sigma = self.unpack(u)
@@ -174,25 +182,43 @@ class _TangencySystem:
         ])
         return R, disc
 
-    def jacobian(self, u, R0, disc0, h=1e-6):
-        J = np.empty((self.n_eq, self.size))
-        # sigma column is analytic: only the through-point rows see it
-        _, _, sigma = self.unpack(u)
-        dv = disc0.derivative(np.array([sigma + 0.0j]))[0]
-        col = np.zeros(self.n_eq)
-        col[3:3 + self.n] = dv.real
-        col[3 + self.n:3 + 2 * self.n] = dv.imag
-        J[:, -1] = col
-        for i in range(self.size - 1):
-            up = u.copy()
-            up[i] += h
-            try:
-                R, _ = self.residual(up)
-                J[:, i] = (R - R0) / h
-            except (SolverDivergence, PreconditionError):
-                up[i] -= 2 * h
-                R, _ = self.residual(up)
-                J[:, i] = (R0 - R) / h
+    def jacobian(self, u, disc):
+        """Analytic Jacobian of the residual at u, whose solved disc is
+        ``disc``.  The through-point rows differentiate the disc: by the
+        ball's closed form, or by the implicit-function sensitivities of
+        the converged Gauss-Newton disc; no disc is solved."""
+        n = self.n
+        w, d, sigma = self.unpack(u)
+        dn = d / np.linalg.norm(d)
+        s = sigma + 0.0j
+        # parameter tangents of the disc center and unit direction for the
+        # columns (Re w, Im w, Re d, Im d)
+        ew = _coordinate_tangents(n)
+        ed = _direction_tangents(d)
+        dz = np.concatenate([ew, np.zeros_like(ed)])
+        dv = np.concatenate([np.zeros_like(ew), ed])
+        if self.d1.kind == "ball":
+            dphi = _ball_point_sensitivity(self.d1, w, dn, s,
+                                           self.settings.modes, dz, dv)
+        else:
+            system = _CenterDirectionSystem(self.d1, w, dn, self.settings)
+            state = system.initial_state(disc.coeffs, disc.solver_g)
+            dphi = system.sensitivity(state, s, dz, dv)
+        grad2 = self.d2.grad(w)
+        A2, C2 = self.d2.hess_complex(w)
+        dgrad = ew @ A2.T + np.conj(ew) @ C2.T     # (2n, n) along w
+        dpair = np.concatenate([dgrad @ dn, ed @ grad2])
+        dsigma = disc.derivative(np.array([s]))[0]
+
+        J = np.zeros((self.n_eq, self.size))
+        J[0, :2 * n] = 2.0 * np.real(ew @ grad2)
+        J[1, :4 * n] = dpair.real
+        J[2, :4 * n] = dpair.imag
+        J[3:3 + n, :4 * n] = dphi.T.real
+        J[3 + n:3 + 2 * n, :4 * n] = dphi.T.imag
+        J[3:3 + n, -1] = dsigma.real
+        J[3 + n:3 + 2 * n, -1] = dsigma.imag
+        J[-1, 2 * n:4 * n] = 2.0 * u[2 * n:4 * n]
         return J
 
     def correct(self, u, tol=TANGENCY_TOL, max_iters=12):
@@ -201,7 +227,7 @@ class _TangencySystem:
         for _ in range(max_iters):
             if np.max(np.abs(R)) <= tol:
                 return u, R, disc
-            J = self.jacobian(u, R, disc)
+            J = self.jacobian(u, disc)
             step = np.linalg.lstsq(J, -R, rcond=None)[0]
             t = 1.0
             while t >= 1.0 / 32:
@@ -355,8 +381,8 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
         return _sample_patch(system, u, R, disc, steps,
                              2.0 * np.pi * domain_scale / steps)
 
-    def kernel_tangent(u, R, disc, t_prev):
-        J = system.jacobian(u, R, disc)
+    def kernel_tangent(u, disc, t_prev):
+        J = system.jacobian(u, disc)
         _, _, vt = np.linalg.svd(J)
         t = vt[-1]
         if t_prev is not None and np.dot(t, t_prev) < 0:
@@ -370,8 +396,8 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     states = [(u, R, disc)]
     t_prev = None
     for _ in range(2):
-        u_c, R_c, disc_c = states[-1]
-        t_prev = kernel_tangent(u_c, R_c, disc_c, t_prev)
+        u_c, _, disc_c = states[-1]
+        t_prev = kernel_tangent(u_c, disc_c, t_prev)
         states.append(system.correct(u_c + probe * t_prev))
     w3 = [system.unpack(s[0])[0] for s in states]
     radius = _circumradius(w3[0], w3[1], w3[2])
@@ -385,7 +411,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     h_min, h_max = h / 16.0, 1.25 * h
     arc = 0.0
     for _ in range(4 * steps):
-        t_prev = kernel_tangent(u, R, disc, t_prev)
+        t_prev = kernel_tangent(u, disc, t_prev)
         try:
             u_new, R_new, disc_new = system.correct(u + h * t_prev)
         except SolverDivergence:
@@ -421,7 +447,7 @@ def _sample_patch(system, u, R, disc, steps, h):
     """Local patch of the (2n-3)-dimensional locus around a seed point."""
     rng = np.random.default_rng(11)
     points = [system.make_point(u, R, disc)]
-    J = system.jacobian(u, R, disc)
+    J = system.jacobian(u, disc)
     _, sv, vt = np.linalg.svd(J)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
     kernel = vt[rank:]

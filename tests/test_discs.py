@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      kobayashi_distance, poincare_distance,
                      boundary_hausdorff, AnalyticDisc, SolverSettings,
                      MoebiusMap, CircleGrid, PreconditionError)
-from geodisc.discs import _CenterDirectionSystem, _solve_cd_raw
+from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
+                           _solve_cd_raw)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
+SMALL = SolverSettings(modes=32, grid=CircleGrid(128))
 
 
 def random_interior(rng, n, radius=0.6):
@@ -250,3 +254,69 @@ def test_settings_validation():
         SolverSettings(newton_tol=1e-13)
     with pytest.raises(PreconditionError):
         SolverSettings(modes=128, grid=CircleGrid(256))
+
+
+def _two_point_state(domain, settings):
+    """A two-point system away from its solution, with the solved disc."""
+    z = np.array([0.2 + 0.1j, -0.1j])
+    w = np.array([-0.1, 0.25 + 0.2j])
+    system = _TwoPointSystem(domain, z, w, settings)
+    x = np.array([0.5, 0.3, 0.1, -0.2, 0.4])
+    _, disc = system.residual(x)
+    return system, x, disc
+
+
+@pytest.mark.parametrize("case", ["ball", "perturbed"])
+def test_two_point_jacobian_matches_central_differences(case):
+    if case == "ball":
+        domain, settings = BALL, SETTINGS
+    else:
+        domain, settings = make_perturbed_ball(0.05, "re_z1_sq"), SMALL
+    system, x, disc = _two_point_state(domain, settings)
+    J = system.jacobian(x, disc)
+    warm = system.warm
+    h = 1e-6
+    for i in range(len(x)):
+        cols = []
+        for sign in (1.0, -1.0):
+            xp = x.copy()
+            xp[i] += sign * h
+            system.warm = warm
+            cols.append(system.residual(xp)[0])
+        fd = (cols[0] - cols[1]) / (2.0 * h)
+        assert np.max(np.abs(J[:, i] - fd)) < 1e-7
+
+
+def test_two_point_jacobian_solves_no_discs(monkeypatch):
+    system, x, disc = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
+                                       SMALL)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _solve_cd_raw(*args, **kwargs)
+
+    monkeypatch.setattr("geodisc.discs._solve_cd_raw", counting)
+    system.jacobian(x, disc)
+    assert calls == []
+
+
+def test_solvers_do_not_mutate_domain_meta():
+    domain = make_perturbed_ball(0.05, "re_z1_sq")
+    before = copy.deepcopy(domain.meta)
+    solve_from_center_direction(domain, np.array([0.2 + 0.1j, -0.1j]),
+                                np.array([1.0, 0.5j]), SMALL)
+    solve_two_point(domain, np.array([0.2 + 0.1j, -0.1j]),
+                    np.array([-0.1, 0.25 + 0.2j]), SMALL)
+    assert domain.meta.keys() == before.keys()
+    for key, value in before.items():
+        assert np.array_equal(domain.meta[key], value)
+
+
+def test_collocation_arrays_are_shared_and_read_only():
+    z, v = np.array([0.1, 0.2j]), np.array([1.0, 0.0])
+    first = _CenterDirectionSystem(BALL, z, v, SMALL)
+    second = _CenterDirectionSystem(BALL, -z, v, SMALL)
+    for name in ("tau", "V", "cos_mat", "sin_mat"):
+        assert getattr(first, name) is getattr(second, name)
+        assert not getattr(first, name).flags.writeable

@@ -7,6 +7,8 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      pi_set_sample, tangent_line_disc, lift_from_disc,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
                      PreconditionError)
+from geodisc.discs import _solve_cd_raw
+from geodisc.tangency import _TangencySystem
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -258,3 +260,66 @@ def test_trace_locus_patch_dimension_three():
     # the patch genuinely moves along the 3-dimensional locus
     W = locus.touch_points()
     assert np.max(np.linalg.norm(W - W[0], axis=1)) > 1e-4
+
+
+def _converged_tangency(outer, inner, z_o, seed_w, settings):
+    """A tangency system with a corrected state and its solved disc."""
+    tp = solve_tangent_disc(outer, inner, z_o, seed_w, settings)
+    system = _TangencySystem(outer, inner, z_o, settings)
+    d = tp.disc.base_direction / np.linalg.norm(tp.disc.base_direction)
+    u, _, disc = system.correct(system.pack(tp.w, d, tp.sigma))
+    return system, u, disc
+
+
+TANGENCY_CASES = {
+    "ball2": (lambda: (BALL, make_ball([0, 0], 0.5)),
+              [0.8 + 0j, 0j], [0.35, 0.35], SETTINGS),
+    "ball3": (lambda: (make_ball([0, 0, 0], 1.0), make_ball([0, 0, 0], 0.5)),
+              [0.75 + 0j, 0j, 0.1j], [0.3, 0.3, 0.1], SETTINGS),
+    "perturbed": (lambda: (make_perturbed_ball(0.05, "re_z1_sq"),
+                           make_ball([0, 0], 0.4)),
+                  [0.62 + 0j, 0.05j], [0.3, 0.25],
+                  SolverSettings(modes=32, grid=CircleGrid(128))),
+}
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.02])
+@pytest.mark.parametrize("case", sorted(TANGENCY_CASES))
+def test_tangency_jacobian_matches_central_differences(case, offset):
+    # on the locus and off it (where the touch direction is no longer
+    # tangent, so the ball's Moebius parameter mu is nonzero)
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES[case]
+    outer, inner = make_domains()
+    system, u, disc = _converged_tangency(outer, inner, np.array(z_o),
+                                          np.array(seed_w), settings)
+    if offset:
+        u = u + offset * np.cos(np.arange(len(u)))
+        _, disc = system.residual(u)
+    J = system.jacobian(u, disc)
+    warm = system.warm
+    h = 1e-6
+    for i in range(len(u)):
+        cols = []
+        for sign in (1.0, -1.0):
+            up = u.copy()
+            up[i] += sign * h
+            system.warm = warm
+            cols.append(system.residual(up)[0])
+        fd = (cols[0] - cols[1]) / (2.0 * h)
+        assert np.max(np.abs(J[:, i] - fd)) < 1e-7
+
+
+def test_tangency_jacobian_solves_no_discs(monkeypatch):
+    system, u, disc = _converged_tangency(
+        make_perturbed_ball(0.05, "re_z1_sq"), make_ball([0, 0], 0.4),
+        np.array([0.62 + 0j, 0.05j]), np.array([0.3, 0.25]),
+        SolverSettings(modes=32, grid=CircleGrid(128)))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _solve_cd_raw(*args, **kwargs)
+
+    monkeypatch.setattr("geodisc.tangency._solve_cd_raw", counting)
+    system.jacobian(u, disc)
+    assert calls == []
