@@ -51,9 +51,6 @@ class CircleGrid:
         """The points e^{i theta_j} on the unit circle."""
         return np.exp(1j * self.angles)
 
-    def refined(self, factor: int = 2) -> "CircleGrid":
-        return CircleGrid(self.size * factor)
-
 
 @dataclass
 class TrigSeries:

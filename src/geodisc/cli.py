@@ -360,7 +360,7 @@ def _add_common(p):
     p.add_argument("--grid", type=int, default=256, help="circle grid size N")
     p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker pool size for per-point parallelism")
     p.add_argument("--out", help="write the JSON report to this path")
 

@@ -308,6 +308,22 @@ def _collocation(modes, grid_size):
     return arrays
 
 
+@cache
+def _shift_indices(modes, grid_size):
+    """Gather indices (mod nn) into the spectra of the 2x oversampled grid,
+    for column shifts k = 1..M: attachment modes m = 0..L as (m - k,
+    -m - k), lift modes m = -1..-L as (m - k, m + k); each (rows, M).
+    Shared between systems, hence read-only."""
+    nn, L = 2 * grid_size, grid_size // 2
+    k = np.arange(1, modes + 1)
+    att = np.arange(L + 1)[:, None]
+    lift = -np.arange(1, L + 1)[:, None]
+    arrays = ((att - k) % nn, (-att - k) % nn, (lift - k) % nn, (lift + k) % nn)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 class _CenterDirectionSystem:
     """Residual and Jacobian of the stationary-disc equations for fixed
     (domain, z, v) on an oversampled collocation grid."""
@@ -429,42 +445,74 @@ class _CenterDirectionSystem:
         return np.vstack(rows)
 
     def jacobian(self, u):
-        lin = self._linearization(u)
-        gt, grads, A, C = lin
-        nn, n, M, n_a = self.nn, self.n, self.M, self.n_a
-        Drho = np.zeros((nn, self.size))
-        Dw = np.empty((nn, n, self.size), dtype=complex)
+        """d residual / d u, gathered from the spectra of four fields.
 
-        # r-column: delta phi = v * tau
-        self._field_columns(lin, (self.tau[:, None] * self.v)[:, None, :],
-                            Drho[:, :1], Dw[:, :, :1])
+        On the nn-point residual grid multiplication by tau^k is an exact
+        discrete shift: with ``norm="forward"`` and indices mod nn,
+        fft(f tau^k)[m] = fft(f)[m - k], and conj(tau)^k shifts by +k.
+        Each column perturbs phi by e_c tau^k or i e_c tau^k, or g by a
+        trigonometric monomial, so its spectrum is a shifted copy of one
+        of F = fft(grad rho), GA = fft(g tau A), GC = fft(g tau C) and
+        T = fft(tau grad rho) instead of a transform of its own:
 
-        # a-block: unknown order (k, c, re/im), k = 2..M
-        Vk = self.V[:, 2:]                                  # (nn, M-1)
-        GT = grads[:, None, :] * Vk[:, :, None]             # (nn, M-1, n)
-        drho_a = Drho[:, 1:1 + n_a].reshape(nn, M - 1, n, 2)
-        drho_a[..., 0] = 2.0 * GT.real
-        drho_a[..., 1] = -2.0 * GT.imag
-        del GT
-        dw_a = Dw[:, :, 1:1 + n_a].reshape(nn, n, M - 1, n, 2)
-        SA = A[:, :, None, :] * Vk[:, None, :, None]        # (nn, n, M-1, n)
-        SC = C[:, :, None, :] * np.conj(Vk)[:, None, :, None]
-        np.add(SA, SC, out=dw_a[..., 0])
-        np.subtract(SA, SC, out=dw_a[..., 1])
-        del SA, SC
-        dw_a[..., 1] *= 1j
-        dw_a *= gt[:, None, None, None, None]
+          attachment mode m, column (k, c):
+              re  F_c[m-k] + conj(F_c[-m-k]),  im  i (F_c[m-k] - conj(F_c[-m-k]))
+          lift mode (c, m), column (k, c'):
+              re  GA_cc'[m-k] + GC_cc'[m+k],   im  i (GA_cc'[m-k] - GC_cc'[m+k])
+          lift mode (c, m), g columns:
+              gamma0  T_c[m],  cos j  (T_c[m-j] + T_c[m+j]) / 2,
+              sin j  (T_c[m-j] - T_c[m+j]) / (2i)
 
-        # g-block: columns [gamma0, (cos_m, sin_m)...]; rho does not see g
-        tg = self.tau[:, None] * grads                      # (nn, n)
-        Dw[:, :, 1 + n_a] = tg
-        Dw[:, :, 2 + n_a::2] = tg[:, :, None] * self.cos_mat[:, None, :]
-        Dw[:, :, 3 + n_a::2] = tg[:, :, None] * self.sin_mat[:, None, :]
+        Each spectrum is weighted once by its (re, im) column pair, so
+        every block is one gather-add.  The r column (delta phi = v tau)
+        is the k = 1 columns contracted with v.
+        """
+        gt, grads, A, C = self._linearization(u)
+        nn, n, L, n_a = self.nn, self.n, self.L, self.n_a
+        att_p, att_q, lift_p, lift_q = _shift_indices(self.M, nn // 2)
+        pair = np.array([1.0, 1j])
 
-        gauge = np.zeros(self.size)
-        gauge[1 + n_a] = 1.0
-        gauge[2 + n_a::2] = 1.0              # cos coefficients at theta = 0
-        return self._spectral_rows(Drho, Dw, gauge)
+        # complex residual modes: attachment m = 0..L, lift (c, m = -1..-L)
+        H = np.empty((1 + (n + 1) * L, self.size), dtype=complex)
+        att = H[:L + 1]
+        lift = H[L + 1:].reshape(n, L, self.size)
+
+        F = np.fft.fft(grads, axis=0, norm="forward")[..., None]    # (nn, n, 1)
+        self._phi_columns(att, F * pair, np.conj(F * pair), att_p, att_q, 0)
+        att[:, 1 + n_a:] = 0.0                          # rho does not see g
+
+        # (c, nn, c') so that gathers land in (c, m, k, c') order
+        GA, GC = (np.fft.fft(gt[None, :, None] * X.transpose(1, 0, 2), axis=1,
+                             norm="forward")[..., None] for X in (A, C))
+        self._phi_columns(lift, GA * pair, GC * np.conj(pair), lift_p, lift_q, 1)
+
+        T = np.fft.fft(self.tau[:, None] * grads, axis=0, norm="forward").T
+        lift[:, :, 1 + n_a] = T[:, nn - 1:nn - 1 - L:-1]
+        T = T[..., None]
+        np.add(np.take(T * (0.5, -0.5j), lift_p, axis=1),
+               np.take(T * (0.5, 0.5j), lift_q, axis=1),
+               out=lift[:, :, 2 + n_a:].reshape(n, L, self.K, 2))
+
+        J = np.empty((2 + 2 * (n + 1) * L, self.size))
+        J[0] = H[0].real
+        J[1:-1:2] = H[1:].real
+        J[2:-1:2] = H[1:].imag
+        J[-1] = 0.0
+        J[-1, 1 + n_a] = 1.0
+        J[-1, 2 + n_a::2] = 1.0              # cos coefficients at theta = 0
+        return J
+
+    def _phi_columns(self, out, p, q, ip, iq, axis):
+        """Fill the r column and the a-block of complex residual modes
+        ``out`` (..., size) with p[ip] + q[iq], gathered along ``axis`` of
+        the pair-weighted spectra p, q (..., nn, ..., n, 2) at the column
+        shifts k = 1..M of the index arrays ip, iq (rows, M)."""
+        n, M, n_a = self.n, self.M, self.n_a
+        np.add(np.take(p, ip[:, 1:], axis=axis),
+               np.take(q, iq[:, 1:], axis=axis),
+               out=out[..., 1:1 + n_a].reshape(out.shape[:-1] + (M - 1, n, 2)))
+        k1 = np.take(p, ip[:, 0], axis=axis) + np.take(q, iq[:, 0], axis=axis)
+        out[..., 0] = k1[..., 0] @ self.v.real + k1[..., 1] @ self.v.imag
 
     def sensitivity(self, u, s, dz, dv):
         """Derivative of phi(s) at a converged state u along P parameter
@@ -875,9 +923,13 @@ def kobayashi_distance(domain: ConvexDomain, z, w,
 
 @dataclass
 class ProbeReport:
+    """``lambdas`` holds one ratio per competitor found inside the domain,
+    the first ``scaled`` of them from scaled copies of the disc."""
+
     max_abs_lambda: float
     trials: int
     lambdas: np.ndarray
+    scaled: int = 0
 
 
 def extremality_probe(domain: ConvexDomain, disc: AnalyticDisc, trials: int,
@@ -887,26 +939,27 @@ def extremality_probe(domain: ConvexDomain, disc: AnalyticDisc, trials: int,
     Generates competitor discs psi mapping into the open domain with
     psi(0) = phi(0) and psi'(0) parallel to phi'(0), and records the
     ratio lambda = psi'(0)/phi'(0).  Extremality predicts |lambda| < 1
-    for every competitor.  Competitors are scaled copies of the disc
-    itself and random cubic discs grown until they nearly touch the
-    boundary (the maximum of rho over the closed disc is attained on
-    the boundary circle because rho is convex).
+    for every competitor.  Competitors are scaled copies tau -> phi(s tau)
+    of the disc itself, s shrunk until the copy lies inside the domain
+    (skipped if it never does), and random cubic discs grown until they
+    nearly touch the boundary (the maximum of rho over the closed disc
+    is attained on the boundary circle because rho is convex).
     """
     rng = np.random.default_rng(seed)
     z = disc.base_point
     dphi = disc.base_direction
     nodes = disc.grid.nodes
-    lambdas = np.empty(trials, dtype=complex)
+    lambdas = []
     n_scaled = max(1, trials // 4)
-    for i in range(trials):
-        if i < n_scaled:
-            s = rng.uniform(0.3, 0.98)
+    for _ in range(n_scaled):
+        s = rng.uniform(0.3, 0.98)
+        for _ in range(30):
             if float(np.max(domain.rho(disc(s * nodes)))) < 0:
-                lambdas[i] = s
-                continue
+                lambdas.append(s)
+                break
             s *= 0.9
-            lambdas[i] = s
-            continue
+    scaled = len(lambdas)
+    for _ in range(n_scaled, trials):
         mu = 0.4 * (rng.standard_normal() + 1j * rng.standard_normal())
         c2, c3 = (0.3 * np.linalg.norm(dphi)
                   * (rng.standard_normal((2, disc.dimension))
@@ -927,5 +980,7 @@ def extremality_probe(domain: ConvexDomain, disc: AnalyticDisc, trials: int,
                 lo = mid
             else:
                 hi = mid
-        lambdas[i] = 0.95 * lo * mu
-    return ProbeReport(float(np.max(np.abs(lambdas))), trials, lambdas)
+        lambdas.append(0.95 * lo * mu)
+    lambdas = np.array(lambdas, dtype=complex)
+    return ProbeReport(float(np.max(np.abs(lambdas), initial=0.0)), trials,
+                       lambdas, scaled)

@@ -73,16 +73,6 @@ class ConvexDomain:
             self._certificate = certify(self, samples, seed=seed)
         return self._certificate
 
-    def spec(self) -> dict:
-        """JSON-serializable description (see the CLI schema)."""
-        out = {"kind": self.kind, "dimension": self.dimension}
-        for key, val in self.meta.items():
-            if isinstance(val, np.ndarray):
-                out[key] = [[float(v.real), float(v.imag)] for v in val]
-            else:
-                out[key] = val
-        return out
-
 
 @dataclass
 class ConvexityCertificate:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ def test_determinism(tmp_path):
     rep1["config"].pop("out")
     rep2["config"].pop("out")
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+def test_report_does_not_depend_on_core_count(tmp_path, monkeypatch):
+    # the --threads default is written into the report's config
+    out = tmp_path / "out.json"
+    args = ["disc", "solve", "--domain", "ball", "--z", "0,0", "--v", "1,0",
+            "--out", str(out)]
+    reports = []
+    for cores in (1, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert main(args) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["threads"] == 1
 
 
 def test_tangency_trace_csv(tmp_path):

@@ -82,6 +82,56 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(J[:, i] - fd)) < 1e-6
 
 
+def _dense_reference_jacobian(system, u):
+    """The Gauss-Newton Jacobian one column at a time: each unit field
+    perturbation (delta phi = v tau for r, e_c tau^k and i e_c tau^k for
+    a_k, k = 2..M, and delta g = 1, cos j theta, sin j theta) through
+    the pointwise derivative and its own FFT."""
+    nn, n, M, K = system.nn, system.n, system.M, system.K
+    lin = system._linearization(u)
+    grads = lin[1]
+    tau = system.tau[:, None]
+    dphi = [tau * system.v]
+    for k in range(2, M + 1):
+        for c in range(n):
+            e = np.eye(n)[c]
+            dphi += [tau ** k * e, 1j * tau ** k * e]
+    dphi = np.stack(dphi, axis=1)                           # (nn, P, n)
+    Drho_phi = np.empty((nn, dphi.shape[1]))
+    Dw_phi = np.empty((nn, n, dphi.shape[1]), dtype=complex)
+    system._field_columns(lin, dphi, Drho_phi, Dw_phi)
+
+    theta = 2.0 * np.pi * np.arange(nn) / nn
+    basis = [np.ones(nn)]
+    for j in range(1, K + 1):
+        basis += [np.cos(j * theta), np.sin(j * theta)]
+    basis = np.stack(basis, axis=1)                         # (nn, 1 + 2K)
+    Dw_g = (tau * grads)[:, :, None] * basis[:, None, :]
+    Drho = np.concatenate([Drho_phi, np.zeros((nn, basis.shape[1]))], axis=1)
+    Dw = np.concatenate([Dw_phi, Dw_g], axis=2)
+    gauge = np.concatenate([np.zeros(dphi.shape[1]), basis[0]])    # g(1)
+    return system._spectral_rows(Drho, Dw, gauge)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("modes,grid", [(8, 32), (32, 128)])
+def test_jacobian_matches_dense_reference(n, modes, grid):
+    # every column of the mode-shift assembly against its own FFT
+    rng = np.random.default_rng(11)
+    domain = make_perturbed_ball(0.05, "re_z1_sq", dimension=n)
+    settings = SolverSettings(modes=modes, grid=CircleGrid(grid))
+    z = random_interior(rng, n, radius=0.3)
+    v = random_direction(rng, n)
+    system = _CenterDirectionSystem(domain, z, v, settings)
+    disc = ball_geodesic(make_ball(np.zeros(n), 0.9), z, v, settings)
+    u = system.initial_state(disc.coeffs)
+    u += 0.01 * rng.standard_normal(len(u))                 # not converged
+    J = system.jacobian(u)
+    ref = _dense_reference_jacobian(system, u)
+    assert J.shape == ref.shape == (len(system.residual(u)[0]), system.size)
+    assert np.max(np.abs(J - ref)) < 1e-12
+
+
 def test_solver_matches_oracle_on_ball():
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -201,6 +251,21 @@ def test_extremality_probe_off_center():
                                           np.array([0.3, 1.0]), SETTINGS)
     report = extremality_probe(BALL, disc, trials=60, seed=3)
     assert report.max_abs_lambda < 1.0
+
+
+def test_extremality_probe_scaled_copies_lie_inside():
+    # the unit-ball disc through 0 sticks out of the ball of radius 0.6:
+    # its copy tau -> phi(s tau) fits only once s < 0.6
+    disc = ball_geodesic(BALL, np.zeros(2), np.array([1.0, 0.0]), SETTINGS)
+    small = make_ball([0, 0], 0.6)
+    report = extremality_probe(small, disc, trials=40, seed=0)
+    assert report.scaled == 10 and len(report.lambdas) == 40
+    for s in report.lambdas[:report.scaled]:
+        assert s.imag == 0.0 and 0.0 < s.real < 0.6
+        assert np.max(small.rho(disc(s.real * disc.grid.nodes))) < 0
+    # no scaled copy of a disc centred outside the domain fits
+    away = make_ball([2.0, 0], 0.5)
+    assert extremality_probe(away, disc, trials=8, seed=0).scaled == 0
 
 
 def test_kobayashi_distance():
