@@ -150,6 +150,29 @@ def hilbert_conjugate(u: TrigSeries, tol: float = REAL_TOL) -> TrigSeries:
     return TrigSeries(u.grid, d)
 
 
+def power_series(coeffs, tau) -> np.ndarray:
+    """sum_k coeffs[k] tau^k, of shape tau.shape + coeffs.shape[1:].
+
+    The powers tau^0..tau^{K-1} are built by doubling (row block [m, 2m)
+    is row block [0, m) times tau^m, so log2 K vector products) and
+    contracted with the coefficients in one matmul.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    tau = np.asarray(tau, dtype=complex)
+    K = coeffs.shape[0]
+    t = tau.reshape(-1)
+    powers = np.empty((K, t.size), dtype=complex)
+    powers[:1] = 1.0
+    powers[1:2] = t
+    m = 2
+    while m < K:
+        step = min(m, K - m)
+        np.multiply(powers[:step], powers[m // 2] ** 2, out=powers[m:m + step])
+        m += step
+    values = powers.T @ coeffs.reshape(K, -1)
+    return values.reshape(tau.shape + coeffs.shape[1:])
+
+
 def cauchy_extend(boundary: TrigSeries, tau) -> complex | np.ndarray:
     """Holomorphic extension sum_{k>=0} c_k tau^k at |tau| < 1.
 
@@ -161,7 +184,7 @@ def cauchy_extend(boundary: TrigSeries, tau) -> complex | np.ndarray:
         raise PreconditionError("cauchy_extend requires |tau| < 1")
     n = boundary.grid.size
     c = boundary.coeffs[n // 2:]          # k = 0 .. N/2-1
-    values = np.polynomial.polynomial.polyval(tau_arr, c)
+    values = power_series(c, tau_arr)
     if np.isscalar(tau) or np.ndim(tau) == 0:
         return complex(values)
     return values

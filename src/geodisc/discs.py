@@ -31,7 +31,7 @@ from functools import cache
 
 import numpy as np
 
-from .circle import CircleGrid, analyze
+from .circle import CircleGrid, analyze, power_series
 from .domains import ConvexDomain, make_ball
 from .errors import PreconditionError, SolverDivergence
 
@@ -99,16 +99,11 @@ class AnalyticDisc:
         return self.coeffs[1]
 
     def __call__(self, tau):
-        tau = np.asarray(tau, dtype=complex)
-        vals = np.polynomial.polynomial.polyval(tau, self.coeffs)
-        return np.moveaxis(vals, 0, -1)
+        return power_series(self.coeffs, tau)
 
     def derivative(self, tau):
-        tau = np.asarray(tau, dtype=complex)
         k = np.arange(1, self.modes + 1)
-        dc = self.coeffs[1:] * k[:, None]
-        vals = np.polynomial.polynomial.polyval(tau, dc)
-        return np.moveaxis(vals, 0, -1)
+        return power_series(self.coeffs[1:] * k[:, None], tau)
 
     def boundary_values(self, grid: CircleGrid | None = None) -> np.ndarray:
         grid = grid or self.grid
@@ -174,6 +169,24 @@ class SolverSettings:
 def _herm(a, b):
     """Hermitian pairing sum a_j conj(b_j)."""
     return np.sum(a * np.conj(b))
+
+
+def _complete_unitary(cols):
+    """Unitary (n, n) matrix whose first columns are the orthonormal
+    ``cols`` in C^n, completed by Gram-Schmidt on the standard basis."""
+    cols = list(cols)
+    n = len(cols[0])
+    basis = np.eye(n, dtype=complex)
+    for k in range(n):
+        w = basis[:, k]
+        for col in cols:
+            w = w - _herm(w, col) * col
+        norm = np.linalg.norm(w)
+        if norm > 1e-8:
+            cols.append(w / norm)
+        if len(cols) == n:
+            break
+    return np.column_stack(cols)
 
 
 def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
@@ -611,8 +624,8 @@ def _inscribed_ball_radius(domain, samples=64, seed=0):
         raw = rng.standard_normal((samples, 2 * domain.dimension))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
-        dists = [np.linalg.norm(domain.boundary_point(d) - domain.center)
-                 for d in dirs]
+        dists = np.linalg.norm(domain.boundary_point(dirs) - domain.center,
+                               axis=-1)
         r = 0.999 * float(np.min(dists))
     domain._inscribed_radius = r
     return r

@@ -9,7 +9,8 @@ derivative blocks
 
 from which the real 2n x 2n Hessian in interleaved coordinates
 (x_1, y_1, ..., x_n, y_n) follows.  All evaluators are vectorized over
-a leading batch axis: points have shape (..., n).
+a leading batch axis: points have shape (..., n), and so have the
+directions of ``boundary_point``.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class ConvexDomain:
         self._certificate = None
         self._inscribed_radius = None   # cache of discs._inscribed_ball_radius
 
-    def hess(self, pts) -> np.ndarray:
-        """Real Hessian (alias of :meth:`hess_real`)."""
-        return self.hess_real(pts)
-
     def hess_real(self, pts) -> np.ndarray:
         """Real Hessian in interleaved (x_1, y_1, ..., x_n, y_n) order."""
         A, C = self.hess_complex(pts)
@@ -64,9 +61,11 @@ class ConvexDomain:
         return bool(self.rho(np.asarray(z, dtype=complex)) < -margin)
 
     def boundary_point(self, direction, tol: float = 1e-12) -> np.ndarray:
-        """Intersection of the ray center + t*direction with rho = 0."""
-        return self.center + _ray_bisect(self, self.center, direction, tol) \
-            * np.asarray(direction, dtype=complex)
+        """Intersection of the ray center + t*direction with rho = 0, for
+        directions of shape (..., n); the result has the same shape."""
+        direction = np.asarray(direction, dtype=complex)
+        t = _ray_bisect(self, self.center, direction, tol)
+        return self.center + t[..., None] * direction
 
     def cached_certificate(self, samples: int = 128, seed: int = 0):
         if self._certificate is None:
@@ -86,26 +85,42 @@ class ConvexityCertificate:
 
 
 def _ray_bisect(domain, base, direction, tol=1e-12, max_expand=80):
+    """Parameters t, of shape direction.shape[:-1], with rho(base + t *
+    direction) = 0 along each ray of a (..., n) batch of directions.
+
+    Every ray runs the same rule: double t from 1/|direction| until rho >
+    0, then bisect until its bracket is narrower than tol * max(1, t_hi).
+    The rays advance together; only the rays that have not met the rule
+    are evaluated, so each keeps the bracket it would reach alone."""
     direction = np.asarray(direction, dtype=complex)
-    scale = np.linalg.norm(direction)
-    if scale == 0:
+    if not np.all(np.isfinite(direction)):
+        raise PreconditionError("direction is not finite")
+    d = direction.reshape(-1, direction.shape[-1])
+    scale = np.linalg.norm(d, axis=-1)
+    if np.any(scale == 0):
         raise PreconditionError("zero direction")
     if domain.rho(base) >= 0:
         raise PreconditionError("ray base point is not interior")
-    t_lo, t_hi = 0.0, 1.0 / scale
+    t_lo, t_hi = np.zeros(len(d)), 1.0 / scale
+    live = np.arange(len(d))
     for _ in range(max_expand):
-        if domain.rho(base + t_hi * direction) > 0:
+        outside = domain.rho(base + t_hi[live, None] * d[live]) > 0
+        live = live[~outside]
+        if live.size == 0:
             break
-        t_lo, t_hi = t_hi, 2.0 * t_hi
+        t_lo[live] = t_hi[live]
+        t_hi[live] *= 2.0
     else:
         raise PreconditionError("domain appears unbounded along the ray")
-    while t_hi - t_lo > tol * max(1.0, t_hi):
-        mid = 0.5 * (t_lo + t_hi)
-        if domain.rho(base + mid * direction) > 0:
-            t_hi = mid
-        else:
-            t_lo = mid
-    return 0.5 * (t_lo + t_hi)
+    live = np.flatnonzero(t_hi - t_lo > tol * np.maximum(1.0, t_hi))
+    while live.size:
+        mid = 0.5 * (t_lo[live] + t_hi[live])
+        out = domain.rho(base + mid[:, None] * d[live]) > 0
+        t_hi[live[out]] = mid[out]
+        t_lo[live[~out]] = mid[~out]
+        lo, hi = t_lo[live], t_hi[live]
+        live = live[hi - lo > tol * np.maximum(1.0, hi)]
+    return (0.5 * (t_lo + t_hi)).reshape(direction.shape[:-1])
 
 
 def make_ball(center, radius: float) -> ConvexDomain:
@@ -256,7 +271,7 @@ def certify(domain: ConvexDomain, samples: int, seed: int = 0) -> ConvexityCerti
     raw = rng.standard_normal((samples, 2 * n))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
-    pts = np.array([domain.boundary_point(d) for d in dirs])
+    pts = domain.boundary_point(dirs)
     eigs = np.linalg.eigvalsh(domain.hess_real(pts))
     grad_norms = 2.0 * np.linalg.norm(domain.grad(pts), axis=-1)
     return ConvexityCertificate(
@@ -288,12 +303,6 @@ def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
     """
     radii = np.concatenate(([1e-3], np.linspace(1.0 / radial, 1.0, radial)))
     angles = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
-
-    def ratio(r, th):
-        tau = r[..., None] * np.exp(1j * th[None, :]) if r.ndim == 1 else \
-            r * np.exp(1j * th)
-        vals = rho2.rho(disc(tau))
-        return vals / np.abs(tau) ** 2
 
     R, TH = np.meshgrid(radii, angles, indexing="ij")
     vals = rho2.rho(disc(R * np.exp(1j * TH))) / R ** 2

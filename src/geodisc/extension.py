@@ -58,11 +58,11 @@ class BoundaryFunction:
         raw = rng.standard_normal((pairs, 2 * n))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
-        pts = np.array([domain.boundary_point(d) for d in dirs])
+        pts = domain.boundary_point(dirs)
         bumps = rng.standard_normal((pairs, 2 * n))
         bumps = h * bumps / np.linalg.norm(bumps, axis=1, keepdims=True)
-        near = np.array([domain.boundary_point(d + (b[0::2] + 1j * b[1::2]))
-                         for d, b in zip(dirs, bumps)])
+        near = domain.boundary_point(
+            dirs + (bumps[:, 0::2] + 1j * bumps[:, 1::2]))
         return float(np.max(np.abs(self(pts) - self(near))))
 
 

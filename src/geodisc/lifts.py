@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (CircleGrid, analyze, continuous_log,
-                     hilbert_conjugate, synthesize)
+                     hilbert_conjugate, power_series, synthesize)
+from .discs import _complete_unitary
 from .domains import ConvexDomain
 from .errors import PreconditionError, WindingNumberError
 
@@ -64,9 +65,8 @@ class ConormalLift:
         if np.any(np.abs(tau) < 1e-14):
             raise PreconditionError(
                 "lift has a pole at 0; use residue() for the pole value")
-        holo = np.moveaxis(
-            np.polynomial.polynomial.polyval(tau, self.holo_coeffs), 0, -1)
-        return self.pole_coeff / tau[..., None] + holo
+        return self.pole_coeff / tau[..., None] \
+            + power_series(self.holo_coeffs, tau)
 
     def boundary_values(self, grid: CircleGrid | None = None) -> np.ndarray:
         grid = grid or self.disc.grid
@@ -86,19 +86,7 @@ def default_coordinate_rotation(domain: ConvexDomain, disc) -> np.ndarray:
     p1 = disc(np.array([1.0 + 0.0j]))[0]
     grad1 = domain.grad(p1)
     v1 = np.conj(grad1) / np.linalg.norm(grad1)
-    n = len(v1)
-    basis = np.eye(n, dtype=complex)
-    cols = [v1]
-    for k in range(n):
-        w = basis[:, k]
-        for c in cols:
-            w = w - np.sum(w * np.conj(c)) * c
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            cols.append(w / norm)
-        if len(cols) == n:
-            break
-    return np.conj(np.column_stack(cols)).T      # rows v_j^H
+    return np.conj(_complete_unitary([v1])).T      # rows v_j^H
 
 
 def lift_from_disc(domain: ConvexDomain, disc, coordinate_rotation=None,

@@ -33,8 +33,8 @@ import numpy as np
 
 from .discs import (AnalyticDisc, SolverSettings, _CenterDirectionSystem,
                     _ball_automorphism, _ball_point_sensitivity,
-                    _coordinate_tangents, _direction_tangents, _herm,
-                    _solve_cd_raw)
+                    _complete_unitary, _coordinate_tangents,
+                    _direction_tangents, _herm, _solve_cd_raw)
 from .domains import ConvexDomain, tangency_order_constant
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
 
@@ -330,13 +330,14 @@ def _ranked_seeds(domain2, z_o, samples=256, top=8):
     raw = rng.standard_normal((samples, 2 * n))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
-    pts = np.array([domain2.boundary_point(d) for d in dirs])
+    rays = np.concatenate([(z_o - domain2.center)[None, :], dirs])
+    hits = domain2.boundary_point(rays)
+    radial, pts = hits[0], hits[1:]
     grads = domain2.grad(pts)
     chords = z_o[None, :] - pts
     scores = np.abs(np.sum(grads * chords, axis=1)) \
         / (np.linalg.norm(grads, axis=1) * np.linalg.norm(chords, axis=1))
     order = np.argsort(scores)
-    radial = domain2.boundary_point(z_o - domain2.center)
     return np.concatenate([radial[None, :], pts[order[:top]]])
 
 
@@ -490,19 +491,7 @@ def jacobian_certificate(rho2_in_psi_coords: ConvexDomain, point) -> float:
     u2 = z / c
     u2 = u2 - _herm(u2, u1) * u1
     u2 = u2 / np.linalg.norm(u2)
-    n = len(z)
-    cols = [u1, u2]
-    basis = np.eye(n, dtype=complex)
-    for k in range(n):
-        w = basis[:, k]
-        for col in cols:
-            w = w - _herm(w, col) * col
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            cols.append(w / norm)
-        if len(cols) == n:
-            break
-    S = np.column_stack(cols)              # z = S eta
+    S = _complete_unitary([u1, u2])        # z = S eta
     A, C = rho2_in_psi_coords.hess_complex(z)
     Ap = S.T @ A @ S
     Cp = S.T @ C @ np.conj(S)
@@ -652,18 +641,7 @@ def pi_set_sample(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
     n = domain1.dimension
     grad2 = domain2.grad(z_o)
     normal = np.conj(grad2) / np.linalg.norm(grad2)
-    cols = [normal]
-    basis = np.eye(n, dtype=complex)
-    for k in range(n):
-        w = basis[:, k]
-        for col in cols:
-            w = w - _herm(w, col) * col
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            cols.append(w / norm)
-        if len(cols) == n:
-            break
-    tangent = np.column_stack(cols[1:])     # (n, n-1)
+    tangent = _complete_unitary([normal])[:, 1:]     # (n, n-1)
     rng = np.random.default_rng(seed)
     out = np.empty((count, n), dtype=complex)
     for k in range(count):

@@ -4,7 +4,7 @@ import pytest
 from geodisc import (CircleGrid, analyze, synthesize, hilbert_conjugate,
                      cauchy_extend, negative_tail_norm, log_lift,
                      PreconditionError, WindingNumberError)
-from geodisc.circle import TrigSeries
+from geodisc.circle import TrigSeries, power_series
 
 
 def direct_dft(samples):
@@ -209,3 +209,37 @@ def test_realness_and_holomorphy_flags():
                        g).is_real()
     assert analyze(np.exp(1j * g.angles), g).is_holomorphic_type()
     assert not analyze(np.exp(-1j * g.angles), g).is_holomorphic_type()
+
+
+@pytest.mark.parametrize("K", [1, 2, 33, 65, 129])
+@pytest.mark.parametrize("shape", [(), (9,), (3, 5)])
+def test_power_series_matches_polyval(K, shape):
+    rng = np.random.default_rng(K)
+    coeffs = rng.standard_normal((K, 2)) + 1j * rng.standard_normal((K, 2))
+    tau = rng.uniform(0.0, 1.0, shape) \
+        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, shape))
+    got = power_series(coeffs, tau)
+    ref = np.moveaxis(np.polynomial.polynomial.polyval(tau, coeffs), 0, -1)
+    assert got.shape == shape + (2,)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(coeffs))
+    scalar = power_series(coeffs[:, 0], tau)
+    assert scalar.shape == shape
+    assert np.max(np.abs(scalar - ref[..., 0])) \
+        <= 1e-13 * np.sum(np.abs(coeffs[:, 0]))
+
+
+def test_series_evaluators_do_not_use_polyval(monkeypatch):
+    from geodisc import ball_geodesic, lift_from_disc, make_ball
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polyval called")
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", refuse)
+    ball = make_ball([0, 0], 1.0)
+    disc = ball_geodesic(ball, np.array([0.3, 0.1j]), np.array([1.0, 0.5]))
+    tau = np.array([0.2 + 0.1j, -0.5])
+    assert disc(tau).shape == (2, 2)
+    assert disc.derivative(tau).shape == (2, 2)
+    assert lift_from_disc(ball, disc)(tau).shape == (2, 2)
+    g = CircleGrid(16)
+    assert abs(cauchy_extend(analyze(3.0 * np.ones(16), g), 0.5) - 3.0) < 1e-13

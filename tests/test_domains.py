@@ -171,7 +171,56 @@ def test_certify_requires_min_samples():
         certify(make_ball([0, 0], 1.0), 50)
 
 
-def test_hess_alias():
-    b = make_ball([0, 0], 1.0)
-    z = np.array([0.2, 0.1j])
-    assert np.max(np.abs(b.hess(z) - b.hess_real(z))) < 1e-15
+def _scalar_ray_bisect(domain, direction, tol=1e-12):
+    """Reference: the one-ray doubling-then-bisection rule, written with
+    Python scalars."""
+    base = domain.center
+    t_lo, t_hi = 0.0, 1.0 / np.linalg.norm(direction)
+    while domain.rho(base + t_hi * direction) <= 0:
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    while t_hi - t_lo > tol * max(1.0, t_hi):
+        mid = 0.5 * (t_lo + t_hi)
+        if domain.rho(base + mid * direction) > 0:
+            t_hi = mid
+        else:
+            t_lo = mid
+    return 0.5 * (t_lo + t_hi)
+
+
+BATCH_DOMAINS = {
+    "ball": lambda: make_ball([0.1, -0.2j], 0.7),
+    "ellipsoid": lambda: make_ellipsoid([2.0, 1.0]),
+    "perturbed_ball": lambda: make_perturbed_ball(0.05, "re_z1_sq"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_DOMAINS))
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_boundary_point_batched(name, shape):
+    domain = BATCH_DOMAINS[name]()
+    rng = np.random.default_rng(11)
+    dirs = (rng.standard_normal(shape + (2,))
+            + 1j * rng.standard_normal(shape + (2,))) \
+        * rng.uniform(0.01, 100.0, shape + (1,))
+    pts = domain.boundary_point(dirs)
+    assert pts.shape == dirs.shape
+    flat_dirs = dirs.reshape(-1, 2)
+    stacked = np.array([domain.boundary_point(d) for d in flat_dirs])
+    assert np.array_equal(pts.reshape(-1, 2), stacked)
+    center = domain.center
+    for p, d in zip(stacked, flat_dirs):
+        t = _scalar_ray_bisect(domain, d)
+        assert np.linalg.norm(p - (center + t * d)) \
+            <= 1e-12 * t * np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_boundary_point_rejects_degenerate_direction_in_batch(bad):
+    domain = make_perturbed_ball(0.05, "re_z1_sq")
+    dirs = np.ones((3, 4, 2), dtype=complex)
+    dirs[2, 1] = [bad, 0.0 if bad == 0.0 else 1.0]
+    with pytest.raises(PreconditionError,
+                       match="zero" if bad == 0.0 else "not finite"):
+        domain.boundary_point(dirs)
+    with pytest.raises(PreconditionError):
+        domain.boundary_point(dirs[2, 1])
