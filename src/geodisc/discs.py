@@ -20,8 +20,10 @@ Gauss-Newton iteration with a least-squares step:
 phi(0) = z and phi'(0) = r*v are enforced exactly through the
 parametrization.  Residuals are collocated on a grid oversampled 2x
 against the coefficient truncation to keep products alias-free.  For
-non-ball domains the solve is reached by continuation from an inscribed
-ball, for which the disc is known in closed form.
+non-ball domains the solve starts from the disc of an inscribed ball,
+known in closed form, and tries the target domain directly; only when
+Gauss-Newton diverges is the homotopy from the ball to the domain
+subdivided into blended domains, halving the step on each failure.
 """
 
 from __future__ import annotations
@@ -141,13 +143,22 @@ class AnalyticDisc:
 
 @dataclass
 class SolverSettings:
+    """Resolution and tolerances of the Gauss-Newton disc solver.
+
+    ``continuation_steps`` sets the largest step 1/continuation_steps of
+    the homotopy from the inscribed ball to a non-ball domain; the default
+    1 tries the domain directly, and a step is halved only when Newton
+    diverges on it."""
+
     modes: int = 64
     grid: CircleGrid = field(default_factory=lambda: CircleGrid(256))
     newton_tol: float = 1e-10
     max_iters: int = 40
-    continuation_steps: int = 10
+    continuation_steps: int = 1
 
     def __post_init__(self):
+        if self.continuation_steps < 1:
+            raise PreconditionError("continuation_steps must be >= 1")
         if self.newton_tol < 1e-12:
             raise PreconditionError("newton_tol must be >= 1e-12")
         if self.modes > self.grid.size // 4:
@@ -674,7 +685,8 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
         u, diag = system.gauss_newton(u0, tol, settings.max_iters)
         return _finalize(system, u, diag)
 
-    # continuation from an inscribed ball that contains z
+    # homotopy from an inscribed ball that contains z: the largest step
+    # the corrector takes, subdivided only where Newton diverges
     center = domain.center
     r_ins = _inscribed_ball_radius(domain)
     r0 = max(r_ins, 1.05 * float(np.linalg.norm(z - center)) + 0.05 * r_ins)
@@ -684,9 +696,11 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     u, diag = sys0.gauss_newton(system.initial_state(init.coeffs),
                                 tol, settings.max_iters)
     t = 0.0
-    dt = 1.0 / settings.continuation_steps
+    dt = dt_max = 1.0 / settings.continuation_steps
     while t < 1.0:
-        t_next = min(1.0, t + dt)
+        t_next = t + dt
+        if t_next > 1.0 - 1e-12:       # land on the domain, not a roundoff short
+            t_next = 1.0
         target = system if t_next == 1.0 else _CenterDirectionSystem(
             _blend(ball0, domain, t_next), z, v, settings)
         try:
@@ -697,7 +711,7 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
                 raise
             continue
         u, t = u_next, t_next
-        dt = min(1.5 * dt, 1.0 / settings.continuation_steps)
+        dt = min(1.5 * dt, dt_max)
     return _finalize(system, u, diag)
 
 

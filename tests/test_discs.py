@@ -8,7 +8,9 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      solve_two_point, reparametrize, extremality_probe,
                      kobayashi_distance, poincare_distance,
                      boundary_hausdorff, AnalyticDisc, SolverSettings,
-                     MoebiusMap, CircleGrid, PreconditionError)
+                     MoebiusMap, CircleGrid, PreconditionError,
+                     SolverDivergence)
+from geodisc import discs as discs_module
 from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
                            _solve_cd_raw)
 
@@ -172,6 +174,86 @@ def test_solver_on_ellipsoid_continuation():
     assert disc.injectivity_gap() > 1e-4
 
 
+class _ContinuationLog:
+    """Counts, through monkeypatched seams, the blended domains a cold solve
+    builds, the Gauss-Newton Jacobians it assembles and the outcome of each
+    Gauss-Newton call on ``target``."""
+
+    def __init__(self, monkeypatch, target):
+        self.blends = 0
+        self.jacobians = 0
+        self.target_calls = []              # True for a converged call
+        blend = discs_module._blend
+        jacobian = _CenterDirectionSystem.jacobian
+        gauss_newton = _CenterDirectionSystem.gauss_newton
+
+        def counting_blend(*args):
+            self.blends += 1
+            return blend(*args)
+
+        def counting_jacobian(system, u):
+            self.jacobians += 1
+            return jacobian(system, u)
+
+        def logging_gauss_newton(system, *args, **kwargs):
+            if system.domain is not target:
+                return gauss_newton(system, *args, **kwargs)
+            try:
+                out = gauss_newton(system, *args, **kwargs)
+            except SolverDivergence:
+                self.target_calls.append(False)
+                raise
+            self.target_calls.append(True)
+            return out
+
+        monkeypatch.setattr(discs_module, "_blend", counting_blend)
+        monkeypatch.setattr(_CenterDirectionSystem, "jacobian",
+                            counting_jacobian)
+        monkeypatch.setattr(_CenterDirectionSystem, "gauss_newton",
+                            logging_gauss_newton)
+
+
+def test_cold_solve_tries_the_domain_directly(monkeypatch):
+    domain = make_perturbed_ball(0.05)
+    rng = np.random.default_rng(5)
+    log = _ContinuationLog(monkeypatch, domain)
+    for _ in range(3):
+        z = random_interior(rng, 2, radius=0.4)
+        v = random_direction(rng, 2)
+        before = log.jacobians
+        _, _, diag = _solve_cd_raw(domain, z, v, SETTINGS)
+        assert diag["attachment"] <= SETTINGS.newton_tol
+        assert log.jacobians - before <= 8
+    assert log.blends == 0 and log.target_calls == [True] * 3
+
+
+def test_continuation_steps_land_on_the_domain(monkeypatch):
+    # ten steps of 0.1 sum to 1 - 1e-16: the tenth step must be the domain
+    # itself, not a blend a roundoff short of it
+    domain = make_perturbed_ball(0.05)
+    settings = SolverSettings(modes=32, grid=CircleGrid(128),
+                              continuation_steps=10)
+    log = _ContinuationLog(monkeypatch, domain)
+    _solve_cd_raw(domain, np.array([0.3, 0.1j]), np.array([1.0, 0.5j]),
+                  settings)
+    assert log.blends == 9
+    assert log.target_calls == [True]
+
+
+def test_continuation_subdivides_when_newton_fails(monkeypatch):
+    # three iterations do not reach the ellipsoid from the inscribed ball
+    # in one step, so the homotopy is halved until they do
+    domain = make_ellipsoid([1.3, 0.9])
+    settings = SolverSettings(modes=32, grid=CircleGrid(128), max_iters=3)
+    log = _ContinuationLog(monkeypatch, domain)
+    coeffs, _, _ = _solve_cd_raw(domain, np.array([0.2 + 0.1j, 0.1j]),
+                                 np.array([1.0, 0.5j]), settings)
+    assert log.target_calls[0] is False and log.target_calls[-1] is True
+    assert log.blends > 0
+    disc = AnalyticDisc(coeffs, settings.grid, domain)
+    assert disc.boundary_residual() <= 1e-10
+
+
 def test_solver_preconditions():
     with pytest.raises(PreconditionError):
         solve_from_center_direction(BALL, np.array([1.5, 0.0]),
@@ -319,6 +401,10 @@ def test_settings_validation():
         SolverSettings(newton_tol=1e-13)
     with pytest.raises(PreconditionError):
         SolverSettings(modes=128, grid=CircleGrid(256))
+    for steps in (0, -1):
+        with pytest.raises(PreconditionError,
+                           match="continuation_steps must be >= 1"):
+            SolverSettings(continuation_steps=steps)
 
 
 def _two_point_state(domain, settings):
