@@ -361,7 +361,9 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker pool size for per-point parallelism")
+                   help="accepted and ignored: every command runs on one "
+                        "thread (kept so scripts and report configs stay "
+                        "valid)")
     p.add_argument("--out", help="write the JSON report to this path")
 
 
@@ -474,7 +476,8 @@ def build_parser():
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored, as for the other commands")
     p.add_argument("--out")
     p.set_defaults(func=cmd_repro_counterexample)
 

@@ -24,6 +24,15 @@ non-ball domains the solve starts from the disc of an inscribed ball,
 known in closed form, and tries the target domain directly; only when
 Gauss-Newton diverges is the homotopy from the ball to the domain
 subdivided into blended domains, halving the step on each failure.
+
+The disc solve, the tangency corrector and the two-point solve share one
+damped Newton driver, :func:`_damped_newton`, with one policy: check
+convergence before every step and once after the last; accept a trial
+u + t du when |F_new| <= (1 - 1e-4 t)|F| + tol; halve t from 1 down to
+1/32; count a trial whose residual raises PreconditionError or
+SolverDivergence as rejected.  Each caller keeps its own step: normal
+equations here, lstsq's minimum-norm step for the underdetermined
+tangency system, a square solve for the two-point system.
 """
 
 from __future__ import annotations
@@ -61,9 +70,9 @@ class MoebiusMap:
         return self.rotation * (tau + self.a) / (1.0 + np.conj(self.a) * tau)
 
     def inverse(self) -> "MoebiusMap":
-        # m^{-1}(w) = (w/rot - a) / (1 - conj(a) w/rot)
-        #           = conj(rot) * (w - rot*a) / (1 - conj(a*rot) ... )
-        # realized as another MoebiusMap with parameters below
+        # solving w = rot (tau + a) / (1 + conj(a) tau) for tau, with
+        # 1/rot = conj(rot): tau = conj(rot) (w - a rot) / (1 - conj(a rot) w),
+        # the map with parameter a' = -a rot and rotation conj(rot)
         return MoebiusMap(a=-self.a * self.rotation,
                           rotation=np.conj(self.rotation))
 
@@ -564,10 +573,6 @@ class _CenterDirectionSystem:
     # -- the iteration --------------------------------------------------
 
     @staticmethod
-    def _converged(diag, tol):
-        return max(diag["attachment"], diag["neg_modes"], diag["gauge"]) <= tol
-
-    @staticmethod
     def _ls_step(J, F):
         """Gauss-Newton step by normal equations (lstsq as fallback)."""
         JtJ = J.T @ J
@@ -577,34 +582,46 @@ class _CenterDirectionSystem:
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(J, -F, rcond=None)[0]
 
-    def gauss_newton(self, u0, tol, max_iters, min_iters=1):
-        u = u0.copy()
-        F, diag = self.residual(u)
+    def gauss_newton(self, u0, tol, max_iters):
+        """(u, diag) with attachment, lift modes and gauge all <= tol."""
+        u, _, diag = _damped_newton(
+            u0, self.residual,
+            lambda u, F, diag: self._ls_step(self.jacobian(u), F),
+            lambda F, d: max(d["attachment"], d["neg_modes"], d["gauge"]) <= tol,
+            tol, max_iters)
+        return u, diag
+
+
+def _damped_newton(u, residual, step, converged, tol, max_iters):
+    """The damped Newton iteration of the disc, tangency and two-point
+    solves, with the policy of the module docstring (Deuflhard, *Newton
+    Methods for Nonlinear Problems*, 2004, ch. 3).  ``residual(u)`` gives
+    (F, aux), ``step(u, F, aux)`` the undamped step and ``converged(F,
+    aux)`` the stopping test; returns (u, F, aux)."""
+    F, aux = residual(u)
+    for _ in range(max_iters):
+        if converged(F, aux):
+            return u, F, aux
+        du = step(u, F, aux)
         norm = np.linalg.norm(F)
-        if min_iters == 0 and self._converged(diag, tol):
-            return u, diag
-        for _ in range(max_iters):
-            J = self.jacobian(u)
-            step = self._ls_step(J, F)
-            t = 1.0
-            while t >= 1.0 / 64:
-                F_new, diag_new = self.residual(u + t * step)
-                norm_new = np.linalg.norm(F_new)
-                if norm_new <= (1.0 - 1e-4 * t) * norm or norm_new <= tol:
-                    break
-                t *= 0.5
-            else:
-                raise SolverDivergence(
-                    "line search stalled", last_residual=float(norm))
-            u = u + t * step
-            F, diag, norm = F_new, diag_new, norm_new
-            if self._converged(diag, tol):
-                return u, diag
-        raise SolverDivergence(
-            f"no convergence in {max_iters} iterations "
-            f"(attachment {diag['attachment']:.3g}, "
-            f"lift modes {diag['neg_modes']:.3g})",
-            last_residual=float(norm))
+        for t in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+            try:
+                F_new, aux_new = residual(u + t * du)
+            except (PreconditionError, SolverDivergence):
+                continue
+            if np.linalg.norm(F_new) <= (1.0 - 1e-4 * t) * norm + tol:
+                break
+        else:
+            raise SolverDivergence(
+                f"line search stalled (residual norm {norm:.3g})",
+                last_residual=float(norm))
+        u, F, aux = u + t * du, F_new, aux_new
+    if converged(F, aux):
+        return u, F, aux
+    norm = np.linalg.norm(F)
+    raise SolverDivergence(
+        f"no convergence in {max_iters} iterations (residual norm {norm:.3g})",
+        last_residual=float(norm))
 
 
 def _interleave(values):
@@ -676,7 +693,7 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     if warm is not None:
         coeffs0, gamma0 = warm
         u0 = system.initial_state(coeffs0, gamma0)
-        u, diag = system.gauss_newton(u0, tol, settings.max_iters, min_iters=0)
+        u, diag = system.gauss_newton(u0, tol, settings.max_iters)
         return _finalize(system, u, diag)
 
     if domain.kind == "ball":
@@ -763,12 +780,13 @@ class _TwoPointSystem:
         self.warm = None
 
     def residual(self, x):
-        """(G, disc), or (None, None) outside the admissible region."""
+        """(G, disc); raises PreconditionError outside the admissible
+        region 0 < xi < 1, |v| >= 1e-8."""
         n = self.n
         v = x[:n] + 1j * x[n:2 * n]
         xi = x[2 * n]
         if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
-            return None, None
+            raise PreconditionError("two-point state left the admissible region")
         coeffs, gamma, diag = _solve_cd_raw(self.domain, self.z, v,
                                             self.settings, warm=self.warm)
         self.warm = (coeffs, gamma)
@@ -801,6 +819,14 @@ class _TwoPointSystem:
         J[2 * n, :2 * n] = 2.0 * x[:2 * n]
         return J
 
+    def step(self, x, G, disc):
+        """The Newton step of the square system (lstsq if J is singular)."""
+        J = self.jacobian(x, disc)
+        try:
+            return np.linalg.solve(J, -G)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(J, -G, rcond=None)[0]
+
 
 def _direction_tangents(d):
     """Derivatives of the unit direction d/|d| along the real coordinates
@@ -825,10 +851,11 @@ def solve_two_point(domain: ConvexDomain, z, w,
     """Stationary disc through two points, normalized by phi(0) = z,
     phi(xi) = w with xi in (0, 1); returns (disc, xi).
 
-    Outer Newton iteration over the direction sphere and xi with the
-    center-direction solver inside.  The outer Jacobian comes from the
-    implicit-function sensitivities of the converged inner disc, so each
-    outer iteration costs no disc solves beyond its line search.
+    Outer damped Newton iteration (:func:`_damped_newton`) over the
+    direction sphere and xi with the center-direction solver inside.  The
+    outer Jacobian comes from the implicit-function sensitivities of the
+    converged inner disc, so each outer iteration costs no disc solves
+    beyond its line search.
     """
     settings = settings or SolverSettings()
     z = np.asarray(z, dtype=complex)
@@ -852,35 +879,10 @@ def solve_two_point(domain: ConvexDomain, z, w,
     xi0 = min(max(xi0, 1e-4), 1.0 - 1e-4)
 
     system = _TwoPointSystem(domain, z, w, settings)
-    x = np.concatenate([v0.real, v0.imag, [xi0]])
-    G, disc = system.residual(x)
-    if G is None:
-        raise SolverDivergence("two-point initialization failed")
     tol = max(1e-9, settings.newton_tol)
-    for _ in range(30):
-        if np.max(np.abs(G)) <= tol:
-            break
-        J = system.jacobian(x, disc)
-        try:
-            step = np.linalg.solve(J, -G)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -G, rcond=None)[0]
-        t = 1.0
-        while t >= 1.0 / 64:
-            x_new = x + t * step
-            x_new[2 * n] = min(max(x_new[2 * n], 1e-6), 1.0 - 1e-6)
-            G_new, disc_new = system.residual(x_new)
-            if G_new is not None and np.linalg.norm(G_new) \
-                    <= (1.0 - 1e-4 * t) * np.linalg.norm(G) + tol:
-                break
-            t *= 0.5
-        else:
-            raise SolverDivergence("two-point outer iteration stalled",
-                                   last_residual=float(np.linalg.norm(G)))
-        x, G, disc = x_new, G_new, disc_new
-    else:
-        raise SolverDivergence("two-point outer iteration did not converge",
-                               last_residual=float(np.linalg.norm(G)))
+    x, _, disc = _damped_newton(
+        np.concatenate([v0.real, v0.imag, [xi0]]), system.residual,
+        system.step, lambda G, disc: np.max(np.abs(G)) <= tol, tol, 30)
     return disc, float(x[2 * n])
 
 

@@ -32,7 +32,6 @@ class ConvexDomain:
     grad: callable
     hess_complex: callable      # pts -> (A, C), shapes (..., n, n)
     meta: dict = field(default_factory=dict)
-    smoothness: int | None = None   # boundary smoothness class, metadata only
 
     def __post_init__(self):
         if self.dimension < 2:

@@ -19,7 +19,6 @@ nonzero.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,13 +212,6 @@ def consistency_check(f: BoundaryFunction, domain1: ConvexDomain,
                              extendible=ok, spread=spread)
 
 
-def _pmap(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def reconstruct(f: BoundaryFunction, domain1: ConvexDomain,
                 domain2: ConvexDomain, grid_points, disc_count: int = 8,
                 settings: SolverSettings | None = None,
@@ -227,18 +219,16 @@ def reconstruct(f: BoundaryFunction, domain1: ConvexDomain,
                 threads: int = 1) -> ReconstructionResult:
     """Extension values of f on points between the domains: per point
     the mean of the per-disc extensions, with the spread as an error
-    bar (never averaged away silently).  Points are independent and may
-    be processed by a worker pool (results are ordered by index, so the
-    output does not depend on the thread count)."""
+    bar (never averaged away silently).  ``threads`` is accepted and
+    ignored: points run in order on one thread, which measured faster
+    than a thread pool."""
     pts = np.asarray(grid_points, dtype=complex)
     values = np.empty(len(pts), dtype=complex)
     spreads = np.empty(len(pts))
     failures = 0
-    reports = _pmap(
-        lambda z: consistency_check(f, domain1, domain2, z, disc_count,
-                                    settings, threshold),
-        pts, threads)
-    for i, report in enumerate(reports):
+    for i, z in enumerate(pts):
+        report = consistency_check(f, domain1, domain2, z, disc_count,
+                                   settings, threshold)
         failures += int(np.sum(~report.extendible))
         good = report.values[report.extendible]
         values[i] = np.mean(good) if len(good) else np.nan

@@ -16,7 +16,8 @@ where psi is the stationary disc of the outer domain with center w and
 direction d.  Centering at the touch point keeps the disc coefficients
 spectrally small even when z_o is close to the outer boundary.  The
 locus (a curve for n = 2) is traced by predictor-corrector continuation
-along the kernel of the residual Jacobian.
+along the kernel of the residual Jacobian; the corrector is the damped
+Newton driver of :mod:`geodisc.discs` with a minimum-norm lstsq step.
 
 The Jacobian is analytic and solves no disc: the inner-domain rows come
 from the gradient and Hessian of rho2, and the through-point rows from
@@ -33,7 +34,7 @@ import numpy as np
 
 from .discs import (AnalyticDisc, SolverSettings, _CenterDirectionSystem,
                     _ball_automorphism, _ball_point_sensitivity,
-                    _complete_unitary, _coordinate_tangents,
+                    _complete_unitary, _coordinate_tangents, _damped_newton,
                     _direction_tangents, _herm, _solve_cd_raw)
 from .domains import ConvexDomain, tangency_order_constant
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -52,7 +53,6 @@ class TangencyPoint:
 
     w: np.ndarray
     disc: AnalyticDisc
-    touch_parameter: float
     tangency_constant: float
     sigma: float
     base_point: np.ndarray
@@ -222,34 +222,14 @@ class _TangencySystem:
         return J
 
     def correct(self, u, tol=TANGENCY_TOL, max_iters=12):
-        R, disc = self.residual(u)
-        norm = np.linalg.norm(R)
-        for _ in range(max_iters):
-            if np.max(np.abs(R)) <= tol:
-                return u, R, disc
-            J = self.jacobian(u, disc)
-            step = np.linalg.lstsq(J, -R, rcond=None)[0]
-            t = 1.0
-            while t >= 1.0 / 32:
-                try:
-                    R_new, disc_new = self.residual(u + t * step)
-                except (SolverDivergence, PreconditionError):
-                    # trial state left the admissible region (e.g. the
-                    # touch point escaped the outer domain): shorten
-                    t *= 0.5
-                    continue
-                if np.linalg.norm(R_new) <= (1.0 - 1e-4 * t) * norm + tol:
-                    break
-                t *= 0.5
-            else:
-                raise SolverDivergence("tangency corrector stalled",
-                                       last_residual=float(norm))
-            u = u + t * step
-            R, disc, norm = R_new, disc_new, np.linalg.norm(R_new)
-        if np.max(np.abs(R)) <= tol:
-            return u, R, disc
-        raise SolverDivergence("tangency corrector did not converge",
-                               last_residual=float(norm))
+        """(u, R, disc) with max |R| <= tol.  The system is underdetermined
+        (2n + 4 equations, 4n + 1 unknowns), so the step is lstsq's
+        minimum-norm one."""
+        return _damped_newton(
+            u, self.residual,
+            lambda u, R, disc: np.linalg.lstsq(self.jacobian(u, disc), -R,
+                                               rcond=None)[0],
+            lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters)
 
     def make_point(self, u, R, disc) -> TangencyPoint:
         w, d, sigma = self.unpack(u)
@@ -265,9 +245,8 @@ class _TangencySystem:
                 "tangency constant is not positive: the inner domain is not "
                 "strongly convex with respect to this disc "
                 f"(constant {const:.3g})")
-        return TangencyPoint(w=w, disc=disc, touch_parameter=0.0,
-                             tangency_constant=const, sigma=float(sigma),
-                             base_point=self.z_o,
+        return TangencyPoint(w=w, disc=disc, tangency_constant=const,
+                             sigma=float(sigma), base_point=self.z_o,
                              residual=float(np.max(np.abs(R))))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geodisc import (CircleGrid, analyze, synthesize, hilbert_conjugate,
                      cauchy_extend, negative_tail_norm, log_lift,
@@ -243,3 +245,40 @@ def test_series_evaluators_do_not_use_polyval(monkeypatch):
     assert lift_from_disc(ball, disc)(tau).shape == (2, 2)
     g = CircleGrid(16)
     assert abs(cauchy_extend(analyze(3.0 * np.ones(16), g), 0.5) - 3.0) < 1e-13
+
+
+# -- property tests -------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None,
+                    database=None)
+FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grid_samples(draw, dtype):
+    grid = CircleGrid(2 ** draw(st.integers(4, 8)))
+    samples = draw(arrays(dtype, grid.size,
+                          elements=FINITE if dtype is float else
+                          st.complex_numbers(max_magnitude=1e3)))
+    return grid, samples
+
+
+@PROPERTY
+@given(grid_samples(complex))
+def test_synthesize_inverts_analyze(case):
+    grid, x = case
+    back = synthesize(analyze(x, grid))
+    assert np.max(np.abs(back - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+
+@PROPERTY
+@given(grid_samples(float))
+def test_hilbert_conjugate_twice_is_reflection(case):
+    # T(T u) = u(1) - u for real u without a Nyquist mode
+    grid, x = case
+    u = analyze(x, grid)
+    u.coeffs[0] = 0.0                       # wavenumber -N/2
+    u_vals = synthesize(u).real
+    tt = synthesize(hilbert_conjugate(hilbert_conjugate(u)))
+    scale = max(1.0, np.max(np.abs(u_vals)))
+    assert np.max(np.abs(tt - (u_vals[0] - u_vals))) <= 1e-11 * scale

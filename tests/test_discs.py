@@ -1,4 +1,5 @@
 import copy
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      SolverDivergence)
 from geodisc import discs as discs_module
 from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
-                           _solve_cd_raw)
+                           _damped_newton, _solve_cd_raw)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -471,3 +472,92 @@ def test_collocation_arrays_are_shared_and_read_only():
     for name in ("tau", "V", "cos_mat", "sin_mat"):
         assert getattr(first, name) is getattr(second, name)
         assert not getattr(first, name).flags.writeable
+
+
+# -- the damped Newton driver -------------------------------------------------
+
+
+def _max_norm_below(tol):
+    return lambda F, aux: np.max(np.abs(F)) <= tol
+
+
+def _logged(residual, trials):
+    """The toy residual u -> (F, None), recording each state it sees."""
+    def wrapped(u):
+        trials.append(float(u[0]))
+        return residual(u), None
+    return wrapped
+
+
+def test_damped_newton_converged_on_the_last_step_returns():
+    # F(u) = u - 2 is linear, so the first full step lands on the root; with
+    # one step allowed, convergence after it must return, not raise
+    trials = []
+    u, F, _ = _damped_newton(np.zeros(1), _logged(lambda u: u - 2.0, trials),
+                             lambda u, F, aux: -F, _max_norm_below(1e-12),
+                             1e-12, 1)
+    assert u[0] == 2.0 and F[0] == 0.0 and trials == [0.0, 2.0]
+    # a converged start takes no step at all
+    steps = []
+    _damped_newton(u, _logged(lambda u: u - 2.0, []),
+                   lambda u, F, aux: steps.append(u) or -F,
+                   _max_norm_below(1e-12), 1e-12, 5)
+    assert steps == []
+
+
+@pytest.mark.parametrize("error", [PreconditionError, SolverDivergence])
+def test_damped_newton_rejects_inadmissible_trials(error):
+    # the full step overshoots to u = -1, where the residual is undefined;
+    # the driver halves t onto the root instead of propagating the error
+    trials = []
+
+    def residual(u):
+        if u[0] < 0:
+            raise error("outside the admissible region")
+        return u.copy()
+
+    u, _, _ = _damped_newton(np.ones(1), _logged(residual, trials),
+                             lambda u, F, aux: -2.0 * F,
+                             _max_norm_below(1e-12), 1e-12, 5)
+    assert u[0] == 0.0 and trials == [1.0, -1.0, 0.0]
+
+
+def test_damped_newton_line_search_stalls_at_one_thirty_second():
+    # an uphill step is rejected at t = 1, 1/2, ..., 1/32 and then reported
+    trials = []
+    with pytest.raises(SolverDivergence, match="line search stalled") as info:
+        _damped_newton(np.ones(1), _logged(lambda u: u.copy(), trials),
+                       lambda u, F, aux: F, _max_norm_below(1e-12), 1e-12, 5)
+    assert info.value.last_residual == 1.0
+    assert trials == [1.0] + [1.0 + 0.5 ** k for k in range(6)]
+
+
+def test_damped_newton_reports_the_last_residual():
+    # a contraction by 1/2 per step is still 1/8 away after three steps
+    with pytest.raises(SolverDivergence,
+                       match="no convergence in 3 iterations") as info:
+        _damped_newton(np.ones(1), _logged(lambda u: u.copy(), []),
+                       lambda u, F, aux: -0.5 * F, _max_norm_below(1e-12),
+                       1e-12, 3)
+    assert info.value.last_residual == 0.125
+
+
+def test_cold_ball_solve_with_transverse_direction_builds_no_jacobian(
+        monkeypatch):
+    # <v, z> = 0 gives mu = 0: the closed-form start is the exact disc with
+    # g = 1, so Gauss-Newton is converged before its first step
+    z = np.array([0.3, 0.2j])
+    v = np.array([2j / 3, 1.0])
+    log = _ContinuationLog(monkeypatch, BALL)
+    coeffs, _, diag = _solve_cd_raw(BALL, z, v, SETTINGS)
+    assert log.jacobians == 0 and log.target_calls == [True]
+    assert diag["attachment"] <= SETTINGS.newton_tol
+    exact = ball_geodesic(BALL, z, v, SETTINGS).coeffs
+    assert np.max(np.abs(coeffs - exact)) < 1e-15
+
+
+def test_one_armijo_loop():
+    # every damped Newton solve goes through discs._damped_newton; another
+    # hand-written line search would repeat its sufficient-decrease test
+    src = pathlib.Path(discs_module.__file__).parent
+    assert sum(p.read_text().count("1e-4 * t") for p in src.glob("*.py")) == 1
