@@ -27,12 +27,24 @@ subdivided into blended domains, halving the step on each failure.
 
 The disc solve, the tangency corrector and the two-point solve share one
 damped Newton driver, :func:`_damped_newton`, with one policy: check
-convergence before every step and once after the last; accept a trial
-u + t du when |F_new| <= (1 - 1e-4 t)|F| + tol; halve t from 1 down to
-1/32; count a trial whose residual raises PreconditionError or
-SolverDivergence as rejected.  Each caller keeps its own step: normal
-equations here, lstsq's minimum-norm step for the underdetermined
-tangency system, a square solve for the two-point system.
+convergence before every step and once after the last; give up as
+stagnated once the residual norm is not below half its value five
+iterations earlier; accept a trial u + t du when
+|F_new| <= (1 - 1e-4 t)|F| + tol; halve t from 1 down to 1/32; count a
+trial whose residual raises PreconditionError or SolverDivergence as
+rejected.  Each caller keeps its own step: normal equations here,
+lstsq's minimum-norm step for the underdetermined tangency system, a
+square solve for the two-point system.
+
+A warm solve, started from a nearby disc, also returns its parameter
+tangent: the derivative of the coefficients and of g along the 4n real
+perturbations of z and v, from the implicit-function theorem.  Each
+step solves for it as 4n more right-hand sides of the factorization it
+makes anyway, so the tangent of the last step lags the converged state
+by that step.  The tangency and two-point systems take their
+sensitivities from it by the chain rule and start the next inner solve
+at the first-order prediction coeffs + tangent dp, gamma + tangent dp.
+Cold solves solve no extra right-hand sides.
 """
 
 from __future__ import annotations
@@ -344,11 +356,11 @@ def _collocation(modes, grid_size):
 @cache
 def _shift_indices(modes, grid_size):
     """Gather indices (mod nn) into the spectra of the 2x oversampled grid,
-    for column shifts k = 1..M: attachment modes m = 0..L as (m - k,
-    -m - k), lift modes m = -1..-L as (m - k, m + k); each (rows, M).
+    for column shifts k = 0..M: attachment modes m = 0..L as (m - k,
+    -m - k), lift modes m = -1..-L as (m - k, m + k); each (rows, M + 1).
     Shared between systems, hence read-only."""
     nn, L = 2 * grid_size, grid_size // 2
-    k = np.arange(1, modes + 1)
+    k = np.arange(modes + 1)
     att = np.arange(L + 1)[:, None]
     lift = -np.arange(1, L + 1)[:, None]
     arrays = ((att - k) % nn, (-att - k) % nn, (lift - k) % nn, (lift + k) % nn)
@@ -452,33 +464,10 @@ class _CenterDirectionSystem:
         A, C = self.domain.hess_complex(phi)
         return g * self.tau, self.domain.grad(phi), A, C
 
-    def _field_columns(self, lin, dphi, Drho, Dw):
-        """Write the pointwise residual derivatives along field
-        perturbations ``dphi`` (nn, P, n) into ``Drho`` (nn, P) and
-        ``Dw`` (nn, n, P)."""
-        gt, grads, A, C = lin
-        Drho[:] = 2.0 * np.real(np.einsum("ja,jpa->jp", grads, dphi))
-        Dw[:] = np.einsum("jab,jpb->jap", A, dphi) \
-            + np.einsum("jab,jpb->jap", C, np.conj(dphi))
-        Dw *= gt[:, None, None]
-
-    def _spectral_rows(self, Drho, Dw, gauge):
-        """Residual rows (attachment modes, lift modes, gauge) of the
-        pointwise derivative columns ``Drho`` (nn, P), ``Dw`` (nn, n, P)."""
-        nn, n, L = self.nn, self.n, self.L
-        Drho_hat = np.fft.fft(Drho, axis=0, norm="forward")
-        Dw_hat = np.fft.fft(Dw.reshape(nn, -1), axis=0,
-                            norm="forward").reshape(Dw.shape)
-        rows = [Drho_hat[0].real[None, :],
-                _interleave_rows(Drho_hat[1:L + 1])]
-        for c in range(n):
-            neg = Dw_hat[nn - 1:nn - 1 - L:-1, c, :]
-            rows.append(_interleave_rows(neg))
-        rows.append(gauge[None, :])
-        return np.vstack(rows)
-
     def jacobian(self, u):
-        """d residual / d u, gathered from the spectra of four fields.
+        """(J, F_p): d residual / d u, and d residual / d p along the 4n
+        real parameter perturbations p = (Re z, Im z, Re v, Im v), both
+        gathered from the spectra of four fields.
 
         On the nn-point residual grid multiplication by tau^k is an exact
         discrete shift: with ``norm="forward"`` and indices mod nn,
@@ -498,7 +487,9 @@ class _CenterDirectionSystem:
 
         Each spectrum is weighted once by its (re, im) column pair, so
         every block is one gather-add.  The r column (delta phi = v tau)
-        is the k = 1 columns contracted with v.
+        is the k = 1 columns contracted with v.  At fixed u a parameter
+        perturbation moves phi by delta phi = dz + r tau dv, so the F_p
+        columns are the k = 0 columns and r times the k = 1 columns.
         """
         gt, grads, A, C = self._linearization(u)
         nn, n, L, n_a = self.nn, self.n, self.L, self.n_a
@@ -507,68 +498,67 @@ class _CenterDirectionSystem:
 
         # complex residual modes: attachment m = 0..L, lift (c, m = -1..-L)
         H = np.empty((1 + (n + 1) * L, self.size), dtype=complex)
-        att = H[:L + 1]
+        Hp = np.empty((len(H), 4 * n), dtype=complex)
+        att, att_par = H[:L + 1], Hp[:L + 1]
         lift = H[L + 1:].reshape(n, L, self.size)
+        lift_par = Hp[L + 1:].reshape(n, L, 4 * n)
 
         F = np.fft.fft(grads, axis=0, norm="forward")[..., None]    # (nn, n, 1)
-        self._phi_columns(att, F * pair, np.conj(F * pair), att_p, att_q, 0)
+        self._phi_columns(att, att_par, F * pair, np.conj(F * pair),
+                          att_p, att_q, 0, u[0])
         att[:, 1 + n_a:] = 0.0                          # rho does not see g
 
         # (c, nn, c') so that gathers land in (c, m, k, c') order
         GA, GC = (np.fft.fft(gt[None, :, None] * X.transpose(1, 0, 2), axis=1,
                              norm="forward")[..., None] for X in (A, C))
-        self._phi_columns(lift, GA * pair, GC * np.conj(pair), lift_p, lift_q, 1)
+        self._phi_columns(lift, lift_par, GA * pair, GC * np.conj(pair),
+                          lift_p, lift_q, 1, u[0])
 
         T = np.fft.fft(self.tau[:, None] * grads, axis=0, norm="forward").T
         lift[:, :, 1 + n_a] = T[:, nn - 1:nn - 1 - L:-1]
         T = T[..., None]
-        np.add(np.take(T * (0.5, -0.5j), lift_p, axis=1),
-               np.take(T * (0.5, 0.5j), lift_q, axis=1),
+        np.add(np.take(T * (0.5, -0.5j), lift_p[:, 1:], axis=1),
+               np.take(T * (0.5, 0.5j), lift_q[:, 1:], axis=1),
                out=lift[:, :, 2 + n_a:].reshape(n, L, self.K, 2))
 
-        J = np.empty((2 + 2 * (n + 1) * L, self.size))
-        J[0] = H[0].real
-        J[1:-1:2] = H[1:].real
-        J[2:-1:2] = H[1:].imag
-        J[-1] = 0.0
+        J = _real_modes(H)
         J[-1, 1 + n_a] = 1.0
         J[-1, 2 + n_a::2] = 1.0              # cos coefficients at theta = 0
-        return J
+        return J, _real_modes(Hp)
 
-    def _phi_columns(self, out, p, q, ip, iq, axis):
+    def _phi_columns(self, out, out_p, p, q, ip, iq, axis, r):
         """Fill the r column and the a-block of complex residual modes
-        ``out`` (..., size) with p[ip] + q[iq], gathered along ``axis`` of
-        the pair-weighted spectra p, q (..., nn, ..., n, 2) at the column
-        shifts k = 1..M of the index arrays ip, iq (rows, M)."""
+        ``out`` (..., size), and the parameter columns ``out_p`` (..., 4n),
+        with p[ip] + q[iq], gathered along ``axis`` of the pair-weighted
+        spectra p, q (..., nn, ..., n, 2) at the column shifts k = 0..M of
+        the index arrays ip, iq (rows, M + 1)."""
         n, M, n_a = self.n, self.M, self.n_a
-        np.add(np.take(p, ip[:, 1:], axis=axis),
-               np.take(q, iq[:, 1:], axis=axis),
+        np.add(np.take(p, ip[:, 2:], axis=axis),
+               np.take(q, iq[:, 2:], axis=axis),
                out=out[..., 1:1 + n_a].reshape(out.shape[:-1] + (M - 1, n, 2)))
-        k1 = np.take(p, ip[:, 0], axis=axis) + np.take(q, iq[:, 0], axis=axis)
+        k01 = np.take(p, ip[:, :2], axis=axis) \
+            + np.take(q, iq[:, :2], axis=axis)          # (..., 2, n, 2)
+        k1 = k01[..., 1, :, :]
         out[..., 0] = k1[..., 0] @ self.v.real + k1[..., 1] @ self.v.imag
+        k1 *= r
+        # (k, re/im, c) is the order (Re z, Im z, Re v, Im v) of p
+        out_p[...] = np.swapaxes(k01, -1, -2).reshape(out_p.shape)
 
-    def sensitivity(self, u, s, dz, dv):
-        """Derivative of phi(s) at a converged state u along P parameter
-        perturbations: ``dz`` (P, n) of the center z and ``dv`` (P, n) of
-        the unit direction v; returns (P, n).
-
-        At fixed u a perturbation moves the disc by the field
-        delta phi = dz + r tau dv; the solution follows by the implicit-
-        function theorem, du = -(J^T J)^{-1} J^T F_p, with F_p the
-        residual's derivative along those fields."""
-        P = len(dz)
-        nn, n, M, n_a = self.nn, self.n, self.M, self.n_a
-        r = u[0]
-        Drho = np.empty((nn, P))
-        Dw = np.empty((nn, n, P), dtype=complex)
-        dphi = dz[None, :, :] + r * self.tau[:, None, None] * dv[None, :, :]
-        self._field_columns(self._linearization(u), dphi, Drho, Dw)
-        Fp = self._spectral_rows(Drho, Dw, np.zeros(P))
-        du = self._ls_step(self.jacobian(u), Fp)           # (size, P)
-        da = (du[1:1 + n_a:2] + 1j * du[2:1 + n_a:2]).reshape(M - 1, n, P)
-        powers = s ** np.arange(2, M + 1)
-        return dz + s * (du[0][:, None] * self.v + r * dv) \
-            + np.einsum("k,kcp->pc", powers, da)
+    def coefficient_tangent(self, u, du):
+        """(d coeffs, d gamma) along the 4n real parameter perturbations,
+        shapes (4n, M+1, n) and (4n, n_g), from the state derivative ``du``
+        (size, 4n) at state u: a_0 = z moves by dz and a_1 = r v by
+        dr v + r dv."""
+        n, M, n_a = self.n, self.M, self.n_a
+        E = _coordinate_tangents(n)
+        zero = np.zeros_like(E)
+        dcoeffs = np.empty((4 * n, M + 1, n), dtype=complex)
+        dcoeffs[:, 0] = np.concatenate([E, zero])
+        dcoeffs[:, 1] = du[0][:, None] * self.v \
+            + u[0] * np.concatenate([zero, E])
+        dcoeffs[:, 2:] = (du[1:1 + n_a:2] + 1j * du[2:1 + n_a:2]) \
+            .reshape(M - 1, n, 4 * n).transpose(2, 0, 1)
+        return dcoeffs, du[1 + n_a:].T
 
     # -- the iteration --------------------------------------------------
 
@@ -582,14 +572,28 @@ class _CenterDirectionSystem:
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(J, -F, rcond=None)[0]
 
-    def gauss_newton(self, u0, tol, max_iters):
-        """(u, diag) with attachment, lift modes and gauge all <= tol."""
+    def gauss_newton(self, u0, tol, max_iters, tangent=False):
+        """(u, diag, du_dp) with attachment, lift modes and gauge all <= tol.
+
+        With ``tangent`` each step also solves for the state's derivative
+        du/dp = -J^+ F_p along the 4n parameter perturbations, as 4n more
+        right-hand sides of the step's factorization; du_dp is the last
+        step's, or None when no step was taken (or without ``tangent``)."""
+        last = [None]
+
+        def step(u, F, diag):
+            J, Fp = self.jacobian(u)
+            if not tangent:
+                return self._ls_step(J, F)
+            du = self._ls_step(J, np.column_stack([F, Fp]))
+            last[0] = du[:, 1:]
+            return du[:, 0]
+
         u, _, diag = _damped_newton(
-            u0, self.residual,
-            lambda u, F, diag: self._ls_step(self.jacobian(u), F),
+            u0, self.residual, step,
             lambda F, d: max(d["attachment"], d["neg_modes"], d["gauge"]) <= tol,
             tol, max_iters)
-        return u, diag
+        return u, diag, last[0]
 
 
 def _damped_newton(u, residual, step, converged, tol, max_iters):
@@ -599,11 +603,16 @@ def _damped_newton(u, residual, step, converged, tol, max_iters):
     (F, aux), ``step(u, F, aux)`` the undamped step and ``converged(F,
     aux)`` the stopping test; returns (u, F, aux)."""
     F, aux = residual(u)
+    norms = [np.linalg.norm(F)]
     for _ in range(max_iters):
         if converged(F, aux):
             return u, F, aux
+        norm = norms[-1]
+        if len(norms) > 5 and norm >= 0.5 * norms[-6]:
+            raise SolverDivergence(
+                f"stagnated (residual norm {norm:.3g}, {norms[-6]:.3g} five "
+                "iterations earlier)", last_residual=float(norm))
         du = step(u, F, aux)
-        norm = np.linalg.norm(F)
         for t in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             try:
                 F_new, aux_new = residual(u + t * du)
@@ -616,6 +625,7 @@ def _damped_newton(u, residual, step, converged, tol, max_iters):
                 f"line search stalled (residual norm {norm:.3g})",
                 last_residual=float(norm))
         u, F, aux = u + t * du, F_new, aux_new
+        norms.append(np.linalg.norm(F))
     if converged(F, aux):
         return u, F, aux
     norm = np.linalg.norm(F)
@@ -631,10 +641,14 @@ def _interleave(values):
     return out
 
 
-def _interleave_rows(rows):
-    out = np.empty((2 * rows.shape[0], rows.shape[1]))
-    out[0::2] = rows.real
-    out[1::2] = rows.imag
+def _real_modes(H):
+    """Real residual rows of the complex mode columns H: Re H[0], then
+    (Re, Im) of every later mode, then a zero gauge row."""
+    out = np.empty((2 * len(H), H.shape[1]))
+    out[0] = H[0].real
+    out[1:-1:2] = H[1:].real
+    out[2:-1:2] = H[1:].imag
+    out[-1] = 0.0
     return out
 
 
@@ -677,7 +691,12 @@ def _blend(domain_a, domain_b, t):
 
 
 def _solve_cd_raw(domain, z, v, settings, warm=None):
-    """Core center-direction solve; returns (coeffs, gamma, diagnostics)."""
+    """Core center-direction solve; returns (coeffs, gamma, diagnostics).
+
+    A warm solve starts from ``warm`` = (coeffs, gamma); when it takes a
+    step its diagnostics also carry "tangent", the parameter tangent of
+    :meth:`_CenterDirectionSystem.coefficient_tangent` from its last step's
+    factorization."""
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     nv = np.linalg.norm(v)
@@ -693,13 +712,16 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     if warm is not None:
         coeffs0, gamma0 = warm
         u0 = system.initial_state(coeffs0, gamma0)
-        u, diag = system.gauss_newton(u0, tol, settings.max_iters)
+        u, diag, du_dp = system.gauss_newton(u0, tol, settings.max_iters,
+                                             tangent=True)
+        if du_dp is not None:
+            diag["tangent"] = system.coefficient_tangent(u, du_dp)
         return _finalize(system, u, diag)
 
     if domain.kind == "ball":
         init = ball_geodesic(domain, z, v, settings)
         u0 = system.initial_state(init.coeffs)
-        u, diag = system.gauss_newton(u0, tol, settings.max_iters)
+        u, diag, _ = system.gauss_newton(u0, tol, settings.max_iters)
         return _finalize(system, u, diag)
 
     # homotopy from an inscribed ball that contains z: the largest step
@@ -710,8 +732,8 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     ball0 = make_ball(center, r0)
     init = ball_geodesic(ball0, z, v, settings)
     sys0 = _CenterDirectionSystem(ball0, z, v, settings)
-    u, diag = sys0.gauss_newton(system.initial_state(init.coeffs),
-                                tol, settings.max_iters)
+    u, diag, _ = sys0.gauss_newton(system.initial_state(init.coeffs),
+                                   tol, settings.max_iters)
     t = 0.0
     dt = dt_max = 1.0 / settings.continuation_steps
     while t < 1.0:
@@ -721,7 +743,7 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
         target = system if t_next == 1.0 else _CenterDirectionSystem(
             _blend(ball0, domain, t_next), z, v, settings)
         try:
-            u_next, diag = target.gauss_newton(u, tol, settings.max_iters)
+            u_next, diag, _ = target.gauss_newton(u, tol, settings.max_iters)
         except SolverDivergence:
             dt *= 0.5
             if dt < 1e-4:
@@ -769,7 +791,8 @@ class _TwoPointSystem:
     """Residual and Jacobian of the two-point equations over
     x = (Re v, Im v, xi): phi(xi) = w and |v|^2 = 1, where phi is the
     stationary disc with phi(0) = z and direction v/|v|, solved with warm
-    starts."""
+    starts.  The warm slot holds the last solved disc and its parameter
+    tangent (or None)."""
 
     def __init__(self, domain, z, w, settings):
         self.domain = domain
@@ -787,12 +810,14 @@ class _TwoPointSystem:
         xi = x[2 * n]
         if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
             raise PreconditionError("two-point state left the admissible region")
+        warm = None if self.warm is None else _first_order_start(
+            *self.warm, self.z, v / np.linalg.norm(v))
         coeffs, gamma, diag = _solve_cd_raw(self.domain, self.z, v,
-                                            self.settings, warm=self.warm)
-        self.warm = (coeffs, gamma)
+                                            self.settings, warm=warm)
         disc = AnalyticDisc(coeffs, self.settings.grid, self.domain,
                             attachment_residual=diag["attachment"],
                             solver_g=gamma)
+        self.warm = (disc, diag.get("tangent"))
         val = disc(np.array([xi]))[0] - self.w
         G = np.concatenate([val.real, val.imag,
                             [np.linalg.norm(v) ** 2 - 1.0]])
@@ -800,16 +825,15 @@ class _TwoPointSystem:
 
     def jacobian(self, x, disc):
         """dG/dx at x, whose converged inner disc is ``disc``: the v
-        columns are sensitivities of the disc, the xi column is phi'(xi)."""
+        columns follow from the disc's parameter tangent by the chain rule,
+        the xi column is phi'(xi)."""
         n = self.n
         v = x[:n] + 1j * x[n:2 * n]
         xi = x[2 * n] + 0.0j
-        system = _CenterDirectionSystem(self.domain, self.z,
-                                        v / np.linalg.norm(v), self.settings)
         dv = _direction_tangents(v)
-        dphi = system.sensitivity(system.initial_state(disc.coeffs,
-                                                       disc.solver_g),
-                                  xi, np.zeros_like(dv), dv)     # (2n, n)
+        tangent = _parameter_tangent(self.domain, disc, self.warm,
+                                     self.settings)
+        dphi = _tangent_at(tangent, xi, np.zeros_like(dv), dv)   # (2n, n)
         dxi = disc.derivative(np.array([xi]))[0]
         J = np.zeros((2 * n + 1, 2 * n + 1))
         J[:n, :2 * n] = dphi.T.real
@@ -826,6 +850,42 @@ class _TwoPointSystem:
             return np.linalg.solve(J, -G)
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(J, -G, rcond=None)[0]
+
+
+def _parameter_tangent(domain, disc, warm, settings):
+    """The parameter tangent of the solved ``disc``: the one kept next to
+    it in the warm slot ``warm`` = (disc, tangent) of its solve, else one
+    linearization and factorization at the disc."""
+    if warm is not None and warm[0] is disc and warm[1] is not None:
+        return warm[1]
+    v = disc.base_direction / np.linalg.norm(disc.base_direction)
+    system = _CenterDirectionSystem(domain, disc.base_point, v, settings)
+    u = system.initial_state(disc.coeffs, disc.solver_g)
+    J, Fp = system.jacobian(u)
+    return system.coefficient_tangent(u, system._ls_step(J, Fp))
+
+
+def _tangent_at(tangent, s, dz, dv):
+    """Derivative of phi(s) along P perturbations ``dz`` (P, n) of the
+    center and ``dv`` (P, n) of the unit direction, from the parameter
+    ``tangent``; returns (P, n)."""
+    dcoeffs, _ = tangent
+    dp = np.hstack([dz.real, dz.imag, dv.real, dv.imag])           # (P, 4n)
+    return dp @ power_series(dcoeffs.transpose(1, 0, 2), s)
+
+
+def _first_order_start(disc, tangent, z, v):
+    """Warm start (coeffs, gamma) for the disc with center z and unit
+    direction v: the solved ``disc`` moved along its parameter
+    ``tangent``, or the disc itself when the tangent is None."""
+    if tangent is None:
+        return disc.coeffs, disc.solver_g
+    dcoeffs, dgamma = tangent
+    dz = z - disc.base_point
+    dv = v - disc.base_direction / np.linalg.norm(disc.base_direction)
+    dp = np.concatenate([dz.real, dz.imag, dv.real, dv.imag])
+    return (disc.coeffs + np.tensordot(dp, dcoeffs, axes=1),
+            disc.solver_g + dp @ dgamma)
 
 
 def _direction_tangents(d):
@@ -853,9 +913,10 @@ def solve_two_point(domain: ConvexDomain, z, w,
 
     Outer damped Newton iteration (:func:`_damped_newton`) over the
     direction sphere and xi with the center-direction solver inside.  The
-    outer Jacobian comes from the implicit-function sensitivities of the
-    converged inner disc, so each outer iteration costs no disc solves
-    beyond its line search.
+    outer Jacobian comes from the parameter tangent that the warm inner
+    solve returns from its own factorization, so each outer iteration
+    costs no disc solves and no further factorization beyond its line
+    search; each inner solve starts at the first-order prediction.
     """
     settings = settings or SolverSettings()
     z = np.asarray(z, dtype=complex)

@@ -21,9 +21,11 @@ Newton driver of :mod:`geodisc.discs` with a minimum-norm lstsq step.
 
 The Jacobian is analytic and solves no disc: the inner-domain rows come
 from the gradient and Hessian of rho2, and the through-point rows from
-the derivative of psi(sigma) in (w, d) -- the implicit-function
-sensitivities of the converged Gauss-Newton disc, or the closed form
-when the outer domain is a ball.
+the derivative of psi(sigma) in (w, d) -- by the chain rule from the
+parameter tangent that the warm Gauss-Newton solve returns from its own
+factorization, or the closed form when the outer domain is a ball.
+Each inner solve starts at the first-order prediction from the previous
+disc and its tangent.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import (AnalyticDisc, SolverSettings, _CenterDirectionSystem,
-                    _ball_automorphism, _ball_point_sensitivity,
-                    _complete_unitary, _coordinate_tangents, _damped_newton,
-                    _direction_tangents, _herm, _solve_cd_raw)
+from .discs import (AnalyticDisc, SolverSettings, _ball_automorphism,
+                    _ball_point_sensitivity, _complete_unitary,
+                    _coordinate_tangents, _damped_newton, _direction_tangents,
+                    _first_order_start, _herm, _parameter_tangent,
+                    _solve_cd_raw, _tangent_at)
 from .domains import ConvexDomain, tangency_order_constant
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
 
@@ -134,7 +137,8 @@ def tangency_residual(rho2: ConvexDomain, z_o, candidate_w, disc,
 
 class _TangencySystem:
     """Residual/Jacobian of the touch-centered tangency equations, with
-    warm-started inner disc solves."""
+    warm-started inner disc solves.  The warm slot holds the last solved
+    disc and its parameter tangent (or None)."""
 
     def __init__(self, domain1, domain2, z_o, settings):
         self.d1 = domain1
@@ -161,12 +165,15 @@ class _TangencySystem:
             # geodesics of the ball are exact in closed form
             from .discs import ball_geodesic
             return ball_geodesic(self.d1, w, dn, self.settings)
+        warm = None if self.warm is None else _first_order_start(
+            *self.warm, w, dn)
         coeffs, gamma, diag = _solve_cd_raw(self.d1, w, dn, self.settings,
-                                            warm=self.warm)
-        self.warm = (coeffs, gamma)
-        return AnalyticDisc(coeffs, self.settings.grid, self.d1,
+                                            warm=warm)
+        disc = AnalyticDisc(coeffs, self.settings.grid, self.d1,
                             attachment_residual=diag["attachment"],
                             solver_g=gamma)
+        self.warm = (disc, diag.get("tangent"))
+        return disc
 
     def residual(self, u, disc=None):
         w, d, sigma = self.unpack(u)
@@ -185,8 +192,8 @@ class _TangencySystem:
     def jacobian(self, u, disc):
         """Analytic Jacobian of the residual at u, whose solved disc is
         ``disc``.  The through-point rows differentiate the disc: by the
-        ball's closed form, or by the implicit-function sensitivities of
-        the converged Gauss-Newton disc; no disc is solved."""
+        ball's closed form, or by the chain rule from the parameter
+        tangent of its Gauss-Newton solve; no disc is solved."""
         n = self.n
         w, d, sigma = self.unpack(u)
         dn = d / np.linalg.norm(d)
@@ -201,9 +208,9 @@ class _TangencySystem:
             dphi = _ball_point_sensitivity(self.d1, w, dn, s,
                                            self.settings.modes, dz, dv)
         else:
-            system = _CenterDirectionSystem(self.d1, w, dn, self.settings)
-            state = system.initial_state(disc.coeffs, disc.solver_g)
-            dphi = system.sensitivity(state, s, dz, dv)
+            tangent = _parameter_tangent(self.d1, disc, self.warm,
+                                         self.settings)
+            dphi = _tangent_at(tangent, s, dz, dv)
         grad2 = self.d2.grad(w)
         A2, C2 = self.d2.hess_complex(w)
         dgrad = ew @ A2.T + np.conj(ew) @ C2.T     # (2n, n) along w
@@ -348,7 +355,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
             raise SolverDivergence(
                 f"no tangency seed converged ({error})")
     system = _TangencySystem(domain1, domain2, z_o, settings)
-    system.warm = (first.disc.coeffs, None)
+    system.warm = (first.disc, None)
     n = domain1.dimension
     u = system.pack(first.w, first.disc.base_direction
                     / np.linalg.norm(first.disc.base_direction), first.sigma)
@@ -426,6 +433,7 @@ def _circumradius(p0, p1, p2) -> float:
 def _sample_patch(system, u, R, disc, steps, h):
     """Local patch of the (2n-3)-dimensional locus around a seed point."""
     rng = np.random.default_rng(11)
+    warm = system.warm
     points = [system.make_point(u, R, disc)]
     J = system.jacobian(u, disc)
     _, sv, vt = np.linalg.svd(J)
@@ -440,7 +448,7 @@ def _sample_patch(system, u, R, disc, steps, h):
             points.append(system.make_point(u_new, R_new, disc_new))
         except SolverDivergence:
             continue
-        system.warm = (disc.coeffs, None)
+        system.warm = warm
     return TangencyLocus(system.z_o, points, float("nan"))
 
 

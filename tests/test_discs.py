@@ -13,7 +13,7 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      SolverDivergence)
 from geodisc import discs as discs_module
 from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
-                           _damped_newton, _solve_cd_raw)
+                           _damped_newton, _parameter_tangent, _solve_cd_raw)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -74,7 +74,7 @@ def test_jacobian_matches_finite_differences():
     disc = ball_geodesic(make_ball([0, 0], 0.9), z, v, settings)
     u = system.initial_state(disc.coeffs)
     u += 0.01 * rng.standard_normal(len(u))
-    J = system.jacobian(u)
+    J, _ = system.jacobian(u)
     h = 1e-7
     cols = rng.choice(len(u), size=12, replace=False)
     for i in cols:
@@ -85,11 +85,46 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(J[:, i] - fd)) < 1e-6
 
 
+def _interleave_rows(rows):
+    out = np.empty((2 * rows.shape[0], rows.shape[1]))
+    out[0::2] = rows.real
+    out[1::2] = rows.imag
+    return out
+
+
+def _field_columns(lin, dphi):
+    """The pointwise residual derivatives (Drho (nn, P), Dw (nn, n, P))
+    along the field perturbations ``dphi`` (nn, P, n)."""
+    gt, grads, A, C = lin
+    Drho = 2.0 * np.real(np.einsum("ja,jpa->jp", grads, dphi))
+    Dw = np.einsum("jab,jpb->jap", A, dphi) \
+        + np.einsum("jab,jpb->jap", C, np.conj(dphi))
+    return Drho, Dw * gt[:, None, None]
+
+
+def _spectral_rows(system, Drho, Dw, gauge):
+    """Residual rows (attachment modes, lift modes, gauge) of the
+    pointwise derivative columns ``Drho`` (nn, P), ``Dw`` (nn, n, P),
+    each through its own FFT."""
+    nn, n, L = system.nn, system.n, system.L
+    Drho_hat = np.fft.fft(Drho, axis=0, norm="forward")
+    Dw_hat = np.fft.fft(Dw.reshape(nn, -1), axis=0,
+                        norm="forward").reshape(Dw.shape)
+    rows = [Drho_hat[0].real[None, :],
+            _interleave_rows(Drho_hat[1:L + 1])]
+    for c in range(n):
+        neg = Dw_hat[nn - 1:nn - 1 - L:-1, c, :]
+        rows.append(_interleave_rows(neg))
+    rows.append(gauge[None, :])
+    return np.vstack(rows)
+
+
 def _dense_reference_jacobian(system, u):
     """The Gauss-Newton Jacobian one column at a time: each unit field
     perturbation (delta phi = v tau for r, e_c tau^k and i e_c tau^k for
     a_k, k = 2..M, and delta g = 1, cos j theta, sin j theta) through
-    the pointwise derivative and its own FFT."""
+    the pointwise derivative and its own FFT; then F_p, the columns of
+    delta phi = dz and r tau dv for dz, dv = e_c, i e_c."""
     nn, n, M, K = system.nn, system.n, system.M, system.K
     lin = system._linearization(u)
     grads = lin[1]
@@ -100,9 +135,7 @@ def _dense_reference_jacobian(system, u):
             e = np.eye(n)[c]
             dphi += [tau ** k * e, 1j * tau ** k * e]
     dphi = np.stack(dphi, axis=1)                           # (nn, P, n)
-    Drho_phi = np.empty((nn, dphi.shape[1]))
-    Dw_phi = np.empty((nn, n, dphi.shape[1]), dtype=complex)
-    system._field_columns(lin, dphi, Drho_phi, Dw_phi)
+    Drho_phi, Dw_phi = _field_columns(lin, dphi)
 
     theta = 2.0 * np.pi * np.arange(nn) / nn
     basis = [np.ones(nn)]
@@ -113,13 +146,19 @@ def _dense_reference_jacobian(system, u):
     Drho = np.concatenate([Drho_phi, np.zeros((nn, basis.shape[1]))], axis=1)
     Dw = np.concatenate([Dw_phi, Dw_g], axis=2)
     gauge = np.concatenate([np.zeros(dphi.shape[1]), basis[0]])    # g(1)
-    return system._spectral_rows(Drho, Dw, gauge)
+    E = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    dpar = np.concatenate([np.broadcast_to(E, (nn,) + E.shape),
+                           u[0] * tau[:, :, None] * E], axis=1)
+    Drho_p, Dw_p = _field_columns(lin, dpar)
+    return (_spectral_rows(system, Drho, Dw, gauge),
+            _spectral_rows(system, Drho_p, Dw_p, np.zeros(4 * n)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("modes,grid", [(8, 32), (32, 128)])
 def test_jacobian_matches_dense_reference(n, modes, grid):
-    # every column of the mode-shift assembly against its own FFT
+    # every column of the mode-shift assembly, and of F_p, against its
+    # own FFT
     rng = np.random.default_rng(11)
     domain = make_perturbed_ball(0.05, "re_z1_sq", dimension=n)
     settings = SolverSettings(modes=modes, grid=CircleGrid(grid))
@@ -129,10 +168,12 @@ def test_jacobian_matches_dense_reference(n, modes, grid):
     disc = ball_geodesic(make_ball(np.zeros(n), 0.9), z, v, settings)
     u = system.initial_state(disc.coeffs)
     u += 0.01 * rng.standard_normal(len(u))                 # not converged
-    J = system.jacobian(u)
-    ref = _dense_reference_jacobian(system, u)
+    J, Fp = system.jacobian(u)
+    ref, ref_p = _dense_reference_jacobian(system, u)
     assert J.shape == ref.shape == (len(system.residual(u)[0]), system.size)
     assert np.max(np.abs(J - ref)) < 1e-12
+    assert Fp.shape == ref_p.shape == (len(J), 4 * n)
+    assert np.max(np.abs(Fp - ref_p)) < 1e-12
 
 
 def test_solver_matches_oracle_on_ball():
@@ -439,6 +480,82 @@ def test_two_point_jacobian_matches_central_differences(case):
         assert np.max(np.abs(J[:, i] - fd)) < 1e-7
 
 
+def _count_gn_jacobians(monkeypatch):
+    calls = []
+    jacobian = _CenterDirectionSystem.jacobian
+
+    def counting(system, u):
+        calls.append(u)
+        return jacobian(system, u)
+
+    monkeypatch.setattr(_CenterDirectionSystem, "jacobian", counting)
+    return calls
+
+
+def test_two_point_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
+        monkeypatch):
+    system, x, disc = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
+                                       SMALL)
+    x = x + 0.01
+    _, disc = system.residual(x)
+    assert system.warm[0] is disc and system.warm[1] is not None
+    calls = _count_gn_jacobians(monkeypatch)
+    system.jacobian(x, disc)
+    assert calls == []
+    # a disc without a tangent from its solve is linearized once
+    system.warm = None
+    system.jacobian(x, disc)
+    assert len(calls) == 1
+
+
+def test_warm_solve_returns_its_parameter_tangent(monkeypatch):
+    # d(coeffs, gamma)/dp along the 4n real perturbations of (z, v),
+    # against central differences of discs re-solved to 1e-12.  The
+    # tangent of the last step is taken at the state that step started
+    # from, so it is exact to first order in that step; built at the
+    # converged state it matches to 1e-7
+    domain = make_perturbed_ball(0.05, "re_z1_sq")
+    z, v = np.array([0.2 + 0.1j, -0.15j]), np.array([0.8, 0.6j])
+    start, gamma0, _ = _solve_cd_raw(domain, z + 0.01, v, SMALL)
+    steps = []
+    ls_step = _CenterDirectionSystem._ls_step
+
+    def recording(J, F):
+        du = ls_step(J, F)
+        steps.append(np.linalg.norm(du[:, 0]))
+        return du
+
+    monkeypatch.setattr(_CenterDirectionSystem, "_ls_step",
+                        staticmethod(recording))
+    coeffs, gamma, diag = _solve_cd_raw(domain, z, v, SMALL,
+                                        warm=(start, gamma0))
+    monkeypatch.undo()
+    assert len(steps) >= 2
+    dcoeffs, dgamma = diag["tangent"]
+    assert dcoeffs.shape == (8, SMALL.modes + 1, 2)
+    assert dgamma.shape == (8, len(gamma))
+    disc = AnalyticDisc(coeffs, SMALL.grid, domain, solver_g=gamma)
+    built = _parameter_tangent(domain, disc, None, SMALL)
+
+    fine = SolverSettings(modes=32, grid=CircleGrid(128), newton_tol=1e-12)
+    E = np.concatenate([np.eye(2), 1j * np.eye(2)])
+    h = 1e-6
+    lagged = exact = 0.0
+    for p in range(8):
+        dz, dv = (E[p], 0.0) if p < 4 else (0.0, E[p - 4])
+        plus, minus = (_solve_cd_raw(domain, z + s * h * dz, v + s * h * dv,
+                                     fine, warm=(coeffs, gamma))
+                       for s in (1.0, -1.0))
+        fd_c = (plus[0] - minus[0]) / (2.0 * h)
+        fd_g = (plus[1] - minus[1]) / (2.0 * h)
+        lagged = max(lagged, np.max(np.abs(fd_c - dcoeffs[p])),
+                     np.max(np.abs(fd_g - dgamma[p])))
+        exact = max(exact, np.max(np.abs(fd_c - built[0][p])),
+                    np.max(np.abs(fd_g - built[1][p])))
+    assert exact < 1e-7
+    assert lagged < 1e-7 + 10.0 * steps[-1]
+
+
 def test_two_point_jacobian_solves_no_discs(monkeypatch):
     system, x, disc = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
                                        SMALL)
@@ -540,6 +657,24 @@ def test_damped_newton_reports_the_last_residual():
                        lambda u, F, aux: -0.5 * F, _max_norm_below(1e-12),
                        1e-12, 3)
     assert info.value.last_residual == 0.125
+
+
+def test_damped_newton_stops_when_the_residual_stagnates():
+    # every step is accepted through "+ tol" but the residual sits on a
+    # plateau above the stopping test: five steps that do not halve it
+    # end the solve
+    steps = []
+    with pytest.raises(SolverDivergence, match="stagnated") as info:
+        _damped_newton(np.zeros(1), lambda u: (np.full(1, 1e-3), None),
+                       lambda u, F, aux: steps.append(u) or np.ones(1),
+                       _max_norm_below(1e-6), 1e-3, 40)
+    assert len(steps) == 5 and info.value.last_residual == 1e-3
+    # a contraction by 0.87 per step halves the residual every five and
+    # runs until it converges
+    u, F, _ = _damped_newton(np.ones(1), lambda u: (u.copy(), None),
+                             lambda u, F, aux: -0.13 * F,
+                             _max_norm_below(1e-3), 1e-12, 60)
+    assert abs(F[0]) <= 1e-3
 
 
 def test_cold_ball_solve_with_transverse_direction_builds_no_jacobian(

@@ -7,7 +7,8 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      pi_set_sample, tangent_line_disc, lift_from_disc,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
                      PreconditionError)
-from geodisc.discs import _solve_cd_raw
+from geodisc import tangency as tangency_module
+from geodisc.discs import _CenterDirectionSystem, _solve_cd_raw
 from geodisc.tangency import _TangencySystem
 
 BALL = make_ball([0, 0], 1.0)
@@ -323,3 +324,60 @@ def test_tangency_jacobian_solves_no_discs(monkeypatch):
     monkeypatch.setattr("geodisc.tangency._solve_cd_raw", counting)
     system.jacobian(u, disc)
     assert calls == []
+
+
+def _count_gn_jacobians(monkeypatch):
+    calls = []
+    jacobian = _CenterDirectionSystem.jacobian
+
+    def counting(system, u):
+        calls.append(u)
+        return jacobian(system, u)
+
+    monkeypatch.setattr(_CenterDirectionSystem, "jacobian", counting)
+    return calls
+
+
+def test_tangency_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
+        monkeypatch):
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    system, u, _ = _converged_tangency(*make_domains(), np.array(z_o),
+                                       np.array(seed_w), settings)
+    u = u + 0.02 * np.cos(np.arange(len(u)))
+    _, disc = system.residual(u)
+    assert system.warm[0] is disc and system.warm[1] is not None
+    calls = _count_gn_jacobians(monkeypatch)
+    system.jacobian(u, disc)
+    assert calls == []
+    # a disc without a tangent from its solve is linearized once
+    system.warm = None
+    system.jacobian(u, disc)
+    assert len(calls) == 1
+
+
+def test_first_order_start_saves_gn_jacobians(monkeypatch):
+    # one corrector step along the locus, each inner solve started from the
+    # previous disc moved along its parameter tangent, then from the
+    # previous disc as it is
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
+                                          np.array(seed_w), settings)
+    J = system.jacobian(u, disc)
+    t = np.linalg.svd(J)[2][-1]
+    step = u + 0.1 * t / np.linalg.norm(t[:2 * system.n])
+    warm = system.warm
+    calls = _count_gn_jacobians(monkeypatch)
+    counts, touch = [], []
+    for first_order in (True, False):
+        if not first_order:
+            monkeypatch.setattr(tangency_module, "_first_order_start",
+                                lambda disc, tangent, z, v:
+                                (disc.coeffs, disc.solver_g))
+        system.warm = warm
+        before = len(calls)
+        u_new, R, _ = system.correct(step)
+        counts.append(len(calls) - before)
+        touch.append(system.unpack(u_new)[0])
+        assert np.max(np.abs(R)) <= 1e-9
+    assert np.linalg.norm(touch[0] - touch[1]) < 1e-8
+    assert counts[0] < counts[1]
