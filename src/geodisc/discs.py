@@ -23,7 +23,9 @@ against the coefficient truncation to keep products alias-free.  For
 non-ball domains the solve starts from the disc of an inscribed ball,
 known in closed form, and tries the target domain directly; only when
 Gauss-Newton diverges is the homotopy from the ball to the domain
-subdivided into blended domains, halving the step on each failure.
+subdivided into blended domains, halving the step on each failure.  An
+attempt that stagnates with its residual norm already below newton_tol
+has reached the resolution floor of M; that failure is raised at once.
 
 The disc solve, the tangency corrector and the two-point solve share one
 damped Newton driver, :func:`_damped_newton`, with one policy: check
@@ -481,9 +483,7 @@ class _CenterDirectionSystem:
               re  F_c[m-k] + conj(F_c[-m-k]),  im  i (F_c[m-k] - conj(F_c[-m-k]))
           lift mode (c, m), column (k, c'):
               re  GA_cc'[m-k] + GC_cc'[m+k],   im  i (GA_cc'[m-k] - GC_cc'[m+k])
-          lift mode (c, m), g columns:
-              gamma0  T_c[m],  cos j  (T_c[m-j] + T_c[m+j]) / 2,
-              sin j  (T_c[m-j] - T_c[m+j]) / (2i)
+          lift mode (c, m), g columns:  from T, see :func:`_g_columns`
 
         Each spectrum is weighted once by its (re, im) column pair, so
         every block is one gather-add.  The r column (delta phi = v tau)
@@ -514,12 +514,7 @@ class _CenterDirectionSystem:
         self._phi_columns(lift, lift_par, GA * pair, GC * np.conj(pair),
                           lift_p, lift_q, 1, u[0])
 
-        T = np.fft.fft(self.tau[:, None] * grads, axis=0, norm="forward").T
-        lift[:, :, 1 + n_a] = T[:, nn - 1:nn - 1 - L:-1]
-        T = T[..., None]
-        np.add(np.take(T * (0.5, -0.5j), lift_p[:, 1:], axis=1),
-               np.take(T * (0.5, 0.5j), lift_q[:, 1:], axis=1),
-               out=lift[:, :, 2 + n_a:].reshape(n, L, self.K, 2))
+        _g_columns(self.tau, grads, self.K, lift[:, :, 1 + n_a:])
 
         J = _real_modes(H)
         J[-1, 1 + n_a] = 1.0
@@ -609,9 +604,11 @@ def _damped_newton(u, residual, step, converged, tol, max_iters):
             return u, F, aux
         norm = norms[-1]
         if len(norms) > 5 and norm >= 0.5 * norms[-6]:
-            raise SolverDivergence(
+            exc = SolverDivergence(
                 f"stagnated (residual norm {norm:.3g}, {norms[-6]:.3g} five "
                 "iterations earlier)", last_residual=float(norm))
+            exc.stagnated = True
+            raise exc
         du = step(u, F, aux)
         for t in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             try:
@@ -632,6 +629,23 @@ def _damped_newton(u, residual, step, converged, tol, max_iters):
     raise SolverDivergence(
         f"no convergence in {max_iters} iterations (residual norm {norm:.3g})",
         last_residual=float(norm))
+
+
+def _g_columns(tau, grads, K, out):
+    """Fill ``out`` (n, L, 1 + 2K) with the lift modes (c, m = -1..-L) of g
+    tau grad rho per coefficient of g = gamma_0 + sum_j gamma_cj cos(j
+    theta) + gamma_sj sin(j theta), j = 1..K, gathered from T = fft(tau
+    grad rho): T_c[m], (T_c[m-j] + T_c[m+j]) / 2, (T_c[m-j] - T_c[m+j]) /
+    (2i).  Linear in gamma, it is the whole g-system of a fixed disc."""
+    nn = len(tau)
+    n, L = out.shape[:2]
+    _, _, lift_p, lift_q = _shift_indices(K, nn // 2)
+    T = np.fft.fft(tau[:, None] * grads, axis=0, norm="forward").T
+    out[:, :, 0] = T[:, nn - 1:nn - 1 - L:-1]
+    T = T[..., None]
+    np.add(np.take(T * (0.5, -0.5j), lift_p[:, 1:], axis=1),
+           np.take(T * (0.5, 0.5j), lift_q[:, 1:], axis=1),
+           out=out[:, :, 1:].reshape(n, L, K, 2))
 
 
 def _interleave(values):
@@ -744,7 +758,11 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
             _blend(ball0, domain, t_next), z, v, settings)
         try:
             u_next, diag, _ = target.gauss_newton(u, tol, settings.max_iters)
-        except SolverDivergence:
+        except SolverDivergence as exc:
+            # stagnation below newton_tol is the resolution floor of this
+            # M, which no shorter homotopy step lowers
+            if exc.stagnated and exc.last_residual <= tol:
+                raise
             dt *= 0.5
             if dt < 1e-4:
                 raise

@@ -16,17 +16,19 @@ class PreconditionError(GeodiscError, ValueError):
 class WindingNumberError(PreconditionError):
     """A boundary curve has nonzero winding about the origin.
 
-    Raised by the branch-log machinery.  For conormal lifts this signals
-    that the coordinate normalization failed and the caller should supply
-    a different coordinate rotation.
+    Raised by the branch-log machinery of ``geodisc.circle``.
     """
 
 
 class SolverDivergence(GeodiscError, RuntimeError):
     """An iterative solve failed to reach its tolerance.
 
-    ``last_residual`` carries the residual norm at the point of failure.
+    ``last_residual`` carries the residual norm at the point of failure;
+    ``stagnated`` is True when Newton stopped because that norm stopped
+    falling, not because a line search or the iteration budget ran out.
     """
+
+    stagnated = False
 
     def __init__(self, message, last_residual=None):
         super().__init__(message)

@@ -2,21 +2,19 @@
 
 The lift of an attached disc phi is the covector field phi* with one
 simple pole at 0 whose boundary values lie in the conormal bundle:
-phi*(e^{i theta}) = g(theta) * drho(phi(e^{i theta})) with g real.  It
-is computed explicitly through a Riemann problem for the factor g:
-after a unitary coordinate rotation making the first gradient component
-dominant along the boundary, the curve
+phi*(e^{i theta}) = g(theta) * drho(phi(e^{i theta})) with g real.  For
+a fixed disc the stationarity equations (ii)-(iii) of
+:mod:`geodisc.discs` are linear in g: the Fourier modes -1..-L of
 
-    h(tau) = tau * d_{z_1} rho(phi(tau)),   |tau| = 1,
+    g(theta) * e^{i theta} * drho(phi(e^{i theta}))
 
-has winding number zero; with f = log h, the holomorphic completion
-G = -T(Im f) + i Im f of the phase (T the harmonic conjugate pinned at
-tau = 1) yields the positive factor
-
-    g = exp(Re G - Re f) / (value at tau = 1),
-
-and g * h extends holomorphically.  The lift is rescaled by a real
-constant so phi*(1) is the unit outward conormal at phi(1).
+vanish and g(1) = 1.  :func:`lift_from_disc` takes g as the least-squares
+solution of exactly the Gauss-Newton g-block of the disc solver, over
+real trigonometric polynomials of degree N/4 on the doubled grid, and
+extracts the pole and holomorphic part of g * drho(phi) with the same
+routine as :func:`move_pole`.  The lift is rescaled by a real constant
+so phi*(1) is the unit outward conormal at phi(1).  It is unique, so it
+does not depend on coordinates.
 """
 
 from __future__ import annotations
@@ -25,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (CircleGrid, analyze, continuous_log,
-                     hilbert_conjugate, power_series, synthesize)
-from .discs import _complete_unitary
+from .circle import CircleGrid, analyze, power_series
+from .discs import (_CenterDirectionSystem, _collocation, _g_columns,
+                    _real_modes)
 from .domains import ConvexDomain
-from .errors import PreconditionError, WindingNumberError
+from .errors import PreconditionError
 
 INJECTIVITY_GAP = 1e-8
 
@@ -81,76 +79,50 @@ class ConormalLift:
         return out
 
 
-def default_coordinate_rotation(domain: ConvexDomain, disc) -> np.ndarray:
-    """Unitary sending the unit outward conormal at phi(1) to (1,0,...)."""
-    p1 = disc(np.array([1.0 + 0.0j]))[0]
-    grad1 = domain.grad(p1)
-    v1 = np.conj(grad1) / np.linalg.norm(grad1)
-    return np.conj(_complete_unitary([v1])).T      # rows v_j^H
-
-
 def lift_from_disc(domain: ConvexDomain, disc, coordinate_rotation=None,
                    attach_tol: float = 1e-6,
                    stationarity_tol: float = 1e-6) -> ConormalLift:
-    """Conormal lift of a stationary disc via the explicit
-    Hilbert-transform construction (see module docstring)."""
+    """Conormal lift of a stationary disc (see module docstring).
+
+    ``coordinate_rotation`` is accepted and ignored: the lift is unique,
+    so it is the same in every unitary coordinate system.  Raises
+    :class:`PreconditionError` for a detached or non-injective disc, and
+    when g * drho(phi) keeps negative modes above ``stationarity_tol``
+    relative to its norm, i.e. the disc is not stationary."""
     residual = disc.boundary_residual(domain)
     if residual > attach_tol:
         raise PreconditionError(
             f"disc is not attached: boundary residual {residual:.3g}")
     if disc.injectivity_gap() <= INJECTIVITY_GAP:
         raise PreconditionError("disc boundary is not injective on the grid")
+    g2, grads = _conormal_factor(domain, disc)
+    return _lift_from_boundary(disc, g2[:, None] * grads,
+                               CircleGrid(2 * disc.grid.size),
+                               stationarity_tol, domain)
 
-    N = disc.grid.size
-    grid2 = CircleGrid(2 * N)
-    tau2 = grid2.nodes
-    pts = disc(tau2)
-    grads = domain.grad(pts)
 
-    if coordinate_rotation is None:
-        U = default_coordinate_rotation(domain, disc)
-    else:
-        U = np.asarray(coordinate_rotation, dtype=complex)
-        if np.max(np.abs(U @ np.conj(U).T - np.eye(len(U)))) > 1e-10:
-            raise PreconditionError("coordinate_rotation must be unitary")
-
-    rot_first = grads @ np.conj(U[0])
-    h = tau2 * rot_first
-    try:
-        log_h, winding = continuous_log(h)
-    except PreconditionError as exc:
-        raise WindingNumberError(
-            f"rotated gradient component unusable on the boundary: {exc}")
-    if winding != 0:
-        raise WindingNumberError(
-            f"tau * d_z1 rho(phi) has winding number {winding}; supply a "
-            "different coordinate_rotation")
-
-    im_f = analyze(log_h.imag, grid2)
-    conj_vals = synthesize(hilbert_conjugate(im_f)).real
-    nu = np.exp(-conj_vals - log_h.real)
-    g2 = nu / nu[0]                       # g(1) = 1 exactly
-
-    scale = 1.0 / np.linalg.norm(grads[0])
-    lift_bnd = (scale * g2)[:, None] * grads
-    data = tau2[:, None] * lift_bnd
-    half = N                              # analysis grid has 2N modes
-    pole = np.empty(disc.dimension, dtype=complex)
-    holo = np.empty((N // 2, disc.dimension), dtype=complex)
-    tail = 0.0
-    total = 0.0
-    for c in range(disc.dimension):
-        series = analyze(data[:, c], grid2)
-        coeffs = series.coeffs            # wavenumbers -N .. N-1, center at N
-        tail += float(np.sum(np.abs(coeffs[:half]) ** 2))
-        total += float(np.sum(np.abs(coeffs) ** 2))
-        pole[c] = coeffs[half]
-        holo[:, c] = coeffs[half + 1:half + 1 + N // 2]
-    if np.sqrt(tail) > stationarity_tol * max(np.sqrt(total), 1e-30):
-        raise PreconditionError(
-            "boundary covector field does not extend holomorphically "
-            f"(defect {np.sqrt(tail):.3g}): the disc is not stationary")
-    return ConormalLift(pole, holo, disc, g2[::2])
+def _conormal_factor(domain, disc):
+    """(g, grad rho(phi)) on the doubled grid: g of degree K = N/4 solves
+    the solver's lift-holomorphy and gauge equations at this disc in the
+    least-squares sense.  They are linear in g, so the Gauss-Newton step
+    from g = 1 solves them up to the bias of the normal equations' 1e-13
+    diagonal shift (about 1e-12 in g), which a second step removes."""
+    N, n = disc.grid.size, disc.dimension
+    K, L = N // 4, N // 2
+    tau, _, cos_mat, sin_mat = _collocation(K, N)
+    grads = domain.grad(disc(tau))
+    H = np.zeros((1 + n * L, 1 + 2 * K), dtype=complex)  # row 0 unused
+    _g_columns(tau, grads, K, H[1:].reshape(n, L, 1 + 2 * K))
+    J = _real_modes(H)
+    J[-1, 0] = 1.0
+    J[-1, 1::2] = 1.0                    # g(1): cos coefficients at theta = 0
+    gamma = np.zeros(1 + 2 * K)
+    gamma[0] = 1.0
+    for _ in range(2):
+        F = J @ gamma
+        F[-1] -= 1.0                     # g(1) - 1
+        gamma += _CenterDirectionSystem._ls_step(J, F)
+    return gamma[0] + cos_mat @ gamma[1::2] + sin_mat @ gamma[2::2], grads
 
 
 def move_pole(lift: ConormalLift, tau_o: complex) -> ConormalLift:
@@ -173,29 +145,33 @@ def move_pole(lift: ConormalLift, tau_o: complex) -> ConormalLift:
     return _lift_from_boundary(disc, boundary, grid2)
 
 
-def _lift_from_boundary(disc, boundary, grid2,
-                        pole_tol: float = 1e-8) -> ConormalLift:
-    """Extract (pole, holomorphic part) from conormal boundary values."""
+def _lift_from_boundary(disc, boundary, grid2, tol: float = 1e-8,
+                        domain: ConvexDomain | None = None) -> ConormalLift:
+    """Extract (pole, holomorphic part) from conormal boundary values on
+    ``grid2``, the doubled disc grid, and normalize the result to the unit
+    outward conormal of ``domain`` (default ``disc.domain``) at tau = 1.
+    Raises :class:`PreconditionError` when the negative modes of tau *
+    boundary exceed ``tol`` relative to its norm."""
     N = disc.grid.size
-    domain = disc.domain
-    tau2 = grid2.nodes
-    data = tau2[:, None] * boundary
-    half = N
+    if domain is None:
+        domain = disc.domain
+    data = grid2.nodes[:, None] * boundary
     n = boundary.shape[1]
     pole = np.empty(n, dtype=complex)
     holo = np.empty((N // 2, n), dtype=complex)
     tail = 0.0
     total = 0.0
     for c in range(n):
-        coeffs = analyze(data[:, c], grid2).coeffs
-        tail += float(np.sum(np.abs(coeffs[:half]) ** 2))
+        coeffs = analyze(data[:, c], grid2).coeffs  # wavenumbers -N .. N-1
+        tail += float(np.sum(np.abs(coeffs[:N]) ** 2))
         total += float(np.sum(np.abs(coeffs) ** 2))
-        pole[c] = coeffs[half]
-        holo[:, c] = coeffs[half + 1:half + 1 + N // 2]
-    if np.sqrt(tail) > pole_tol * max(np.sqrt(total), 1e-30):
+        pole[c] = coeffs[N]
+        holo[:, c] = coeffs[N + 1:N + 1 + N // 2]
+    if np.sqrt(tail) > tol * max(np.sqrt(total), 1e-30):
         raise PreconditionError(
             "boundary data has residual negative modes "
-            f"({np.sqrt(tail):.3g}); its pole is not where claimed")
+            f"({np.sqrt(tail):.3g}): it does not extend holomorphically "
+            "with one simple pole at 0")
     # re-normalize so the value at tau = 1 is the unit outward conormal
     grad1 = domain.grad(disc(np.array([1.0 + 0.0j]))[0])
     target = grad1 / np.linalg.norm(grad1)

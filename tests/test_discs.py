@@ -296,6 +296,22 @@ def test_continuation_subdivides_when_newton_fails(monkeypatch):
     assert disc.boundary_residual() <= 1e-10
 
 
+def test_continuation_stops_at_the_resolution_floor(monkeypatch):
+    # at M = 32 this radial disc stagnates below newton_tol on the domain
+    # itself; no shorter homotopy step can lower that floor, so the solve
+    # gives up on the first stagnation instead of halving down to 1e-4
+    domain = make_perturbed_ball(0.05)
+    settings = SolverSettings(modes=32, grid=CircleGrid(128))
+    log = _ContinuationLog(monkeypatch, domain)
+    with pytest.raises(SolverDivergence) as info:
+        _solve_cd_raw(domain, np.array([0.45, 0j]), np.array([1.0, 0j]),
+                      settings)
+    assert info.value.stagnated
+    assert info.value.last_residual <= settings.newton_tol
+    assert log.jacobians < 20
+    assert log.blends == 0
+
+
 def test_solver_preconditions():
     with pytest.raises(PreconditionError):
         solve_from_center_direction(BALL, np.array([1.5, 0.0]),

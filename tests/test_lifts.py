@@ -1,13 +1,18 @@
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from geodisc import (make_ball, ball_geodesic, solve_from_center_direction,
+from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
+                     solve_from_center_direction,
                      lift_from_disc, move_pole, projectivize,
                      boundary_conormality_residual, disc_separation_integral,
                      negative_tail_norm, analyze, reparametrize,
                      AnalyticDisc, SolverSettings, MoebiusMap, CircleGrid,
                      PreconditionError)
-from geodisc.lifts import _lift_from_boundary, default_coordinate_rotation
+from geodisc import lifts as lifts_module
+from geodisc.lifts import _lift_from_boundary
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -80,23 +85,72 @@ def test_lift_matches_solver_factor():
     assert np.max(np.abs(solver_g - lift.g_boundary)) < 1e-8
 
 
-def test_uniqueness_under_coordinate_rotation():
-    # two lifts computed in different coordinates agree after
-    # projectivization at sample parameters
+def test_lift_is_unitarily_covariant():
+    # the ball is invariant under a unitary U and drho(U z) = conj(U)
+    # drho(z), so the lift of U phi is conj(U) times the lift of phi; the
+    # lift is unique, so a coordinate_rotation changes nothing
     disc = ball_geodesic(BALL, np.array([0.3, 0.2j]), np.array([0.5, 1.0]),
                          SETTINGS)
-    lift1 = lift_from_disc(BALL, disc)
+    lift = lift_from_disc(BALL, disc)
     theta = 0.7
-    rot = np.array([[np.cos(theta), np.sin(theta)],
-                    [-np.sin(theta), np.cos(theta)]], dtype=complex)
-    base = default_coordinate_rotation(BALL, disc)
-    lift2 = lift_from_disc(BALL, disc, coordinate_rotation=rot @ base)
-    for tau in np.linspace(0.05, 0.95, 20) * np.exp(0.3j):
-        p1 = projectivize(lift1, tau)
-        p2 = projectivize(lift2, tau)
-        assert np.max(np.abs(p1 - p2)) < 1e-8
-    assert np.max(np.abs(projectivize(lift1, 0.0)
-                         - projectivize(lift2, 0.0))) < 1e-8
+    U = np.array([[np.cos(theta), 1j * np.sin(theta)],
+                  [1j * np.sin(theta), np.cos(theta)]]) \
+        @ np.diag([np.exp(0.4j), np.exp(-1.1j)])
+    turned = AnalyticDisc(disc.coeffs @ U.T, disc.grid, BALL)
+    lift_u = lift_from_disc(BALL, turned)
+    assert np.max(np.abs(lift_u.pole_coeff - np.conj(U) @ lift.pole_coeff)) \
+        < 1e-12
+    assert np.max(np.abs(lift_u.holo_coeffs - lift.holo_coeffs @ U.T.conj())) \
+        < 1e-12
+    rotated = lift_from_disc(BALL, disc, coordinate_rotation=U)
+    assert np.array_equal(rotated.pole_coeff, lift.pole_coeff)
+    assert np.array_equal(rotated.holo_coeffs, lift.holo_coeffs)
+
+
+M64 = SolverSettings(modes=64, grid=CircleGrid(256))
+
+
+def test_transverse_ring_disc_lifts():
+    # tau * d_z1 rho(phi) winds once around 0 on this disc and on the next
+    # test's, so the lift must not rest on a branch of its logarithm
+    domain = make_perturbed_ball(0.05)
+    disc, lift = solve_from_center_direction(
+        domain, np.array([0.7, 0j]), np.array([0j, 1.0]), M64)
+    assert boundary_conormality_residual(domain, disc, lift) <= 1e-10
+    assert lift.g_boundary[0] == 1.0
+
+
+def test_transverse_ball_geodesic_lifts():
+    disc = ball_geodesic(BALL, np.array([0.75, 0j]), np.array([0j, 1.0]), M64)
+    lift = lift_from_disc(BALL, disc)
+    assert boundary_conormality_residual(BALL, disc, lift) <= 1e-10
+    assert lift.g_boundary[0] == 1.0
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       st.floats(0.0, 0.6))
+def test_lift_of_random_ball_geodesic(raw, radius):
+    raw = np.array(raw)
+    z, v = raw[0:4:2] + 1j * raw[1:4:2], raw[4::2] + 1j * raw[5::2]
+    assume(np.linalg.norm(z) > 1e-6 and np.linalg.norm(v) > 1e-6)
+    z = radius * z / np.linalg.norm(z)
+    disc = ball_geodesic(BALL, z, v, SolverSettings(modes=32,
+                                                     grid=CircleGrid(128)))
+    lift = lift_from_disc(BALL, disc)
+    assert boundary_conormality_residual(BALL, disc, lift) <= 1e-10
+    assert lift.g_boundary[0] == 1.0
+    p1 = disc(np.array([1.0 + 0j]))[0]
+    normal = BALL.grad(p1) / np.linalg.norm(BALL.grad(p1))
+    assert np.max(np.abs(lift(np.array([1.0 + 0j]))[0] - normal)) <= 1e-10
+
+
+def test_one_lift_construction():
+    # g is the least-squares solution of the solver's g-block, and every
+    # lift comes out of _lift_from_boundary's one extraction loop
+    text = pathlib.Path(lifts_module.__file__).read_text()
+    assert "hilbert_conjugate" not in text and "continuous_log" not in text
+    assert text.count("analyze(") == 1
 
 
 def test_lift_rejects_detached_disc():
