@@ -38,15 +38,15 @@ rejected.  Each caller keeps its own step: normal equations here,
 lstsq's minimum-norm step for the underdetermined tangency system, a
 square solve for the two-point system.
 
-A warm solve, started from a nearby disc, also returns its parameter
-tangent: the derivative of the coefficients and of g along the 4n real
-perturbations of z and v, from the implicit-function theorem.  Each
-step solves for it as 4n more right-hand sides of the factorization it
-makes anyway, so the tangent of the last step lags the converged state
-by that step.  The tangency and two-point systems take their
-sensitivities from it by the chain rule and start the next inner solve
-at the first-order prediction coeffs + tangent dp, gamma + tangent dp.
-Cold solves solve no extra right-hand sides.
+A warm solve starts from a solved disc, moved to first order along that
+disc's parameter tangent: coeffs + tangent dp, gamma + tangent dp.  The
+disc it returns carries its own parameter tangent, the derivative of the
+coefficients and of g along the 4n real perturbations of z and v, from
+the implicit-function theorem.  Each step solves for it as 4n more
+right-hand sides of the factorization it makes anyway, so the tangent of
+the last step lags the converged state by that step.  The tangency and
+two-point systems take their sensitivities from it by the chain rule.
+Cold solves solve no extra right-hand sides and return no tangent.
 """
 
 from __future__ import annotations
@@ -94,13 +94,19 @@ class MoebiusMap:
 @dataclass
 class AnalyticDisc:
     """Truncated power series of a holomorphic map of the closed unit
-    disc into C^n, attached to the boundary of ``domain``."""
+    disc into C^n, attached to the boundary of ``domain``.
+
+    A disc returned by a Gauss-Newton solve carries the solver's state:
+    its boundary factor ``solver_g`` and, after a warm solve that took a
+    step, its parameter ``tangent`` (d coeffs, d gamma) of shapes
+    (4n, M+1, n) and (4n, 1 + 2M) (see the module docstring)."""
 
     coeffs: np.ndarray            # (M+1, n) complex
     grid: CircleGrid
     domain: ConvexDomain | None = None
     attachment_residual: float | None = None
     solver_g: np.ndarray | None = None    # boundary factor of a Gauss-Newton solve
+    tangent: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -705,12 +711,12 @@ def _blend(domain_a, domain_b, t):
 
 
 def _solve_cd_raw(domain, z, v, settings, warm=None):
-    """Core center-direction solve; returns (coeffs, gamma, diagnostics).
+    """Core center-direction solve; returns the solved :class:`AnalyticDisc`.
 
-    A warm solve starts from ``warm`` = (coeffs, gamma); when it takes a
-    step its diagnostics also carry "tangent", the parameter tangent of
-    :meth:`_CenterDirectionSystem.coefficient_tangent` from its last step's
-    factorization."""
+    A warm solve starts from the solved disc ``warm``, moved to (z, v)
+    along its parameter tangent when it has one; when it takes a step the
+    returned disc carries the tangent of its last step's factorization
+    (:meth:`_CenterDirectionSystem.coefficient_tangent`)."""
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     nv = np.linalg.norm(v)
@@ -724,19 +730,26 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     tol = settings.newton_tol
 
     if warm is not None:
-        coeffs0, gamma0 = warm
-        u0 = system.initial_state(coeffs0, gamma0)
-        u, diag, du_dp = system.gauss_newton(u0, tol, settings.max_iters,
-                                             tangent=True)
-        if du_dp is not None:
-            diag["tangent"] = system.coefficient_tangent(u, du_dp)
-        return _finalize(system, u, diag)
+        coeffs0, gamma0 = warm.coeffs, warm.solver_g
+        if warm.tangent is not None:
+            dcoeffs, dgamma = warm.tangent
+            dz = z - warm.base_point
+            dv = v - warm.base_direction / np.linalg.norm(warm.base_direction)
+            dp = np.concatenate([dz.real, dz.imag, dv.real, dv.imag])
+            coeffs0 = coeffs0 + np.tensordot(dp, dcoeffs, axes=1)
+            gamma0 = gamma0 + dp @ dgamma
+        u, diag, du_dp = system.gauss_newton(
+            system.initial_state(coeffs0, gamma0), tol, settings.max_iters,
+            tangent=True)
+        tangent = None if du_dp is None \
+            else system.coefficient_tangent(u, du_dp)
+        return _finalize(system, u, diag, settings, tangent)
 
     if domain.kind == "ball":
         init = ball_geodesic(domain, z, v, settings)
         u0 = system.initial_state(init.coeffs)
         u, diag, _ = system.gauss_newton(u0, tol, settings.max_iters)
-        return _finalize(system, u, diag)
+        return _finalize(system, u, diag, settings)
 
     # homotopy from an inscribed ball that contains z: the largest step
     # the corrector takes, subdivided only where Newton diverges
@@ -769,10 +782,10 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
             continue
         u, t = u_next, t_next
         dt = min(1.5 * dt, dt_max)
-    return _finalize(system, u, diag)
+    return _finalize(system, u, diag, settings)
 
 
-def _finalize(system, u, diag):
+def _finalize(system, u, diag, settings, tangent=None):
     r, _, gamma = system.unpack(u)
     if r <= 0:
         raise SolverDivergence("converged to nonpositive derivative scale",
@@ -780,7 +793,9 @@ def _finalize(system, u, diag):
     if diag["min_g"] <= 0:
         raise SolverDivergence("boundary factor g lost positivity",
                                last_residual=diag["attachment"])
-    return system.disc_coeffs(u), gamma, diag
+    return AnalyticDisc(system.disc_coeffs(u), settings.grid, system.domain,
+                        attachment_residual=diag["attachment"],
+                        solver_g=gamma, tangent=tangent)
 
 
 def solve_from_center_direction(domain: ConvexDomain, z, v,
@@ -797,10 +812,7 @@ def solve_from_center_direction(domain: ConvexDomain, z, v,
     settings = settings or SolverSettings()
     if not domain.cached_certificate().passes:
         raise PreconditionError("domain fails its convexity certificate")
-    coeffs, gamma, diag = _solve_cd_raw(domain, z, v, settings)
-    disc = AnalyticDisc(coeffs, settings.grid, domain,
-                        attachment_residual=diag["attachment"],
-                        solver_g=gamma)
+    disc = _solve_cd_raw(domain, z, v, settings)
     lift = lift_from_disc(domain, disc)
     return disc, lift
 
@@ -809,8 +821,7 @@ class _TwoPointSystem:
     """Residual and Jacobian of the two-point equations over
     x = (Re v, Im v, xi): phi(xi) = w and |v|^2 = 1, where phi is the
     stationary disc with phi(0) = z and direction v/|v|, solved with warm
-    starts.  The warm slot holds the last solved disc and its parameter
-    tangent (or None)."""
+    starts.  The warm slot holds the last solved disc (or None)."""
 
     def __init__(self, domain, z, w, settings):
         self.domain = domain
@@ -828,14 +839,9 @@ class _TwoPointSystem:
         xi = x[2 * n]
         if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
             raise PreconditionError("two-point state left the admissible region")
-        warm = None if self.warm is None else _first_order_start(
-            *self.warm, self.z, v / np.linalg.norm(v))
-        coeffs, gamma, diag = _solve_cd_raw(self.domain, self.z, v,
-                                            self.settings, warm=warm)
-        disc = AnalyticDisc(coeffs, self.settings.grid, self.domain,
-                            attachment_residual=diag["attachment"],
-                            solver_g=gamma)
-        self.warm = (disc, diag.get("tangent"))
+        disc = _solve_cd_raw(self.domain, self.z, v, self.settings,
+                             warm=self.warm)
+        self.warm = disc
         val = disc(np.array([xi]))[0] - self.w
         G = np.concatenate([val.real, val.imag,
                             [np.linalg.norm(v) ** 2 - 1.0]])
@@ -849,8 +855,7 @@ class _TwoPointSystem:
         v = x[:n] + 1j * x[n:2 * n]
         xi = x[2 * n] + 0.0j
         dv = _direction_tangents(v)
-        tangent = _parameter_tangent(self.domain, disc, self.warm,
-                                     self.settings)
+        tangent = _parameter_tangent(self.domain, disc, self.settings)
         dphi = _tangent_at(tangent, xi, np.zeros_like(dv), dv)   # (2n, n)
         dxi = disc.derivative(np.array([xi]))[0]
         J = np.zeros((2 * n + 1, 2 * n + 1))
@@ -870,12 +875,12 @@ class _TwoPointSystem:
             return np.linalg.lstsq(J, -G, rcond=None)[0]
 
 
-def _parameter_tangent(domain, disc, warm, settings):
-    """The parameter tangent of the solved ``disc``: the one kept next to
-    it in the warm slot ``warm`` = (disc, tangent) of its solve, else one
-    linearization and factorization at the disc."""
-    if warm is not None and warm[0] is disc and warm[1] is not None:
-        return warm[1]
+def _parameter_tangent(domain, disc, settings):
+    """The parameter tangent of the solved ``disc``: the one its warm solve
+    returned with it, else one linearization and factorization at the
+    disc."""
+    if disc.tangent is not None:
+        return disc.tangent
     v = disc.base_direction / np.linalg.norm(disc.base_direction)
     system = _CenterDirectionSystem(domain, disc.base_point, v, settings)
     u = system.initial_state(disc.coeffs, disc.solver_g)
@@ -890,20 +895,6 @@ def _tangent_at(tangent, s, dz, dv):
     dcoeffs, _ = tangent
     dp = np.hstack([dz.real, dz.imag, dv.real, dv.imag])           # (P, 4n)
     return dp @ power_series(dcoeffs.transpose(1, 0, 2), s)
-
-
-def _first_order_start(disc, tangent, z, v):
-    """Warm start (coeffs, gamma) for the disc with center z and unit
-    direction v: the solved ``disc`` moved along its parameter
-    ``tangent``, or the disc itself when the tangent is None."""
-    if tangent is None:
-        return disc.coeffs, disc.solver_g
-    dcoeffs, dgamma = tangent
-    dz = z - disc.base_point
-    dv = v - disc.base_direction / np.linalg.norm(disc.base_direction)
-    dp = np.concatenate([dz.real, dz.imag, dv.real, dv.imag])
-    return (disc.coeffs + np.tensordot(dp, dcoeffs, axes=1),
-            disc.solver_g + dp @ dgamma)
 
 
 def _direction_tangents(d):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import SolverSettings, _solve_cd_raw, solve_two_point, AnalyticDisc
+from .discs import SolverSettings, _solve_cd_raw, solve_two_point
 from .domains import ConvexDomain
 from .errors import PreconditionError
 
@@ -52,7 +52,5 @@ def psi_inverse(domain: ConvexDomain, z, v,
     xi = np.linalg.norm(v)
     if not 0.0 < xi < 1.0:
         raise PreconditionError("psi_inverse requires 0 < |v| < 1")
-    coeffs, _, diag = _solve_cd_raw(domain, z, v / xi, settings)
-    disc = AnalyticDisc(coeffs, settings.grid, domain,
-                        attachment_residual=diag["attachment"])
+    disc = _solve_cd_raw(domain, z, v / xi, settings)
     return disc(np.array([xi + 0.0j]))[0]

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleGrid, analyze, power_series
-from .discs import (_CenterDirectionSystem, _collocation, _g_columns,
-                    _real_modes)
+from .discs import _collocation, _g_columns, _real_modes
 from .domains import ConvexDomain
 from .errors import PreconditionError
 
@@ -104,9 +103,9 @@ def lift_from_disc(domain: ConvexDomain, disc, coordinate_rotation=None,
 def _conormal_factor(domain, disc):
     """(g, grad rho(phi)) on the doubled grid: g of degree K = N/4 solves
     the solver's lift-holomorphy and gauge equations at this disc in the
-    least-squares sense.  They are linear in g, so the Gauss-Newton step
-    from g = 1 solves them up to the bias of the normal equations' 1e-13
-    diagonal shift (about 1e-12 in g), which a second step removes."""
+    least-squares sense.  They are linear in g with right-hand side e_last
+    (the gauge row g(1) = 1), so one unshifted normal-equation solve
+    J^T J gamma = J^T e_last = J[-1] gives g."""
     N, n = disc.grid.size, disc.dimension
     K, L = N // 4, N // 2
     tau, _, cos_mat, sin_mat = _collocation(K, N)
@@ -116,12 +115,11 @@ def _conormal_factor(domain, disc):
     J = _real_modes(H)
     J[-1, 0] = 1.0
     J[-1, 1::2] = 1.0                    # g(1): cos coefficients at theta = 0
-    gamma = np.zeros(1 + 2 * K)
-    gamma[0] = 1.0
-    for _ in range(2):
-        F = J @ gamma
-        F[-1] -= 1.0                     # g(1) - 1
-        gamma += _CenterDirectionSystem._ls_step(J, F)
+    try:
+        gamma = np.linalg.solve(J.T @ J, J[-1])
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(
+            f"conormal factor equations are singular ({exc})") from None
     return gamma[0] + cos_mat @ gamma[1::2] + sin_mat @ gamma[2::2], grads
 
 

@@ -22,10 +22,10 @@ Newton driver of :mod:`geodisc.discs` with a minimum-norm lstsq step.
 The Jacobian is analytic and solves no disc: the inner-domain rows come
 from the gradient and Hessian of rho2, and the through-point rows from
 the derivative of psi(sigma) in (w, d) -- by the chain rule from the
-parameter tangent that the warm Gauss-Newton solve returns from its own
-factorization, or the closed form when the outer domain is a ball.
-Each inner solve starts at the first-order prediction from the previous
-disc and its tangent.
+parameter tangent that the warm Gauss-Newton solve returns with its disc
+from its own factorization, or the closed form when the outer domain is
+a ball.  Each inner solve starts at the first-order prediction from the
+previous disc and its tangent.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ import numpy as np
 from .discs import (AnalyticDisc, SolverSettings, _ball_automorphism,
                     _ball_point_sensitivity, _complete_unitary,
                     _coordinate_tangents, _damped_newton, _direction_tangents,
-                    _first_order_start, _herm, _parameter_tangent,
-                    _solve_cd_raw, _tangent_at)
+                    _herm, _parameter_tangent, _solve_cd_raw, _tangent_at)
 from .domains import ConvexDomain, tangency_order_constant
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
 
@@ -138,7 +137,7 @@ def tangency_residual(rho2: ConvexDomain, z_o, candidate_w, disc,
 class _TangencySystem:
     """Residual/Jacobian of the touch-centered tangency equations, with
     warm-started inner disc solves.  The warm slot holds the last solved
-    disc and its parameter tangent (or None)."""
+    disc (or None)."""
 
     def __init__(self, domain1, domain2, z_o, settings):
         self.d1 = domain1
@@ -162,18 +161,14 @@ class _TangencySystem:
     def solve_disc(self, w, d):
         dn = d / np.linalg.norm(d)
         if self.d1.kind == "ball":
-            # geodesics of the ball are exact in closed form
+            # geodesics of the ball are exact in closed form; looked up at
+            # call time so that a wrapper on geodisc.discs.ball_geodesic
+            # (the benchmark's discs.ball_geodesic seam) sees these calls
             from .discs import ball_geodesic
             return ball_geodesic(self.d1, w, dn, self.settings)
-        warm = None if self.warm is None else _first_order_start(
-            *self.warm, w, dn)
-        coeffs, gamma, diag = _solve_cd_raw(self.d1, w, dn, self.settings,
-                                            warm=warm)
-        disc = AnalyticDisc(coeffs, self.settings.grid, self.d1,
-                            attachment_residual=diag["attachment"],
-                            solver_g=gamma)
-        self.warm = (disc, diag.get("tangent"))
-        return disc
+        self.warm = _solve_cd_raw(self.d1, w, dn, self.settings,
+                                  warm=self.warm)
+        return self.warm
 
     def residual(self, u, disc=None):
         w, d, sigma = self.unpack(u)
@@ -208,8 +203,7 @@ class _TangencySystem:
             dphi = _ball_point_sensitivity(self.d1, w, dn, s,
                                            self.settings.modes, dz, dv)
         else:
-            tangent = _parameter_tangent(self.d1, disc, self.warm,
-                                         self.settings)
+            tangent = _parameter_tangent(self.d1, disc, self.settings)
             dphi = _tangent_at(tangent, s, dz, dv)
         grad2 = self.d2.grad(w)
         A2, C2 = self.d2.hess_complex(w)
@@ -355,7 +349,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
             raise SolverDivergence(
                 f"no tangency seed converged ({error})")
     system = _TangencySystem(domain1, domain2, z_o, settings)
-    system.warm = (first.disc, None)
+    system.warm = first.disc
     n = domain1.dimension
     u = system.pack(first.w, first.disc.base_direction
                     / np.linalg.norm(first.disc.base_direction), first.sigma)
@@ -539,42 +533,32 @@ def push_domain_through_psi(domain1: ConvexDomain, domain2: ConvexDomain,
     def rho_one(zeta):
         return float(domain2.rho(inverse(zeta)))
 
-    def rho(z):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 1:
-            return rho_one(z)
-        flat = z.reshape(-1, n)
-        return np.array([rho_one(p) for p in flat]).reshape(z.shape[:-1])
+    def batched(one):
+        """``one`` applied at every point of a (..., n) array."""
+        def fn(z):
+            z = np.asarray(z, dtype=complex)
+            if z.ndim == 1:
+                return one(z)
+            vals = np.array([one(p) for p in z.reshape(-1, n)])
+            return vals.reshape(z.shape[:-1] + vals.shape[1:])
+        return fn
 
-    def _real_partials(zeta):
-        vals = np.empty((2 * n, 2))
-        for j in range(2 * n):
-            e = np.zeros(n, dtype=complex)
-            e[j // 2] = h if j % 2 == 0 else 1j * h
-            vals[j, 0] = rho_one(zeta + e)
-            vals[j, 1] = rho_one(zeta - e)
-        return vals
+    def offset(j):
+        """The step h along real coordinate j: Re z_{j//2} for even j,
+        Im z_{j//2} for odd j."""
+        e = np.zeros(n, dtype=complex)
+        e[j // 2] = h if j % 2 == 0 else 1j * h
+        return e
 
     def grad_one(zeta):
-        vals = _real_partials(zeta)
-        partials = (vals[:, 0] - vals[:, 1]) / (2.0 * h)
+        diffs = [rho_one(zeta + offset(j)) - rho_one(zeta - offset(j))
+                 for j in range(2 * n)]
+        partials = np.array(diffs) / (2.0 * h)
         return 0.5 * (partials[0::2] - 1j * partials[1::2])
 
-    def grad(z):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 1:
-            return grad_one(z)
-        flat = z.reshape(-1, n)
-        return np.array([grad_one(p) for p in flat]).reshape(z.shape)
-
     def hess_one(zeta):
+        """(A, C) stacked as (2, n, n)."""
         f0 = rho_one(zeta)
-
-        def offset(i):
-            e = np.zeros(n, dtype=complex)
-            e[i // 2] = h if i % 2 == 0 else 1j * h
-            return e
-
         H = np.empty((2 * n, 2 * n))
         for i in range(2 * n):
             ei = offset(i)
@@ -591,19 +575,14 @@ def push_domain_through_psi(domain1: ConvexDomain, domain2: ConvexDomain,
         Hyx = H[1::2, 0::2]
         A = (Hxx - Hyy) / 4.0 - 1j * (Hxy + Hyx) / 4.0
         C = (Hxx + Hyy) / 4.0 + 1j * (Hxy - Hyx) / 4.0
-        return A, C
+        return np.array([A, C])
 
     def hess(z):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 1:
-            return hess_one(z)
-        flat = z.reshape(-1, n)
-        pairs = [hess_one(p) for p in flat]
-        A = np.array([p[0] for p in pairs]).reshape(z.shape[:-1] + (n, n))
-        C = np.array([p[1] for p in pairs]).reshape(z.shape[:-1] + (n, n))
-        return A, C
+        AC = batched(hess_one)(z)
+        return AC[..., 0, :, :], AC[..., 1, :, :]
 
-    return ConvexDomain(n, "psi_pushforward", rho, grad, hess,
+    return ConvexDomain(n, "psi_pushforward", batched(rho_one),
+                        batched(grad_one), hess,
                         meta={"center": np.zeros(n, dtype=complex)})
 
 
@@ -638,9 +617,6 @@ def pi_set_sample(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
             combo = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
             v = tangent @ combo
             v = v / np.linalg.norm(v)
-        coeffs, _, diag = _solve_cd_raw(domain1, z_o, v, settings)
-        disc = AnalyticDisc(coeffs, settings.grid, domain1,
-                            attachment_residual=diag["attachment"])
-        lift = lift_from_disc(domain1, disc)
-        out[k] = projectivize(lift, 0.0)
+        disc = _solve_cd_raw(domain1, z_o, v, settings)
+        out[k] = projectivize(lift_from_disc(domain1, disc), 0.0)
     return out

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -200,10 +201,9 @@ def test_solver_converges_from_perturbed_start():
     bad = oracle.coeffs.copy()
     bad[2:] += 0.02 * (rng.standard_normal(bad[2:].shape)
                        + 1j * rng.standard_normal(bad[2:].shape))
-    coeffs, gamma, diag = _solve_cd_raw(BALL, z, v, SETTINGS,
-                                        warm=(bad, None))
-    solved = AnalyticDisc(coeffs, SETTINGS.grid, BALL)
-    assert diag["attachment"] < 1e-10
+    solved = _solve_cd_raw(BALL, z, v, SETTINGS,
+                           warm=AnalyticDisc(bad, SETTINGS.grid, BALL))
+    assert solved.attachment_residual < 1e-10
     assert np.max(np.abs(solved.boundary_values()
                          - oracle.boundary_values())) < 1e-8
 
@@ -263,8 +263,8 @@ def test_cold_solve_tries_the_domain_directly(monkeypatch):
         z = random_interior(rng, 2, radius=0.4)
         v = random_direction(rng, 2)
         before = log.jacobians
-        _, _, diag = _solve_cd_raw(domain, z, v, SETTINGS)
-        assert diag["attachment"] <= SETTINGS.newton_tol
+        disc = _solve_cd_raw(domain, z, v, SETTINGS)
+        assert disc.attachment_residual <= SETTINGS.newton_tol
         assert log.jacobians - before <= 8
     assert log.blends == 0 and log.target_calls == [True] * 3
 
@@ -288,11 +288,10 @@ def test_continuation_subdivides_when_newton_fails(monkeypatch):
     domain = make_ellipsoid([1.3, 0.9])
     settings = SolverSettings(modes=32, grid=CircleGrid(128), max_iters=3)
     log = _ContinuationLog(monkeypatch, domain)
-    coeffs, _, _ = _solve_cd_raw(domain, np.array([0.2 + 0.1j, 0.1j]),
-                                 np.array([1.0, 0.5j]), settings)
+    disc = _solve_cd_raw(domain, np.array([0.2 + 0.1j, 0.1j]),
+                         np.array([1.0, 0.5j]), settings)
     assert log.target_calls[0] is False and log.target_calls[-1] is True
     assert log.blends > 0
-    disc = AnalyticDisc(coeffs, settings.grid, domain)
     assert disc.boundary_residual() <= 1e-10
 
 
@@ -514,14 +513,28 @@ def test_two_point_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
                                        SMALL)
     x = x + 0.01
     _, disc = system.residual(x)
-    assert system.warm[0] is disc and system.warm[1] is not None
+    assert system.warm is disc and disc.tangent is not None
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(x, disc)
     assert calls == []
     # a disc without a tangent from its solve is linearized once
-    system.warm = None
-    system.jacobian(x, disc)
+    system.jacobian(x, dataclasses.replace(disc, tangent=None))
     assert len(calls) == 1
+
+
+def test_two_point_tangent_belongs_to_its_disc(monkeypatch):
+    # the warm slot moving on to another disc leaves the first disc's
+    # tangent with it: its Jacobian still builds no GN Jacobian
+    system, x_a, _ = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
+                                      SMALL)
+    x_a = x_a + 0.01
+    _, disc_a = system.residual(x_a)
+    assert disc_a.tangent is not None
+    system.residual(x_a + 0.01)
+    assert system.warm is not disc_a
+    calls = _count_gn_jacobians(monkeypatch)
+    system.jacobian(x_a, disc_a)
+    assert calls == []
 
 
 def test_warm_solve_returns_its_parameter_tangent(monkeypatch):
@@ -532,7 +545,8 @@ def test_warm_solve_returns_its_parameter_tangent(monkeypatch):
     # converged state it matches to 1e-7
     domain = make_perturbed_ball(0.05, "re_z1_sq")
     z, v = np.array([0.2 + 0.1j, -0.15j]), np.array([0.8, 0.6j])
-    start, gamma0, _ = _solve_cd_raw(domain, z + 0.01, v, SMALL)
+    start = _solve_cd_raw(domain, z + 0.01, v, SMALL)
+    assert start.tangent is None                  # a cold solve
     steps = []
     ls_step = _CenterDirectionSystem._ls_step
 
@@ -543,15 +557,16 @@ def test_warm_solve_returns_its_parameter_tangent(monkeypatch):
 
     monkeypatch.setattr(_CenterDirectionSystem, "_ls_step",
                         staticmethod(recording))
-    coeffs, gamma, diag = _solve_cd_raw(domain, z, v, SMALL,
-                                        warm=(start, gamma0))
+    disc = _solve_cd_raw(domain, z, v, SMALL, warm=start)
     monkeypatch.undo()
     assert len(steps) >= 2
-    dcoeffs, dgamma = diag["tangent"]
+    dcoeffs, dgamma = disc.tangent
     assert dcoeffs.shape == (8, SMALL.modes + 1, 2)
-    assert dgamma.shape == (8, len(gamma))
-    disc = AnalyticDisc(coeffs, SMALL.grid, domain, solver_g=gamma)
-    built = _parameter_tangent(domain, disc, None, SMALL)
+    assert dgamma.shape == (8, len(disc.solver_g))
+    # without its tangent the disc is linearized at the converged state, and
+    # the central differences below start from it as it is
+    cold = dataclasses.replace(disc, tangent=None)
+    built = _parameter_tangent(domain, cold, SMALL)
 
     fine = SolverSettings(modes=32, grid=CircleGrid(128), newton_tol=1e-12)
     E = np.concatenate([np.eye(2), 1j * np.eye(2)])
@@ -560,10 +575,10 @@ def test_warm_solve_returns_its_parameter_tangent(monkeypatch):
     for p in range(8):
         dz, dv = (E[p], 0.0) if p < 4 else (0.0, E[p - 4])
         plus, minus = (_solve_cd_raw(domain, z + s * h * dz, v + s * h * dv,
-                                     fine, warm=(coeffs, gamma))
+                                     fine, warm=cold)
                        for s in (1.0, -1.0))
-        fd_c = (plus[0] - minus[0]) / (2.0 * h)
-        fd_g = (plus[1] - minus[1]) / (2.0 * h)
+        fd_c = (plus.coeffs - minus.coeffs) / (2.0 * h)
+        fd_g = (plus.solver_g - minus.solver_g) / (2.0 * h)
         lagged = max(lagged, np.max(np.abs(fd_c - dcoeffs[p])),
                      np.max(np.abs(fd_g - dgamma[p])))
         exact = max(exact, np.max(np.abs(fd_c - built[0][p])),
@@ -700,11 +715,11 @@ def test_cold_ball_solve_with_transverse_direction_builds_no_jacobian(
     z = np.array([0.3, 0.2j])
     v = np.array([2j / 3, 1.0])
     log = _ContinuationLog(monkeypatch, BALL)
-    coeffs, _, diag = _solve_cd_raw(BALL, z, v, SETTINGS)
+    disc = _solve_cd_raw(BALL, z, v, SETTINGS)
     assert log.jacobians == 0 and log.target_calls == [True]
-    assert diag["attachment"] <= SETTINGS.newton_tol
+    assert disc.attachment_residual <= SETTINGS.newton_tol
     exact = ball_geodesic(BALL, z, v, SETTINGS).coeffs
-    assert np.max(np.abs(coeffs - exact)) < 1e-15
+    assert np.max(np.abs(disc.coeffs - exact)) < 1e-15
 
 
 def test_one_armijo_loop():
@@ -712,3 +727,11 @@ def test_one_armijo_loop():
     # hand-written line search would repeat its sufficient-decrease test
     src = pathlib.Path(discs_module.__file__).parent
     assert sum(p.read_text().count("1e-4 * t") for p in src.glob("*.py")) == 1
+
+
+def test_one_place_builds_a_solved_disc():
+    # the solve's disc, with its attachment, g and tangent, is built once,
+    # in discs._finalize; callers take it as it is
+    src = pathlib.Path(discs_module.__file__).parent
+    assert sum(p.read_text().count("attachment_residual=diag")
+               for p in src.glob("*.py")) == 1

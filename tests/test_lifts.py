@@ -153,6 +153,26 @@ def test_one_lift_construction():
     assert text.count("analyze(") == 1
 
 
+def test_lift_solves_for_g_without_gauss_newton_steps(monkeypatch):
+    # g is linear in the lift equations: one normal-equation solve, not
+    # the disc solver's shifted Gauss-Newton steps
+    from geodisc.discs import _CenterDirectionSystem
+
+    disc = ball_geodesic(BALL, np.array([0.3, 0.2j]), np.array([0.5, 1.0]),
+                         SETTINGS)
+    calls = []
+    ls_step = _CenterDirectionSystem._ls_step
+
+    def counting(J, F):
+        calls.append(J.shape)
+        return ls_step(J, F)
+
+    monkeypatch.setattr(_CenterDirectionSystem, "_ls_step",
+                        staticmethod(counting))
+    lift_from_disc(BALL, disc)
+    assert calls == []
+
+
 def test_lift_rejects_detached_disc():
     bad = AnalyticDisc(np.array([[0.0, 0.0], [0.5, 0.0]], dtype=complex),
                        CircleGrid(64), BALL)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,27 @@ def test_psi_coordinates_satisfy_locus_equations():
     assert abs(pair) < 1e-6
 
 
+def test_psi_pushforward_batches_pointwise():
+    # rho, grad and hess of the pushed-forward domain on a (2, 3, n) batch
+    # are the pointwise values, stacked
+    inner = make_ball([0.1, 0], 0.5)
+    rho_psi = push_domain_through_psi(BALL, inner, np.array([0.7 + 0j, 0.1j]))
+    rng = np.random.default_rng(4)
+    zeta = 0.3 * (rng.standard_normal((2, 3, 2))
+                  + 1j * rng.standard_normal((2, 3, 2)))
+    flat = zeta.reshape(-1, 2)
+    rho = rho_psi.rho(zeta)
+    grad = rho_psi.grad(zeta)
+    A, C = rho_psi.hess_complex(zeta)
+    assert rho.shape == (2, 3) and grad.shape == (2, 3, 2)
+    assert A.shape == C.shape == (2, 3, 2, 2)
+    pointwise = [rho_psi.hess_complex(p) for p in flat]
+    assert np.array_equal(rho.reshape(-1), [rho_psi.rho(p) for p in flat])
+    assert np.array_equal(grad.reshape(-1, 2), [rho_psi.grad(p) for p in flat])
+    assert np.array_equal(A.reshape(-1, 2, 2), [a for a, _ in pointwise])
+    assert np.array_equal(C.reshape(-1, 2, 2), [c for _, c in pointwise])
+
+
 def test_trace_locus_patch_dimension_three():
     ball3 = make_ball([0, 0, 0], 1.0)
     inner3 = make_ball([0, 0, 0], 0.5)
@@ -345,14 +368,29 @@ def test_tangency_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
                                        np.array(seed_w), settings)
     u = u + 0.02 * np.cos(np.arange(len(u)))
     _, disc = system.residual(u)
-    assert system.warm[0] is disc and system.warm[1] is not None
+    assert system.warm is disc and disc.tangent is not None
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(u, disc)
     assert calls == []
     # a disc without a tangent from its solve is linearized once
-    system.warm = None
-    system.jacobian(u, disc)
+    system.jacobian(u, dataclasses.replace(disc, tangent=None))
     assert len(calls) == 1
+
+
+def test_tangency_tangent_belongs_to_its_disc(monkeypatch):
+    # the warm slot moving on to another disc leaves the first disc's
+    # tangent with it: its Jacobian still builds no GN Jacobian
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    system, u, _ = _converged_tangency(*make_domains(), np.array(z_o),
+                                       np.array(seed_w), settings)
+    u_a = u + 0.02 * np.cos(np.arange(len(u)))
+    _, disc_a = system.residual(u_a)
+    assert disc_a.tangent is not None
+    system.residual(u_a + 0.01 * np.sin(np.arange(len(u))))
+    assert system.warm is not disc_a
+    calls = _count_gn_jacobians(monkeypatch)
+    system.jacobian(u_a, disc_a)
+    assert calls == []
 
 
 def test_first_order_start_saves_gn_jacobians(monkeypatch):
@@ -365,15 +403,19 @@ def test_first_order_start_saves_gn_jacobians(monkeypatch):
     J = system.jacobian(u, disc)
     t = np.linalg.svd(J)[2][-1]
     step = u + 0.1 * t / np.linalg.norm(t[:2 * system.n])
-    warm = system.warm
+    solved = system.warm
     calls = _count_gn_jacobians(monkeypatch)
     counts, touch = [], []
     for first_order in (True, False):
         if not first_order:
-            monkeypatch.setattr(tangency_module, "_first_order_start",
-                                lambda disc, tangent, z, v:
-                                (disc.coeffs, disc.solver_g))
-        system.warm = warm
+            def zeroth_order(domain, z, v, settings, warm=None):
+                if warm is not None:
+                    warm = dataclasses.replace(warm, tangent=None)
+                return _solve_cd_raw(domain, z, v, settings, warm=warm)
+
+            monkeypatch.setattr(tangency_module, "_solve_cd_raw",
+                                zeroth_order)
+        system.warm = solved
         before = len(calls)
         u_new, R, _ = system.correct(step)
         counts.append(len(calls) - before)
