@@ -57,7 +57,10 @@ class TrigSeries:
     """Finite Fourier series on a :class:`CircleGrid`.
 
     ``coeffs`` has length N with entry j holding c_{j - N/2}
-    (wavenumbers -N/2 .. N/2-1).
+    (wavenumbers -N/2 .. N/2-1).  A vector-valued series carries one
+    coefficient vector per wavenumber, shape (N, n); ``synthesize``
+    evaluates it componentwise, while the realness and holomorphy tests
+    take scalar series.
     """
 
     grid: CircleGrid
@@ -65,7 +68,7 @@ class TrigSeries:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.grid.size,):
+        if self.coeffs.shape[:1] != (self.grid.size,):
             raise PreconditionError(
                 f"expected {self.grid.size} coefficients, got {self.coeffs.shape}")
 
@@ -125,10 +128,14 @@ def synthesize(series: TrigSeries, at=None) -> np.ndarray:
     """Evaluate the trigonometric polynomial.
 
     ``at=None`` evaluates at the grid nodes (exact inverse of
-    ``analyze``); otherwise ``at`` is an array of angles.
+    ``analyze``); otherwise ``at`` is an array of angles.  Values have
+    shape (points,) + coeffs.shape[1:].
     """
     if at is None:
-        return np.fft.ifft(np.fft.ifftshift(series.coeffs)) * series.grid.size
+        # the centered order's halves swapped (ifftshift for even N)
+        c, half = series.coeffs, series.grid.size // 2
+        return np.fft.ifft(np.concatenate([c[half:], c[:half]]), axis=0) \
+            * series.grid.size
     at = np.atleast_1d(np.asarray(at, dtype=float))
     phases = np.exp(1j * np.outer(at, series.wavenumbers))
     return phases @ series.coeffs

@@ -56,7 +56,7 @@ from functools import cache
 
 import numpy as np
 
-from .circle import CircleGrid, analyze, power_series
+from .circle import CircleGrid, TrigSeries, analyze, power_series, synthesize
 from .domains import ConvexDomain, make_ball
 from .errors import PreconditionError, SolverDivergence
 
@@ -137,8 +137,16 @@ class AnalyticDisc:
         return power_series(self.coeffs[1:] * k[:, None], tau)
 
     def boundary_values(self, grid: CircleGrid | None = None) -> np.ndarray:
+        """phi at the grid nodes, exact for any number of modes: the
+        coefficients folded mod N into a series on the grid, synthesized
+        by one inverse FFT."""
         grid = grid or self.grid
-        return self(grid.nodes)
+        N, (K, n) = grid.size, self.coeffs.shape
+        # a_k lands at centered index (k + N/2) mod N
+        folded = np.concatenate([np.zeros((N // 2, n)), self.coeffs,
+                                 np.zeros((-(N // 2 + K) % N, n))])
+        folded = folded.reshape(-1, N, n).sum(axis=0)
+        return synthesize(TrigSeries(grid, folded))
 
     def boundary_residual(self, domain: ConvexDomain | None = None) -> float:
         domain = domain or self.domain
@@ -981,13 +989,17 @@ def boundary_hausdorff(disc1: AnalyticDisc, disc2: AnalyticDisc,
                        newton_iters: int = 30) -> float:
     """Hausdorff distance between the boundary images, measured from the
     grid samples of each disc to the boundary curve (not the samples) of
-    the other."""
+    the other.  Each foot point on the other curve is refined by at most
+    ``newton_iters`` Gauss-Newton steps in theta, stopping once every
+    step is below 1e-14."""
 
     def directed(da, db):
         targets = da.boundary_values()
         theta = db.grid.angles
         nodes_b = db.boundary_values()
-        d2 = np.linalg.norm(targets[:, None, :] - nodes_b[None, :, :], axis=-1)
+        # nearest node: |t - b|^2 less the row constant |t|^2
+        d2 = (np.sum(np.abs(nodes_b) ** 2, axis=1)[None, :]
+              - 2.0 * (targets @ np.conj(nodes_b).T).real)
         th = theta[np.argmin(d2, axis=1)]
         for _ in range(newton_iters):
             e = np.exp(1j * th)
@@ -995,7 +1007,10 @@ def boundary_hausdorff(disc1: AnalyticDisc, disc2: AnalyticDisc,
             dphi = db.derivative(e) * (1j * e)[:, None]
             g = np.sum(dphi * np.conj(diff), axis=1).real
             gp = np.sum(np.abs(dphi) ** 2, axis=1) + 1e-30
-            th = th - g / gp
+            step = g / gp
+            th = th - step
+            if np.max(np.abs(step)) <= 1e-14:
+                break
         e = np.exp(1j * th)
         return float(np.max(np.linalg.norm(db(e) - targets, axis=1)))
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .circle import power_series
 from .errors import PreconditionError
 
 BOUNDARY_TOL = 1e-8
@@ -291,14 +292,22 @@ def unit_outward_conormal(domain: ConvexDomain, z) -> np.ndarray:
 
 def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
                             angular: int = 128, zoom_rounds: int = 8) -> float:
-    """min over sampled tau in the closed disc (tau != 0) of
-    rho2(phi(tau)) / |tau|^2.
+    """min over tau in the closed disc (tau != 0) of rho2(phi(tau)) / |tau|^2.
 
-    A positive value certifies second-order tangency at the sampled
-    resolution (the disc is parametrized with the near-tangency point at
-    tau = 0).  The coarse polar minimum is refined by repeated local
-    grid zooming so the value is invariant under rotations of the disc
-    parametrization.
+    A positive value certifies second-order tangency (the disc is
+    parametrized with the near-tangency point at tau = 0).  The minimum of
+    the quotient q over a coarse polar grid (the ring |tau| = 1e-3 and
+    ``radial`` rings up to the rim, ``angular`` angles each) is refined
+    by Newton steps on q in polar coordinates (r, theta), with the
+    gradient and Hessian taken analytically from phi, phi', phi'' and the
+    derivatives of rho2.  Where the minimum sits on the rim r = 1 (or on
+    the innermost ring) and q decreases outward, the step runs along the
+    ring in theta alone.  A step is accepted only when q decreases, so
+    the result is never above the coarse minimum; the refinement stops
+    at the first rejected step or at a singular or indefinite Hessian.
+    ``zoom_rounds`` caps the number of Newton steps (0 returns the coarse
+    minimum).  The refined value is invariant under rotations of the
+    disc parametrization.
     """
     radii = np.concatenate(([1e-3], np.linspace(1.0 / radial, 1.0, radial)))
     angles = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
@@ -306,17 +315,59 @@ def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
     R, TH = np.meshgrid(radii, angles, indexing="ij")
     vals = rho2.rho(disc(R * np.exp(1j * TH))) / R ** 2
     idx = np.unravel_index(np.argmin(vals), vals.shape)
-    r0, th0 = radii[idx[0]], angles[idx[1]]
-    dr = radii[1] if idx[0] == 0 else radii[-1] - radii[-2]
-    dth = angles[1] - angles[0]
+    r, th = radii[idx[0]], angles[idx[1]]
     best = float(vals[idx])
+
+    a = disc.coeffs
+    k = np.arange(len(a))[:, None]
+    jets = np.zeros((len(a), 3, a.shape[1]), dtype=complex)
+    jets[:, 0] = a
+    jets[:-1, 1] = k[1:] * a[1:]
+    jets[:-2, 2] = k[2:] * (k[2:] - 1) * a[2:]
+    _, grad, hess = _order_quotient_jet(rho2, jets, r, th)
     for _ in range(zoom_rounds):
-        rr = np.clip(np.linspace(r0 - dr, r0 + dr, 9), 1e-3, 1.0)
-        tt = np.linspace(th0 - dth, th0 + dth, 9)
-        R, TH = np.meshgrid(rr, tt, indexing="ij")
-        local = rho2.rho(disc(R * np.exp(1j * TH))) / R ** 2
-        li = np.unravel_index(np.argmin(local), local.shape)
-        r0, th0, best = rr[li[0]], tt[li[1]], float(local[li])
-        dr /= 4.0
-        dth /= 4.0
+        # at the rim or the innermost ring with q falling outward: step
+        # along the ring
+        if (r >= 1.0 and grad[0] < 0) or (r <= radii[0] and grad[0] > 0):
+            if not hess[1, 1] > 0:
+                break
+            r_new, th_new = r, th - grad[1] / hess[1, 1]
+        else:
+            if not (hess[0, 0] > 0 and np.linalg.det(hess) > 0):
+                break
+            dr, dth = np.linalg.solve(hess, -grad)
+            r_new, th_new = min(max(r + dr, radii[0]), 1.0), th + dth
+        q, grad, hess = _order_quotient_jet(rho2, jets, r_new, th_new)
+        if not q < best:
+            break
+        r, th, best = r_new, th_new, q
     return best
+
+
+def _order_quotient_jet(rho2, jets, r, th):
+    """q(r, theta) = rho2(phi(tau)) / r^2 at tau = r e^{i theta}, with its
+    gradient and Hessian in (r, theta).  ``jets`` stacks the power-series
+    coefficients of phi, phi' and phi'' along axis 1."""
+    e = np.exp(1j * th)
+    tau = r * e
+    phi, d1, d2 = power_series(jets, tau)
+    f = float(rho2.rho(phi))
+    g = rho2.grad(phi)
+    A, C = rho2.hess_complex(phi)
+    # complex derivatives of f(tau) = rho2(phi(tau)): a = df/dtau,
+    # b = d^2 f/dtau^2, c = d^2 f/dtau dtau_bar (real)
+    a = g @ d1
+    b = d1 @ A @ d1 + g @ d2
+    c = float((d1 @ C @ np.conj(d1)).real)
+    # along r, tau moves by e; along theta, by i tau
+    f_r = 2.0 * (a * e).real
+    f_t = -2.0 * (a * tau).imag
+    f_rr = 2.0 * (b * e * e).real + 2.0 * c
+    f_rt = -2.0 * ((b * tau + a) * e).imag
+    f_tt = -2.0 * (b * tau * tau + a * tau).real + 2.0 * c * r * r
+    q = f / r ** 2
+    grad = np.array([f_r / r ** 2 - 2.0 * f / r ** 3, f_t / r ** 2])
+    q_rr = f_rr / r ** 2 - 4.0 * f_r / r ** 3 + 6.0 * f / r ** 4
+    q_rt = f_rt / r ** 2 - 2.0 * f_t / r ** 3
+    hess = np.array([[q_rr, q_rt], [q_rt, f_tt / r ** 2]])
+    return q, grad, hess

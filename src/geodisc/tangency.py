@@ -372,27 +372,25 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
 
     # probe two small steps to estimate the locus through-circle, so the
     # step size tracks the locus size (which shrinks as z_o approaches
-    # the inner boundary) rather than the domain size
+    # the inner boundary) rather than the domain size; the tangent at the
+    # first point serves both the first probe and the first step
     probe = 0.02 * domain_scale
-    states = [(u, R, disc)]
-    t_prev = None
-    for _ in range(2):
-        u_c, _, disc_c = states[-1]
-        t_prev = kernel_tangent(u_c, disc_c, t_prev)
-        states.append(system.correct(u_c + probe * t_prev))
+    t_first = kernel_tangent(u, disc, None)
+    states = [(u, R, disc), system.correct(u + probe * t_first)]
+    u_c, _, disc_c = states[-1]
+    states.append(system.correct(u_c + probe * kernel_tangent(u_c, disc_c,
+                                                              t_first)))
     w3 = [system.unpack(s[0])[0] for s in states]
     radius = _circumradius(w3[0], w3[1], w3[2])
     radius = min(max(radius, probe), 10.0 * domain_scale)
     h = min(2.0 * np.pi * radius / steps, 0.5 * radius)
 
     points = [first]
-    u, R, disc = states[0]
-    t_prev = None
+    t_prev = t_first
     w_start = first.w
     h_min, h_max = h / 16.0, 1.25 * h
     arc = 0.0
     for _ in range(4 * steps):
-        t_prev = kernel_tangent(u, disc, t_prev)
         try:
             u_new, R_new, disc_new = system.correct(u + h * t_prev)
         except SolverDivergence:
@@ -409,6 +407,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
         gap = float(np.linalg.norm(point.w - w_start))
         if len(points) >= 5 and arc > 4.0 * radius and gap < h:
             return TangencyLocus(z_o, points, gap)
+        t_prev = kernel_tangent(u, disc, t_prev)
     raise SolverDivergence("tangency locus did not close while tracing")
 
 

@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      ball_geodesic, solve_from_center_direction,
@@ -346,6 +347,21 @@ def test_two_point_symmetry():
     assert abs(xi1 - xi2) < 1e-8       # same pair of points, same parameter
 
 
+@pytest.mark.parametrize("modes, grid", [(64, 256), (32, 128), (15, 16),
+                                         (40, 16), (300, 256)])
+def test_boundary_values_match_power_series(modes, grid):
+    # folding the coefficients mod N is exact also when M + 1 > N
+    rng = np.random.default_rng(modes)
+    coeffs = ((rng.standard_normal((modes + 1, 2))
+               + 1j * rng.standard_normal((modes + 1, 2)))
+              * 0.9 ** np.arange(modes + 1)[:, None])
+    disc = AnalyticDisc(coeffs, CircleGrid(grid))
+    direct = disc(disc.grid.nodes)
+    values = disc.boundary_values()
+    assert values.shape == direct.shape
+    assert np.max(np.abs(values - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
 def test_reparametrize():
     d = ball_geodesic(BALL, np.zeros(2), np.array([1.0, 0.0]), SETTINGS)
     ident = reparametrize(d, MoebiusMap())
@@ -366,6 +382,24 @@ def test_reparametrize_preserves_image():
     dr = reparametrize(d, m)
     assert boundary_hausdorff(d, dr) < 1e-9
     assert dr.boundary_residual() < 1e-9
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.floats(0.0, 0.6), st.floats(0.0, 0.5), st.floats(0.0, 2.0 * np.pi),
+       st.floats(0.0, 2.0 * np.pi))
+def test_reparametrize_keeps_the_image_of_random_ball_geodesics(
+        raw, radius, a_abs, a_arg, turn):
+    # the composed disc's nearest singularity comes to |tau| ~ 1.18 at
+    # |z| = 0.6, |a| = 0.5, so its N/4 kept modes need N = 1024
+    raw = np.array(raw)
+    z, v = raw[0:4:2] + 1j * raw[1:4:2], raw[4] + 1j * raw[5]
+    assume(np.linalg.norm(z) > 1e-6 and abs(v) > 1e-6)
+    z = radius * z / np.linalg.norm(z)
+    disc = ball_geodesic(BALL, z, np.array([1.0, v]),
+                         SolverSettings(modes=64, grid=CircleGrid(1024)))
+    m = MoebiusMap(a=a_abs * np.exp(1j * a_arg), rotation=np.exp(1j * turn))
+    assert boundary_hausdorff(disc, reparametrize(disc, m)) < 1e-9
 
 
 def test_moebius_inverse():

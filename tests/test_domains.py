@@ -3,8 +3,8 @@ import pytest
 
 from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball, certify,
                      unit_outward_conormal, tangency_order_constant,
-                     ball_geodesic, SolverSettings, AnalyticDisc, CircleGrid,
-                     PreconditionError)
+                     ball_geodesic, solve_tangent_disc, SolverSettings,
+                     AnalyticDisc, CircleGrid, PreconditionError)
 
 
 def test_ball_examples():
@@ -153,6 +153,64 @@ def test_tangency_order_constant_rotation_invariance():
         rot[1] *= np.exp(1j * alpha)
         c1 = tangency_order_constant(inner, AnalyticDisc(rot, CircleGrid(64)))
         assert abs(c1 - c0) < 1e-10
+
+
+def _perturbed_locus_disc():
+    pb = make_perturbed_ball(0.05, "re_z1_sq")
+    inner = make_ball([0, 0], 0.4)
+    small = SolverSettings(modes=32, grid=CircleGrid(128))
+    tp = solve_tangent_disc(pb, inner, np.array([0.62 + 0j, 0.05j]),
+                            np.array([0.3, 0.25]), small)
+    return inner, tp.disc
+
+
+def _interior_minimum_disc(r=0.5, c=1.0, s=1.0, alpha=0.1):
+    """phi(tau) = (r + c (e^{i alpha} tau)^3, s e^{i alpha} tau) against the
+    ball of radius r: q = s^2 + 2 r c |tau| cos(3 arg) + c^2 |tau|^4 has
+    its minimum s^2 - 1.5 r c rho* at |tau| = rho* = (r / 2c)^(1/3) < 1,
+    off the coarse grid's rings and angles."""
+    coeffs = np.zeros((4, 2), dtype=complex)
+    coeffs[0, 0] = r
+    coeffs[1, 1] = s * np.exp(1j * alpha)
+    coeffs[3, 0] = c * np.exp(3j * alpha)
+    exact = s ** 2 - 1.5 * r * c * (r / (2.0 * c)) ** (1.0 / 3.0)
+    return make_ball([0, 0], r), AnalyticDisc(coeffs, CircleGrid(64)), exact
+
+
+def _coarse_minimum(rho2, disc):
+    radii = np.concatenate(([1e-3], np.linspace(1.0 / 16, 1.0, 16)))
+    angles = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    R, TH = np.meshgrid(radii, angles, indexing="ij")
+    return float(np.min(rho2.rho(disc(R * np.exp(1j * TH))) / R ** 2))
+
+
+def test_tangency_order_constant_matches_fine_rim_minimum():
+    # on a perturbed-ball locus disc the minimum sits on the rim |tau| = 1;
+    # brute force: a fine rim grid, then a finer one around its minimum
+    inner, disc = _perturbed_locus_disc()
+    theta = np.linspace(0.0, 2.0 * np.pi, 1 << 14, endpoint=False)
+    q = inner.rho(disc(np.exp(1j * theta)))
+    h, t0 = theta[1], theta[np.argmin(q)]
+    fine = np.linspace(t0 - 2 * h, t0 + 2 * h, 4097)
+    brute = float(np.min(inner.rho(disc(np.exp(1j * fine)))))
+    assert abs(tangency_order_constant(inner, disc) - brute) < 1e-12
+
+
+def test_tangency_order_constant_interior_minimum():
+    ball, disc, exact = _interior_minimum_disc()
+    assert _coarse_minimum(ball, disc) - exact > 1e-5
+    assert abs(tangency_order_constant(ball, disc) - exact) < 1e-12
+
+
+def test_tangency_order_constant_never_above_coarse_minimum():
+    inner, locus = _perturbed_locus_disc()
+    ball, interior, _ = _interior_minimum_disc()
+    offset = AnalyticDisc(np.array([[0.8, 0.0], [0.0, 0.1]], dtype=complex),
+                          CircleGrid(64))
+    for rho2, disc in ((inner, locus), (ball, interior), (ball, offset)):
+        coarse = _coarse_minimum(rho2, disc)
+        assert tangency_order_constant(rho2, disc, zoom_rounds=0) == coarse
+        assert tangency_order_constant(rho2, disc) <= coarse
 
 
 def test_hess_real_matches_complex_blocks():
