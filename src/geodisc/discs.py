@@ -19,13 +19,15 @@ Gauss-Newton iteration with a least-squares step:
 
 phi(0) = z and phi'(0) = r*v are enforced exactly through the
 parametrization.  Residuals are collocated on a grid oversampled 2x
-against the coefficient truncation to keep products alias-free.  For
-non-ball domains the solve starts from the disc of an inscribed ball,
-known in closed form, and tries the target domain directly; only when
-Gauss-Newton diverges is the homotopy from the ball to the domain
-subdivided into blended domains, halving the step on each failure.  An
-attempt that stagnates with its residual norm already below newton_tol
-has reached the resolution floor of M; that failure is raised at once.
+against the coefficient truncation to keep products alias-free.  A
+cold solve starts from the closed-form state, coefficients and g, of
+the domain itself when it is a ball, else of an inscribed ball, and runs
+Gauss-Newton on the domain; no Gauss-Newton runs on the ball.  Only when
+that diverges on a non-ball domain is the homotopy from the ball to the
+domain subdivided into blended domains, halving the step on each
+failure.  An attempt that stagnates with its residual norm already below
+newton_tol has reached the resolution floor of M; that failure is raised
+at once.
 
 The disc solve, the tangency corrector and the two-point solve share one
 damped Newton driver, :func:`_damped_newton`, with one policy: check
@@ -96,16 +98,17 @@ class AnalyticDisc:
     """Truncated power series of a holomorphic map of the closed unit
     disc into C^n, attached to the boundary of ``domain``.
 
-    A disc returned by a Gauss-Newton solve carries the solver's state:
-    its boundary factor ``solver_g`` and, after a warm solve that took a
-    step, its parameter ``tangent`` (d coeffs, d gamma) of shapes
-    (4n, M+1, n) and (4n, 1 + 2M) (see the module docstring)."""
+    A disc returned by a Gauss-Newton solve or by :func:`ball_geodesic`
+    carries the solver's state: its boundary factor ``solver_g`` and,
+    after a warm solve that took a step, its parameter ``tangent`` (d
+    coeffs, d gamma) of shapes (4n, M+1, n) and (4n, 1 + 2M) (see the
+    module docstring)."""
 
     coeffs: np.ndarray            # (M+1, n) complex
     grid: CircleGrid
     domain: ConvexDomain | None = None
     attachment_residual: float | None = None
-    solver_g: np.ndarray | None = None    # boundary factor of a Gauss-Newton solve
+    solver_g: np.ndarray | None = None    # boundary factor of the solved state
     tangent: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -155,11 +158,13 @@ class AnalyticDisc:
         return float(np.max(np.abs(domain.rho(self.boundary_values()))))
 
     def injectivity_gap(self) -> float:
-        """min over distinct grid nodes of |phi(tau_j) - phi(tau_l)|."""
+        """min over distinct grid nodes of |phi(tau_j) - phi(tau_l)|: the
+        least exact distance from each node to its nearest other node."""
         b = self.boundary_values()
-        d = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
-        d[np.diag_indices_from(d)] = np.inf
-        return float(np.min(d))
+        d2 = _shifted_sq_distances(b, b)
+        np.fill_diagonal(d2, np.inf)
+        nearest = b[np.argmin(d2, axis=1)]
+        return float(np.min(np.linalg.norm(b - nearest, axis=1)))
 
     def to_json(self) -> dict:
         return {
@@ -194,6 +199,8 @@ class SolverSettings:
     continuation_steps: int = 1
 
     def __post_init__(self):
+        if self.modes < 1:
+            raise PreconditionError("modes must be >= 1")
         if self.continuation_steps < 1:
             raise PreconditionError("continuation_steps must be >= 1")
         if self.newton_tol < 1e-12:
@@ -244,19 +251,20 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
 
     The image is the affine complex line through the point cut by the
     ball; the power-series coefficients are geometric, a_k = mu^{k-1} a_1
-    (see :func:`_ball_series`).
+    (see :func:`_ball_series`), and the boundary factor is
+    g = |1 - mu tau|^2 / |1 - mu|^2 on |tau| = 1 (Lempert, Bull. SMF 109,
+    1981): ``solver_g`` is gamma = (1 + |mu|^2, -2 Re mu, 2 Im mu, 0, ...)
+    / |1 - mu|^2.  Up to the truncation |mu|^M this is the solved state
+    of the Gauss-Newton system; a cold solve starts from it, and runs no
+    Gauss-Newton on the ball.
     """
     if domain.kind != "ball":
         raise PreconditionError("ball_geodesic needs a ball domain")
     settings = settings or SolverSettings()
+    z, v = _point_and_direction(domain, center_z, direction_v)
     c = domain.center
     R = domain.meta["radius"]
-    z = (np.asarray(center_z, dtype=complex) - c) / R
-    v = np.asarray(direction_v, dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        raise PreconditionError("direction must be nonzero")
-    v = v / nv
+    z = (z - c) / R
     if np.linalg.norm(z) >= 1.0:
         raise PreconditionError("center point is not inside the ball")
     a1, mu = _ball_series(z, v)
@@ -267,9 +275,30 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     a[1:] = powers[:, None] * a1[None, :]
     a = a * R
     a[0] += c
-    disc = AnalyticDisc(a, settings.grid, domain)
+    gamma = np.zeros(1 + 2 * M)
+    gamma[:3] = (1.0 + abs(mu) ** 2, -2.0 * mu.real, 2.0 * mu.imag)
+    gamma /= abs(1.0 - mu) ** 2
+    disc = AnalyticDisc(a, settings.grid, domain, solver_g=gamma)
     disc.attachment_residual = disc.boundary_residual()
     return disc
+
+
+def _point_and_direction(domain, z, v):
+    """(z, v/|v|) as complex vectors in C^n of the domain; raises
+    PreconditionError for a wrong shape, a non-finite entry or v = 0."""
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    n = domain.dimension
+    if z.shape != (n,) or v.shape != (n,):
+        raise PreconditionError(
+            f"base point and direction must have shape ({n},), not "
+            f"{z.shape} and {v.shape}")
+    if not np.isfinite(z).all():
+        raise PreconditionError("base point must be finite")
+    nv = np.linalg.norm(v)
+    if not 0 < nv < np.inf:
+        raise PreconditionError("direction must be nonzero and finite")
+    return z, v / nv
 
 
 def _ball_series(z, v):
@@ -725,13 +754,8 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     along its parameter tangent when it has one; when it takes a step the
     returned disc carries the tangent of its last step's factorization
     (:meth:`_CenterDirectionSystem.coefficient_tangent`)."""
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        raise PreconditionError("direction must be nonzero")
-    v = v / nv
-    if float(domain.rho(z)) >= -INTERIOR_MARGIN:
+    z, v = _point_and_direction(domain, z, v)
+    if not float(domain.rho(z)) < -INTERIOR_MARGIN:
         raise PreconditionError("base point must be strictly interior")
 
     system = _CenterDirectionSystem(domain, z, v, settings)
@@ -753,24 +777,19 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
             else system.coefficient_tangent(u, du_dp)
         return _finalize(system, u, diag, settings, tangent)
 
-    if domain.kind == "ball":
-        init = ball_geodesic(domain, z, v, settings)
-        u0 = system.initial_state(init.coeffs)
-        u, diag, _ = system.gauss_newton(u0, tol, settings.max_iters)
-        return _finalize(system, u, diag, settings)
-
-    # homotopy from an inscribed ball that contains z: the largest step
-    # the corrector takes, subdivided only where Newton diverges
-    center = domain.center
-    r_ins = _inscribed_ball_radius(domain)
-    r0 = max(r_ins, 1.05 * float(np.linalg.norm(z - center)) + 0.05 * r_ins)
-    ball0 = make_ball(center, r0)
+    # start from the closed-form state of the domain when it is a ball,
+    # else of an inscribed ball that contains z, and try the domain; only
+    # where Newton diverges is the homotopy from that ball subdivided
+    ball0, dt_max = domain, 1.0
+    if domain.kind != "ball":
+        center = domain.center
+        r_ins = _inscribed_ball_radius(domain)
+        ball0 = make_ball(center, max(
+            r_ins, 1.05 * float(np.linalg.norm(z - center)) + 0.05 * r_ins))
+        dt_max = 1.0 / settings.continuation_steps
     init = ball_geodesic(ball0, z, v, settings)
-    sys0 = _CenterDirectionSystem(ball0, z, v, settings)
-    u, diag, _ = sys0.gauss_newton(system.initial_state(init.coeffs),
-                                   tol, settings.max_iters)
-    t = 0.0
-    dt = dt_max = 1.0 / settings.continuation_steps
+    u = system.initial_state(init.coeffs, init.solver_g)
+    t, dt = 0.0, dt_max
     while t < 1.0:
         t_next = t + dt
         if t_next > 1.0 - 1e-12:       # land on the domain, not a roundoff short
@@ -780,9 +799,10 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
         try:
             u_next, diag, _ = target.gauss_newton(u, tol, settings.max_iters)
         except SolverDivergence as exc:
-            # stagnation below newton_tol is the resolution floor of this
-            # M, which no shorter homotopy step lowers
-            if exc.stagnated and exc.last_residual <= tol:
+            # a ball has no homotopy to subdivide, and stagnation below
+            # newton_tol is the resolution floor of this M, which no
+            # shorter homotopy step lowers
+            if ball0 is domain or (exc.stagnated and exc.last_residual <= tol):
                 raise
             dt *= 0.5
             if dt < 1e-4:
@@ -811,8 +831,9 @@ def solve_from_center_direction(domain: ConvexDomain, z, v,
     """Stationary disc with phi(0) = z, phi'(0) = r*v (r > 0), together
     with its conormal lift.
 
-    Raises :class:`PreconditionError` for non-interior z or a failing
-    convexity certificate and :class:`SolverDivergence` when the
+    Raises :class:`PreconditionError` for non-interior z, a z or v that
+    is not a finite vector of the domain's dimension, a zero v or a
+    failing convexity certificate and :class:`SolverDivergence` when the
     Gauss-Newton continuation cannot reach the tolerance.
     """
     from .lifts import lift_from_disc
@@ -941,7 +962,7 @@ def solve_two_point(domain: ConvexDomain, z, w,
     if np.linalg.norm(w - z) < 1e-6:
         raise PreconditionError("points must be distinct (|z - w| >= 1e-6)")
     for p in (z, w):
-        if float(domain.rho(p)) >= -INTERIOR_MARGIN:
+        if not float(domain.rho(p)) < -INTERIOR_MARGIN:
             raise PreconditionError("both points must be strictly interior")
 
     n = len(z)
@@ -996,10 +1017,7 @@ def boundary_hausdorff(disc1: AnalyticDisc, disc2: AnalyticDisc,
     def directed(da, db):
         targets = da.boundary_values()
         theta = db.grid.angles
-        nodes_b = db.boundary_values()
-        # nearest node: |t - b|^2 less the row constant |t|^2
-        d2 = (np.sum(np.abs(nodes_b) ** 2, axis=1)[None, :]
-              - 2.0 * (targets @ np.conj(nodes_b).T).real)
+        d2 = _shifted_sq_distances(targets, db.boundary_values())
         th = theta[np.argmin(d2, axis=1)]
         for _ in range(newton_iters):
             e = np.exp(1j * th)
@@ -1015,6 +1033,14 @@ def boundary_hausdorff(disc1: AnalyticDisc, disc2: AnalyticDisc,
         return float(np.max(np.linalg.norm(db(e) - targets, axis=1)))
 
     return max(directed(disc1, disc2), directed(disc2, disc1))
+
+
+def _shifted_sq_distances(targets, nodes):
+    """|t_j - b_l|^2 less the row constant |t_j|^2 for targets t (P, n)
+    and nodes b (Q, n), from one matrix product; each row's argmin is the
+    nearest node."""
+    return (np.sum(np.abs(nodes) ** 2, axis=1)[None, :]
+            - 2.0 * (targets @ np.conj(nodes).T).real)
 
 
 def poincare_distance(t1: complex, t2: complex) -> float:

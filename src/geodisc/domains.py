@@ -127,8 +127,10 @@ def make_ball(center, radius: float) -> ConvexDomain:
     """rho(z) = |z - center|^2 - radius^2."""
     center = np.atleast_1d(np.asarray(center, dtype=complex))
     n = center.shape[0]
-    if radius <= 0:
-        raise PreconditionError("radius must be positive")
+    if not np.isfinite(center).all():
+        raise PreconditionError("center must be finite")
+    if not 0 < radius < np.inf:
+        raise PreconditionError("radius must be positive and finite")
 
     def rho(z):
         z = np.asarray(z, dtype=complex)

@@ -61,6 +61,14 @@ def test_exit_codes(tmp_path):
     assert code == 2    # base point not on the inner boundary
 
 
+@pytest.mark.parametrize("z,v", [("nan,0", "1,0"), ("0.1,0", "1,inf"),
+                                 ("0.1,0,0", "1,0")])
+def test_non_finite_or_misshapen_points_exit_2(tmp_path, z, v):
+    code, _ = run(["disc", "solve", "--domain", "ball", "--z", z, "--v", v],
+                  tmp_path)
+    assert code == 2
+
+
 def test_geodesic_distance(tmp_path):
     code, rep = run(["geodesic", "distance", "--domain", "ball",
                      "--z", "0,0", "--w", "0.5,0"], tmp_path)

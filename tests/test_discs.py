@@ -15,7 +15,10 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      SolverDivergence)
 from geodisc import discs as discs_module
 from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
-                           _damped_newton, _parameter_tangent, _solve_cd_raw)
+                           _ball_point_sensitivity, _ball_series,
+                           _coordinate_tangents, _damped_newton,
+                           _direction_tangents, _parameter_tangent,
+                           _solve_cd_raw, _tangent_at)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -219,13 +222,15 @@ def test_solver_on_ellipsoid_continuation():
 
 class _ContinuationLog:
     """Counts, through monkeypatched seams, the blended domains a cold solve
-    builds, the Gauss-Newton Jacobians it assembles and the outcome of each
-    Gauss-Newton call on ``target``."""
+    builds, the Gauss-Newton Jacobians it assembles, the outcome of each
+    Gauss-Newton call on ``target`` and the Gauss-Newton calls on any other
+    domain that is not a blend."""
 
     def __init__(self, monkeypatch, target):
         self.blends = 0
         self.jacobians = 0
         self.target_calls = []              # True for a converged call
+        self.other_calls = 0
         blend = discs_module._blend
         jacobian = _CenterDirectionSystem.jacobian
         gauss_newton = _CenterDirectionSystem.gauss_newton
@@ -240,6 +245,7 @@ class _ContinuationLog:
 
         def logging_gauss_newton(system, *args, **kwargs):
             if system.domain is not target:
+                self.other_calls += system.domain.kind != "blend"
                 return gauss_newton(system, *args, **kwargs)
             try:
                 out = gauss_newton(system, *args, **kwargs)
@@ -268,6 +274,30 @@ def test_cold_solve_tries_the_domain_directly(monkeypatch):
         assert disc.attachment_residual <= SETTINGS.newton_tol
         assert log.jacobians - before <= 8
     assert log.blends == 0 and log.target_calls == [True] * 3
+    # the inscribed ball's state is closed form: no Gauss-Newton runs on it
+    assert log.other_calls == 0
+
+
+@pytest.mark.parametrize("center,radius", [([0, 0], 1.0),
+                                           ([0.1, -0.2j], 0.8)])
+def test_cold_ball_solve_inside_the_resolvable_radius_builds_no_jacobian(
+        monkeypatch, center, radius):
+    # with |mu|^M below newton_tol the closed-form coefficients and g are
+    # the solved state: Gauss-Newton is converged before its first step
+    ball = make_ball(center, radius)
+    rng = np.random.default_rng(11)
+    log = _ContinuationLog(monkeypatch, ball)
+    for _ in range(4):
+        z = ball.center + radius * random_interior(rng, 2)
+        v = random_direction(rng, 2)
+        mu = _ball_series((z - ball.center) / radius, v)[1]
+        assert abs(mu) ** SETTINGS.modes < SETTINGS.newton_tol
+        disc = _solve_cd_raw(ball, z, v, SETTINGS)
+        exact = ball_geodesic(ball, z, v, SETTINGS)
+        assert np.max(np.abs(disc.coeffs - exact.coeffs)) < 1e-15
+        assert np.array_equal(disc.solver_g, exact.solver_g)
+    assert log.jacobians == 0 and log.blends == 0 and log.other_calls == 0
+    assert log.target_calls == [True] * 4
 
 
 def test_continuation_steps_land_on_the_domain(monkeypatch):
@@ -292,7 +322,7 @@ def test_continuation_subdivides_when_newton_fails(monkeypatch):
     disc = _solve_cd_raw(domain, np.array([0.2 + 0.1j, 0.1j]),
                          np.array([1.0, 0.5j]), settings)
     assert log.target_calls[0] is False and log.target_calls[-1] is True
-    assert log.blends > 0
+    assert log.blends > 0 and log.other_calls == 0
     assert disc.boundary_residual() <= 1e-10
 
 
@@ -310,6 +340,95 @@ def test_continuation_stops_at_the_resolution_floor(monkeypatch):
     assert info.value.last_residual <= settings.newton_tol
     assert log.jacobians < 20
     assert log.blends == 0
+
+
+@pytest.mark.parametrize("modes,grid", [(32, 128), (64, 256)])
+def test_ball_geodesic_carries_its_solved_state(modes, grid):
+    # the closed-form g = |1 - mu tau|^2 / |1 - mu|^2 is the factor
+    # Gauss-Newton reaches from the same disc started at g = 1, and the
+    # parameter tangent linearized at the closed-form state is the ball's
+    # own point sensitivity
+    settings = SolverSettings(modes=modes, grid=CircleGrid(grid))
+    ball = make_ball([0.1, -0.2j], 0.8)
+    z, v = np.array([0.25 + 0.1j, -0.1 - 0.15j]), np.array([0.6, 0.8j])
+    disc = ball_geodesic(ball, z, v, settings)
+    solved = _solve_cd_raw(ball, z, v, settings,
+                           warm=dataclasses.replace(disc, solver_g=None))
+    assert solved.solver_g.shape == disc.solver_g.shape == (1 + 2 * modes,)
+    assert np.max(np.abs(solved.solver_g - disc.solver_g)) < 1e-10
+
+    ew, ev = _coordinate_tangents(2), _direction_tangents(v)
+    dz = np.concatenate([ew, np.zeros_like(ev)])
+    dv = np.concatenate([np.zeros_like(ew), ev])
+    tangent = _parameter_tangent(ball, disc, settings)
+    for s in (0.3 + 0.2j, -0.5j, 0.7, 0.95 * np.exp(2.0j)):
+        exact = _ball_point_sensitivity(ball, z, v / np.linalg.norm(v), s,
+                                        modes, dz, dv)
+        assert np.max(np.abs(_tangent_at(tangent, s, dz, dv) - exact)) < 1e-10
+
+
+def _nan_in(x, k=0, value=np.nan):
+    x = np.array(x, dtype=complex)
+    x[k] = value
+    return x
+
+
+_Z, _V = np.array([0.2 + 0.1j, -0.1j]), np.array([1.0, 0.5j])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: solve_from_center_direction(BALL, _nan_in(_Z), _V,
+                                                     SMALL), id="nan-z"),
+    pytest.param(lambda: solve_from_center_direction(
+        BALL, _nan_in(_Z, 1, np.inf), _V, SMALL), id="inf-z"),
+    pytest.param(lambda: solve_from_center_direction(BALL, _Z, _nan_in(_V),
+                                                     SMALL), id="nan-v"),
+    pytest.param(lambda: solve_from_center_direction(
+        BALL, _Z, _nan_in(_V, 1, -np.inf), SMALL), id="inf-v"),
+    pytest.param(lambda: solve_from_center_direction(
+        make_perturbed_ball(0.05), _nan_in(_Z, 1), _V, SMALL),
+        id="nan-z-perturbed"),
+    pytest.param(lambda: solve_from_center_direction(
+        BALL, np.append(_Z, 0.0), _V, SMALL), id="long-z"),
+    pytest.param(lambda: solve_from_center_direction(BALL, _Z, _V[:1],
+                                                     SMALL), id="short-v"),
+    pytest.param(lambda: solve_from_center_direction(BALL, _Z[None, :], _V,
+                                                     SMALL), id="matrix-z"),
+    pytest.param(lambda: ball_geodesic(BALL, _nan_in(_Z), _V, SMALL),
+                 id="ball-geodesic-nan-z"),
+    pytest.param(lambda: ball_geodesic(BALL, _Z, np.append(_V, 1.0), SMALL),
+                 id="ball-geodesic-long-v"),
+    pytest.param(lambda: solve_two_point(BALL, _Z, _nan_in(0.3 * _V), SMALL),
+                 id="two-point-nan-w"),
+    pytest.param(lambda: make_ball([0.0, 0.0], np.nan), id="nan-radius"),
+    pytest.param(lambda: make_ball([0.0, 0.0], np.inf), id="inf-radius"),
+    pytest.param(lambda: make_ball([np.nan, 0.0], 1.0), id="nan-center"),
+    pytest.param(lambda: SolverSettings(modes=0), id="zero-modes"),
+    pytest.param(lambda: SolverSettings(modes=-1), id="negative-modes"),
+])
+def test_bad_inputs_raise_precondition_errors(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+def test_injectivity_gap_matches_the_pairwise_minimum():
+    # the nearest-node candidates of one matrix product give the exact
+    # minimum over all O(N^2) pairs
+    domain = make_perturbed_ball(0.05)
+    discs = [
+        ball_geodesic(BALL, np.array([0.3, 0.1j]), np.array([1.0, 0.5j]),
+                      SETTINGS),
+        ball_geodesic(BALL, np.array([0.7, 0.1j]), np.array([1.0, 0.0]),
+                      SMALL),
+        _solve_cd_raw(domain, np.array([0.2, 0.1j]), np.array([1.0, 0.5j]),
+                      SETTINGS),
+    ]
+    for disc in discs:
+        b = disc.boundary_values()
+        d = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
+        d[np.diag_indices_from(d)] = np.inf
+        assert disc.injectivity_gap() == pytest.approx(np.min(d), rel=1e-12)
 
 
 def test_solver_preconditions():

@@ -185,7 +185,9 @@ def test_lift_rejects_non_injective_cover():
     coeffs = np.zeros((3, 2), dtype=complex)
     coeffs[2, 0] = 1.0
     cover = AnalyticDisc(coeffs, CircleGrid(64), BALL)
-    with pytest.raises(PreconditionError):
+    assert cover.boundary_residual() < 1e-15
+    assert cover.injectivity_gap() < 1e-15
+    with pytest.raises(PreconditionError, match="not injective"):
         lift_from_disc(BALL, cover)
 
 
