@@ -29,6 +29,13 @@ failure.  An attempt that stagnates with its residual norm already below
 newton_tol has reached the resolution floor of M; that failure is raised
 at once.
 
+The Gauss-Newton normal equations are built without the Jacobian J:
+every column of J is a shifted copy of one of a few field spectra, so
+each block of J^T J follows from its first row and column, which are
+cross-correlations of the spectra, by a cumulative sum of rank-one
+boundary terms along its diagonals (see :func:`_shift_gram`).  J^T F is
+one more correlation, and the step is a Cholesky solve.
+
 The disc solve, the tangency corrector and the two-point solve share one
 damped Newton driver, :func:`_damped_newton`, with one policy: check
 convergence before every step and once after the last; give up as
@@ -53,6 +60,9 @@ Cold solves solve no extra right-hand sides and return no tangent.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -399,19 +409,237 @@ def _collocation(modes, grid_size):
 
 
 @cache
-def _shift_indices(modes, grid_size):
-    """Gather indices (mod nn) into the spectra of the 2x oversampled grid,
-    for column shifts k = 0..M: attachment modes m = 0..L as (m - k,
-    -m - k), lift modes m = -1..-L as (m - k, m + k); each (rows, M + 1).
+def _window_layout(lo, hi, P, nn, F):
+    """Gather indices of :func:`_shift_gram` into its flat spectra [U, V,
+    0] (U and V of shape (C, F, nn), then one zero), for the windows
+    m = lo[c]..hi[c] of the components c and column shifts k = 0..P-1:
+
+    - ``stretches`` (5, C, F, length): U and V on the window, V on the
+      window moved by P - 1, U from P - 1 before the window to its end and
+      V from its start to P - 1 after it, padded with the zero to the FFT
+      length of the correlations;
+    - ``ends`` (4, C, F, P - 1): U at lo - 1 - k and hi - k, and V at
+      hi + 1 + k and lo + k, k = 0..P-2.
+
     Shared between systems, hence read-only."""
-    nn, L = 2 * grid_size, grid_size // 2
-    k = np.arange(modes + 1)
-    att = np.arange(L + 1)[:, None]
-    lift = -np.arange(1, L + 1)[:, None]
-    arrays = ((att - k) % nn, (-att - k) % nn, (lift - k) % nn, (lift + k) % nn)
+    C = len(lo)
+    lo, hi = np.array(lo)[:, None], np.array(hi)[:, None]
+    Lw = int(np.max(hi - lo)) + 1
+    length = 1 << (Lw + P - 2).bit_length()
+    zero = 2 * C * F * nn
+    i, j, k = np.arange(Lw), np.arange(Lw + P - 1), np.arange(P - 1)
+
+    def flat(part, index):
+        rows = (part * C + np.arange(C)[:, None]) * F + np.arange(F)
+        return rows[:, :, None] * nn + (index % nn)[:, None, :]
+
+    inside = (i <= hi - lo)[:, None, :]
+    stretches = np.full((5, C, F, length), zero)
+    stretches[0, ..., :Lw] = np.where(inside, flat(0, lo + i), zero)
+    stretches[1, ..., :Lw] = np.where(inside, flat(1, lo + i), zero)
+    stretches[2, ..., :Lw] = np.where(inside, flat(1, lo + P - 1 + i), zero)
+    stretches[3, ..., :Lw + P - 1] = flat(0, lo - (P - 1) + j)
+    stretches[4, ..., :Lw + P - 1] = flat(1, lo + j)
+    ends = np.stack([flat(0, lo - 1 - k), flat(0, hi - k), flat(1, hi + 1 + k),
+                     flat(1, lo + k)])
+    for arr in (stretches, ends):
+        arr.flags.writeable = False
+    return stretches, ends, length
+
+
+def _shift_gram(fields, lo, hi, P):
+    """Gram matrix Re(X^H X) of the complex columns
+
+        x_{f,k,alpha}[c, m] = alpha U[c, f, m - k] + conj(alpha) V[c, f, m + k]
+
+    over the windows m = lo[c]..hi[c] of the components c, for families
+    f, shifts k = 0..P-1 and alpha = 1, i, without forming X.  U and V
+    are the nn-point spectra (``norm="forward"``, indices mod nn) of the
+    ``fields`` (2, C, F, nn).  Returns (Y, stretches): Y (F, 2, P, F, 2,
+    P) over the columns (f, re/im, k), whose symmetric part Y + Y^T is
+    the Gram matrix, and the FFTs of U from P - 1 before each window to
+    its end and of V from its start to P - 1 after it, (2, C, F, length),
+    for :meth:`_NormalEquations.rhs`.
+
+    With S_XY(k, l) = sum_m conj(X[m -/+ k]) Y[m -/+ l], the four real
+    blocks of the Gram matrix are Re(D + A), Im(D + A), -Im(D - A) and
+    Re(D - A), where D = S_UU + conj(S_VV) and A = Q + Q^T (families
+    swapped too), Q = S_UV, since conj(S_VU) is Q^T.  D is Hermitian in
+    the same sense, so the same four blocks of D/2 + Q are a Y.  D runs
+    along diagonals: D(k+1, l+1) - D(k, l) is a sum of rank-one boundary
+    terms, the products at the window's two ends.  Its first row is a
+    cross-correlation of stretches of the spectra, taken by short FFTs,
+    and its first column the conjugate transpose of that.  Q runs along
+    anti-diagonals, Q(k+1, l-1) - Q(k, l) likewise, from its first row
+    and last column.  Skewed so that these run along columns, each block
+    is then filled from those seeds by one running sum over k (Kailath and
+    Sayed, "Displacement structure", SIAM Review 37, 1995): O(P^2) per
+    block after the FFTs.
+    """
+    _, C, F, nn = fields.shape
+    stretch_index, end_index, length = _window_layout(lo, hi, P, nn, F)
+    spectra = np.zeros(fields.size + 1, dtype=complex)
+    np.fft.fft(fields, axis=-1, norm="forward",
+               out=spectra[:-1].reshape(fields.shape))
+    stretches = np.fft.fft(np.take(spectra, stretch_index), axis=-1)
+    # sum_c sum_i conj(x[c, f, i]) y[c, g, i + s] for the stretch pairs
+    # (U, U), (V, V), (U, V) on the window and (V moved, U)
+    x, y = np.conj(stretches[[0, 1, 0, 2]]), stretches[[3, 4, 4, 3]]
+    prod = x[:, 0, :, None] * y[:, 0, None]
+    for component in range(1, C):
+        prod += x[:, component, :, None] * y[:, component, None]
+    uu, vv, uv, vu = np.fft.ifft(prod, axis=-1)
+    k = np.arange(P)
+
+    # each (D or Q, f, g) block skewed into rows k of length 2P - 1 so that
+    # its diagonals (D) or anti-diagonals (Q) are columns: D(k, l) at
+    # l - k + P - 1 and Q(k, l) at k + l; zero elsewhere
+    width = 2 * P - 1
+    S = np.zeros((P, 2 * F * F * width), dtype=complex)
+    row, item = S.shape[1], S.itemsize
+    D = np.ndarray((P, F, F, P), complex, S, (P - 1) * item,
+                   ((row - 1) * item, F * width * item, width * item, item))
+    Q = np.ndarray((P, F, F, P), complex, S, F * F * width * item,
+                   ((row + 1) * item, F * width * item, width * item, item))
+    D[0] = 0.5 * (uu[..., P - 1 - k] + np.conj(vv[..., k]))
+    D[1:, :, :, 0] = np.conj(D[0, :, :, 1:]).T
+    Q[0] = uv[..., k]
+    Q[1:, :, :, -1] = np.conj(vu[..., P - 1 - k[1:]]).T
+    # boundary terms: D from the pairs (a, a), (b, b), (c, c), (d, d) and
+    # Q from (a, d), (b, c), each summed over the components
+    a, b, c, d = np.take(spectra, end_index)
+    left = np.concatenate([np.conj(a), -np.conj(b), c, -d]).reshape(4 * C, -1)
+    right = np.zeros((4 * C, 2, F * (P - 1)), dtype=complex)
+    right[:, 0] = 0.5 * np.concatenate([a, b, np.conj(c), np.conj(d)]) \
+        .reshape(4 * C, -1)
+    right[:2 * C, 1] = np.concatenate([d, c]).reshape(2 * C, -1)
+    ends = (left.T @ right.reshape(4 * C, -1)).reshape(F, P - 1, 2, F, P - 1)
+    D[1:, :, :, 1:] = ends[:, :, 0].transpose(1, 0, 2, 3)
+    Q[1:, :, :, :-1] = ends[:, :, 1].transpose(1, 0, 2, 3)
+    for previous, current in zip(S[:-1], S[1:]):
+        current += previous
+
+    Y = np.empty((F, 2, P, F, 2, P))
+    D, Q = D.transpose(1, 0, 2, 3), Q.transpose(1, 0, 2, 3)
+    np.add(D.real, Q.real, out=Y[:, 0, :, :, 0])
+    np.add(D.imag, Q.imag, out=Y[:, 1, :, :, 0])
+    np.subtract(Q.imag, D.imag, out=Y[:, 0, :, :, 1])
+    np.subtract(D.real, Q.real, out=Y[:, 1, :, :, 1])
+    return Y, stretches[3:]
+
+
+@cache
+def _state_layout(n, M):
+    """Where the unknowns sit among the columns (f, re/im, k) of
+    :func:`_shift_gram`, flattened, for the families (phi_1..phi_n, g) at
+    shifts k = 0..M: (state, sign, k0, k1, unused).
+
+    ``state`` lists, in state order after r, a_k (k = 2..M, component,
+    re/im) and then gamma_0 and (gamma_cj, gamma_sj) for j = 1..M.  The g
+    family's shift-j re column is the cos(j theta) column and its im
+    column minus the sin(j theta) column, hence ``sign``.  ``k0`` and
+    ``k1`` are the shift-0 and shift-1 columns, re of each component and
+    then im: the r column is the k1 columns contracted with (Re v, Im v)
+    and takes the place of the first of them, and F_p's columns are the
+    k0 columns and r times the k1 columns.  ``unused`` are the columns no
+    unknown takes: the other k0 and k1 columns and the g family's zero
+    shift-0 im column.  Shared between systems, hence read-only."""
+    P = M + 1
+
+    def col(f, part, k):
+        return (np.asarray(f) * 2 + part) * P + k
+
+    c = np.arange(n)
+    a = col(c[None, :, None], np.arange(2)[None, None, :],
+            np.arange(2, P)[:, None, None]).ravel()
+    j = np.arange(1, P)
+    cos_sin = np.stack([col(n, 0, j), col(n, 1, j)], axis=1).ravel()
+    state = np.concatenate([a, [col(n, 0, 0)], cos_sin])
+    sign = np.ones(len(state))
+    sign[len(a) + 2::2] = -1.0
+    k0 = np.concatenate([col(c, 0, 0), col(c, 1, 0)])
+    k1 = np.concatenate([col(c, 0, 1), col(c, 1, 1)])
+    unused = np.setdiff1d(np.arange(2 * (n + 1) * P),
+                          np.concatenate([state, k1[:1]]))
+    arrays = (state, sign, k0, k1, unused)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
+
+
+def _gauged_gram(Y, f):
+    """The Gram matrix Y + Y^T of :func:`_shift_gram`, square, with the
+    gauge row g(1) = gamma_0 + sum_j gamma_cj (the re columns of the g
+    family ``f``) added as a rank-one term."""
+    Y[f, 0, :, f, 0] += 0.5
+    G = Y.reshape(2 * Y.shape[0] * Y.shape[2], -1)
+    return G + G.T
+
+
+def _decouple(G, unused, size):
+    """Zero the ``unused`` rows and columns of the Gram matrix G, with the
+    mean diagonal of the ``size`` unknowns on their diagonal: the unknowns
+    keep their equations, the unused ones solve to zero, and the trace per
+    unknown is that of the unknowns alone."""
+    G[unused] = 0.0
+    G[:, unused] = 0.0
+    G.flat[unused * (len(G) + 1)] = np.trace(G) / size
+    return G
+
+
+@dataclass
+class _NormalEquations:
+    """The Gauss-Newton normal equations of a linearization (see
+    :meth:`_CenterDirectionSystem.jacobian`) over the columns of
+    :func:`_shift_gram`: ``gram`` = J^T J and ``rhs_p`` = J^T F_p, with
+    r in place of the first shift-1 column and the unused columns
+    decoupled; :meth:`rhs` gives J^T F from the ``stretches`` of
+    :func:`_shift_gram`, and :meth:`state` takes a solution to the state
+    layout."""
+
+    gram: np.ndarray
+    rhs_p: np.ndarray
+    system: "_CenterDirectionSystem"
+    stretches: np.ndarray
+
+    def rhs(self, F):
+        """J^T F for a residual vector F (the layout of
+        :meth:`_CenterDirectionSystem.residual`).  With r the complex
+        residual modes on each component's window, the column (f, k,
+        alpha) pairs with them to Re(conj(alpha) sum_m conj(U[m - k]) r[m]
+        + alpha sum_m conj(V[m + k]) r[m]), two cross-correlations of r
+        with the stretches of U and V, taken by FFT."""
+        s = self.system
+        n, L, P = s.n, s.L, s.M + 1
+        # the residual modes on the windows of jacobian: attachment m =
+        # 1..L, then lift m = -1..-L of each component
+        modes = F[1:-1].view(complex)
+        r = np.zeros((n + 1, 1, L + 1), dtype=complex)
+        r[:n, 0, L - 1::-1] = modes[L:].reshape(n, L)
+        r[n, 0, 0] = F[0]
+        r[n, 0, 1:] = modes[:L]
+        fr = np.conj(np.fft.fft(r, self.stretches.shape[-1], axis=-1))
+        du, dv = np.fft.ifft(np.sum(fr * self.stretches, axis=1), axis=-1)
+        k = np.arange(P)
+        out = np.empty((n + 1, 2, P))
+        out[:, 0] = du[:, P - 1 - k].real + dv[:, k].real
+        out[:, 1] = dv[:, k].imag - du[:, P - 1 - k].imag
+        out[n, 0] += F[-1]                             # gauge row
+        out = out.ravel()
+        _, _, _, k1, unused = _state_layout(n, s.M)
+        out[k1[0]] = s.v_pairs @ out[k1]
+        out[unused] = 0.0
+        return out
+
+    def state(self, du):
+        """A solution of these normal equations (along axis 0) in the
+        layout of the state u."""
+        s = self.system
+        state, sign, _, k1, _ = _state_layout(s.n, s.M)
+        out = np.empty((s.size,) + du.shape[1:])
+        out[0] = du[k1[0]]
+        out[1:] = du[state] * sign.reshape((-1,) + (1,) * (du.ndim - 1))
+        return out
 
 
 class _CenterDirectionSystem:
@@ -422,6 +650,7 @@ class _CenterDirectionSystem:
         self.domain = domain
         self.z = np.asarray(z, dtype=complex)
         self.v = np.asarray(v, dtype=complex)
+        self.v_pairs = np.concatenate([self.v.real, self.v.imag])
         self.n = len(self.z)
         self.M = settings.modes
         self.K = settings.modes
@@ -432,6 +661,7 @@ class _CenterDirectionSystem:
         self.n_a = 2 * self.n * (self.M - 1)
         self.n_g = 1 + 2 * self.K
         self.size = 1 + self.n_a + self.n_g
+        self._evaluated = (None,) * 4       # (u, phi, g, grad rho) of residual
 
     # -- packing ------------------------------------------------------
 
@@ -483,6 +713,7 @@ class _CenterDirectionSystem:
         _, phi, g = self._fields(u)
         rho_vals = np.real(self.domain.rho(phi))
         grads = self.domain.grad(phi)
+        self._evaluated = (u.tobytes(), phi, g, grads)
         w = (g * self.tau)[:, None] * grads
         rho_hat = np.fft.fft(rho_vals) / self.nn
         w_hat = np.fft.fft(w, axis=0) / self.nn
@@ -504,83 +735,67 @@ class _CenterDirectionSystem:
 
     def _linearization(self, u):
         """Boundary factor times tau, gradient and Hessian blocks of rho
-        along the disc at state u."""
-        _, phi, g = self._fields(u)
+        along the disc at state u; the fields of the last residual are
+        reused when it was taken at u, as Gauss-Newton takes it."""
+        last_u, phi, g, grads = self._evaluated
+        if last_u != u.tobytes():
+            _, phi, g = self._fields(u)
+            grads = self.domain.grad(phi)
         A, C = self.domain.hess_complex(phi)
-        return g * self.tau, self.domain.grad(phi), A, C
+        return g * self.tau, grads, A, C
 
     def jacobian(self, u):
-        """(J, F_p): d residual / d u, and d residual / d p along the 4n
-        real parameter perturbations p = (Re z, Im z, Re v, Im v), both
-        gathered from the spectra of four fields.
+        """The Gauss-Newton normal equations at state u, as
+        :class:`_NormalEquations`: the Gram matrix J^T J of the Jacobian
+        J = d residual / d u (gauge row included), J^T F_p for the 4n real
+        parameter perturbations p = (Re z, Im z, Re v, Im v), and J^T F for
+        any residual F.  Neither J nor its complex mode matrix is formed.
 
         On the nn-point residual grid multiplication by tau^k is an exact
         discrete shift: with ``norm="forward"`` and indices mod nn,
         fft(f tau^k)[m] = fft(f)[m - k], and conj(tau)^k shifts by +k.
-        Each column perturbs phi by e_c tau^k or i e_c tau^k, or g by a
-        trigonometric monomial, so its spectrum is a shifted copy of one
-        of F = fft(grad rho), GA = fft(g tau A), GC = fft(g tau C) and
-        T = fft(tau grad rho) instead of a transform of its own:
+        Each column of J perturbs phi by alpha e_c tau^k (alpha = 1, i), or
+        g by a trigonometric monomial, so each residual mode m of it is
+        alpha U[m - k] + conj(alpha) V[m + k] for two spectra U, V:
 
-          attachment mode m, column (k, c):
-              re  F_c[m-k] + conj(F_c[-m-k]),  im  i (F_c[m-k] - conj(F_c[-m-k]))
-          lift mode (c, m), column (k, c'):
-              re  GA_cc'[m-k] + GC_cc'[m+k],   im  i (GA_cc'[m-k] - GC_cc'[m+k])
-          lift mode (c, m), g columns:  from T, see :func:`_g_columns`
+          attachment modes m = 0..L:  U = fft(grad_c rho), V = fft(conj
+              grad_c rho); the m = 0 mode of this real field is real, so
+              its real part alone loses nothing
+          lift modes (c, m = -1..-L): U = fft(g tau A_cc'), V = fft(g tau
+              C_cc') for phi_c', and U = V = fft(tau grad_c rho) / 2 for the
+              shift-j cos/sin coefficients of g (see :func:`_state_layout`)
 
-        Each spectrum is weighted once by its (re, im) column pair, so
-        every block is one gather-add.  The r column (delta phi = v tau)
-        is the k = 1 columns contracted with v.  At fixed u a parameter
-        perturbation moves phi by delta phi = dz + r tau dv, so the F_p
-        columns are the k = 0 columns and r times the k = 1 columns.
+        :func:`_shift_gram` builds the Gram of all these columns at shifts
+        k = 0..M from the spectra.  The state's columns are a selection of
+        them; the r column (delta phi = v tau) is the k = 1 columns
+        contracted with v, and the gauge row g(1) - 1 adds a rank-one term.
+        At fixed u a parameter perturbation moves phi by delta phi = dz +
+        r tau dv, so the F_p columns are the k = 0 columns and r times the
+        k = 1 columns, and J^T F_p is read off the same Gram.
         """
         gt, grads, A, C = self._linearization(u)
-        nn, n, L, n_a = self.nn, self.n, self.L, self.n_a
-        att_p, att_q, lift_p, lift_q = _shift_indices(self.M, nn // 2)
-        pair = np.array([1.0, 1j])
-
-        # complex residual modes: attachment m = 0..L, lift (c, m = -1..-L)
-        H = np.empty((1 + (n + 1) * L, self.size), dtype=complex)
-        Hp = np.empty((len(H), 4 * n), dtype=complex)
-        att, att_par = H[:L + 1], Hp[:L + 1]
-        lift = H[L + 1:].reshape(n, L, self.size)
-        lift_par = Hp[L + 1:].reshape(n, L, 4 * n)
-
-        F = np.fft.fft(grads, axis=0, norm="forward")[..., None]    # (nn, n, 1)
-        self._phi_columns(att, att_par, F * pair, np.conj(F * pair),
-                          att_p, att_q, 0, u[0])
-        att[:, 1 + n_a:] = 0.0                          # rho does not see g
-
-        # (c, nn, c') so that gathers land in (c, m, k, c') order
-        GA, GC = (np.fft.fft(gt[None, :, None] * X.transpose(1, 0, 2), axis=1,
-                             norm="forward")[..., None] for X in (A, C))
-        self._phi_columns(lift, lift_par, GA * pair, GC * np.conj(pair),
-                          lift_p, lift_q, 1, u[0])
-
-        _g_columns(self.tau, grads, self.K, lift[:, :, 1 + n_a:])
-
-        J = _real_modes(H)
-        J[-1, 1 + n_a] = 1.0
-        J[-1, 2 + n_a::2] = 1.0              # cos coefficients at theta = 0
-        return J, _real_modes(Hp)
-
-    def _phi_columns(self, out, out_p, p, q, ip, iq, axis, r):
-        """Fill the r column and the a-block of complex residual modes
-        ``out`` (..., size), and the parameter columns ``out_p`` (..., 4n),
-        with p[ip] + q[iq], gathered along ``axis`` of the pair-weighted
-        spectra p, q (..., nn, ..., n, 2) at the column shifts k = 0..M of
-        the index arrays ip, iq (rows, M + 1)."""
-        n, M, n_a = self.n, self.M, self.n_a
-        np.add(np.take(p, ip[:, 2:], axis=axis),
-               np.take(q, iq[:, 2:], axis=axis),
-               out=out[..., 1:1 + n_a].reshape(out.shape[:-1] + (M - 1, n, 2)))
-        k01 = np.take(p, ip[:, :2], axis=axis) \
-            + np.take(q, iq[:, :2], axis=axis)          # (..., 2, n, 2)
-        k1 = k01[..., 1, :, :]
-        out[..., 0] = k1[..., 0] @ self.v.real + k1[..., 1] @ self.v.imag
-        k1 *= r
-        # (k, re/im, c) is the order (Re z, Im z, Re v, Im v) of p
-        out_p[...] = np.swapaxes(k01, -1, -2).reshape(out_p.shape)
+        n, nn, L = self.n, self.nn, self.L
+        # (U or V, component, family)
+        fields = np.zeros((2, n + 1, n + 1, nn), dtype=complex)
+        fields[0, :n, :n] = (gt[:, None, None] * A).transpose(1, 2, 0)
+        fields[1, :n, :n] = (gt[:, None, None] * C).transpose(1, 2, 0)
+        fields[:, :n, n] = 0.5 * (self.tau[:, None] * grads).T
+        fields[0, n, :n] = grads.T                      # attachment
+        fields[1, n, :n] = np.conj(grads.T)
+        Y, stretches = _shift_gram(fields, (-L,) * n + (0,), (-1,) * n + (L,),
+                                   self.M + 1)
+        _, _, k0, k1, unused = _state_layout(n, self.M)
+        G = _gauged_gram(Y, n)
+        Gp = G[:, np.concatenate([k0, k1])]
+        # r's column is the k1 columns contracted with v; it takes k1[0]
+        v, host = self.v_pairs, k1[0]
+        G[host] = G[:, host] = Gp[:, 2 * n:] @ v
+        G[host, host] = v @ G[k1, host]
+        Gp[host] = v @ Gp[k1]
+        Gp[:, 2 * n:] *= u[0]
+        Gp[unused] = 0.0
+        return _NormalEquations(_decouple(G, unused, self.size), Gp, self,
+                                stretches)
 
     def coefficient_tangent(self, u, du):
         """(d coeffs, d gamma) along the 4n real parameter perturbations,
@@ -601,29 +816,40 @@ class _CenterDirectionSystem:
     # -- the iteration --------------------------------------------------
 
     @staticmethod
-    def _ls_step(J, F):
-        """Gauss-Newton step by normal equations (lstsq as fallback)."""
-        JtJ = J.T @ J
-        JtJ[np.diag_indices_from(JtJ)] += 1e-13 * np.trace(JtJ) / len(JtJ)
+    def _ls_step(G, B):
+        """Gauss-Newton step -(G + s I)^{-1} B from the Gram matrix G = J^T J
+        and B = J^T F, with the shift s = 1e-13 tr(G) / size added to G in
+        place, by Cholesky (:func:`_cholesky_solve`, which may overwrite G
+        with its factor); where that is not at hand or G + s I is not
+        positive definite, by LU on it, or least squares where it is
+        singular."""
+        G.flat[::len(G) + 1] += 1e-13 * np.trace(G) / len(G)
+        X = _cholesky_solve(G, B)
+        if X is not None:
+            return -X
         try:
-            return np.linalg.solve(JtJ, -J.T @ F)
+            # G is symmetric: G.T is it in the Fortran order LAPACK takes
+            # without a transposing copy
+            return -np.linalg.solve(G.T, B)
         except np.linalg.LinAlgError:
-            return np.linalg.lstsq(J, -F, rcond=None)[0]
+            return -np.linalg.lstsq(G, B, rcond=None)[0]
 
     def gauss_newton(self, u0, tol, max_iters, tangent=False):
         """(u, diag, du_dp) with attachment, lift modes and gauge all <= tol.
 
         With ``tangent`` each step also solves for the state's derivative
-        du/dp = -J^+ F_p along the 4n parameter perturbations, as 4n more
-        right-hand sides of the step's factorization; du_dp is the last
-        step's, or None when no step was taken (or without ``tangent``)."""
+        du/dp = -(J^T J)^{-1} J^T F_p along the 4n parameter perturbations,
+        as 4n more right-hand sides of the step's factorization; du_dp is
+        the last step's, or None when no step was taken (or without
+        ``tangent``)."""
         last = [None]
 
         def step(u, F, diag):
-            J, Fp = self.jacobian(u)
+            normal = self.jacobian(u)
             if not tangent:
-                return self._ls_step(J, F)
-            du = self._ls_step(J, np.column_stack([F, Fp]))
+                return normal.state(self._ls_step(normal.gram, normal.rhs(F)))
+            du = normal.state(self._ls_step(
+                normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p])))
             last[0] = du[:, 1:]
             return du[:, 0]
 
@@ -632,6 +858,67 @@ class _CenterDirectionSystem:
             lambda F, d: max(d["attachment"], d["neg_modes"], d["gauge"]) <= tol,
             tol, max_iters)
         return u, diag, last[0]
+
+
+@cache
+def _lapack_cholesky():
+    """LAPACK dpotrf and dpotrs, with their integer type, from the
+    OpenBLAS that numpy's wheels bundle (in ``numpy.libs``, 64-bit
+    integers, ``scipy_`` prefixed names), or None where numpy carries no
+    such library.  numpy.linalg exposes no Cholesky solve, and importing
+    scipy.linalg for one costs about 25 MB of resident memory and 0.3 s."""
+    pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                           "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name, integer in (("scipy_d{}_64_", ctypes.c_int64),
+                              ("d{}_", ctypes.c_int32)):
+            try:
+                potrf = getattr(lib, name.format("potrf"))
+                potrs = getattr(lib, name.format("potrs"))
+            except AttributeError:
+                continue
+            ref = ctypes.POINTER(integer)
+            # Fortran: arguments by reference, then the hidden length of
+            # the character argument
+            potrf.argtypes = [ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref,
+                              ctypes.c_size_t]
+            potrs.argtypes = [ctypes.c_char_p, ref, ref, ctypes.c_void_p, ref,
+                              ctypes.c_void_p, ref, ref, ctypes.c_size_t]
+            potrf.restype = potrs.restype = None
+            return potrf, potrs, integer
+    return None
+
+
+def _cholesky_solve(A, B):
+    """A^{-1} B for a symmetric positive definite, C-contiguous float64 A
+    (n, n) and B (n,) or (n, k), by LAPACK dpotrf and dpotrs, which
+    overwrite the upper triangle of A with the Cholesky factor.  Returns
+    None, with A as it was, where :func:`_lapack_cholesky` finds no LAPACK
+    or A is not positive definite."""
+    lapack = _lapack_cholesky()
+    if lapack is None:
+        return None
+    potrf, potrs, integer = lapack
+    X = np.array(B, dtype=np.float64, order="F")
+    if A.dtype != np.float64 or not A.flags.c_contiguous \
+            or A.shape != (len(X), len(X)):
+        raise ValueError("A must be C-contiguous float64 (n, n), B (n, ...)")
+    n, info = integer(len(A)), integer(0)
+    diagonal = A.diagonal().copy()
+    # the lower triangle of the column-major view is A's upper triangle
+    potrf(b"L", n, A.ctypes.data, n, info, 1)
+    if info.value != 0:
+        upper = np.triu_indices(len(A), 1)
+        A[upper] = A.T[upper]
+        A.flat[::len(A) + 1] = diagonal
+        return None
+    columns = integer(1 if X.ndim == 1 else X.shape[1])
+    potrs(b"L", n, columns, A.ctypes.data, n, X.ctypes.data, n, info, 1)
+    return X
 
 
 def _damped_newton(u, residual, step, converged, tol, max_iters):
@@ -654,8 +941,9 @@ def _damped_newton(u, residual, step, converged, tol, max_iters):
             raise exc
         du = step(u, F, aux)
         for t in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+            trial = u + t * du
             try:
-                F_new, aux_new = residual(u + t * du)
+                F_new, aux_new = residual(trial)
             except (PreconditionError, SolverDivergence):
                 continue
             if np.linalg.norm(F_new) <= (1.0 - 1e-4 * t) * norm + tol:
@@ -664,7 +952,7 @@ def _damped_newton(u, residual, step, converged, tol, max_iters):
             raise SolverDivergence(
                 f"line search stalled (residual norm {norm:.3g})",
                 last_residual=float(norm))
-        u, F, aux = u + t * du, F_new, aux_new
+        u, F, aux = trial, F_new, aux_new
         norms.append(np.linalg.norm(F))
     if converged(F, aux):
         return u, F, aux
@@ -674,38 +962,10 @@ def _damped_newton(u, residual, step, converged, tol, max_iters):
         last_residual=float(norm))
 
 
-def _g_columns(tau, grads, K, out):
-    """Fill ``out`` (n, L, 1 + 2K) with the lift modes (c, m = -1..-L) of g
-    tau grad rho per coefficient of g = gamma_0 + sum_j gamma_cj cos(j
-    theta) + gamma_sj sin(j theta), j = 1..K, gathered from T = fft(tau
-    grad rho): T_c[m], (T_c[m-j] + T_c[m+j]) / 2, (T_c[m-j] - T_c[m+j]) /
-    (2i).  Linear in gamma, it is the whole g-system of a fixed disc."""
-    nn = len(tau)
-    n, L = out.shape[:2]
-    _, _, lift_p, lift_q = _shift_indices(K, nn // 2)
-    T = np.fft.fft(tau[:, None] * grads, axis=0, norm="forward").T
-    out[:, :, 0] = T[:, nn - 1:nn - 1 - L:-1]
-    T = T[..., None]
-    np.add(np.take(T * (0.5, -0.5j), lift_p[:, 1:], axis=1),
-           np.take(T * (0.5, 0.5j), lift_q[:, 1:], axis=1),
-           out=out[:, :, 1:].reshape(n, L, K, 2))
-
-
 def _interleave(values):
     out = np.empty(2 * len(values))
     out[0::2] = values.real
     out[1::2] = values.imag
-    return out
-
-
-def _real_modes(H):
-    """Real residual rows of the complex mode columns H: Re H[0], then
-    (Re, Im) of every later mode, then a zero gauge row."""
-    out = np.empty((2 * len(H), H.shape[1]))
-    out[0] = H[0].real
-    out[1:-1:2] = H[1:].real
-    out[2:-1:2] = H[1:].imag
-    out[-1] = 0.0
     return out
 
 
@@ -913,8 +1173,9 @@ def _parameter_tangent(domain, disc, settings):
     v = disc.base_direction / np.linalg.norm(disc.base_direction)
     system = _CenterDirectionSystem(domain, disc.base_point, v, settings)
     u = system.initial_state(disc.coeffs, disc.solver_g)
-    J, Fp = system.jacobian(u)
-    return system.coefficient_tangent(u, system._ls_step(J, Fp))
+    normal = system.jacobian(u)
+    return system.coefficient_tangent(
+        u, normal.state(system._ls_step(normal.gram, normal.rhs_p)))
 
 
 def _tangent_at(tangent, s, dz, dv):

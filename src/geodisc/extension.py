@@ -298,7 +298,10 @@ def counterexample_harness(n_discs: int = 64, grid_size: int = 512,
     family vanishes while the per-disc extension defect stays bounded
     away from zero; at the control radius 0.5 the integrals are visibly
     nonzero.  A holomorphic control (f = z1 z2^2) zeroes both metrics.
+    Raises :class:`PreconditionError` for n_discs < 1.
     """
+    if n_discs < 1:
+        raise PreconditionError(f"n_discs must be >= 1, not {n_discs}")
     grid = CircleGrid(grid_size)
     f = NAMED_FUNCTIONS["z1_zbar2_sq"]
     report = CounterexampleReport(function=f.label, grid_size=grid_size,

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleGrid, analyze, power_series
-from .discs import _collocation, _g_columns, _real_modes
+from .discs import (_collocation, _decouple, _gauged_gram, _shift_gram,
+                    _state_layout)
 from .domains import ConvexDomain
 from .errors import PreconditionError
 
@@ -105,21 +106,26 @@ def _conormal_factor(domain, disc):
     the solver's lift-holomorphy and gauge equations at this disc in the
     least-squares sense.  They are linear in g with right-hand side e_last
     (the gauge row g(1) = 1), so one unshifted normal-equation solve
-    J^T J gamma = J^T e_last = J[-1] gives g."""
+    J^T J gamma = J^T e_last gives g, where J^T e_last is the gauge row
+    itself.  J^T J is the g-block of the disc solver's Gram matrix, built
+    from the spectrum of tau grad rho by
+    :func:`geodisc.discs._shift_gram` without forming J."""
     N, n = disc.grid.size, disc.dimension
     K, L = N // 4, N // 2
     tau, _, cos_mat, sin_mat = _collocation(K, N)
     grads = domain.grad(disc(tau))
-    H = np.zeros((1 + n * L, 1 + 2 * K), dtype=complex)  # row 0 unused
-    _g_columns(tau, grads, K, H[1:].reshape(n, L, 1 + 2 * K))
-    J = _real_modes(H)
-    J[-1, 0] = 1.0
-    J[-1, 1::2] = 1.0                    # g(1): cos coefficients at theta = 0
+    field = 0.5 * (tau[:, None] * grads).T[:, None, :]      # (n, 1, 2N)
+    Y, _ = _shift_gram(np.stack([field, field]), (-L,) * n, (-1,) * n, K + 1)
+    state, sign, _, _, unused = _state_layout(0, K)
+    gauge = np.zeros(2 * (K + 1))
+    gauge[:K + 1] = 1.0                   # g(1): gamma_0 and the cos terms
+    normal = _decouple(_gauged_gram(Y, 0), unused, len(state))
     try:
-        gamma = np.linalg.solve(J.T @ J, J[-1])
+        x = np.linalg.solve(normal.T, gauge)      # symmetric; Fortran order
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(
             f"conormal factor equations are singular ({exc})") from None
+    gamma = x[state] * sign
     return gamma[0] + cos_mat @ gamma[1::2] + sin_mat @ gamma[2::2], grads
 
 

@@ -329,8 +329,10 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     For n = 2 the locus is a closed curve traced by predictor-corrector
     continuation along the kernel of the residual Jacobian; for n >= 3
     a local patch of ``steps`` corrected samples around a seed point is
-    returned (no atlas).
+    returned (no atlas).  Raises :class:`PreconditionError` for steps < 1.
     """
+    if steps < 1:
+        raise PreconditionError(f"steps must be >= 1, not {steps}")
     settings = settings or SolverSettings()
     z_o = np.asarray(z_o, dtype=complex)
     if seed_w is not None:

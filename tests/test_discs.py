@@ -13,12 +13,14 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      boundary_hausdorff, AnalyticDisc, SolverSettings,
                      MoebiusMap, CircleGrid, PreconditionError,
                      SolverDivergence)
+from geodisc import counterexample_harness, trace_locus
 from geodisc import discs as discs_module
+from geodisc.cli import main as cli_main
 from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
                            _ball_point_sensitivity, _ball_series,
                            _coordinate_tangents, _damped_newton,
                            _direction_tangents, _parameter_tangent,
-                           _solve_cd_raw, _tangent_at)
+                           _solve_cd_raw, _state_layout, _tangent_at)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -69,7 +71,8 @@ def test_ball_geodesic_normalizations():
 
 
 def test_jacobian_matches_finite_differences():
-    # the analytic Jacobian of the spectral system against central FD
+    # the dense reference Jacobian of the spectral system against central
+    # FD, and the normal equations' J^T F against central FD of |F|^2 / 2
     rng = np.random.default_rng(5)
     domain = make_perturbed_ball(0.05, "re_z1_sq")
     settings = SolverSettings(modes=8, grid=CircleGrid(32))
@@ -79,15 +82,20 @@ def test_jacobian_matches_finite_differences():
     disc = ball_geodesic(make_ball([0, 0], 0.9), z, v, settings)
     u = system.initial_state(disc.coeffs)
     u += 0.01 * rng.standard_normal(len(u))
-    J, _ = system.jacobian(u)
+    J, _ = _dense_reference_jacobian(system, u)
+    _, JtF, _ = _in_state_layout(system, system.jacobian(u),
+                                 system.residual(u)[0])
     h = 1e-7
     cols = rng.choice(len(u), size=12, replace=False)
     for i in cols:
         up, um = u.copy(), u.copy()
         up[i] += h
         um[i] -= h
-        fd = (system.residual(up)[0] - system.residual(um)[0]) / (2 * h)
+        Fp, Fm = system.residual(up)[0], system.residual(um)[0]
+        fd = (Fp - Fm) / (2 * h)
         assert np.max(np.abs(J[:, i] - fd)) < 1e-6
+        fd_half_sq = (Fp @ Fp - Fm @ Fm) / (4 * h)
+        assert abs(JtF[i] - fd_half_sq) < 1e-6
 
 
 def _interleave_rows(rows):
@@ -159,11 +167,7 @@ def _dense_reference_jacobian(system, u):
             _spectral_rows(system, Drho_p, Dw_p, np.zeros(4 * n)))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("modes,grid", [(8, 32), (32, 128)])
-def test_jacobian_matches_dense_reference(n, modes, grid):
-    # every column of the mode-shift assembly, and of F_p, against its
-    # own FFT
+def _unconverged_system(n, modes, grid):
     rng = np.random.default_rng(11)
     domain = make_perturbed_ball(0.05, "re_z1_sq", dimension=n)
     settings = SolverSettings(modes=modes, grid=CircleGrid(grid))
@@ -173,12 +177,80 @@ def test_jacobian_matches_dense_reference(n, modes, grid):
     disc = ball_geodesic(make_ball(np.zeros(n), 0.9), z, v, settings)
     u = system.initial_state(disc.coeffs)
     u += 0.01 * rng.standard_normal(len(u))                 # not converged
-    J, Fp = system.jacobian(u)
+    return system, u
+
+
+def _relative_error(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _in_state_layout(system, normal, F):
+    """(J^T J, J^T F, J^T F_p) of ``normal`` in the order of the state u:
+    r sits at the first shift-1 column, and the g family's im columns are
+    minus the sin columns."""
+    state, sign, _, k1, _ = _state_layout(system.n, system.M)
+    index = np.concatenate([k1[:1], state])
+    sign = np.concatenate([[1.0], sign])
+    return (normal.gram[np.ix_(index, index)] * np.outer(sign, sign),
+            normal.rhs(F)[index] * sign, normal.rhs_p[index] * sign[:, None])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("modes,grid", [(8, 32), (32, 128), (64, 256)])
+def test_jacobian_matches_dense_reference(n, modes, grid):
+    # the normal equations built from the spectra, without J, against the
+    # dense reference Jacobian whose every column has its own FFT
+    system, u = _unconverged_system(n, modes, grid)
+    F = system.residual(u)[0]
     ref, ref_p = _dense_reference_jacobian(system, u)
-    assert J.shape == ref.shape == (len(system.residual(u)[0]), system.size)
-    assert np.max(np.abs(J - ref)) < 1e-12
-    assert Fp.shape == ref_p.shape == (len(J), 4 * n)
-    assert np.max(np.abs(Fp - ref_p)) < 1e-12
+    assert ref.shape == (len(F), system.size)
+    assert ref_p.shape == (len(F), 4 * n)
+    gram, JtF, JtFp = _in_state_layout(system, system.jacobian(u), F)
+    assert gram.shape == (system.size, system.size)
+    assert _relative_error(gram, ref.T @ ref) < 1e-12
+    assert _relative_error(JtF, ref.T @ F) < 1e-12
+    assert JtFp.shape == (system.size, 4 * n)
+    assert _relative_error(JtFp, ref.T @ ref_p) < 1e-12
+
+
+@pytest.mark.parametrize("lapack", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+def test_normal_equation_step_matches_the_dense_lu_step(n, lapack,
+                                                        monkeypatch):
+    # the step with its parameter tangent, against the shifted dense normal
+    # equations J^T J + 1e-13 tr/size solved by LU; by Cholesky, and by LU
+    # where no LAPACK Cholesky is at hand
+    if not lapack:
+        monkeypatch.setattr(discs_module, "_lapack_cholesky", lambda: None)
+    system, u = _unconverged_system(n, 32, 128)
+    F = system.residual(u)[0]
+    J, Fp = _dense_reference_jacobian(system, u)
+    JtJ = J.T @ J
+    JtJ[np.diag_indices_from(JtJ)] += 1e-13 * np.trace(JtJ) / len(JtJ)
+    dense = np.linalg.solve(JtJ, -J.T @ np.column_stack([F, Fp]))
+    normal = system.jacobian(u)
+    step = normal.state(_CenterDirectionSystem._ls_step(
+        normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p])))
+    assert _relative_error(step, dense) < 1e-10
+
+
+def test_cholesky_solve_leaves_an_indefinite_matrix_as_it_was():
+    # the step then falls back to LU on the same matrix
+    if discs_module._lapack_cholesky() is None:
+        pytest.skip("numpy bundles no LAPACK with dpotrf")
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 6))
+    A = X + X.T - 4.0 * np.eye(6)
+    B = rng.standard_normal((6, 2))
+    kept = A.copy()
+    assert discs_module._cholesky_solve(A, B) is None
+    assert np.array_equal(A, kept)
+    step = _CenterDirectionSystem._ls_step(A, B)
+    kept.flat[::7] += 1e-13 * np.trace(kept) / 6
+    assert np.allclose(step, -np.linalg.solve(kept, B), rtol=1e-12, atol=0)
+    P = X @ X.T + np.eye(6)
+    assert np.allclose(discs_module._cholesky_solve(P.copy(), B),
+                       np.linalg.solve(P, B), rtol=1e-12, atol=0)
 
 
 def test_solver_matches_oracle_on_ball():
@@ -374,42 +446,54 @@ def _nan_in(x, k=0, value=np.nan):
 
 
 _Z, _V = np.array([0.2 + 0.1j, -0.1j]), np.array([1.0, 0.5j])
+_INNER, _Z_O = make_ball([0.0, 0.0], 0.5), np.array([0.7, 0.0])
+_LOCUS_CLI = ["tangency", "trace", "--domain1", "ball", "--domain2",
+              "ball:0.5", "--z-o", "0.7,0"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("call", [
+@pytest.mark.parametrize("call,cli", [
     pytest.param(lambda: solve_from_center_direction(BALL, _nan_in(_Z), _V,
-                                                     SMALL), id="nan-z"),
+                                                     SMALL), None, id="nan-z"),
     pytest.param(lambda: solve_from_center_direction(
-        BALL, _nan_in(_Z, 1, np.inf), _V, SMALL), id="inf-z"),
+        BALL, _nan_in(_Z, 1, np.inf), _V, SMALL), None, id="inf-z"),
     pytest.param(lambda: solve_from_center_direction(BALL, _Z, _nan_in(_V),
-                                                     SMALL), id="nan-v"),
+                                                     SMALL), None, id="nan-v"),
     pytest.param(lambda: solve_from_center_direction(
-        BALL, _Z, _nan_in(_V, 1, -np.inf), SMALL), id="inf-v"),
+        BALL, _Z, _nan_in(_V, 1, -np.inf), SMALL), None, id="inf-v"),
     pytest.param(lambda: solve_from_center_direction(
-        make_perturbed_ball(0.05), _nan_in(_Z, 1), _V, SMALL),
+        make_perturbed_ball(0.05), _nan_in(_Z, 1), _V, SMALL), None,
         id="nan-z-perturbed"),
     pytest.param(lambda: solve_from_center_direction(
-        BALL, np.append(_Z, 0.0), _V, SMALL), id="long-z"),
+        BALL, np.append(_Z, 0.0), _V, SMALL), None, id="long-z"),
     pytest.param(lambda: solve_from_center_direction(BALL, _Z, _V[:1],
-                                                     SMALL), id="short-v"),
+                                                     SMALL), None, id="short-v"),
     pytest.param(lambda: solve_from_center_direction(BALL, _Z[None, :], _V,
-                                                     SMALL), id="matrix-z"),
-    pytest.param(lambda: ball_geodesic(BALL, _nan_in(_Z), _V, SMALL),
+                                                     SMALL), None, id="matrix-z"),
+    pytest.param(lambda: ball_geodesic(BALL, _nan_in(_Z), _V, SMALL), None,
                  id="ball-geodesic-nan-z"),
     pytest.param(lambda: ball_geodesic(BALL, _Z, np.append(_V, 1.0), SMALL),
-                 id="ball-geodesic-long-v"),
+                 None, id="ball-geodesic-long-v"),
     pytest.param(lambda: solve_two_point(BALL, _Z, _nan_in(0.3 * _V), SMALL),
-                 id="two-point-nan-w"),
-    pytest.param(lambda: make_ball([0.0, 0.0], np.nan), id="nan-radius"),
-    pytest.param(lambda: make_ball([0.0, 0.0], np.inf), id="inf-radius"),
-    pytest.param(lambda: make_ball([np.nan, 0.0], 1.0), id="nan-center"),
-    pytest.param(lambda: SolverSettings(modes=0), id="zero-modes"),
-    pytest.param(lambda: SolverSettings(modes=-1), id="negative-modes"),
+                 None, id="two-point-nan-w"),
+    pytest.param(lambda: make_ball([0.0, 0.0], np.nan), None, id="nan-radius"),
+    pytest.param(lambda: make_ball([0.0, 0.0], np.inf), None, id="inf-radius"),
+    pytest.param(lambda: make_ball([np.nan, 0.0], 1.0), None, id="nan-center"),
+    pytest.param(lambda: SolverSettings(modes=0), None, id="zero-modes"),
+    pytest.param(lambda: SolverSettings(modes=-1), None, id="negative-modes"),
+    pytest.param(lambda: counterexample_harness(0, 64),
+                 ["repro", "counterexample", "--discs", "0", "--grid", "64"],
+                 id="harness-zero-discs"),
+    pytest.param(lambda: trace_locus(BALL, _INNER, _Z_O, 0, SMALL),
+                 _LOCUS_CLI + ["--steps", "0"], id="locus-zero-steps"),
+    pytest.param(lambda: trace_locus(BALL, _INNER, _Z_O, -1, SMALL),
+                 _LOCUS_CLI + ["--steps", "-1"], id="locus-negative-steps"),
 ])
-def test_bad_inputs_raise_precondition_errors(call):
+def test_bad_inputs_raise_precondition_errors(call, cli):
     with pytest.raises(PreconditionError):
         call()
+    if cli is not None:
+        assert cli_main(cli) == 2
 
 
 def test_injectivity_gap_matches_the_pairwise_minimum():
