@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands write a versioned JSON report (schema 1, complex numbers always
-[re, im]) embedding the configuration, tool version and tolerances, so
-identical configs and seeds give byte-identical reports.  Exit codes:
-0 success, 2 precondition error, 3 solver divergence, 4 hypothesis
-violation.
+[re, im], nan as null) embedding the configuration, tool version and
+tolerances, so identical configs and seeds give byte-identical reports.
+Exit codes: 0 success, 2 precondition error, 3 solver divergence, 4
+hypothesis violation.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from . import __version__
 from .circle import CircleGrid
 from .discs import (SolverSettings, extremality_probe, kobayashi_distance,
                     solve_from_center_direction, solve_two_point)
-from .domains import (ConvexDomain, make_ball, make_ellipsoid,
-                      make_perturbed_ball)
+from .domains import (ConvexDomain, _random_directions, make_ball,
+                      make_ellipsoid, make_perturbed_ball)
 from .errors import (HypothesisViolation, PreconditionError, SolverDivergence)
 from .extension import (DEFECT_THRESHOLD, NAMED_FUNCTIONS, consistency_check,
                         counterexample_harness, extension_report, reconstruct)
@@ -41,15 +41,15 @@ def _c2pair(z):
 
 
 def _encode(obj):
-    """Recursively encode numpy/complex values for JSON."""
+    """Recursively encode numpy/complex values for JSON, nan or inf as None."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return _c2pair(obj)
+        return _encode(_c2pair(obj))
     if isinstance(obj, np.ndarray):
         return [_encode(x) for x in obj]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, dict):
@@ -126,7 +126,8 @@ def _report(args, command, results):
         },
         "results": _encode(results),
     }
-    text = json.dumps(_encode(report), sort_keys=True, indent=2)
+    text = json.dumps(_encode(report), sort_keys=True, indent=2,
+                      allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -301,6 +302,7 @@ def cmd_extension_reconstruct(args):
         "spreads": result.spreads,
         "max_spread": result.max_spread,
         "defect_failures": result.defect_failures,
+        "unextended_points": result.unextended_points,
         "inner_region": "filled by Hartogs (not computed)",
     })
     return EXIT_OK
@@ -308,12 +310,9 @@ def cmd_extension_reconstruct(args):
 
 def _sample_shell_points(domain1, domain2, count, seed):
     rng = np.random.default_rng(seed)
-    n = domain1.dimension
     pts = []
     while len(pts) < count:
-        raw = rng.standard_normal(2 * n)
-        raw /= np.linalg.norm(raw)
-        d = raw[0::2] + 1j * raw[1::2]
+        d = _random_directions(rng, 1, domain1.dimension)[0]
         outer = domain1.boundary_point(d)
         inner = domain2.boundary_point(d)
         t = rng.uniform(0.25, 0.6)

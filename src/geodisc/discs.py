@@ -19,8 +19,11 @@ Gauss-Newton iteration with a least-squares step:
 
 phi(0) = z and phi'(0) = r*v are enforced exactly through the
 parametrization.  Residuals are collocated on a grid oversampled 2x
-against the coefficient truncation to keep products alias-free.  A
-cold solve starts from the closed-form state, coefficients and g, of
+against the coefficient truncation to keep products alias-free.  On any
+circle grid, phi is one inverse FFT of its coefficients folded mod the
+grid size (:func:`_grid_values`) and g one inverse real FFT
+(:func:`_boundary_factor`); :func:`circle.power_series` serves off-grid
+points.  A cold solve starts from the closed-form state, coefficients and g, of
 the domain itself when it is a ball, else of an inscribed ball, and runs
 Gauss-Newton on the domain; no Gauss-Newton runs on the ball.  Only when
 that diverges on a non-ball domain is the homotopy from the ball to the
@@ -68,8 +71,8 @@ from functools import cache
 
 import numpy as np
 
-from .circle import CircleGrid, TrigSeries, analyze, power_series, synthesize
-from .domains import ConvexDomain, make_ball
+from .circle import CircleGrid, analyze, power_series
+from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError, SolverDivergence
 
 INTERIOR_MARGIN = 1e-8
@@ -150,16 +153,8 @@ class AnalyticDisc:
         return power_series(self.coeffs[1:] * k[:, None], tau)
 
     def boundary_values(self, grid: CircleGrid | None = None) -> np.ndarray:
-        """phi at the grid nodes, exact for any number of modes: the
-        coefficients folded mod N into a series on the grid, synthesized
-        by one inverse FFT."""
-        grid = grid or self.grid
-        N, (K, n) = grid.size, self.coeffs.shape
-        # a_k lands at centered index (k + N/2) mod N
-        folded = np.concatenate([np.zeros((N // 2, n)), self.coeffs,
-                                 np.zeros((-(N // 2 + K) % N, n))])
-        folded = folded.reshape(-1, N, n).sum(axis=0)
-        return synthesize(TrigSeries(grid, folded))
+        """phi at the grid nodes, exact for any number of modes."""
+        return _grid_values(self.coeffs, (grid or self.grid).size)
 
     def boundary_residual(self, domain: ConvexDomain | None = None) -> float:
         domain = domain or self.domain
@@ -393,19 +388,33 @@ def _ball_automorphism(a, w):
 
 
 @cache
-def _collocation(modes, grid_size):
-    """(tau, V, cos_mat, sin_mat) on the 2x oversampled residual grid:
-    the nodes, the powers tau^0..tau^M and cos/sin(m theta), m = 1..M.
-    Shared between systems, hence read-only."""
-    nn = 2 * grid_size
-    theta = 2.0 * np.pi * np.arange(nn) / nn
-    tau = np.exp(1j * theta)
-    V = tau[:, None] ** np.arange(modes + 1)[None, :]
-    m = np.arange(1, modes + 1)
-    arrays = (tau, V, np.cos(np.outer(theta, m)), np.sin(np.outer(theta, m)))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+def _grid_nodes(size):
+    """The nodes tau_j = e^{2 pi i j/size} of a circle grid.  Shared
+    between systems, hence read-only."""
+    tau = CircleGrid(size).nodes
+    tau.flags.writeable = False
+    return tau
+
+
+def _grid_values(coeffs, size):
+    """sum_k coeffs[k] tau^k at the ``size`` grid nodes: tau^size = 1
+    there, so the coefficients fold mod size into one inverse FFT."""
+    K = len(coeffs)
+    if K > size:
+        tail = coeffs.shape[1:]
+        coeffs = np.concatenate([coeffs, np.zeros((-K % size,) + tail)]) \
+            .reshape((-1, size) + tail).sum(axis=0)
+    return np.fft.ifft(coeffs, size, axis=0, norm="forward")
+
+
+def _boundary_factor(gamma, size):
+    """g = gamma_0 + sum_j (gamma_cj cos j theta + gamma_sj sin j theta)
+    at the ``size`` grid nodes, for gamma = (gamma_0, gamma_c1, gamma_s1,
+    ...): the inverse real FFT of gamma_0, (gamma_cj - i gamma_sj) / 2."""
+    c = np.empty(len(gamma) // 2 + 1, dtype=complex)
+    c[0] = gamma[0]
+    c[1:] = 0.5 * (gamma[1::2] - 1j * gamma[2::2])
+    return np.fft.irfft(c, size, norm="forward")
 
 
 @cache
@@ -587,6 +596,29 @@ def _decouple(G, unused, size):
     return G
 
 
+def _conormal_gamma(grads, K):
+    """gamma of the g of degree K that solves the lift-holomorphy and gauge
+    equations (ii)-(iii) at a fixed disc in the least-squares sense, from
+    ``grads`` = grad rho(phi) at the nn residual grid nodes.  They are
+    linear in g with right-hand side the gauge row, so one unshifted
+    solve of the g-block of the Gram matrix (:func:`_shift_gram`, one
+    family) gives g.  Raises PreconditionError when it is singular."""
+    nn, n = grads.shape
+    L = nn // 4
+    field = 0.5 * (_grid_nodes(nn)[:, None] * grads).T[:, None, :]   # (n, 1, nn)
+    Y, _ = _shift_gram(np.stack([field, field]), (-L,) * n, (-1,) * n, K + 1)
+    state, sign, _, _, unused = _state_layout(0, K)
+    gauge = np.zeros(2 * (K + 1))
+    gauge[:K + 1] = 1.0                   # g(1): gamma_0 and the cos terms
+    normal = _decouple(_gauged_gram(Y, 0), unused, len(state))
+    try:
+        x = np.linalg.solve(normal.T, gauge)      # symmetric; Fortran order
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(
+            f"conormal factor equations are singular ({exc})") from None
+    return x[state] * sign
+
+
 @dataclass
 class _NormalEquations:
     """The Gauss-Newton normal equations of a linearization (see
@@ -653,13 +685,12 @@ class _CenterDirectionSystem:
         self.v_pairs = np.concatenate([self.v.real, self.v.imag])
         self.n = len(self.z)
         self.M = settings.modes
-        self.K = settings.modes
         N = settings.grid.size
         self.L = N // 2
         self.nn = 2 * N                          # residual grid
-        self.tau, self.V, self.cos_mat, self.sin_mat = _collocation(self.M, N)
+        self.tau = _grid_nodes(self.nn)
         self.n_a = 2 * self.n * (self.M - 1)
-        self.n_g = 1 + 2 * self.K
+        self.n_g = 1 + 2 * self.M
         self.size = 1 + self.n_a + self.n_g
         self._evaluated = (None,) * 4       # (u, phi, g, grad rho) of residual
 
@@ -703,14 +734,12 @@ class _CenterDirectionSystem:
     # -- evaluation ----------------------------------------------------
 
     def _fields(self, u):
-        a = self.disc_coeffs(u)
-        phi = self.V @ a
-        gamma = u[1 + self.n_a:]
-        g = gamma[0] + self.cos_mat @ gamma[1::2] + self.sin_mat @ gamma[2::2]
-        return a, phi, g
+        """(phi, g) at the residual grid nodes at state u."""
+        return (_grid_values(self.disc_coeffs(u), self.nn),
+                _boundary_factor(u[1 + self.n_a:], self.nn))
 
     def residual(self, u):
-        _, phi, g = self._fields(u)
+        phi, g = self._fields(u)
         rho_vals = np.real(self.domain.rho(phi))
         grads = self.domain.grad(phi)
         self._evaluated = (u.tobytes(), phi, g, grads)
@@ -739,7 +768,7 @@ class _CenterDirectionSystem:
         reused when it was taken at u, as Gauss-Newton takes it."""
         last_u, phi, g, grads = self._evaluated
         if last_u != u.tobytes():
-            _, phi, g = self._fields(u)
+            phi, g = self._fields(u)
             grads = self.domain.grad(phi)
         A, C = self.domain.hess_complex(phi)
         return g * self.tau, grads, A, C
@@ -979,10 +1008,8 @@ def _inscribed_ball_radius(domain, samples=64, seed=0):
     if domain.kind == "ball":
         r = domain.meta["radius"]
     else:
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((samples, 2 * domain.dimension))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
+        dirs = _random_directions(np.random.default_rng(seed), samples,
+                                  domain.dimension)
         dists = np.linalg.norm(domain.boundary_point(dirs) - domain.center,
                                axis=-1)
         r = 0.999 * float(np.min(dists))

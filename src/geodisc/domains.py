@@ -263,17 +263,23 @@ def make_perturbed_ball(epsilon: float, bump: Bump | str = "re_z1_sq",
     return domain
 
 
+def _random_directions(rng, count, n):
+    """``count`` random unit vectors of C^n, (count, n): standard normal
+    vectors of R^{2n} from one ``rng.standard_normal`` call, normalized
+    and paired as (x_1 + i y_1, ..., x_n + i y_n)."""
+    raw = rng.standard_normal((count, 2 * n))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw[:, 0::2] + 1j * raw[:, 1::2]
+
+
 def certify(domain: ConvexDomain, samples: int, seed: int = 0) -> ConvexityCertificate:
     """Minima of the Hessian eigenvalue and real gradient norm over
     quasi-uniform boundary samples (failing certificate is data)."""
     if samples < 100:
         raise PreconditionError("certify requires at least 100 samples")
-    n = domain.dimension
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((samples, 2 * n))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
-    pts = domain.boundary_point(dirs)
+    pts = domain.boundary_point(
+        _random_directions(rng, samples, domain.dimension))
     eigs = np.linalg.eigvalsh(domain.hess_real(pts))
     grad_norms = 2.0 * np.linalg.norm(domain.grad(pts), axis=-1)
     return ConvexityCertificate(

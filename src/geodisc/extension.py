@@ -26,7 +26,7 @@ import numpy as np
 from .circle import CircleGrid, TrigSeries, analyze, cauchy_extend, \
     negative_tail_norm
 from .discs import AnalyticDisc, SolverSettings
-from .domains import ConvexDomain, make_ball
+from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError
 from .tangency import trace_locus
 
@@ -54,14 +54,10 @@ class BoundaryFunction:
         data)."""
         rng = np.random.default_rng(seed)
         n = domain.dimension
-        raw = rng.standard_normal((pairs, 2 * n))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
+        dirs = _random_directions(rng, pairs, n)
         pts = domain.boundary_point(dirs)
-        bumps = rng.standard_normal((pairs, 2 * n))
-        bumps = h * bumps / np.linalg.norm(bumps, axis=1, keepdims=True)
         near = domain.boundary_point(
-            dirs + (bumps[:, 0::2] + 1j * bumps[:, 1::2]))
+            dirs + h * _random_directions(rng, pairs, n))
         return float(np.max(np.abs(self(pts) - self(near))))
 
 
@@ -108,6 +104,7 @@ class ReconstructionResult:
     max_spread: float
     defect_failures: int
     disc_count: int
+    unextended_points: int      # points where no disc extended (value nan)
 
 
 def restrict(f: BoundaryFunction, disc: AnalyticDisc,
@@ -219,9 +216,10 @@ def reconstruct(f: BoundaryFunction, domain1: ConvexDomain,
                 threads: int = 1) -> ReconstructionResult:
     """Extension values of f on points between the domains: per point
     the mean of the per-disc extensions, with the spread as an error
-    bar (never averaged away silently).  ``threads`` is accepted and
-    ignored: points run in order on one thread, which measured faster
-    than a thread pool."""
+    bar (never averaged away silently); nan, and counted in
+    ``unextended_points``, where no disc extends.  ``threads`` is
+    accepted and ignored: points run in order on one thread, which
+    measured faster than a thread pool."""
     pts = np.asarray(grid_points, dtype=complex)
     values = np.empty(len(pts), dtype=complex)
     spreads = np.empty(len(pts))
@@ -237,7 +235,8 @@ def reconstruct(f: BoundaryFunction, domain1: ConvexDomain,
     return ReconstructionResult(
         points=pts, values=values, spreads=spreads,
         max_spread=float(np.max(finite)) if len(finite) else float("nan"),
-        defect_failures=failures, disc_count=disc_count)
+        defect_failures=failures, disc_count=disc_count,
+        unextended_points=len(pts) - len(finite))
 
 
 # ---------------------------------------------------------------------------

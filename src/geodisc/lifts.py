@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleGrid, analyze, power_series
-from .discs import (_collocation, _decouple, _gauged_gram, _shift_gram,
-                    _state_layout)
+from .discs import _boundary_factor, _conormal_gamma
 from .domains import ConvexDomain
 from .errors import PreconditionError
 
@@ -95,38 +94,12 @@ def lift_from_disc(domain: ConvexDomain, disc, coordinate_rotation=None,
             f"disc is not attached: boundary residual {residual:.3g}")
     if disc.injectivity_gap() <= INJECTIVITY_GAP:
         raise PreconditionError("disc boundary is not injective on the grid")
-    g2, grads = _conormal_factor(domain, disc)
-    return _lift_from_boundary(disc, g2[:, None] * grads,
-                               CircleGrid(2 * disc.grid.size),
+    grid2 = CircleGrid(2 * disc.grid.size)
+    grads = domain.grad(disc.boundary_values(grid2))
+    g2 = _boundary_factor(_conormal_gamma(grads, disc.grid.size // 4),
+                          grid2.size)
+    return _lift_from_boundary(disc, g2[:, None] * grads, grid2,
                                stationarity_tol, domain)
-
-
-def _conormal_factor(domain, disc):
-    """(g, grad rho(phi)) on the doubled grid: g of degree K = N/4 solves
-    the solver's lift-holomorphy and gauge equations at this disc in the
-    least-squares sense.  They are linear in g with right-hand side e_last
-    (the gauge row g(1) = 1), so one unshifted normal-equation solve
-    J^T J gamma = J^T e_last gives g, where J^T e_last is the gauge row
-    itself.  J^T J is the g-block of the disc solver's Gram matrix, built
-    from the spectrum of tau grad rho by
-    :func:`geodisc.discs._shift_gram` without forming J."""
-    N, n = disc.grid.size, disc.dimension
-    K, L = N // 4, N // 2
-    tau, _, cos_mat, sin_mat = _collocation(K, N)
-    grads = domain.grad(disc(tau))
-    field = 0.5 * (tau[:, None] * grads).T[:, None, :]      # (n, 1, 2N)
-    Y, _ = _shift_gram(np.stack([field, field]), (-L,) * n, (-1,) * n, K + 1)
-    state, sign, _, _, unused = _state_layout(0, K)
-    gauge = np.zeros(2 * (K + 1))
-    gauge[:K + 1] = 1.0                   # g(1): gamma_0 and the cos terms
-    normal = _decouple(_gauged_gram(Y, 0), unused, len(state))
-    try:
-        x = np.linalg.solve(normal.T, gauge)      # symmetric; Fortran order
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError(
-            f"conormal factor equations are singular ({exc})") from None
-    gamma = x[state] * sign
-    return gamma[0] + cos_mat @ gamma[1::2] + sin_mat @ gamma[2::2], grads
 
 
 def move_pole(lift: ConormalLift, tau_o: complex) -> ConormalLift:
@@ -176,16 +149,16 @@ def _lift_from_boundary(disc, boundary, grid2, tol: float = 1e-8,
             "boundary data has residual negative modes "
             f"({np.sqrt(tail):.3g}): it does not extend holomorphically "
             "with one simple pole at 0")
-    # re-normalize so the value at tau = 1 is the unit outward conormal
-    grad1 = domain.grad(disc(np.array([1.0 + 0.0j]))[0])
-    target = grad1 / np.linalg.norm(grad1)
+    # re-normalize so the value at tau = 1 (the first disc node) is the
+    # unit outward conormal
+    d = domain.grad(disc.boundary_values())
+    target = d[0] / np.linalg.norm(d[0])
     current = pole + holo.sum(axis=0)
     kappa = float(np.sum(current * np.conj(target)).real)
     if abs(kappa) < 1e-14:
         raise PreconditionError("degenerate boundary data")
     pole /= kappa
     holo /= kappa
-    d = domain.grad(disc(grid2.nodes[::2]))
     w = boundary[::2] / kappa
     g_bnd = np.sum(w * np.conj(d), axis=1).real / np.sum(np.abs(d) ** 2, axis=1)
     g_bnd = g_bnd / g_bnd[0]
@@ -215,9 +188,8 @@ def boundary_conormality_residual(domain: ConvexDomain, disc,
                                   lift: ConormalLift) -> float:
     """max over grid nodes of the relative distance from phi*(e^{i theta})
     to the real line spanned by drho(phi(e^{i theta}))."""
-    nodes = disc.grid.nodes
-    w = lift(nodes)
-    d = domain.grad(disc(nodes))
+    w = lift(disc.grid.nodes)
+    d = domain.grad(disc.boundary_values())
     t = np.sum(w * np.conj(d), axis=1).real / np.sum(np.abs(d) ** 2, axis=1)
     dist = np.linalg.norm(w - t[:, None] * d, axis=1)
     return float(np.max(dist / np.linalg.norm(w, axis=1)))

@@ -38,7 +38,8 @@ from .discs import (AnalyticDisc, SolverSettings, _ball_automorphism,
                     _ball_point_sensitivity, _complete_unitary,
                     _coordinate_tangents, _damped_newton, _direction_tangents,
                     _herm, _parameter_tangent, _solve_cd_raw, _tangent_at)
-from .domains import ConvexDomain, tangency_order_constant
+from .domains import (ConvexDomain, _random_directions,
+                      tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
 
 TANGENCY_TOL = 1e-9
@@ -305,11 +306,8 @@ def _ranked_seeds(domain2, z_o, samples=256, top=8):
     boundary points ranked by how close the chord to z_o comes to
     complex tangency (the score vanishes on the locus for straight
     geodesics and stays small near it in general)."""
-    n = domain2.dimension
-    rng = np.random.default_rng(7)
-    raw = rng.standard_normal((samples, 2 * n))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
+    dirs = _random_directions(np.random.default_rng(7), samples,
+                              domain2.dimension)
     rays = np.concatenate([(z_o - domain2.center)[None, :], dirs])
     hits = domain2.boundary_point(rays)
     radial, pts = hits[0], hits[1:]
@@ -351,17 +349,15 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
             raise SolverDivergence(
                 f"no tangency seed converged ({error})")
     system = _TangencySystem(domain1, domain2, z_o, settings)
-    system.warm = first.disc
+    disc = system.warm = first.disc
     n = domain1.dimension
-    u = system.pack(first.w, first.disc.base_direction
-                    / np.linalg.norm(first.disc.base_direction), first.sigma)
-    u, R, disc = system.correct(u)
-    first = system.make_point(u, R, disc)
+    u = system.pack(first.w, disc.base_direction
+                    / np.linalg.norm(disc.base_direction), first.sigma)
 
     domain_scale = float(np.linalg.norm(first.w - domain2.center))
 
     if n >= 3:
-        return _sample_patch(system, u, R, disc, steps,
+        return _sample_patch(system, first, u, steps,
                              2.0 * np.pi * domain_scale / steps)
 
     def kernel_tangent(u, disc, t_prev):
@@ -378,12 +374,10 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     # first point serves both the first probe and the first step
     probe = 0.02 * domain_scale
     t_first = kernel_tangent(u, disc, None)
-    states = [(u, R, disc), system.correct(u + probe * t_first)]
-    u_c, _, disc_c = states[-1]
-    states.append(system.correct(u_c + probe * kernel_tangent(u_c, disc_c,
-                                                              t_first)))
-    w3 = [system.unpack(s[0])[0] for s in states]
-    radius = _circumradius(w3[0], w3[1], w3[2])
+    u_c, _, disc_c = system.correct(u + probe * t_first)
+    u_d, _, _ = system.correct(u_c + probe * kernel_tangent(u_c, disc_c,
+                                                            t_first))
+    radius = _circumradius(*(system.unpack(s)[0] for s in (u, u_c, u_d)))
     radius = min(max(radius, probe), 10.0 * domain_scale)
     h = min(2.0 * np.pi * radius / steps, 0.5 * radius)
 
@@ -425,12 +419,13 @@ def _circumradius(p0, p1, p2) -> float:
     return a * b * c / (4.0 * np.sqrt(area_sq))
 
 
-def _sample_patch(system, u, R, disc, steps, h):
-    """Local patch of the (2n-3)-dimensional locus around a seed point."""
+def _sample_patch(system, first, u, steps, h):
+    """Local patch of the (2n-3)-dimensional locus around the seed point
+    ``first``, whose state is u."""
     rng = np.random.default_rng(11)
     warm = system.warm
-    points = [system.make_point(u, R, disc)]
-    J = system.jacobian(u, disc)
+    points = [first]
+    J = system.jacobian(u, first.disc)
     _, sv, vt = np.linalg.svd(J)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
     kernel = vt[rank:]

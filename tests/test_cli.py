@@ -181,3 +181,28 @@ def test_reconstruct_command_with_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("re_z1,")
     assert len(lines) == 3
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["extension", "reconstruct", "--sample", "1"],
+     {"unextended_points": 1, "max_spread": None, "spreads": [None]}),
+    (["extension", "verify", "--z", "0.7,0"], {"spread": 0.0}),
+], ids=["reconstruct", "verify"])
+def test_reports_without_extension_are_strict_json(tmp_path, args, expected):
+    # zbar1 extends along no disc, so every value is undefined: written as
+    # null, never as a NaN token
+    out = tmp_path / "out.json"
+    code = main(args + ["--domain1", "ball", "--domain2", "ball:0.5",
+                        "--function", "zbar1", "--discs", "4", "--modes",
+                        "32", "--grid", "128", "--out", str(out)])
+    assert code == 0
+    results = _strict_json(out.read_text())["results"]
+    assert all(value == [None, 0.0] for value in results["values"])
+    for key, value in expected.items():
+        assert results[key] == value

@@ -15,6 +15,7 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      SolverDivergence)
 from geodisc import counterexample_harness, trace_locus
 from geodisc import discs as discs_module
+from geodisc.circle import power_series
 from geodisc.cli import main as cli_main
 from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
                            _ball_point_sensitivity, _ball_series,
@@ -138,7 +139,7 @@ def _dense_reference_jacobian(system, u):
     a_k, k = 2..M, and delta g = 1, cos j theta, sin j theta) through
     the pointwise derivative and its own FFT; then F_p, the columns of
     delta phi = dz and r tau dv for dz, dv = e_c, i e_c."""
-    nn, n, M, K = system.nn, system.n, system.M, system.K
+    nn, n, M = system.nn, system.n, system.M
     lin = system._linearization(u)
     grads = lin[1]
     tau = system.tau[:, None]
@@ -152,9 +153,9 @@ def _dense_reference_jacobian(system, u):
 
     theta = 2.0 * np.pi * np.arange(nn) / nn
     basis = [np.ones(nn)]
-    for j in range(1, K + 1):
+    for j in range(1, M + 1):
         basis += [np.cos(j * theta), np.sin(j * theta)]
-    basis = np.stack(basis, axis=1)                         # (nn, 1 + 2K)
+    basis = np.stack(basis, axis=1)                         # (nn, 1 + 2M)
     Dw_g = (tau * grads)[:, :, None] * basis[:, None, :]
     Drho = np.concatenate([Drho_phi, np.zeros((nn, basis.shape[1]))], axis=1)
     Dw = np.concatenate([Dw_phi, Dw_g], axis=2)
@@ -854,9 +855,25 @@ def test_collocation_arrays_are_shared_and_read_only():
     z, v = np.array([0.1, 0.2j]), np.array([1.0, 0.0])
     first = _CenterDirectionSystem(BALL, z, v, SMALL)
     second = _CenterDirectionSystem(BALL, -z, v, SMALL)
-    for name in ("tau", "V", "cos_mat", "sin_mat"):
-        assert getattr(first, name) is getattr(second, name)
-        assert not getattr(first, name).flags.writeable
+    assert first.tau is second.tau
+    assert not first.tau.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("modes,grid", [(8, 32), (32, 128), (64, 256)])
+def test_fields_match_the_power_series_and_the_cos_sin_sum(n, modes, grid):
+    # phi and g on the residual grid, each one inverse FFT, against the
+    # off-grid evaluator and the explicit trigonometric sum
+    system, u = _unconverged_system(n, modes, grid)
+    phi, g = system._fields(u)
+    theta = 2.0 * np.pi * np.arange(system.nn) / system.nn
+    ref_phi = power_series(system.disc_coeffs(u), np.exp(1j * theta))
+    gamma = u[1 + system.n_a:]
+    j = np.arange(1, modes + 1)
+    ref_g = gamma[0] + np.cos(np.outer(theta, j)) @ gamma[1::2] \
+        + np.sin(np.outer(theta, j)) @ gamma[2::2]
+    assert _relative_error(phi, ref_phi) < 1e-13
+    assert _relative_error(g, ref_g) < 1e-13
 
 
 # -- the damped Newton driver -------------------------------------------------

@@ -5,6 +5,7 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball, certify,
                      unit_outward_conormal, tangency_order_constant,
                      ball_geodesic, solve_tangent_disc, SolverSettings,
                      AnalyticDisc, CircleGrid, PreconditionError)
+from geodisc.domains import _random_directions
 
 
 def test_ball_examples():
@@ -282,3 +283,19 @@ def test_boundary_point_rejects_degenerate_direction_in_batch(bad):
         domain.boundary_point(dirs)
     with pytest.raises(PreconditionError):
         domain.boundary_point(dirs[2, 1])
+
+
+@pytest.mark.parametrize("count,n", [(1, 2), (64, 2), (256, 3)])
+def test_random_directions_match_the_inline_draw(count, n):
+    # the same generator calls, in the same order, and the same arithmetic
+    # as the inline draw it replaced, so seeded samples stay bit-identical
+    raw = np.random.default_rng(5).standard_normal((count, 2 * n))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    rng = np.random.default_rng(5)
+    dirs = _random_directions(rng, count, n)
+    assert np.array_equal(dirs, raw[:, 0::2] + 1j * raw[:, 1::2])
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+    # the generator has advanced past exactly that draw
+    follow = np.random.default_rng(5)
+    follow.standard_normal((count, 2 * n))
+    assert rng.uniform() == follow.uniform()

@@ -163,6 +163,7 @@ def test_reconstruct_small():
     assert np.max(np.abs(res.values - expected)) < 1e-6
     assert res.max_spread < 1e-8
     assert res.defect_failures == 0
+    assert res.unextended_points == 0
 
 
 def test_reconstruct_refuses_conjugate():
@@ -171,6 +172,7 @@ def test_reconstruct_refuses_conjugate():
     res = reconstruct(NAMED_FUNCTIONS["zbar1"], BALL, inner, pts,
                       disc_count=4, settings=SETTINGS)
     assert res.defect_failures == 4
+    assert res.unextended_points == 1
     assert np.all(np.isnan(res.values.real))
 
 
