@@ -29,15 +29,21 @@ Gauss-Newton on the domain; no Gauss-Newton runs on the ball.  Only when
 that diverges on a non-ball domain is the homotopy from the ball to the
 domain subdivided into blended domains, halving the step on each
 failure.  An attempt that stagnates with its residual norm already below
-newton_tol has reached the resolution floor of M; that failure is raised
-at once.
+newton_tol has reached the resolution floor of M, and the solve ends
+there.  Where the domain itself was tried and failed, the error raised
+is the domain's own last divergence, with a failing blend's as its
+``__cause__``, so that it describes the domain asked for.
 
 The Gauss-Newton normal equations are built without the Jacobian J:
 every column of J is a shifted copy of one of a few field spectra, so
 each block of J^T J follows from its first row and column, which are
 cross-correlations of the spectra, by a cumulative sum of rank-one
 boundary terms along its diagonals (see :func:`_shift_gram`).  J^T F is
-one more correlation, and the step is a Cholesky solve.
+one more correlation, and the step is a Cholesky solve.  The builder
+writes into buffers allocated once per thread and array shape
+(:func:`_workspace`) and reused by every later step, so a step faults in
+no fresh pages; the normal equations it returns are views that last
+until the next linearization of the same shape.
 
 The disc solve, the tangency corrector and the two-point solve share one
 damped Newton driver, :func:`_damped_newton`, with one policy: check
@@ -66,6 +72,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -456,6 +463,24 @@ def _window_layout(lo, hi, P, nn, F):
     return stretches, ends, length
 
 
+_WORKSPACE = threading.local()
+
+
+def _workspace(role, shape, dtype=float):
+    """An uninitialized array of ``shape`` and ``dtype`` for ``role``,
+    allocated once per thread and handed out again to every later request
+    of the same (role, shape, dtype): the Gauss-Newton normal equations
+    reuse their buffers instead of faulting fresh ones in on every step.
+    Its contents last until that next request.  The buffers stay for the
+    life of the thread, one set per shape: about 5 MB for n = 2 at (M, N)
+    = (64, 256) and 1.6 MB at (32, 128), lift included."""
+    buffers = _WORKSPACE.__dict__.setdefault("buffers", {})
+    key = (role, shape, np.dtype(dtype))
+    if key not in buffers:
+        buffers[key] = np.empty(shape, dtype)
+    return buffers[key]
+
+
 def _shift_gram(fields, lo, hi, P):
     """Gram matrix Re(X^H X) of the complex columns
 
@@ -468,7 +493,8 @@ def _shift_gram(fields, lo, hi, P):
     P) over the columns (f, re/im, k), whose symmetric part Y + Y^T is
     the Gram matrix, and the FFTs of U from P - 1 before each window to
     its end and of V from its start to P - 1 after it, (2, C, F, length),
-    for :meth:`_NormalEquations.rhs`.
+    for :meth:`_NormalEquations.rhs`.  Both are :func:`_workspace` views,
+    valid until the next call with the same shapes on the same thread.
 
     With S_XY(k, l) = sum_m conj(X[m -/+ k]) Y[m -/+ l], the four real
     blocks of the Gram matrix are Re(D + A), Im(D + A), -Im(D - A) and
@@ -480,56 +506,64 @@ def _shift_gram(fields, lo, hi, P):
     cross-correlation of stretches of the spectra, taken by short FFTs,
     and its first column the conjugate transpose of that.  Q runs along
     anti-diagonals, Q(k+1, l-1) - Q(k, l) likewise, from its first row
-    and last column.  Skewed so that these run along columns, each block
-    is then filled from those seeds by one running sum over k (Kailath and
-    Sayed, "Displacement structure", SIAM Review 37, 1995): O(P^2) per
-    block after the FFTs.
+    and last column.  With Q's columns reversed, Qr(k, l) = Q(k, P-1-l),
+    its anti-diagonals are diagonals too, so each block of D and Qr is
+    filled from its first row and column by one running sum along its
+    diagonals (Kailath and Sayed, "Displacement structure", SIAM Review
+    37, 1995): O(P^2) per block after the FFTs.
     """
     _, C, F, nn = fields.shape
     stretch_index, end_index, length = _window_layout(lo, hi, P, nn, F)
-    spectra = np.zeros(fields.size + 1, dtype=complex)
+    spectra = _workspace("spectra", (fields.size + 1,), complex)
+    spectra[-1] = 0.0
     np.fft.fft(fields, axis=-1, norm="forward",
                out=spectra[:-1].reshape(fields.shape))
-    stretches = np.fft.fft(np.take(spectra, stretch_index), axis=-1)
+    # the indices are in range; mode "clip" writes into out unbuffered
+    stretches = np.take(spectra, stretch_index, mode="clip",
+                        out=_workspace("stretches", stretch_index.shape, complex))
+    np.fft.fft(stretches, axis=-1, out=stretches)
     # sum_c sum_i conj(x[c, f, i]) y[c, g, i + s] for the stretch pairs
     # (U, U), (V, V), (U, V) on the window and (V moved, U)
-    x, y = np.conj(stretches[[0, 1, 0, 2]]), stretches[[3, 4, 4, 3]]
-    prod = x[:, 0, :, None] * y[:, 0, None]
+    x, y = np.take(stretches, [[0, 1, 0, 2], [3, 4, 4, 3]], axis=0, mode="clip",
+                   out=_workspace("pairs", (2, 4, C, F, length), complex))
+    np.conj(x, out=x)
+    prod, term = _workspace("products", (2, 4, F, F, length), complex)
+    np.multiply(x[:, 0, :, None], y[:, 0, None], out=prod)
     for component in range(1, C):
-        prod += x[:, component, :, None] * y[:, component, None]
-    uu, vv, uv, vu = np.fft.ifft(prod, axis=-1)
-    k = np.arange(P)
+        prod += np.multiply(x[:, component, :, None], y[:, component, None],
+                            out=term)
+    uu, vv, uv, vu = np.fft.ifft(prod, axis=-1, out=prod)
 
-    # each (D or Q, f, g) block skewed into rows k of length 2P - 1 so that
-    # its diagonals (D) or anti-diagonals (Q) are columns: D(k, l) at
-    # l - k + P - 1 and Q(k, l) at k + l; zero elsewhere
-    width = 2 * P - 1
-    S = np.zeros((P, 2 * F * F * width), dtype=complex)
-    row, item = S.shape[1], S.itemsize
-    D = np.ndarray((P, F, F, P), complex, S, (P - 1) * item,
-                   ((row - 1) * item, F * width * item, width * item, item))
-    Q = np.ndarray((P, F, F, P), complex, S, F * F * width * item,
-                   ((row + 1) * item, F * width * item, width * item, item))
-    D[0] = 0.5 * (uu[..., P - 1 - k] + np.conj(vv[..., k]))
-    D[1:, :, :, 0] = np.conj(D[0, :, :, 1:]).T
-    Q[0] = uv[..., k]
-    Q[1:, :, :, -1] = np.conj(vu[..., P - 1 - k[1:]]).T
+    # X[k, l] = (D(k, l) / 2, Qr(k, l)), each (F, F): the first row and
+    # column are the seeds, every other entry starts as its boundary term
+    # and then gets the entry before it on its diagonal, one addition of
+    # contiguous rows per k
+    X = _workspace("diagonals", (P, P, 2, F, F), complex)
+    Y = _workspace("gram", (F, 2, P, F, 2, P))
+    X[0, :, 0] = (0.5 * (uu[..., P - 1::-1] + np.conj(vv[..., :P]))) \
+        .transpose(2, 0, 1)
+    X[1:, 0, 0] = np.conj(X[0, 1:, 0]).transpose(0, 2, 1)
+    X[0, :, 1] = uv[..., P - 1::-1].transpose(2, 0, 1)
+    X[1:, 0, 1] = np.conj(vu[..., :P - 1][..., ::-1]).T
     # boundary terms: D from the pairs (a, a), (b, b), (c, c), (d, d) and
-    # Q from (a, d), (b, c), each summed over the components
+    # Qr from (a, d), (b, c) with d and c reversed, each summed over the
+    # components; their product is used up before Y is filled, so it is
+    # written into Y's memory
     a, b, c, d = np.take(spectra, end_index)
     left = np.concatenate([np.conj(a), -np.conj(b), c, -d]).reshape(4 * C, -1)
     right = np.zeros((4 * C, 2, F * (P - 1)), dtype=complex)
     right[:, 0] = 0.5 * np.concatenate([a, b, np.conj(c), np.conj(d)]) \
         .reshape(4 * C, -1)
-    right[:2 * C, 1] = np.concatenate([d, c]).reshape(2 * C, -1)
-    ends = (left.T @ right.reshape(4 * C, -1)).reshape(F, P - 1, 2, F, P - 1)
-    D[1:, :, :, 1:] = ends[:, :, 0].transpose(1, 0, 2, 3)
-    Q[1:, :, :, :-1] = ends[:, :, 1].transpose(1, 0, 2, 3)
-    for previous, current in zip(S[:-1], S[1:]):
-        current += previous
+    right[:2 * C, 1] = np.concatenate([d, c])[..., ::-1].reshape(2 * C, -1)
+    rows = F * (P - 1)
+    ends = np.matmul(left.T, right.reshape(4 * C, -1), out=Y.reshape(-1)
+                     .view(complex)[:2 * rows * rows].reshape(rows, 2 * rows))
+    X[1:, 1:] = ends.reshape(F, P - 1, 2, F, P - 1).transpose(1, 4, 2, 0, 3)
+    for k in range(1, P):
+        X[k, 1:] += X[k - 1, :-1]
 
-    Y = np.empty((F, 2, P, F, 2, P))
-    D, Q = D.transpose(1, 0, 2, 3), Q.transpose(1, 0, 2, 3)
+    D = X[:, :, 0].transpose(2, 0, 3, 1)
+    Q = X[:, ::-1, 1].transpose(2, 0, 3, 1)
     np.add(D.real, Q.real, out=Y[:, 0, :, :, 0])
     np.add(D.imag, Q.imag, out=Y[:, 1, :, :, 0])
     np.subtract(Q.imag, D.imag, out=Y[:, 0, :, :, 1])
@@ -568,8 +602,9 @@ def _state_layout(n, M):
     sign[len(a) + 2::2] = -1.0
     k0 = np.concatenate([col(c, 0, 0), col(c, 1, 0)])
     k1 = np.concatenate([col(c, 0, 1), col(c, 1, 1)])
-    unused = np.setdiff1d(np.arange(2 * (n + 1) * P),
-                          np.concatenate([state, k1[:1]]))
+    used = np.zeros(2 * (n + 1) * P, dtype=bool)
+    used[state] = used[k1[:1]] = True
+    unused = np.flatnonzero(~used)
     arrays = (state, sign, k0, k1, unused)
     for arr in arrays:
         arr.flags.writeable = False
@@ -579,10 +614,11 @@ def _state_layout(n, M):
 def _gauged_gram(Y, f):
     """The Gram matrix Y + Y^T of :func:`_shift_gram`, square, with the
     gauge row g(1) = gamma_0 + sum_j gamma_cj (the re columns of the g
-    family ``f``) added as a rank-one term."""
+    family ``f``) added as a rank-one term; a :func:`_workspace`, valid
+    until the next call of the same shape on the same thread."""
     Y[f, 0, :, f, 0] += 0.5
-    G = Y.reshape(2 * Y.shape[0] * Y.shape[2], -1)
-    return G + G.T
+    Y2 = Y.reshape(2 * Y.shape[0] * Y.shape[2], -1)
+    return np.add(Y2, Y2.T, out=_workspace("gauged gram", Y2.shape))
 
 
 def _decouple(G, unused, size):
@@ -627,7 +663,14 @@ class _NormalEquations:
     r in place of the first shift-1 column and the unused columns
     decoupled; :meth:`rhs` gives J^T F from the ``stretches`` of
     :func:`_shift_gram`, and :meth:`state` takes a solution to the state
-    layout."""
+    layout.
+
+    ``gram`` and ``stretches`` are :func:`_workspace` views: they hold
+    these equations until normal equations of the same shape are built
+    again on the same thread, by :meth:`_CenterDirectionSystem.jacobian`
+    at the same (n, M, N), which overwrites them.  Use or copy them
+    before that; :meth:`_CenterDirectionSystem._ls_step` factors ``gram``
+    in place.  ``rhs_p`` is an array of its own."""
 
     gram: np.ndarray
     rhs_p: np.ndarray
@@ -801,11 +844,15 @@ class _CenterDirectionSystem:
         At fixed u a parameter perturbation moves phi by delta phi = dz +
         r tau dv, so the F_p columns are the k = 0 columns and r times the
         k = 1 columns, and J^T F_p is read off the same Gram.
+
+        The Gram matrix and the stretches for J^T F live in reused buffers
+        until the next call of the same shape (see :class:`_NormalEquations`).
         """
         gt, grads, A, C = self._linearization(u)
         n, nn, L = self.n, self.nn, self.L
         # (U or V, component, family)
-        fields = np.zeros((2, n + 1, n + 1, nn), dtype=complex)
+        fields = _workspace("fields", (2, n + 1, n + 1, nn), complex)
+        fields[:, n, n] = 0.0                 # g does not move the attachment
         fields[0, :n, :n] = (gt[:, None, None] * A).transpose(1, 2, 0)
         fields[1, :n, :n] = (gt[:, None, None] * C).transpose(1, 2, 0)
         fields[:, :n, n] = 0.5 * (self.tau[:, None] * grads).T
@@ -1077,6 +1124,7 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     init = ball_geodesic(ball0, z, v, settings)
     u = system.initial_state(init.coeffs, init.solver_g)
     t, dt = 0.0, dt_max
+    failure = None                  # the domain's own last divergence
     while t < 1.0:
         t_next = t + dt
         if t_next > 1.0 - 1e-12:       # land on the domain, not a roundoff short
@@ -1086,14 +1134,20 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
         try:
             u_next, diag, _ = target.gauss_newton(u, tol, settings.max_iters)
         except SolverDivergence as exc:
-            # a ball has no homotopy to subdivide, and stagnation below
-            # newton_tol is the resolution floor of this M, which no
-            # shorter homotopy step lowers
-            if ball0 is domain or (exc.stagnated and exc.last_residual <= tol):
-                raise
+            # stagnation below newton_tol is the resolution floor of this
+            # M, which no shorter homotopy step lowers
+            floor = exc.stagnated and exc.last_residual <= tol
+            if target is system:
+                # a ball has no homotopy to subdivide
+                if ball0 is domain or floor:
+                    raise
+                failure = exc
             dt *= 0.5
-            if dt < 1e-4:
-                raise
+            if floor or dt < 1e-4:
+                # report the domain asked for, not a blend, where it was tried
+                if failure is None or failure is exc:
+                    raise
+                raise failure from exc
             continue
         u, t = u_next, t_next
         dt = min(1.5 * dt, dt_max)

@@ -187,9 +187,10 @@ def consistency_check(f: BoundaryFunction, domain1: ConvexDomain,
     if locus is None:
         locus = trace_locus(domain1, domain2, z,
                             steps=trace_steps or max(disc_count, 12), settings=settings)
-    idx = np.unique(np.linspace(0, len(locus.points) - 1,
-                                num=min(disc_count, len(locus.points)),
-                                endpoint=False).astype(int))
+    idx = np.linspace(0, len(locus.points) - 1,
+                      num=min(disc_count, len(locus.points)),
+                      endpoint=False).astype(int)
+    idx = idx[np.diff(idx, prepend=-1) > 0]     # non-decreasing: drop repeats
     chosen = [locus.points[i] for i in idx]
     values = np.full(len(chosen), np.nan + 0.0j, dtype=complex)
     defects = np.empty(len(chosen))

@@ -1,6 +1,10 @@
 import copy
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -235,6 +239,115 @@ def test_normal_equation_step_matches_the_dense_lu_step(n, lapack,
     assert _relative_error(step, dense) < 1e-10
 
 
+def test_normal_equations_survive_interleaved_shapes():
+    # the builder's buffers are reused per shape: calls at other shapes,
+    # and other states at the same shape, leave each first call's numbers
+    # as they were when that call is repeated
+    cases = [(2, 32, 128), (2, 64, 256), (3, 32, 128)]
+    systems = {case: _unconverged_system(*case) for case in cases}
+    first = {}
+    for _ in range(2):
+        for case in cases + cases[::-1]:
+            system, u = systems[case]
+            for state in (u, u + 1e-3):
+                normal = system.jacobian(state)
+                key = (case, state is u)
+                if key not in first:
+                    first[key] = normal.gram.copy(), normal.rhs_p.copy()
+                gram, rhs_p = first[key]
+                assert np.array_equal(normal.gram, gram)
+                assert np.array_equal(normal.rhs_p, rhs_p)
+
+
+def test_normal_equations_reuse_one_workspace_per_thread():
+    # the Gram matrix is a view that the next call of the same shape
+    # overwrites; threads building the same shape at once each get buffers
+    # of their own, so none sees another's numbers
+    system, u = _unconverged_system(2, 32, 128)
+    gram = system.jacobian(u).gram
+    assert np.shares_memory(gram, system.jacobian(u + 1e-3).gram)
+    states = [u + 1e-3 * i for i in range(4)]         # more threads than cores
+    expected = [system.jacobian(state).gram.copy() for state in states]
+    mismatches, grams = [], []
+
+    def build(i):
+        for _ in range(15):
+            normal = system.jacobian(states[i])
+            mismatches.append(not np.array_equal(normal.gram, expected[i]))
+        grams.append(normal.gram)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(i,))
+                   for i in range(len(states))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(mismatches) == 15 * len(states) and not any(mismatches)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(grams)
+                   for b in grams[i + 1:] + [gram])
+
+
+def _run_python(script):
+    """Run ``script`` in a fresh interpreter on this checkout's package,
+    BLAS on one thread, and return its standard output."""
+    src = pathlib.Path(discs_module.__file__).parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
+def test_cold_solve_after_a_warm_up_faults_in_almost_no_pages():
+    # one cold M = 64 solve used to fault in about 3,700 fresh pages for
+    # the normal equations' temporaries; with the buffers reused, a solve
+    # after two warm-up solves of the same shape faults in almost none
+    pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor fault counts are read on Linux")
+    faults = int(_run_python("""
+import resource
+import numpy as np
+from geodisc import (CircleGrid, SolverSettings, make_perturbed_ball,
+                     solve_from_center_direction)
+domain = make_perturbed_ball(0.05)
+settings = SolverSettings(modes=64, grid=CircleGrid(256))
+for z in ([0.2, 0.1j], [-0.1j, 0.25]):
+    solve_from_center_direction(domain, np.array(z), np.array([1.0, 0.0]),
+                                settings)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+solve_from_center_direction(domain, np.array([0.3, 0.0]),
+                            np.array([0.0, 1.0]), settings)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""))
+    assert faults < 300
+
+
+def test_solve_and_consistency_check_do_not_import_numpy_ma():
+    # np.setdiff1d and np.unique import numpy.ma on first use, about 9 ms
+    out = _run_python("""
+import sys
+import numpy as np
+from geodisc import (CircleGrid, NAMED_FUNCTIONS, SolverSettings,
+                     consistency_check, make_ball, make_perturbed_ball,
+                     solve_from_center_direction)
+settings = SolverSettings(modes=32, grid=CircleGrid(128))
+solve_from_center_direction(make_perturbed_ball(0.05), np.array([0.2, 0.1j]),
+                            np.array([1.0, 0.0]), settings)
+consistency_check(NAMED_FUNCTIONS["holo_mix"], make_ball([0, 0], 1.0),
+                  make_ball([0, 0], 0.5), np.array([0.62 + 0.1j, 0.21 - 0.05j]),
+                  disc_count=4, settings=settings)
+print("numpy.ma" in sys.modules)
+""")
+    assert out.split() == ["False"]
+
+
 def test_cholesky_solve_leaves_an_indefinite_matrix_as_it_was():
     # the step then falls back to LU on the same matrix
     if discs_module._lapack_cholesky() is None:
@@ -252,6 +365,32 @@ def test_cholesky_solve_leaves_an_indefinite_matrix_as_it_was():
     P = X @ X.T + np.eye(6)
     assert np.allclose(discs_module._cholesky_solve(P.copy(), B),
                        np.linalg.solve(P, B), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("modes,grid,radius", [(32, 128, 0.25),
+                                               (64, 256, 0.5)])
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(raw=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       scale=st.floats(0.0, 1.0))
+def test_gauss_newton_matches_the_ball_oracle(modes, grid, radius, raw,
+                                              scale):
+    # the unit ball as an ellipsoid is a general domain to the solver: a
+    # cold solve, and a warm one from a nearby disc that carries its
+    # tangent, both land on the closed-form geodesic
+    raw = np.array(raw)
+    z, v = raw[0:4:2] + 1j * raw[1:4:2], raw[4::2] + 1j * raw[5::2]
+    assume(np.linalg.norm(z) > 1e-6 and np.linalg.norm(v) > 1e-6)
+    z = scale * radius * z / np.linalg.norm(z)
+    domain = make_ellipsoid([1.0, 1.0])
+    settings = SolverSettings(modes=modes, grid=CircleGrid(grid))
+    exact = ball_geodesic(BALL, z, v, settings).coeffs
+    cold = _solve_cd_raw(domain, z, v, settings)
+    assert np.max(np.abs(cold.coeffs - exact)) < 1e-10
+    near = _solve_cd_raw(domain, z + 0.02 * v / np.linalg.norm(v), v,
+                         settings, warm=cold)
+    assert near.tangent is not None
+    warm = _solve_cd_raw(domain, z, v, settings, warm=near)
+    assert np.max(np.abs(warm.coeffs - exact)) < 1e-10
 
 
 def test_solver_matches_oracle_on_ball():
@@ -413,6 +552,27 @@ def test_continuation_stops_at_the_resolution_floor(monkeypatch):
     assert info.value.last_residual <= settings.newton_tol
     assert log.jacobians < 20
     assert log.blends == 0
+
+
+@pytest.mark.parametrize("modes,grid,radius", [(32, 128, 0.5),
+                                               (64, 256, 0.7)])
+def test_failed_blends_report_the_domain_divergence(monkeypatch, modes, grid,
+                                                    radius):
+    # the domain stagnates above newton_tol from the closed-form start and
+    # its first blend below it, at the resolution floor: the error raised
+    # is the domain's own, with the blend's as its cause
+    domain = make_perturbed_ball(0.05)
+    settings = SolverSettings(modes=modes, grid=CircleGrid(grid))
+    log = _ContinuationLog(monkeypatch, domain)
+    with pytest.raises(SolverDivergence) as info:
+        _solve_cd_raw(domain, np.array([radius, 0j]), np.array([1.0, 0j]),
+                      settings)
+    assert log.target_calls == [False] and log.blends == 1
+    assert info.value.stagnated
+    assert info.value.last_residual > settings.newton_tol
+    cause = info.value.__cause__
+    assert isinstance(cause, SolverDivergence) and cause.stagnated
+    assert cause.last_residual <= settings.newton_tol
 
 
 @pytest.mark.parametrize("modes,grid", [(32, 128), (64, 256)])
