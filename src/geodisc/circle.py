@@ -113,14 +113,15 @@ class TrigSeries:
 
 
 def analyze(samples, grid: CircleGrid | None = None) -> TrigSeries:
-    """Fourier coefficients of values sampled at the grid nodes."""
+    """Fourier coefficients of values sampled at the grid nodes along
+    axis 0: (N,) samples give a scalar series, (N, ...) one FFT of all."""
     samples = np.asarray(samples, dtype=complex)
     if grid is None:
         grid = CircleGrid(len(samples))
-    if samples.shape != (grid.size,):
+    if samples.shape[:1] != (grid.size,):
         raise PreconditionError(
             f"sample count {samples.shape} does not match grid size {grid.size}")
-    coeffs = np.fft.fftshift(np.fft.fft(samples)) / grid.size
+    coeffs = np.fft.fftshift(np.fft.fft(samples, axis=0), axes=0) / grid.size
     return TrigSeries(grid, coeffs)
 
 

@@ -215,8 +215,12 @@ class SolverSettings:
             raise PreconditionError("modes must be >= 1")
         if self.continuation_steps < 1:
             raise PreconditionError("continuation_steps must be >= 1")
-        if self.newton_tol < 1e-12:
-            raise PreconditionError("newton_tol must be >= 1e-12")
+        if not 1e-12 <= self.newton_tol < np.inf:
+            raise PreconditionError(
+                f"newton_tol must be finite and >= 1e-12, not {self.newton_tol}")
+        if self.max_iters < 1:
+            raise PreconditionError(
+                f"max_iters must be >= 1, not {self.max_iters}")
         if self.modes > self.grid.size // 4:
             raise PreconditionError(
                 "modes must be <= grid.size/4 for dealiasing headroom")
@@ -1049,13 +1053,14 @@ def _interleave(values):
 # continuation driver and public solvers
 
 
-def _inscribed_ball_radius(domain, samples=64, seed=0):
+def _inscribed_ball_radius(domain):
+    """0.999 x the least boundary distance over 64 fixed directions."""
     if domain._inscribed_radius is not None:
         return domain._inscribed_radius
     if domain.kind == "ball":
         r = domain.meta["radius"]
     else:
-        dirs = _random_directions(np.random.default_rng(seed), samples,
+        dirs = _random_directions(np.random.default_rng(0), 64,
                                   domain.dimension)
         dists = np.linalg.norm(domain.boundary_point(dirs) - domain.center,
                                axis=-1)
@@ -1312,11 +1317,7 @@ def solve_two_point(domain: ConvexDomain, z, w,
     r0 = _inscribed_ball_radius(domain)
     hint = make_ball(center, max(r0, 1.05 * max(
         np.linalg.norm(z - center), np.linalg.norm(w - center))))
-    try:
-        v0, xi0 = _ball_two_point_data(hint, z, w)
-    except PreconditionError:
-        v0 = (w - z) / np.linalg.norm(w - z)
-        xi0 = 0.5
+    v0, xi0 = _ball_two_point_data(hint, z, w)     # the hint holds z and w
     xi0 = min(max(xi0, 1e-4), 1.0 - 1e-4)
 
     system = _TwoPointSystem(domain, z, w, settings)
@@ -1335,13 +1336,9 @@ def reparametrize(disc: AnalyticDisc, moebius: MoebiusMap) -> AnalyticDisc:
     for polynomial input, so the result carries the grid's full mode
     budget rather than the input's degree."""
     values = disc(moebius(disc.grid.nodes))
-    n = disc.dimension
     modes = max(disc.modes, disc.grid.size // 4)
-    coeffs = np.zeros((modes + 1, n), dtype=complex)
-    for c in range(n):
-        series = analyze(values[:, c], disc.grid)
-        half = disc.grid.size // 2
-        coeffs[:, c] = series.coeffs[half:half + modes + 1]
+    half = disc.grid.size // 2
+    coeffs = analyze(values, disc.grid).coeffs[half:half + modes + 1]
     out = AnalyticDisc(coeffs, disc.grid, disc.domain)
     if disc.domain is not None:
         out.attachment_residual = out.boundary_residual()
@@ -1425,8 +1422,11 @@ def extremality_probe(domain: ConvexDomain, disc: AnalyticDisc, trials: int,
     of the disc itself, s shrunk until the copy lies inside the domain
     (skipped if it never does), and random cubic discs grown until they
     nearly touch the boundary (the maximum of rho over the closed disc
-    is attained on the boundary circle because rho is convex).
+    is attained on the boundary circle because rho is convex).  Raises
+    :class:`PreconditionError` for trials < 1.
     """
+    if trials < 1:
+        raise PreconditionError(f"trials must be >= 1, not {trials}")
     rng = np.random.default_rng(seed)
     z = disc.base_point
     dphi = disc.base_direction

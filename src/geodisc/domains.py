@@ -84,14 +84,15 @@ class ConvexityCertificate:
         return self.min_hessian_eigenvalue > 0.0 and self.min_gradient_norm > 0.0
 
 
-def _ray_bisect(domain, base, direction, tol=1e-12, max_expand=80):
+def _ray_bisect(domain, base, direction, tol=1e-12):
     """Parameters t, of shape direction.shape[:-1], with rho(base + t *
     direction) = 0 along each ray of a (..., n) batch of directions.
 
     Every ray runs the same rule: double t from 1/|direction| until rho >
-    0, then bisect until its bracket is narrower than tol * max(1, t_hi).
-    The rays advance together; only the rays that have not met the rule
-    are evaluated, so each keeps the bracket it would reach alone."""
+    0 (at most 80 times), then bisect until its bracket is narrower than
+    tol * max(1, t_hi).  The rays advance together; only the rays that
+    have not met the rule are evaluated, so each keeps the bracket it
+    would reach alone."""
     direction = np.asarray(direction, dtype=complex)
     if not np.all(np.isfinite(direction)):
         raise PreconditionError("direction is not finite")
@@ -103,7 +104,7 @@ def _ray_bisect(domain, base, direction, tol=1e-12, max_expand=80):
         raise PreconditionError("ray base point is not interior")
     t_lo, t_hi = np.zeros(len(d)), 1.0 / scale
     live = np.arange(len(d))
-    for _ in range(max_expand):
+    for _ in range(80):
         outside = domain.rho(base + t_hi[live, None] * d[live]) > 0
         live = live[~outside]
         if live.size == 0:
@@ -123,6 +124,29 @@ def _ray_bisect(domain, base, direction, tol=1e-12, max_expand=80):
     return (0.5 * (t_lo + t_hi)).reshape(direction.shape[:-1])
 
 
+def _quadratic(center, weights, level):
+    """(rho, grad, hess) of rho(z) = sum_j w_j |z_j - c_j|^2 - level, with
+    weights w_j > 0: grad = conj(z - c) w, A = 0 and C = diag(w)."""
+    n = center.shape[0]
+    diag = np.diag(weights).astype(complex)
+
+    def rho(z):
+        z = np.asarray(z, dtype=complex)
+        return np.sum(np.abs(z - center) ** 2 * weights, axis=-1) - level
+
+    def grad(z):
+        z = np.asarray(z, dtype=complex)
+        return np.conj(z - center) * weights
+
+    def hess(z):
+        z = np.asarray(z, dtype=complex)
+        shape = z.shape[:-1] + (n, n)
+        return (np.zeros(shape, dtype=complex),
+                np.broadcast_to(diag, shape).copy())
+
+    return rho, grad, hess
+
+
 def make_ball(center, radius: float) -> ConvexDomain:
     """rho(z) = |z - center|^2 - radius^2."""
     center = np.atleast_1d(np.asarray(center, dtype=complex))
@@ -131,51 +155,20 @@ def make_ball(center, radius: float) -> ConvexDomain:
         raise PreconditionError("center must be finite")
     if not 0 < radius < np.inf:
         raise PreconditionError("radius must be positive and finite")
-
-    def rho(z):
-        z = np.asarray(z, dtype=complex)
-        return np.sum(np.abs(z - center) ** 2, axis=-1) - radius ** 2
-
-    def grad(z):
-        z = np.asarray(z, dtype=complex)
-        return np.conj(z - center)
-
-    def hess(z):
-        z = np.asarray(z, dtype=complex)
-        shape = z.shape[:-1] + (n, n)
-        A = np.zeros(shape, dtype=complex)
-        C = np.broadcast_to(np.eye(n, dtype=complex), shape).copy()
-        return A, C
-
-    return ConvexDomain(n, "ball", rho, grad, hess,
+    return ConvexDomain(n, "ball", *_quadratic(center, np.ones(n), radius ** 2),
                         meta={"center": center, "radius": float(radius)})
 
 
 def make_ellipsoid(semi_axes) -> ConvexDomain:
     """rho(z) = sum |z_j|^2 / a_j^2 - 1."""
     axes = np.asarray(semi_axes, dtype=float)
-    if np.any(axes <= 0):
-        raise PreconditionError("semi-axes must be positive")
+    if not np.all((axes > 0) & (axes < np.inf)):
+        raise PreconditionError("semi-axes must be positive and finite")
     n = axes.shape[0]
-    inv2 = 1.0 / axes ** 2
-
-    def rho(z):
-        z = np.asarray(z, dtype=complex)
-        return np.sum(np.abs(z) ** 2 * inv2, axis=-1) - 1.0
-
-    def grad(z):
-        z = np.asarray(z, dtype=complex)
-        return np.conj(z) * inv2
-
-    def hess(z):
-        z = np.asarray(z, dtype=complex)
-        shape = z.shape[:-1] + (n, n)
-        A = np.zeros(shape, dtype=complex)
-        C = np.broadcast_to(np.diag(inv2).astype(complex), shape).copy()
-        return A, C
-
-    return ConvexDomain(n, "ellipsoid", rho, grad, hess,
-                        meta={"center": np.zeros(n, dtype=complex),
+    center = np.zeros(n, dtype=complex)
+    return ConvexDomain(n, "ellipsoid",
+                        *_quadratic(center, 1.0 / axes ** 2, 1.0),
+                        meta={"center": center,
                               "semi_axes": [float(a) for a in axes]})
 
 
@@ -234,22 +227,18 @@ def make_perturbed_ball(epsilon: float, bump: Bump | str = "re_z1_sq",
     if isinstance(bump, str):
         bump = NAMED_BUMPS[bump]
     n = dimension
+    ball_rho, ball_grad, ball_hess = _quadratic(np.zeros(n, dtype=complex),
+                                                np.ones(n), 1.0)
 
     def rho(z):
-        z = np.asarray(z, dtype=complex)
-        return np.sum(np.abs(z) ** 2, axis=-1) - 1.0 + epsilon * bump.value(z)
+        return ball_rho(z) + epsilon * bump.value(z)
 
     def grad(z):
-        z = np.asarray(z, dtype=complex)
-        return np.conj(z) + epsilon * bump.grad(z)
+        return ball_grad(z) + epsilon * bump.grad(z)
 
     def hess(z):
-        z = np.asarray(z, dtype=complex)
-        shape = z.shape[:-1] + (n, n)
-        Ab, Cb = bump.hess(z)
-        A = epsilon * Ab
-        C = np.broadcast_to(np.eye(n, dtype=complex), shape) + epsilon * Cb
-        return A, C
+        (A, C), (Ab, Cb) = ball_hess(z), bump.hess(z)
+        return A + epsilon * Ab, C + epsilon * Cb
 
     domain = ConvexDomain(n, "perturbed_ball", rho, grad, hess,
                           meta={"center": np.zeros(n, dtype=complex),

@@ -28,7 +28,7 @@ from .circle import CircleGrid, TrigSeries, analyze, cauchy_extend, \
 from .discs import AnalyticDisc, SolverSettings
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError
-from .tangency import trace_locus
+from .tangency import _base_point, trace_locus
 
 #: extendibility threshold, relative to the trace l2 norm
 DEFECT_THRESHOLD = 1e-6
@@ -179,10 +179,12 @@ def consistency_check(f: BoundaryFunction, domain1: ConvexDomain,
     Traces the tangency locus through z, selects ``disc_count`` tangent
     discs spread along it, extends the trace of f along each and reports
     all values together with their spread.  Discs whose trace fails the
-    defect threshold contribute no value but stay in the report."""
-    z = np.asarray(z, dtype=complex)
-    if float(domain2.rho(z)) <= 1e-8 or float(domain1.rho(z)) >= -1e-8:
-        raise PreconditionError("point must lie strictly between the domains")
+    defect threshold contribute no value but stay in the report.  Raises
+    :class:`PreconditionError` for disc_count < 1 or a z that is not
+    strictly between the domains."""
+    if disc_count < 1:
+        raise PreconditionError(f"disc_count must be >= 1, not {disc_count}")
+    z = _base_point(domain1, domain2, z)
     settings = settings or SolverSettings()
     if locus is None:
         locus = trace_locus(domain1, domain2, z,
@@ -220,7 +222,10 @@ def reconstruct(f: BoundaryFunction, domain1: ConvexDomain,
     bar (never averaged away silently); nan, and counted in
     ``unextended_points``, where no disc extends.  ``threads`` is
     accepted and ignored: points run in order on one thread, which
-    measured faster than a thread pool."""
+    measured faster than a thread pool.  Raises
+    :class:`PreconditionError` for disc_count < 1."""
+    if disc_count < 1:
+        raise PreconditionError(f"disc_count must be >= 1, not {disc_count}")
     pts = np.asarray(grid_points, dtype=complex)
     values = np.empty(len(pts), dtype=complex)
     spreads = np.empty(len(pts))
@@ -306,22 +311,23 @@ def counterexample_harness(n_discs: int = 64, grid_size: int = 512,
     f = NAMED_FUNCTIONS["z1_zbar2_sq"]
     report = CounterexampleReport(function=f.label, grid_size=grid_size,
                                   disc_count=n_discs)
-    for r2 in radii:
-        discs = tangent_line_family(float(r2), n_discs, grid)
-        morera = np.array([np.max(np.abs(morera_integrals(f, d)))
-                           for d in discs])
-        defects = np.array([extension_defect(restrict(f, d)) for d in discs])
+
+    def sweep(fn, discs):
+        """Per-disc max |Morera integral| and extension defect of fn."""
+        return (np.array([np.max(np.abs(morera_integrals(fn, d)))
+                          for d in discs]),
+                np.array([extension_defect(restrict(fn, d)) for d in discs]))
+
+    families = [tangent_line_family(float(r2), n_discs, grid) for r2 in radii]
+    for r2, discs in zip(radii, families):
+        morera, defects = sweep(f, discs)
         report.per_radius[float(r2)] = {
             "max_morera": float(np.max(morera)),
             "min_defect": float(np.min(defects)),
             "mean_defect": float(np.mean(defects)),
         }
     if include_holomorphic_control:
-        g = NAMED_FUNCTIONS["z1_z2_sq"]
-        discs = tangent_line_family(float(radii[0]), n_discs, grid)
-        morera = np.array([np.max(np.abs(morera_integrals(g, d)))
-                           for d in discs])
-        defects = np.array([extension_defect(restrict(g, d)) for d in discs])
+        morera, defects = sweep(NAMED_FUNCTIONS["z1_z2_sq"], families[0])
         report.holomorphic_control = {
             "max_morera": float(np.max(morera)),
             "max_defect": float(np.max(defects)),

@@ -132,23 +132,15 @@ def _lift_from_boundary(disc, boundary, grid2, tol: float = 1e-8,
     N = disc.grid.size
     if domain is None:
         domain = disc.domain
-    data = grid2.nodes[:, None] * boundary
-    n = boundary.shape[1]
-    pole = np.empty(n, dtype=complex)
-    holo = np.empty((N // 2, n), dtype=complex)
-    tail = 0.0
-    total = 0.0
-    for c in range(n):
-        coeffs = analyze(data[:, c], grid2).coeffs  # wavenumbers -N .. N-1
-        tail += float(np.sum(np.abs(coeffs[:N]) ** 2))
-        total += float(np.sum(np.abs(coeffs) ** 2))
-        pole[c] = coeffs[N]
-        holo[:, c] = coeffs[N + 1:N + 1 + N // 2]
-    if np.sqrt(tail) > tol * max(np.sqrt(total), 1e-30):
+    # wavenumbers -N .. N-1 of every component, from one FFT
+    coeffs = analyze(grid2.nodes[:, None] * boundary, grid2).coeffs
+    tail = float(np.linalg.norm(coeffs[:N]))
+    if tail > tol * max(float(np.linalg.norm(coeffs)), 1e-30):
         raise PreconditionError(
             "boundary data has residual negative modes "
-            f"({np.sqrt(tail):.3g}): it does not extend holomorphically "
+            f"({tail:.3g}): it does not extend holomorphically "
             "with one simple pole at 0")
+    pole, holo = coeffs[N], coeffs[N + 1:N + 1 + N // 2]
     # re-normalize so the value at tau = 1 (the first disc node) is the
     # unit outward conormal
     d = domain.grad(disc.boundary_values())
@@ -157,12 +149,10 @@ def _lift_from_boundary(disc, boundary, grid2, tol: float = 1e-8,
     kappa = float(np.sum(current * np.conj(target)).real)
     if abs(kappa) < 1e-14:
         raise PreconditionError("degenerate boundary data")
-    pole /= kappa
-    holo /= kappa
     w = boundary[::2] / kappa
     g_bnd = np.sum(w * np.conj(d), axis=1).real / np.sum(np.abs(d) ** 2, axis=1)
     g_bnd = g_bnd / g_bnd[0]
-    return ConormalLift(pole, holo, disc, g_bnd)
+    return ConormalLift(pole / kappa, holo / kappa, disc, g_bnd)
 
 
 def projectivize(lift: ConormalLift, tau: complex) -> np.ndarray:

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import (AnalyticDisc, SolverSettings, _ball_automorphism,
-                    _ball_point_sensitivity, _complete_unitary,
-                    _coordinate_tangents, _damped_newton, _direction_tangents,
-                    _herm, _parameter_tangent, _solve_cd_raw, _tangent_at)
+from .discs import (AnalyticDisc, SolverSettings, _ball_point_sensitivity,
+                    _ball_series, _complete_unitary, _coordinate_tangents,
+                    _damped_newton, _direction_tangents, _herm,
+                    _parameter_tangent, _solve_cd_raw, _tangent_at)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -87,8 +87,8 @@ class TangencyLocus:
         return float(np.max(d))
 
 
-def _find_parameter(disc, target, init=None, tol=1e-12, max_iters=40):
-    """Parameter tau in the closed disc with disc(tau) closest to target."""
+def _find_parameter(disc, target, init=None):
+    """Parameter tau of the closed disc nearest target (<= 40 Newton steps)."""
     target = np.asarray(target, dtype=complex)
     if init is None:
         radii = np.linspace(0.0, 0.999, 12)
@@ -98,7 +98,7 @@ def _find_parameter(disc, target, init=None, tol=1e-12, max_iters=40):
         tau = taus[int(np.argmin(dists))]
     else:
         tau = complex(init)
-    for _ in range(max_iters):
+    for _ in range(40):
         val = disc(np.array([tau]))[0]
         dv = disc.derivative(np.array([tau]))[0]
         err = target - val
@@ -106,7 +106,7 @@ def _find_parameter(disc, target, init=None, tol=1e-12, max_iters=40):
         tau_new = tau + step
         if abs(tau_new) > 1.0:
             tau_new /= abs(tau_new)
-        if abs(tau_new - tau) < tol:
+        if abs(tau_new - tau) < 1e-12:
             tau = tau_new
             break
         tau = tau_new
@@ -171,10 +171,9 @@ class _TangencySystem:
                                   warm=self.warm)
         return self.warm
 
-    def residual(self, u, disc=None):
+    def residual(self, u):
         w, d, sigma = self.unpack(u)
-        if disc is None:
-            disc = self.solve_disc(w, d)
+        disc = self.solve_disc(w, d)
         dn = d / np.linalg.norm(d)
         pair = np.sum(self.d2.grad(w) * dn)
         val = disc(np.array([sigma + 0.0j]))[0] - self.z_o
@@ -223,15 +222,16 @@ class _TangencySystem:
         J[-1, 2 * n:4 * n] = 2.0 * u[2 * n:4 * n]
         return J
 
-    def correct(self, u, tol=TANGENCY_TOL, max_iters=12):
-        """(u, R, disc) with max |R| <= tol.  The system is underdetermined
-        (2n + 4 equations, 4n + 1 unknowns), so the step is lstsq's
-        minimum-norm one."""
+    def correct(self, u):
+        """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
+        Newton steps.  The system is underdetermined (2n + 4 equations,
+        4n + 1 unknowns), so the step is lstsq's minimum-norm one."""
         return _damped_newton(
             u, self.residual,
             lambda u, R, disc: np.linalg.lstsq(self.jacobian(u, disc), -R,
                                                rcond=None)[0],
-            lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters)
+            lambda R, disc: np.max(np.abs(R)) <= TANGENCY_TOL, TANGENCY_TOL,
+            12)
 
     def make_point(self, u, R, disc) -> TangencyPoint:
         w, d, sigma = self.unpack(u)
@@ -279,6 +279,18 @@ def _initial_state(system, seed_w):
     return system.pack(w0, d0 * phase, abs(sigma0))
 
 
+def _base_point(domain1, domain2, z_o):
+    """z_o as a complex array; raises PreconditionError unless it lies
+    strictly between the domains, 1e-8 in rho from both boundaries (a
+    non-finite z_o fails too)."""
+    z_o = np.asarray(z_o, dtype=complex)
+    if not float(domain2.rho(z_o)) > 1e-8:
+        raise PreconditionError("base point must lie outside the inner domain")
+    if not float(domain1.rho(z_o)) < -1e-8:
+        raise PreconditionError("base point must lie inside the outer domain")
+    return z_o
+
+
 def solve_tangent_disc(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
                        seed_w, settings: SolverSettings | None = None
                        ) -> TangencyPoint:
@@ -289,34 +301,27 @@ def solve_tangent_disc(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
     solver failure.
     """
     settings = settings or SolverSettings()
-    z_o = np.asarray(z_o, dtype=complex)
-    if float(domain2.rho(z_o)) <= 1e-8:
-        raise PreconditionError("base point must lie outside the inner domain")
-    if float(domain1.rho(z_o)) >= -1e-8:
-        raise PreconditionError("base point must lie inside the outer domain")
+    z_o = _base_point(domain1, domain2, z_o)
     system = _TangencySystem(domain1, domain2, z_o, settings)
     u0 = _initial_state(system, seed_w)
     u, R, disc = system.correct(u0)
     return system.make_point(u, R, disc)
 
 
-def _ranked_seeds(domain2, z_o, samples=256, top=8):
-    """Candidate touch points: the radial projection of z_o first (the
-    locus collapses onto it as z_o approaches the inner boundary), then
-    boundary points ranked by how close the chord to z_o comes to
-    complex tangency (the score vanishes on the locus for straight
-    geodesics and stays small near it in general)."""
-    dirs = _random_directions(np.random.default_rng(7), samples,
+def _ranked_seeds(domain2, z_o):
+    """Candidate touch points: the 8 best of 256 fixed boundary points,
+    ranked by how close the chord to z_o comes to complex tangency (the
+    score vanishes on the locus for straight geodesics and stays small
+    near it in general).  The radial projection of z_o is no candidate:
+    its solve failed on every shell point measured."""
+    dirs = _random_directions(np.random.default_rng(7), 256,
                               domain2.dimension)
-    rays = np.concatenate([(z_o - domain2.center)[None, :], dirs])
-    hits = domain2.boundary_point(rays)
-    radial, pts = hits[0], hits[1:]
+    pts = domain2.boundary_point(dirs)
     grads = domain2.grad(pts)
     chords = z_o[None, :] - pts
     scores = np.abs(np.sum(grads * chords, axis=1)) \
         / (np.linalg.norm(grads, axis=1) * np.linalg.norm(chords, axis=1))
-    order = np.argsort(scores)
-    return np.concatenate([radial[None, :], pts[order[:top]]])
+    return pts[np.argsort(scores)[:8]]
 
 
 def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
@@ -327,12 +332,18 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     For n = 2 the locus is a closed curve traced by predictor-corrector
     continuation along the kernel of the residual Jacobian; for n >= 3
     a local patch of ``steps`` corrected samples around a seed point is
-    returned (no atlas).  Raises :class:`PreconditionError` for steps < 1.
+    returned (no atlas).  Without ``seed_w`` the locus starts at the
+    first of the :func:`_ranked_seeds` whose tangent disc converges.
+    The curve is traversed in the sense of the rotation w -> e^{it} w
+    about the inner domain's center, so its order does not depend on the
+    sign that the SVD gives the first kernel tangent.  Raises
+    :class:`PreconditionError` for steps < 1 or a base point that is not
+    strictly between the domains, before any solve.
     """
     if steps < 1:
         raise PreconditionError(f"steps must be >= 1, not {steps}")
     settings = settings or SolverSettings()
-    z_o = np.asarray(z_o, dtype=complex)
+    z_o = _base_point(domain1, domain2, z_o)
     if seed_w is not None:
         first = solve_tangent_disc(domain1, domain2, z_o, seed_w, settings)
     else:
@@ -364,7 +375,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
         J = system.jacobian(u, disc)
         _, _, vt = np.linalg.svd(J)
         t = vt[-1]
-        if t_prev is not None and np.dot(t, t_prev) < 0:
+        if np.dot(t, t_prev) < 0:
             t = -t
         return t / max(np.linalg.norm(t[:2 * n]), 1e-12)
 
@@ -373,7 +384,9 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     # the inner boundary) rather than the domain size; the tangent at the
     # first point serves both the first probe and the first step
     probe = 0.02 * domain_scale
-    t_first = kernel_tangent(u, disc, None)
+    # oriented by Re <t_w, i (w - c)> > 0 (the packed dot product)
+    rotation = system.pack(1j * (first.w - domain2.center), np.zeros(n), 0.0)
+    t_first = kernel_tangent(u, disc, rotation)
     u_c, _, disc_c = system.correct(u + probe * t_first)
     u_d, _, _ = system.correct(u_c + probe * kernel_tangent(u_c, disc_c,
                                                             t_first))
@@ -478,26 +491,18 @@ def jacobian_certificate(rho2_in_psi_coords: ConvexDomain, point) -> float:
 
 
 def _ball_psi_inverse_fn(domain1, z_o):
-    """Closed-form inverse Riemann map of a ball (exact, no solves)."""
+    """Inverse Riemann map of a ball, exact: the ball geodesic through z_o
+    with direction zeta/|zeta| (:func:`geodisc.discs._ball_series`),
+    evaluated at |zeta| in closed form."""
     c = domain1.center
     R = domain1.meta["radius"]
     zp = (np.asarray(z_o, dtype=complex) - c) / R
-    s2 = 1.0 - float(np.linalg.norm(zp) ** 2)
-    s = np.sqrt(s2)
-    nz = float(np.linalg.norm(zp))
 
     def inverse(zeta):
         zeta = np.asarray(zeta, dtype=complex)
         xi = np.linalg.norm(zeta)
-        t = zeta / xi
-        if nz == 0.0:
-            u = -t
-        else:
-            pt = (_herm(t, zp) / _herm(zp, zp)) * zp
-            u_raw = pt / s2 + (t - pt) / s
-            u = -u_raw / np.linalg.norm(u_raw)
-        wp = _ball_automorphism(zp, xi * u)
-        return c + R * wp
+        a1, mu = _ball_series(zp, zeta / xi)
+        return c + R * (zp + a1 * xi / (1.0 - mu * xi))
 
     return inverse
 
@@ -594,6 +599,8 @@ def pi_set_sample(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
     projective line)."""
     from .lifts import lift_from_disc, projectivize
 
+    if count < 1:
+        raise PreconditionError(f"count must be >= 1, not {count}")
     settings = settings or SolverSettings()
     z_o = np.asarray(z_o, dtype=complex)
     if abs(float(domain2.rho(z_o))) > 1e-8:

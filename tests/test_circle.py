@@ -282,3 +282,19 @@ def test_hilbert_conjugate_twice_is_reflection(case):
     tt = synthesize(hilbert_conjugate(hilbert_conjugate(u)))
     scale = max(1.0, np.max(np.abs(u_vals)))
     assert np.max(np.abs(tt - (u_vals[0] - u_vals))) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("shape", [(16, 2), (128, 3), (64, 2, 3)])
+def test_analyze_columns_equal_per_column_calls(shape):
+    # one FFT along axis 0 gives every column's series bit for bit
+    rng = np.random.default_rng(len(shape) * shape[0])
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    grid = CircleGrid(shape[0])
+    coeffs = analyze(samples, grid).coeffs
+    assert coeffs.shape == shape
+    columns = samples.reshape(shape[0], -1)
+    for c in range(columns.shape[1]):
+        assert np.array_equal(coeffs.reshape(shape[0], -1)[:, c],
+                              analyze(columns[:, c], grid).coeffs)
+    with pytest.raises(PreconditionError):
+        analyze(samples[1:], grid)

@@ -17,7 +17,9 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      boundary_hausdorff, AnalyticDisc, SolverSettings,
                      MoebiusMap, CircleGrid, PreconditionError,
                      SolverDivergence)
-from geodisc import counterexample_harness, trace_locus
+from geodisc import (NAMED_FUNCTIONS, consistency_check,
+                     counterexample_harness, pi_set_sample, reconstruct,
+                     trace_locus)
 from geodisc import discs as discs_module
 from geodisc.circle import power_series
 from geodisc.cli import main as cli_main
@@ -610,6 +612,10 @@ _Z, _V = np.array([0.2 + 0.1j, -0.1j]), np.array([1.0, 0.5j])
 _INNER, _Z_O = make_ball([0.0, 0.0], 0.5), np.array([0.7, 0.0])
 _LOCUS_CLI = ["tangency", "trace", "--domain1", "ball", "--domain2",
               "ball:0.5", "--z-o", "0.7,0"]
+_PSI_INVERSE_CLI = ["riemann", "psi", "--domain", "ball", "--z", "0,0",
+                    "--v", "0.3,0", "--inverse"]
+_VERIFY_CLI = ["extension", "verify", "--domain1", "ball", "--domain2",
+               "ball:0.5", "--function", "holo_mix"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -649,6 +655,43 @@ _LOCUS_CLI = ["tangency", "trace", "--domain1", "ball", "--domain2",
                  _LOCUS_CLI + ["--steps", "0"], id="locus-zero-steps"),
     pytest.param(lambda: trace_locus(BALL, _INNER, _Z_O, -1, SMALL),
                  _LOCUS_CLI + ["--steps", "-1"], id="locus-negative-steps"),
+    pytest.param(lambda: trace_locus(BALL, _INNER, np.array([0.3, 0.0]), 12,
+                                     SMALL),
+                 _LOCUS_CLI[:-1] + ["0.3,0"], id="locus-base-inside-inner"),
+    pytest.param(lambda: trace_locus(BALL, _INNER, np.array([1.2, 0.0]), 12,
+                                     SMALL),
+                 _LOCUS_CLI[:-1] + ["1.2,0"], id="locus-base-outside-outer"),
+    pytest.param(lambda: SolverSettings(newton_tol=np.inf),
+                 _PSI_INVERSE_CLI + ["--tol", "inf"], id="inf-newton-tol"),
+    pytest.param(lambda: SolverSettings(newton_tol=np.nan),
+                 _PSI_INVERSE_CLI + ["--tol", "nan"], id="nan-newton-tol"),
+    pytest.param(lambda: SolverSettings(max_iters=0), None,
+                 id="zero-max-iters"),
+    pytest.param(lambda: make_ellipsoid([1.0, np.nan]),
+                 ["disc", "solve", "--domain", "ellipsoid:1,nan", "--z",
+                  "0.1,0", "--v", "1,0"], id="nan-semi-axis"),
+    pytest.param(lambda: make_ellipsoid([1.0, np.inf]),
+                 ["disc", "solve", "--domain", "ellipsoid:1,inf", "--z",
+                  "0.1,0", "--v", "1,0"], id="inf-semi-axis"),
+    pytest.param(lambda: consistency_check(NAMED_FUNCTIONS["holo_mix"], BALL,
+                                           _INNER, _Z_O, 0, SMALL),
+                 _VERIFY_CLI + ["--z", "0.7,0", "--discs", "0"],
+                 id="verify-zero-discs"),
+    pytest.param(lambda: reconstruct(NAMED_FUNCTIONS["holo_mix"], BALL, _INNER,
+                                     _Z_O[None, :], 0, SMALL),
+                 ["extension", "reconstruct"] + _VERIFY_CLI[2:]
+                 + ["--sample", "1", "--discs", "0"],
+                 id="reconstruct-zero-discs"),
+    pytest.param(lambda: pi_set_sample(BALL, _INNER, np.array([0.5, 0.0]), 0,
+                                       SMALL),
+                 ["tangency", "pi"] + _LOCUS_CLI[2:-1] + ["0.5,0", "--count",
+                                                          "0"],
+                 id="pi-zero-count"),
+    pytest.param(lambda: extremality_probe(
+        BALL, ball_geodesic(BALL, _Z, _V, SMALL), 0),
+        ["disc", "probe", "--domain", "ball", "--z", "0,0", "--v", "1,0",
+         "--trials", "0", "--modes", "16", "--grid", "64"],
+        id="probe-zero-trials"),
 ])
 def test_bad_inputs_raise_precondition_errors(call, cli):
     with pytest.raises(PreconditionError):

@@ -5,7 +5,7 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball, certify,
                      unit_outward_conormal, tangency_order_constant,
                      ball_geodesic, solve_tangent_disc, SolverSettings,
                      AnalyticDisc, CircleGrid, PreconditionError)
-from geodisc.domains import _random_directions
+from geodisc.domains import NAMED_BUMPS, _random_directions
 
 
 def test_ball_examples():
@@ -299,3 +299,36 @@ def test_random_directions_match_the_inline_draw(count, n):
     follow = np.random.default_rng(5)
     follow.standard_normal((count, 2 * n))
     assert rng.uniform() == follow.uniform()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadratic_domains_match_their_formulas_bit_for_bit(n):
+    # the ball, the ellipsoid and the perturbed balls share
+    # domains._quadratic, which keeps each domain's own expressions
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
+    center = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    axes = rng.uniform(0.5, 2.0, n)
+    inv2 = 1.0 / axes ** 2
+    zero = np.zeros((9, n, n), dtype=complex)
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (9, n, n))
+    cases = [
+        (make_ball(center, 1.3),
+         np.sum(np.abs(z - center) ** 2, axis=-1) - 1.3 ** 2,
+         np.conj(z - center), zero, eye),
+        (make_ellipsoid(axes), np.sum(np.abs(z) ** 2 * inv2, axis=-1) - 1.0,
+         np.conj(z) * inv2, zero,
+         np.broadcast_to(np.diag(inv2).astype(complex), (9, n, n))),
+    ]
+    for name, bump in NAMED_BUMPS.items():
+        Ab, Cb = bump.hess(z)
+        cases.append((make_perturbed_ball(0.05, name, n),
+                      np.sum(np.abs(z) ** 2, axis=-1) - 1.0
+                      + 0.05 * bump.value(z),
+                      np.conj(z) + 0.05 * bump.grad(z), 0.05 * Ab,
+                      eye + 0.05 * Cb))
+    for domain, rho, grad, A, C in cases:
+        assert np.array_equal(domain.rho(z), rho)
+        assert np.array_equal(domain.grad(z), grad)
+        A_d, C_d = domain.hess_complex(z)
+        assert np.array_equal(A_d, A) and np.array_equal(C_d, C)

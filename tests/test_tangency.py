@@ -10,8 +10,9 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
                      PreconditionError)
 from geodisc import tangency as tangency_module
-from geodisc.discs import _CenterDirectionSystem, _solve_cd_raw
-from geodisc.tangency import _TangencySystem
+from geodisc.discs import (_CenterDirectionSystem, _ball_two_point_data,
+                           _solve_cd_raw)
+from geodisc.tangency import _TangencySystem, _ball_psi_inverse_fn
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -423,3 +424,65 @@ def test_first_order_start_saves_gn_jacobians(monkeypatch):
         assert np.max(np.abs(R)) <= 1e-9
     assert np.linalg.norm(touch[0] - touch[1]) < 1e-8
     assert counts[0] < counts[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_inverse_riemann_map_inverts_the_two_point_data(n):
+    # psi^{-1}(zeta) is the point at xi = |zeta| of the geodesic with
+    # direction zeta/|zeta|, so the two-point data of z_o and that point
+    # give back zeta; off-centre balls, z_o at the centre included
+    rng = np.random.default_rng(n)
+    for trial in range(40):
+        center = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        radius = rng.uniform(0.5, 2.0)
+        offset = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z_o = center + (0.0 if trial < 4 else radius * rng.uniform(0.0, 0.8)
+                        * offset / np.linalg.norm(offset))
+        zeta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        zeta *= rng.uniform(0.05, 0.9) / np.linalg.norm(zeta)
+        ball = make_ball(center, radius)
+        w = _ball_psi_inverse_fn(ball, z_o)(zeta)
+        v, xi = _ball_two_point_data(ball, z_o, w)
+        assert np.max(np.abs(xi * v - zeta)) < 1e-13
+
+
+#: a ball_shell base point whose locus direction, taken from the SVD
+#: sign alone, reversed under a 1e-15 change of the seed disc
+_FLIP_Z = np.array([0.18443487419563231 - 0.04338300973782265j,
+                    0.6060993510941952 - 0.0767347015551532j])
+
+
+def test_locus_order_survives_roundoff_in_the_seed_disc(monkeypatch):
+    inner = make_ball([0, 0], 0.5)
+    base = trace_locus(BALL, inner, _FLIP_Z, 12, SETTINGS).touch_points()
+    solve = tangency_module.solve_tangent_disc
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+
+        def perturbed(*args, **kwargs):
+            point = solve(*args, **kwargs)
+            c = point.disc.coeffs
+            noise = rng.standard_normal(c.shape) \
+                + 1j * rng.standard_normal(c.shape)
+            disc = dataclasses.replace(point.disc, coeffs=c + 1e-15 * noise)
+            return dataclasses.replace(point, disc=disc)
+
+        monkeypatch.setattr(tangency_module, "solve_tangent_disc", perturbed)
+        w = trace_locus(BALL, inner, _FLIP_Z, 12, SETTINGS).touch_points()
+        assert w.shape == base.shape
+        assert np.max(np.abs(w - base)) < 1e-8
+
+
+def test_locus_order_does_not_depend_on_the_svd_sign(monkeypatch):
+    # (-U, s, -V^T) is as much an SVD as (U, s, V^T)
+    inner = make_ball([0, 0], 0.5)
+    base = trace_locus(BALL, inner, _FLIP_Z, 12, SETTINGS).touch_points()
+    svd = np.linalg.svd
+
+    def flipped(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        return -u, s, -vt
+
+    monkeypatch.setattr(np.linalg, "svd", flipped)
+    w = trace_locus(BALL, inner, _FLIP_Z, 12, SETTINGS).touch_points()
+    assert np.array_equal(w, base)
