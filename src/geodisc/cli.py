@@ -360,9 +360,9 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: every command runs on one "
-                        "thread (kept so scripts and report configs stay "
-                        "valid)")
+                   help="accepted and ignored: geodisc starts no threads "
+                        "(numpy's OpenBLAS may; OPENBLAS_NUM_THREADS=1 gives "
+                        "reproducible reports)")
     p.add_argument("--out", help="write the JSON report to this path")
 
 

@@ -52,9 +52,9 @@ stagnated once the residual norm is not below half its value five
 iterations earlier; accept a trial u + t du when
 |F_new| <= (1 - 1e-4 t)|F| + tol; halve t from 1 down to 1/32; count a
 trial whose residual raises PreconditionError or SolverDivergence as
-rejected.  Each caller keeps its own step: normal equations here,
-lstsq's minimum-norm step for the underdetermined tangency system, a
-square solve for the two-point system.
+rejected.  The disc solve steps by its normal equations; the two-point
+solve and the tangency corrector share one outer system and its
+minimum-norm lstsq step (:class:`_OuterSystem`).
 
 A warm solve starts from a solved disc, moved to first order along that
 disc's parameter tangent: coeffs + tangent dp, gamma + tangent dp.  The
@@ -941,35 +941,42 @@ class _CenterDirectionSystem:
 
 
 @cache
-def _lapack_cholesky():
-    """LAPACK dpotrf and dpotrs, with their integer type, from the
-    OpenBLAS that numpy's wheels bundle (in ``numpy.libs``, 64-bit
-    integers, ``scipy_`` prefixed names), or None where numpy carries no
-    such library.  numpy.linalg exposes no Cholesky solve, and importing
-    scipy.linalg for one costs about 25 MB of resident memory and 0.3 s."""
+def _numpy_openblas():
+    """The OpenBLAS that numpy's wheels bundle (in ``numpy.libs``), as a
+    ctypes library, or None where numpy carries no such library."""
     pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                            "numpy.libs", "*openblas*")
     for path in glob.glob(pattern):
         try:
-            lib = ctypes.CDLL(path)
+            return ctypes.CDLL(path)
         except OSError:
             continue
-        for name, integer in (("scipy_d{}_64_", ctypes.c_int64),
-                              ("d{}_", ctypes.c_int32)):
-            try:
-                potrf = getattr(lib, name.format("potrf"))
-                potrs = getattr(lib, name.format("potrs"))
-            except AttributeError:
-                continue
-            ref = ctypes.POINTER(integer)
-            # Fortran: arguments by reference, then the hidden length of
-            # the character argument
-            potrf.argtypes = [ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref,
-                              ctypes.c_size_t]
-            potrs.argtypes = [ctypes.c_char_p, ref, ref, ctypes.c_void_p, ref,
-                              ctypes.c_void_p, ref, ref, ctypes.c_size_t]
-            potrf.restype = potrs.restype = None
-            return potrf, potrs, integer
+    return None
+
+
+@cache
+def _lapack_cholesky():
+    """LAPACK dpotrf and dpotrs, with their integer type, from
+    :func:`_numpy_openblas` (64-bit integers, ``scipy_`` prefixed names),
+    or None.  numpy.linalg exposes no Cholesky solve, and importing
+    scipy.linalg for one costs about 25 MB of memory and 0.3 s."""
+    lib = _numpy_openblas()
+    for name, integer in (("scipy_d{}_64_", ctypes.c_int64),
+                          ("d{}_", ctypes.c_int32)):
+        try:
+            potrf = getattr(lib, name.format("potrf"))
+            potrs = getattr(lib, name.format("potrs"))
+        except AttributeError:
+            continue
+        ref = ctypes.POINTER(integer)
+        # Fortran: arguments by reference, then the hidden length of the
+        # character argument
+        potrf.argtypes = [ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref,
+                          ctypes.c_size_t]
+        potrs.argtypes = [ctypes.c_char_p, ref, ref, ctypes.c_void_p, ref,
+                          ctypes.c_void_p, ref, ref, ctypes.c_size_t]
+        potrf.restype = potrs.restype = None
+        return potrf, potrs, integer
     return None
 
 
@@ -1192,19 +1199,84 @@ def solve_from_center_direction(domain: ConvexDomain, z, v,
     return disc, lift
 
 
-class _TwoPointSystem:
-    """Residual and Jacobian of the two-point equations over
-    x = (Re v, Im v, xi): phi(xi) = w and |v|^2 = 1, where phi is the
-    stationary disc with phi(0) = z and direction v/|v|, solved with warm
-    starts.  The warm slot holds the last solved disc (or None)."""
+class _OuterSystem:
+    """Newton system for the disc with center c and direction d/|d| that
+    passes through ``target`` at the real parameter s.  A subclass picks
+    the unknowns (``residual(x)`` -> (R, disc), ``jacobian(x, disc)``)
+    from the rows and Jacobian here.  The warm slot holds the last disc
+    solved by Gauss-Newton (or None)."""
+
+    def __init__(self, domain, settings):
+        self.domain = domain
+        self.settings = settings
+        self.n = domain.dimension
+        self.warm = None
+
+    def solve_disc(self, c, d):
+        """The closed form on a ball, where it must attach to newton_tol at
+        the truncation M; else a warm Gauss-Newton solve."""
+        dn = d / np.linalg.norm(d)
+        if self.domain.kind != "ball":
+            self.warm = _solve_cd_raw(self.domain, c, dn, self.settings,
+                                      warm=self.warm)
+            return self.warm
+        disc = ball_geodesic(self.domain, c, dn, self.settings)
+        if disc.attachment_residual > self.settings.newton_tol:
+            raise SolverDivergence(
+                f"ball geodesic truncated at M = {self.settings.modes} is "
+                f"attached only to {disc.attachment_residual:.3g}",
+                last_residual=disc.attachment_residual)
+        return disc
+
+    def through_rows(self, disc, d, s, target):
+        """(Re, Im)(phi(s) - target) and |d|^2 - 1."""
+        val = disc(np.array([s + 0.0j]))[0] - target
+        return np.concatenate([val.real, val.imag,
+                               [np.linalg.norm(d) ** 2 - 1.0]])
+
+    def through_jacobian(self, disc, c, d, s):
+        """Jacobian (2n + 1, 4n + 1) of the through-point rows in
+        (Re c, Im c, Re d, Im d, s), from the ball's closed form or the
+        disc's parameter tangent; solves no disc."""
+        n = self.n
+        s = s + 0.0j
+        ew, ed = _coordinate_tangents(n), _direction_tangents(d)
+        dz = np.concatenate([ew, np.zeros_like(ed)])
+        dv = np.concatenate([np.zeros_like(ew), ed])
+        if self.domain.kind == "ball":
+            dphi = _ball_point_sensitivity(self.domain, c,
+                                           d / np.linalg.norm(d), s,
+                                           self.settings.modes, dz, dv)
+        else:
+            dphi = _tangent_at(
+                _parameter_tangent(self.domain, disc, self.settings), s,
+                dz, dv)
+        ds = disc.derivative(np.array([s]))[0]
+        J = np.zeros((2 * n + 1, 4 * n + 1))
+        J[:2 * n, :4 * n] = np.concatenate([dphi.T.real, dphi.T.imag])
+        J[:2 * n, 4 * n] = np.concatenate([ds.real, ds.imag])
+        J[2 * n, 2 * n:4 * n] = 2.0 * np.concatenate([d.real, d.imag])
+        return J
+
+    def newton(self, x, tol, max_iters):
+        """(x, R, disc) with max |R| <= tol by :func:`_damped_newton`; the
+        step is lstsq's minimum-norm one, which also serves a square
+        system."""
+        return _damped_newton(
+            x, self.residual,
+            lambda x, R, disc: np.linalg.lstsq(self.jacobian(x, disc), -R,
+                                               rcond=None)[0],
+            lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters)
+
+
+class _TwoPointSystem(_OuterSystem):
+    """The two-point equations phi(xi) = w, |v|^2 = 1 over
+    x = (Re v, Im v, xi): the outer system with the center pinned at z."""
 
     def __init__(self, domain, z, w, settings):
-        self.domain = domain
+        super().__init__(domain, settings)
         self.z = z
         self.w = w
-        self.n = len(z)
-        self.settings = settings
-        self.warm = None
 
     def residual(self, x):
         """(G, disc); raises PreconditionError outside the admissible
@@ -1214,40 +1286,13 @@ class _TwoPointSystem:
         xi = x[2 * n]
         if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
             raise PreconditionError("two-point state left the admissible region")
-        disc = _solve_cd_raw(self.domain, self.z, v, self.settings,
-                             warm=self.warm)
-        self.warm = disc
-        val = disc(np.array([xi]))[0] - self.w
-        G = np.concatenate([val.real, val.imag,
-                            [np.linalg.norm(v) ** 2 - 1.0]])
-        return G, disc
+        disc = self.solve_disc(self.z, v)
+        return self.through_rows(disc, v, xi, self.w), disc
 
     def jacobian(self, x, disc):
-        """dG/dx at x, whose converged inner disc is ``disc``: the v
-        columns follow from the disc's parameter tangent by the chain rule,
-        the xi column is phi'(xi)."""
         n = self.n
         v = x[:n] + 1j * x[n:2 * n]
-        xi = x[2 * n] + 0.0j
-        dv = _direction_tangents(v)
-        tangent = _parameter_tangent(self.domain, disc, self.settings)
-        dphi = _tangent_at(tangent, xi, np.zeros_like(dv), dv)   # (2n, n)
-        dxi = disc.derivative(np.array([xi]))[0]
-        J = np.zeros((2 * n + 1, 2 * n + 1))
-        J[:n, :2 * n] = dphi.T.real
-        J[n:2 * n, :2 * n] = dphi.T.imag
-        J[:n, 2 * n] = dxi.real
-        J[n:2 * n, 2 * n] = dxi.imag
-        J[2 * n, :2 * n] = 2.0 * x[:2 * n]
-        return J
-
-    def step(self, x, G, disc):
-        """The Newton step of the square system (lstsq if J is singular)."""
-        J = self.jacobian(x, disc)
-        try:
-            return np.linalg.solve(J, -G)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(J, -G, rcond=None)[0]
+        return self.through_jacobian(disc, self.z, v, x[2 * n])[:, 2 * n:]
 
 
 def _parameter_tangent(domain, disc, settings):
@@ -1296,12 +1341,11 @@ def solve_two_point(domain: ConvexDomain, z, w,
     """Stationary disc through two points, normalized by phi(0) = z,
     phi(xi) = w with xi in (0, 1); returns (disc, xi).
 
-    Outer damped Newton iteration (:func:`_damped_newton`) over the
-    direction sphere and xi with the center-direction solver inside.  The
-    outer Jacobian comes from the parameter tangent that the warm inner
-    solve returns from its own factorization, so each outer iteration
-    costs no disc solves and no further factorization beyond its line
-    search; each inner solve starts at the first-order prediction.
+    Newton iteration of :class:`_OuterSystem` with the center pinned at
+    z, over the direction sphere and xi.  On a ball, a geodesic that the
+    truncation M cannot attach to newton_tol raises SolverDivergence.
+    The outer Jacobian solves no disc, so each outer iteration costs no
+    disc solves beyond its line search.
     """
     settings = settings or SolverSettings()
     z = np.asarray(z, dtype=complex)
@@ -1321,10 +1365,8 @@ def solve_two_point(domain: ConvexDomain, z, w,
     xi0 = min(max(xi0, 1e-4), 1.0 - 1e-4)
 
     system = _TwoPointSystem(domain, z, w, settings)
-    tol = max(1e-9, settings.newton_tol)
-    x, _, disc = _damped_newton(
-        np.concatenate([v0.real, v0.imag, [xi0]]), system.residual,
-        system.step, lambda G, disc: np.max(np.abs(G)) <= tol, tol, 30)
+    x, _, disc = system.newton(np.concatenate([v0.real, v0.imag, [xi0]]),
+                               max(1e-9, settings.newton_tol), 30)
     return disc, float(x[2 * n])
 
 

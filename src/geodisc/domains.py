@@ -243,7 +243,14 @@ def make_perturbed_ball(epsilon: float, bump: Bump | str = "re_z1_sq",
     domain = ConvexDomain(n, "perturbed_ball", rho, grad, hess,
                           meta={"center": np.zeros(n, dtype=complex),
                                 "epsilon": float(epsilon), "bump": bump.name})
-    cert = certify(domain, certificate_samples)
+    try:
+        cert = certify(domain, certificate_samples)
+    except PreconditionError as exc:
+        if "unbounded" not in str(exc):
+            raise
+        raise PreconditionError(
+            f"perturbed ball with epsilon={epsilon} is unbounded: |epsilon| "
+            "is too large for a bounded convex domain") from exc
     if not cert.passes:
         raise PreconditionError(
             f"perturbed ball with epsilon={epsilon} fails the convexity "

@@ -221,8 +221,8 @@ def reconstruct(f: BoundaryFunction, domain1: ConvexDomain,
     the mean of the per-disc extensions, with the spread as an error
     bar (never averaged away silently); nan, and counted in
     ``unextended_points``, where no disc extends.  ``threads`` is
-    accepted and ignored: points run in order on one thread, which
-    measured faster than a thread pool.  Raises
+    accepted and ignored: points run in order with no worker threads,
+    which measured faster than a thread pool.  Raises
     :class:`PreconditionError` for disc_count < 1."""
     if disc_count < 1:
         raise PreconditionError(f"disc_count must be >= 1, not {disc_count}")

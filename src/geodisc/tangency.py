@@ -16,16 +16,12 @@ where psi is the stationary disc of the outer domain with center w and
 direction d.  Centering at the touch point keeps the disc coefficients
 spectrally small even when z_o is close to the outer boundary.  The
 locus (a curve for n = 2) is traced by predictor-corrector continuation
-along the kernel of the residual Jacobian; the corrector is the damped
-Newton driver of :mod:`geodisc.discs` with a minimum-norm lstsq step.
+along the kernel of the residual Jacobian.
 
-The Jacobian is analytic and solves no disc: the inner-domain rows come
-from the gradient and Hessian of rho2, and the through-point rows from
-the derivative of psi(sigma) in (w, d) -- by the chain rule from the
-parameter tangent that the warm Gauss-Newton solve returns with its disc
-from its own factorization, or the closed form when the outer domain is
-a ball.  Each inner solve starts at the first-order prediction from the
-previous disc and its tangent.
+With w held fixed this is the two-point problem for w and z_o, so the
+disc solve, the rows psi(sigma) = z_o and |d| = 1, their Jacobian and
+the Newton step are those of the two-point solve (``discs._OuterSystem``);
+this module adds the three inner-boundary rows.
 """
 
 from __future__ import annotations
@@ -34,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import (AnalyticDisc, SolverSettings, _ball_point_sensitivity,
-                    _ball_series, _complete_unitary, _coordinate_tangents,
-                    _damped_newton, _direction_tangents, _herm,
-                    _parameter_tangent, _solve_cd_raw, _tangent_at)
+from .discs import (AnalyticDisc, SolverSettings, _OuterSystem, _ball_series,
+                    _complete_unitary, _coordinate_tangents,
+                    _direction_tangents, _herm, _solve_cd_raw)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -135,20 +130,16 @@ def tangency_residual(rho2: ConvexDomain, z_o, candidate_w, disc,
     return np.array([float(rho2.rho(w)), pair.real, pair.imag])
 
 
-class _TangencySystem:
-    """Residual/Jacobian of the touch-centered tangency equations, with
-    warm-started inner disc solves.  The warm slot holds the last solved
-    disc (or None)."""
+class _TangencySystem(_OuterSystem):
+    """The touch-centered tangency equations over u = (w, d, sigma): the
+    three inner-boundary rows (rho2(w), Re/Im <drho2(w), d/|d|>) on top
+    of the outer system's rows for the disc with center w through z_o at
+    sigma."""
 
     def __init__(self, domain1, domain2, z_o, settings):
-        self.d1 = domain1
+        super().__init__(domain1, settings)
         self.d2 = domain2
         self.z_o = np.asarray(z_o, dtype=complex)
-        self.n = domain1.dimension
-        self.settings = settings
-        self.warm = None
-        self.size = 4 * self.n + 1
-        self.n_eq = 2 * self.n + 4
 
     def pack(self, w, d, sigma):
         return np.concatenate([w.real, w.imag, d.real, d.imag, [sigma]])
@@ -159,79 +150,38 @@ class _TangencySystem:
         d = u[2 * n:3 * n] + 1j * u[3 * n:4 * n]
         return w, d, u[4 * n]
 
-    def solve_disc(self, w, d):
-        dn = d / np.linalg.norm(d)
-        if self.d1.kind == "ball":
-            # geodesics of the ball are exact in closed form; looked up at
-            # call time so that a wrapper on geodisc.discs.ball_geodesic
-            # (the benchmark's discs.ball_geodesic seam) sees these calls
-            from .discs import ball_geodesic
-            return ball_geodesic(self.d1, w, dn, self.settings)
-        self.warm = _solve_cd_raw(self.d1, w, dn, self.settings,
-                                  warm=self.warm)
-        return self.warm
-
     def residual(self, u):
         w, d, sigma = self.unpack(u)
         disc = self.solve_disc(w, d)
-        dn = d / np.linalg.norm(d)
-        pair = np.sum(self.d2.grad(w) * dn)
-        val = disc(np.array([sigma + 0.0j]))[0] - self.z_o
+        pair = np.sum(self.d2.grad(w) * (d / np.linalg.norm(d)))
         R = np.concatenate([
             [float(self.d2.rho(w)), pair.real, pair.imag],
-            val.real, val.imag,
-            [np.linalg.norm(d) ** 2 - 1.0],
+            self.through_rows(disc, d, sigma, self.z_o),
         ])
         return R, disc
 
     def jacobian(self, u, disc):
         """Analytic Jacobian of the residual at u, whose solved disc is
-        ``disc``.  The through-point rows differentiate the disc: by the
-        ball's closed form, or by the chain rule from the parameter
-        tangent of its Gauss-Newton solve; no disc is solved."""
+        ``disc``; solves no disc."""
         n = self.n
-        w, d, sigma = self.unpack(u)
-        dn = d / np.linalg.norm(d)
-        s = sigma + 0.0j
-        # parameter tangents of the disc center and unit direction for the
-        # columns (Re w, Im w, Re d, Im d)
+        w, d, _ = self.unpack(u)
         ew = _coordinate_tangents(n)
-        ed = _direction_tangents(d)
-        dz = np.concatenate([ew, np.zeros_like(ed)])
-        dv = np.concatenate([np.zeros_like(ew), ed])
-        if self.d1.kind == "ball":
-            dphi = _ball_point_sensitivity(self.d1, w, dn, s,
-                                           self.settings.modes, dz, dv)
-        else:
-            tangent = _parameter_tangent(self.d1, disc, self.settings)
-            dphi = _tangent_at(tangent, s, dz, dv)
         grad2 = self.d2.grad(w)
         A2, C2 = self.d2.hess_complex(w)
         dgrad = ew @ A2.T + np.conj(ew) @ C2.T     # (2n, n) along w
-        dpair = np.concatenate([dgrad @ dn, ed @ grad2])
-        dsigma = disc.derivative(np.array([s]))[0]
-
-        J = np.zeros((self.n_eq, self.size))
-        J[0, :2 * n] = 2.0 * np.real(ew @ grad2)
-        J[1, :4 * n] = dpair.real
-        J[2, :4 * n] = dpair.imag
-        J[3:3 + n, :4 * n] = dphi.T.real
-        J[3 + n:3 + 2 * n, :4 * n] = dphi.T.imag
-        J[3:3 + n, -1] = dsigma.real
-        J[3 + n:3 + 2 * n, -1] = dsigma.imag
-        J[-1, 2 * n:4 * n] = 2.0 * u[2 * n:4 * n]
-        return J
+        dpair = np.concatenate([dgrad @ (d / np.linalg.norm(d)),
+                                _direction_tangents(d) @ grad2])
+        inner = np.zeros((3, 4 * n + 1))
+        inner[0, :2 * n] = 2.0 * np.real(ew @ grad2)
+        inner[1, :4 * n] = dpair.real
+        inner[2, :4 * n] = dpair.imag
+        return np.vstack([inner, self.through_jacobian(disc, w, d, u[4 * n])])
 
     def correct(self, u):
         """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
-        Newton steps.  The system is underdetermined (2n + 4 equations,
-        4n + 1 unknowns), so the step is lstsq's minimum-norm one."""
-        return _damped_newton(
-            u, self.residual,
-            lambda u, R, disc: np.linalg.lstsq(self.jacobian(u, disc), -R,
-                                               rcond=None)[0],
-            lambda R, disc: np.max(np.abs(R)) <= TANGENCY_TOL, TANGENCY_TOL,
-            12)
+        Newton steps; the system is underdetermined (2n + 4 equations,
+        4n + 1 unknowns)."""
+        return self.newton(u, TANGENCY_TOL, 12)
 
     def make_point(self, u, R, disc) -> TangencyPoint:
         w, d, sigma = self.unpack(u)

@@ -22,7 +22,7 @@ from geodisc import (NAMED_FUNCTIONS, consistency_check,
                      trace_locus)
 from geodisc import discs as discs_module
 from geodisc.circle import power_series
-from geodisc.cli import main as cli_main
+from geodisc.cli import main as cli_main, parse_points
 from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
                            _ball_point_sensitivity, _ball_series,
                            _coordinate_tangents, _damped_newton,
@@ -616,6 +616,16 @@ _PSI_INVERSE_CLI = ["riemann", "psi", "--domain", "ball", "--z", "0,0",
                     "--v", "0.3,0", "--inverse"]
 _VERIFY_CLI = ["extension", "verify", "--domain1", "ball", "--domain2",
                "ball:0.5", "--function", "holo_mix"]
+_SOLVE_CLI = ["disc", "solve", "--domain", "ball"]
+
+
+def _matching(pattern, call):
+    """``call``, whose PreconditionError must match ``pattern``."""
+    def checked():
+        with pytest.raises(PreconditionError, match=pattern) as info:
+            call()
+        raise info.value
+    return checked
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -692,6 +702,28 @@ _VERIFY_CLI = ["extension", "verify", "--domain1", "ball", "--domain2",
         ["disc", "probe", "--domain", "ball", "--z", "0,0", "--v", "1,0",
          "--trials", "0", "--modes", "16", "--grid", "64"],
         id="probe-zero-trials"),
+    pytest.param(lambda: solve_from_center_direction(
+        BALL, np.array([1.0, 0.0]), _V, SMALL),
+        _SOLVE_CLI + ["--z", "1,0", "--v", "1,0"], id="boundary-z"),
+    pytest.param(lambda: solve_from_center_direction(
+        BALL, np.array([2.0, 0.0]), _V, SMALL),
+        _SOLVE_CLI + ["--z", "2,0", "--v", "1,0"], id="exterior-z"),
+    pytest.param(lambda: solve_from_center_direction(BALL, _Z, np.zeros(2),
+                                                     SMALL),
+                 _SOLVE_CLI + ["--z", "0.2,0", "--v", "0,0"], id="zero-v"),
+    pytest.param(lambda: solve_two_point(BALL, _Z, _Z.copy(), SMALL),
+                 _SOLVE_CLI + ["--z", "0.2,0", "--w", "0.2,0"],
+                 id="two-point-w-equals-z"),
+    pytest.param(lambda: SolverSettings(grid=CircleGrid(100)),
+                 _SOLVE_CLI + ["--z", "0.2,0", "--v", "1,0", "--grid", "100"],
+                 id="grid-not-power-of-two"),
+    pytest.param(lambda: SolverSettings(modes=80, grid=CircleGrid(256)),
+                 _SOLVE_CLI + ["--z", "0.2,0", "--v", "1,0", "--modes", "80",
+                               "--grid", "256"],
+                 id="modes-above-quarter-grid"),
+    pytest.param(_matching("epsilon", lambda: make_perturbed_ball(5.0)),
+                 ["disc", "solve", "--domain", "perturbed_ball:5", "--z",
+                  "0.1,0", "--v", "1,0"], id="perturbed-ball-unbounded"),
 ])
 def test_bad_inputs_raise_precondition_errors(call, cli):
     with pytest.raises(PreconditionError):
@@ -736,6 +768,16 @@ def test_two_point_examples():
     _, xi2 = solve_two_point(BALL, np.zeros(2), np.array([0.0, 0.3j]),
                              SETTINGS)
     assert abs(xi2 - 0.3) < 1e-9
+
+
+@pytest.mark.parametrize("z, w", [("0.8,0", "0.85,0"), ("0.9,0", "0.5,0.3")])
+def test_two_point_past_the_ball_truncation_floor_diverges(z, w):
+    # the ball geodesic through both points decays too slowly for M = 64
+    # to attach it to newton_tol, and the error names that M
+    with pytest.raises(SolverDivergence, match="M = 64"):
+        solve_two_point(BALL, parse_points(z), parse_points(w),
+                        SolverSettings())
+    assert cli_main(_SOLVE_CLI + ["--z", z, "--w", w]) == 3
 
 
 def test_two_point_moebius_parameter():
@@ -1184,6 +1226,17 @@ def test_one_armijo_loop():
     # hand-written line search would repeat its sufficient-decrease test
     src = pathlib.Path(discs_module.__file__).parent
     assert sum(p.read_text().count("1e-4 * t") for p in src.glob("*.py")) == 1
+
+
+def test_one_outer_system():
+    # the tangency corrector and the two-point solve share
+    # discs._OuterSystem: its through-point Jacobian is the one caller of
+    # each disc-point sensitivity, and tangency.py solves no ball geodesic
+    src = pathlib.Path(discs_module.__file__).parent
+    text = "".join(p.read_text() for p in src.glob("*.py"))
+    for name in ("_ball_point_sensitivity(", "_tangent_at("):
+        assert text.count(name) - text.count(f"def {name}") == 1
+    assert "ball_geodesic(" not in (src / "tangency.py").read_text()
 
 
 def test_one_place_builds_a_solved_disc():

@@ -345,7 +345,7 @@ def test_tangency_jacobian_solves_no_discs(monkeypatch):
         calls.append(args)
         return _solve_cd_raw(*args, **kwargs)
 
-    monkeypatch.setattr("geodisc.tangency._solve_cd_raw", counting)
+    monkeypatch.setattr("geodisc.discs._solve_cd_raw", counting)
     system.jacobian(u, disc)
     assert calls == []
 
@@ -414,8 +414,7 @@ def test_first_order_start_saves_gn_jacobians(monkeypatch):
                     warm = dataclasses.replace(warm, tangent=None)
                 return _solve_cd_raw(domain, z, v, settings, warm=warm)
 
-            monkeypatch.setattr(tangency_module, "_solve_cd_raw",
-                                zeroth_order)
+            monkeypatch.setattr("geodisc.discs._solve_cd_raw", zeroth_order)
         system.warm = solved
         before = len(calls)
         u_new, R, _ = system.correct(step)
