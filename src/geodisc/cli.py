@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Commands write a versioned JSON report (schema 1, complex numbers always
-[re, im], nan as null) embedding the configuration, tool version and
-tolerances, so identical configs and seeds give byte-identical reports.
-Exit codes: 0 success, 2 precondition error, 3 solver divergence, 4
+Each ``cmd_*`` handler maps parsed arguments to its results, and
+:func:`main` writes them as one versioned JSON report (schema 1, complex
+numbers always [re, im], nan as null) embedding the configuration, tool
+version and tolerances; with numpy's bundled OpenBLAS on one thread,
+identical configs and seeds give byte-identical reports.  Malformed
+domain specs, points and point files are precondition errors.  Exit
+codes: 0 success, 2 precondition error, 3 solver divergence, 4
 hypothesis violation.
 """
 
@@ -12,15 +15,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .circle import CircleGrid
-from .discs import (SolverSettings, extremality_probe, kobayashi_distance,
-                    solve_from_center_direction, solve_two_point)
+from .discs import (SolverSettings, _use_one_blas_thread, extremality_probe,
+                    kobayashi_distance, solve_from_center_direction,
+                    solve_two_point)
 from .domains import (ConvexDomain, _random_directions, make_ball,
                       make_ellipsoid, make_perturbed_ball)
 from .errors import (HypothesisViolation, PreconditionError, SolverDivergence)
@@ -46,7 +49,7 @@ def _encode(obj):
         return bool(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return _encode(_c2pair(obj))
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, list, tuple)):
         return [_encode(x) for x in obj]
     if isinstance(obj, (np.floating, float)):
         return float(obj) if np.isfinite(obj) else None
@@ -54,8 +57,6 @@ def _encode(obj):
         return int(obj)
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(x) for x in obj]
     return obj
 
 
@@ -68,44 +69,76 @@ def parse_points(text: str) -> np.ndarray:
         raise PreconditionError(f"cannot parse point '{text}': {exc}")
 
 
+def _points_flag(args, name):
+    """The point of flag --name, which the command needs."""
+    if getattr(args, name) is None:
+        raise PreconditionError(f"this command needs --{name}")
+    return parse_points(getattr(args, name))
+
+
+def _points_file(path) -> np.ndarray:
+    """The (count, n) points of a JSON file [[[re, im], ...], ...]."""
+    try:
+        with open(path) as fh:
+            pts = np.array([[complex(re, im) for re, im in row]
+                            for row in json.load(fh)])
+    except (OSError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"--points-file '{path}': {exc}") from exc
+    if pts.ndim != 2 or pts.size == 0:
+        raise PreconditionError(f"--points-file '{path}' must hold one or "
+                                "more points of one dimension")
+    return pts
+
+
+#: the fields of each inline domain shorthand 'kind:field:...', in order
+_INLINE_FIELDS = {"ball": ("radius",), "ellipsoid": ("semi_axes",),
+                  "perturbed_ball": ("epsilon", "bump")}
+
+
 def build_domain(spec: str, dimension_hint: int = 2) -> ConvexDomain:
     """Domain from an inline shorthand or a JSON file.
 
     Inline: 'ball', 'ball:R', 'ellipsoid:a1,a2,...',
-    'perturbed_ball:EPS[:BUMP]'.  JSON schema:
+    'perturbed_ball:EPS[:BUMP]'.  A spec is inline when the part before
+    its first ':' is one of these kinds, and a path otherwise; either
+    gives the dict of the JSON schema:
     {"kind": "ball", "center": [[re,im],...], "radius": R}
     {"kind": "ellipsoid", "semi_axes": [a1, ...]}
     {"kind": "perturbed_ball", "epsilon": e, "bump": name, "dimension": n}
+    A spec that cannot be read or builds no domain raises
+    :class:`PreconditionError` naming it.
     """
-    if os.path.exists(spec) or spec.endswith(".json"):
-        with open(spec) as fh:
-            data = json.load(fh)
+    kind, *fields = spec.split(":")
+    try:
+        if kind in _INLINE_FIELDS:
+            if len(fields) > len(_INLINE_FIELDS[kind]):
+                raise PreconditionError(f"too many fields for '{kind}'")
+            data = dict(zip(_INLINE_FIELDS[kind], fields), kind=kind)
+            if "semi_axes" in data:
+                data["semi_axes"] = data["semi_axes"].split(",")
+        else:
+            with open(spec) as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise PreconditionError("a domain file holds one JSON object")
         kind = data["kind"]
+        dimension = int(data.get("dimension", dimension_hint))
         if kind == "ball":
             center = data.get("center")
-            if center is None:
-                center = np.zeros(data.get("dimension", dimension_hint))
-            else:
-                center = np.array([complex(re, im) for re, im in center])
+            center = (np.zeros(dimension) if center is None
+                      else np.array([complex(re, im) for re, im in center]))
             return make_ball(center, float(data.get("radius", 1.0)))
         if kind == "ellipsoid":
             return make_ellipsoid(data["semi_axes"])
         if kind == "perturbed_ball":
             return make_perturbed_ball(float(data["epsilon"]),
-                                       data.get("bump", "re_z1_sq"),
-                                       int(data.get("dimension", dimension_hint)))
+                                       data.get("bump", "re_z1_sq"), dimension)
         raise PreconditionError(f"unknown domain kind '{kind}'")
-    parts = spec.split(":")
-    if parts[0] == "ball":
-        radius = float(parts[1]) if len(parts) > 1 else 1.0
-        return make_ball(np.zeros(dimension_hint), radius)
-    if parts[0] == "ellipsoid":
-        return make_ellipsoid([float(a) for a in parts[1].split(",")])
-    if parts[0] == "perturbed_ball":
-        eps = float(parts[1])
-        bump = parts[2] if len(parts) > 2 else "re_z1_sq"
-        return make_perturbed_ball(eps, bump, dimension_hint)
-    raise PreconditionError(f"unknown domain spec '{spec}'")
+    except KeyError as exc:
+        raise PreconditionError(
+            f"domain spec '{spec}' has no {exc} field") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"domain spec '{spec}': {exc}") from exc
 
 
 def _settings(args) -> SolverSettings:
@@ -113,18 +146,39 @@ def _settings(args) -> SolverSettings:
                           newton_tol=args.tol)
 
 
-def _report(args, command, results):
+def _point_and_domain(args):
+    """--z, and the --domain1 domain of its dimension."""
+    z = parse_points(args.z)
+    return z, build_domain(args.domain1, len(z))
+
+
+def _two_domains(args, dimension):
+    return (build_domain(args.domain1, dimension),
+            build_domain(args.domain2, dimension))
+
+
+def _center_direction_disc(args):
+    """(domain, disc, lift) of the --domain1 disc through --z along --v."""
+    z, domain = _point_and_domain(args)
+    disc, lift = solve_from_center_direction(domain, z, _points_flag(args, "v"),
+                                             _settings(args))
+    return domain, disc, lift
+
+
+def _report(args, results):
     report = {
         "schema": 1,
         "version": __version__,
-        "command": command,
+        # "morera" is the one command without a subcommand
+        "command": " ".join(filter(None, (args.group,
+                                          getattr(args, "command", None)))),
         "config": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("func",) and v is not None},
         "tolerances": {
             "newton_tol": args.tol,
             "defect_threshold": DEFECT_THRESHOLD,
         },
-        "results": _encode(results),
+        "results": results,
     }
     text = json.dumps(_encode(report), sort_keys=True, indent=2,
                       allow_nan=False)
@@ -135,7 +189,15 @@ def _report(args, command, results):
         print(text)
 
 
-def _write_csv(path, header, rows):
+def _point_row(point, values):
+    """[Re p_1, Im p_1, ..., Re p_n, Im p_n, *values]."""
+    return [x for c in point for x in _c2pair(c)] + list(values)
+
+
+def _write_csv(path, coordinate, dimension, columns, rows):
+    """Write :func:`_point_row` rows under their header."""
+    header = [f"{part}_{coordinate}{j}" for j in range(1, dimension + 1)
+              for part in ("re", "im")] + columns
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -149,154 +211,104 @@ def _function(name):
     return NAMED_FUNCTIONS[name]
 
 
-# -- command handlers --------------------------------------------------
+# -- command handlers: each returns its report's results ---------------
 
 
 def cmd_disc_solve(args):
-    z = parse_points(args.z)
-    domain = build_domain(args.domain1, len(z))
-    settings = _settings(args)
     if args.w:
-        disc, xi = solve_two_point(domain, z, parse_points(args.w), settings)
-        results = {"disc": disc.to_json(), "xi": xi}
-    else:
-        disc, lift = solve_from_center_direction(
-            domain, z, parse_points(args.v), settings)
-        results = {"disc": disc.to_json()}
-    _report(args, "disc solve", results)
-    return EXIT_OK
+        z, domain = _point_and_domain(args)
+        disc, xi = solve_two_point(domain, z, parse_points(args.w),
+                                   _settings(args))
+        return {"disc": disc.to_json(), "xi": xi}
+    _, disc, _ = _center_direction_disc(args)
+    return {"disc": disc.to_json()}
 
 
 def cmd_disc_lift(args):
-    z = parse_points(args.z)
-    domain = build_domain(args.domain1, len(z))
-    disc, lift = solve_from_center_direction(
-        domain, z, parse_points(args.v), _settings(args))
-    _report(args, "disc lift", {
+    _, _, lift = _center_direction_disc(args)
+    return {
         "lift": lift.to_json(),
         "projectivized_residue": projectivize(lift, 0.0),
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_disc_probe(args):
-    z = parse_points(args.z)
-    domain = build_domain(args.domain1, len(z))
-    disc, _ = solve_from_center_direction(domain, z, parse_points(args.v),
-                                          _settings(args))
+    domain, disc, _ = _center_direction_disc(args)
     probe = extremality_probe(domain, disc, args.trials, seed=args.seed)
-    _report(args, "disc probe", {
+    return {
         "max_abs_lambda": probe.max_abs_lambda,
         "trials": probe.trials,
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_geodesic_distance(args):
-    z = parse_points(args.z)
-    domain = build_domain(args.domain1, len(z))
+    z, domain = _point_and_domain(args)
     dist = kobayashi_distance(domain, z, parse_points(args.w), _settings(args))
-    _report(args, "geodesic distance", {"kobayashi_distance": dist})
-    return EXIT_OK
+    return {"kobayashi_distance": dist}
 
 
 def cmd_riemann_psi(args):
-    z = parse_points(args.z)
-    domain = build_domain(args.domain1, len(z))
+    z, domain = _point_and_domain(args)
     if args.inverse:
-        w = psi_inverse(domain, z, parse_points(args.v), _settings(args))
-        _report(args, "riemann psi", {"point": w})
-    else:
-        sample = psi(domain, z, parse_points(args.w), _settings(args))
-        _report(args, "riemann psi", {"psi_value": sample.psi_value,
-                                      "xi": sample.xi})
-    return EXIT_OK
+        w = psi_inverse(domain, z, _points_flag(args, "v"), _settings(args))
+        return {"point": w}
+    sample = psi(domain, z, _points_flag(args, "w"), _settings(args))
+    return {"psi_value": sample.psi_value, "xi": sample.xi}
 
 
 def cmd_tangency_trace(args):
     z_o = parse_points(args.z_o)
-    domain1 = build_domain(args.domain1, len(z_o))
-    domain2 = build_domain(args.domain2, len(z_o))
+    domain1, domain2 = _two_domains(args, len(z_o))
     locus = trace_locus(domain1, domain2, z_o, args.steps, _settings(args))
-    rows = []
-    for p in locus.points:
-        row = []
-        for c in p.w:
-            row.extend(_c2pair(c))
-        row.append(p.tangency_constant)
-        rows.append(row)
+    rows = [_point_row(p.w, [p.tangency_constant]) for p in locus.points]
     if args.csv:
-        n = len(z_o)
-        header = []
-        for j in range(1, n + 1):
-            header += [f"re_w{j}", f"im_w{j}"]
-        header.append("tangency_constant")
-        _write_csv(args.csv, header, rows)
-    _report(args, "tangency trace", {
+        _write_csv(args.csv, "w", len(z_o), ["tangency_constant"], rows)
+    return {
         "points": rows,
         "closure_gap": locus.closure_gap,
         "diameter": locus.diameter(),
         "count": len(locus.points),
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_tangency_pi(args):
     z_o = parse_points(args.z_o)
-    domain1 = build_domain(args.domain1, len(z_o))
-    domain2 = build_domain(args.domain2, len(z_o))
+    domain1, domain2 = _two_domains(args, len(z_o))
     samples = pi_set_sample(domain1, domain2, z_o, args.count,
                             _settings(args), seed=args.seed)
     spread = float(np.max(np.abs(samples - samples[0]))) if len(samples) else 0.0
-    _report(args, "tangency pi", {"samples": samples, "spread": spread})
-    return EXIT_OK
+    return {"samples": samples, "spread": spread}
 
 
 def cmd_extension_verify(args):
     z = parse_points(args.z)
-    domain1 = build_domain(args.domain1, len(z))
-    domain2 = build_domain(args.domain2, len(z))
+    domain1, domain2 = _two_domains(args, len(z))
     report = consistency_check(_function(args.function), domain1, domain2, z,
                                args.discs, _settings(args))
-    _report(args, "extension verify", {
+    return {
         "point": report.point,
         "values": report.values,
         "defects": report.defects,
         "extendible": [bool(b) for b in report.extendible],
         "spread": report.spread,
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_extension_reconstruct(args):
-    if args.points_file:
-        with open(args.points_file) as fh:
-            pts = np.array([[complex(re, im) for re, im in row]
-                            for row in json.load(fh)])
-        domain1 = build_domain(args.domain1, pts.shape[1])
-        domain2 = build_domain(args.domain2, pts.shape[1])
-    else:
-        domain1 = build_domain(args.domain1, 2)
-        domain2 = build_domain(args.domain2, 2)
+    pts = _points_file(args.points_file) if args.points_file else None
+    domain1, domain2 = _two_domains(args, 2 if pts is None else pts.shape[1])
+    if pts is None:
         pts = _sample_shell_points(domain1, domain2, args.sample, args.seed)
-    dim = pts.shape[1]
     result = reconstruct(_function(args.function), domain1, domain2, pts,
                          disc_count=args.discs, settings=_settings(args),
                          threads=args.threads)
     if args.csv:
-        rows = []
-        for p, v, s in zip(result.points, result.values, result.spreads):
-            row = []
-            for c in p:
-                row.extend(_c2pair(c))
-            row += [float(v.real), float(v.imag), float(s)]
-            rows.append(row)
-        header = []
-        for j in range(1, dim + 1):
-            header += [f"re_z{j}", f"im_z{j}"]
-        header += ["re_value", "im_value", "spread"]
-        _write_csv(args.csv, header, rows)
-    _report(args, "extension reconstruct", {
+        rows = [_point_row(p, [float(v.real), float(v.imag), float(s)])
+                for p, v, s in zip(result.points, result.values,
+                                   result.spreads)]
+        _write_csv(args.csv, "z", pts.shape[1],
+                   ["re_value", "im_value", "spread"], rows)
+    return {
         "points": result.points,
         "values": result.values,
         "spreads": result.spreads,
@@ -304,8 +316,7 @@ def cmd_extension_reconstruct(args):
         "defect_failures": result.defect_failures,
         "unextended_points": result.unextended_points,
         "inner_region": "filled by Hartogs (not computed)",
-    })
-    return EXIT_OK
+    }
 
 
 def _sample_shell_points(domain1, domain2, count, seed):
@@ -323,38 +334,32 @@ def _sample_shell_points(domain1, domain2, count, seed):
 
 
 def cmd_morera(args):
-    z = parse_points(args.z)
-    domain1 = build_domain(args.domain1, len(z))
-    disc, _ = solve_from_center_direction(domain1, z, parse_points(args.v),
-                                          _settings(args))
-    f = _function(args.function)
-    report = extension_report(f, disc)
-    _report(args, "morera", {
+    _, disc, _ = _center_direction_disc(args)
+    report = extension_report(_function(args.function), disc)
+    return {
         "integrals": report.morera,
         "max_abs": float(np.max(np.abs(report.morera))),
         "defect": report.defect,
         "extendible": report.extendible,
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_repro_counterexample(args):
     rep = counterexample_harness(n_discs=args.discs, grid_size=args.grid)
-    results = {
+    return {
         "function": rep.function,
         "disc_count": rep.disc_count,
         "grid_size": rep.grid_size,
         "per_radius": {f"{r:.12f}": d for r, d in rep.per_radius.items()},
         "holomorphic_control": rep.holomorphic_control,
     }
-    _report(args, "repro counterexample", results)
-    return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_common(p, func):
+    """The flags of all but "repro counterexample", and the handler."""
     p.add_argument("--modes", type=int, default=64, help="series truncation M")
     p.add_argument("--grid", type=int, default=256, help="circle grid size N")
     p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
@@ -364,6 +369,13 @@ def _add_common(p):
                         "(numpy's OpenBLAS may; OPENBLAS_NUM_THREADS=1 gives "
                         "reproducible reports)")
     p.add_argument("--out", help="write the JSON report to this path")
+    p.set_defaults(func=func)
+
+
+def _group(sub, name, text):
+    """The subcommands of group ``name``; the report names both."""
+    return sub.add_parser(name, help=text).add_subparsers(dest="command",
+                                                          required=True)
 
 
 def build_parser():
@@ -375,77 +387,64 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="group", required=True)
 
-    disc = sub.add_parser("disc", help="single-disc operations")
-    disc_sub = disc.add_subparsers(dest="command", required=True)
+    disc_sub = _group(sub, "disc", "single-disc operations")
     p = disc_sub.add_parser("solve", help="solve a stationary disc")
     p.add_argument("--domain1", "--domain", dest="domain1", required=True)
     p.add_argument("--z", required=True, help="center point, e.g. '0.3,0.1j'")
     p.add_argument("--v", help="direction (center-direction solve)")
     p.add_argument("--w", help="second point (two-point solve)")
-    _add_common(p)
-    p.set_defaults(func=cmd_disc_solve)
+    _add_common(p, cmd_disc_solve)
     p = disc_sub.add_parser("lift", help="solve a disc and report its lift")
     p.add_argument("--domain1", "--domain", dest="domain1", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--v", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_disc_lift)
+    _add_common(p, cmd_disc_lift)
     p = disc_sub.add_parser("probe", help="extremality probe")
     p.add_argument("--domain1", "--domain", dest="domain1", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--trials", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=cmd_disc_probe)
+    _add_common(p, cmd_disc_probe)
 
-    geo = sub.add_parser("geodesic", help="Kobayashi geometry")
-    geo_sub = geo.add_subparsers(dest="command", required=True)
+    geo_sub = _group(sub, "geodesic", "Kobayashi geometry")
     p = geo_sub.add_parser("distance", help="Kobayashi distance of two points")
     p.add_argument("--domain1", "--domain", dest="domain1", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--w", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_geodesic_distance)
+    _add_common(p, cmd_geodesic_distance)
 
-    rie = sub.add_parser("riemann", help="the Lempert Riemann map")
-    rie_sub = rie.add_subparsers(dest="command", required=True)
+    rie_sub = _group(sub, "riemann", "the Lempert Riemann map")
     p = rie_sub.add_parser("psi", help="evaluate Psi_z(w) (or its inverse)")
     p.add_argument("--domain1", "--domain", dest="domain1", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--w", help="argument of Psi_z")
     p.add_argument("--v", help="argument of the inverse map")
     p.add_argument("--inverse", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_riemann_psi)
+    _add_common(p, cmd_riemann_psi)
 
-    tan = sub.add_parser("tangency", help="tangency locus operations")
-    tan_sub = tan.add_subparsers(dest="command", required=True)
+    tan_sub = _group(sub, "tangency", "tangency locus operations")
     p = tan_sub.add_parser("trace", help="trace the tangency locus")
     p.add_argument("--domain1", required=True)
     p.add_argument("--domain2", required=True)
     p.add_argument("--z-o", dest="z_o", required=True)
     p.add_argument("--steps", type=int, default=24)
     p.add_argument("--csv", help="write locus samples as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_tangency_trace)
+    _add_common(p, cmd_tangency_trace)
     p = tan_sub.add_parser("pi", help="sample projectivized lift residues")
     p.add_argument("--domain1", required=True)
     p.add_argument("--domain2", required=True)
     p.add_argument("--z-o", dest="z_o", required=True)
     p.add_argument("--count", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=cmd_tangency_pi)
+    _add_common(p, cmd_tangency_pi)
 
-    ext = sub.add_parser("extension", help="holomorphic extension checks")
-    ext_sub = ext.add_subparsers(dest="command", required=True)
+    ext_sub = _group(sub, "extension", "holomorphic extension checks")
     p = ext_sub.add_parser("verify", help="per-point consistency check")
     p.add_argument("--domain1", required=True)
     p.add_argument("--domain2", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--discs", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=cmd_extension_verify)
+    _add_common(p, cmd_extension_verify)
     p = ext_sub.add_parser("reconstruct", help="field reconstruction")
     p.add_argument("--domain1", required=True)
     p.add_argument("--domain2", required=True)
@@ -455,19 +454,16 @@ def build_parser():
                    help="number of shell points to sample")
     p.add_argument("--discs", type=int, default=8)
     p.add_argument("--csv", help="write (point, value, spread) rows as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_extension_reconstruct)
+    _add_common(p, cmd_extension_reconstruct)
 
     p = sub.add_parser("morera", help="Morera integrals along one disc")
     p.add_argument("--domain1", "--domain", dest="domain1", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--v", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_morera)
+    _add_common(p, cmd_morera)
 
-    rep = sub.add_parser("repro", help="reproduce reference experiments")
-    rep_sub = rep.add_subparsers(dest="command", required=True)
+    rep_sub = _group(sub, "repro", "reproduce reference experiments")
     p = rep_sub.add_parser("counterexample",
                            help="Morera-vs-extendibility dichotomy for "
                                 "concentric balls")
@@ -484,10 +480,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _use_one_blas_thread()
     try:
-        return args.func(args)
+        _report(args, args.func(args))
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -497,6 +493,7 @@ def main(argv=None) -> int:
     except SolverDivergence as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -363,35 +363,32 @@ def _ball_point_sensitivity(domain, z, v, s, modes, dz, dv):
 
 
 def _ball_two_point_data(domain: ConvexDomain, z, w):
-    """(direction v, xi) of the ball geodesic through z and w."""
+    """(direction v, xi) of the ball geodesic through z and w = phi(xi):
+    with (a_1, mu) of :func:`_ball_series` for the chord direction u, and
+    t the chord length, v = u q/|q| and xi = |q| for q = t/(|a_1| + t mu)."""
     c = domain.center
     R = domain.meta["radius"]
     zp = (np.asarray(z, dtype=complex) - c) / R
     wp = (np.asarray(w, dtype=complex) - c) / R
     if max(np.linalg.norm(zp), np.linalg.norm(wp)) >= 1.0:
         raise PreconditionError("points are not inside the ball")
-    m = _ball_automorphism(zp, wp)
-    xi = np.linalg.norm(m)
-    u = m / xi
-    s2 = 1.0 - np.linalg.norm(zp) ** 2
-    s = np.sqrt(s2)
-    if np.linalg.norm(zp) == 0.0:
-        d = -u
-    else:
-        pu = (_herm(u, zp) / _herm(zp, zp)) * zp
-        d = -(s2 * pu + s * (u - pu))
-    return d / np.linalg.norm(d), float(xi)
+    t = np.linalg.norm(wp - zp)
+    u = (wp - zp) / t
+    a1, mu = _ball_series(zp, u)
+    q = t / (np.linalg.norm(a1) + t * mu)
+    return u * q / abs(q), float(abs(q))
 
 
-def _ball_automorphism(a, w):
-    """The involutive automorphism of the unit ball exchanging 0 and a,
-    evaluated at w."""
-    na2 = np.linalg.norm(a) ** 2
-    if na2 == 0.0:
-        return -w
-    s = np.sqrt(1.0 - na2)
-    pw = (_herm(w, a) / na2) * a
-    return (a - pw - s * (w - pw)) / (1.0 - _herm(w, a))
+def _ball_psi_inverse(domain: ConvexDomain, z, zeta):
+    """The exact inverse Riemann map of a ball based at z, the inverse of
+    :func:`_ball_two_point_data`: phi(|zeta|) on the geodesic along zeta."""
+    c = domain.center
+    R = domain.meta["radius"]
+    zp = (np.asarray(z, dtype=complex) - c) / R
+    zeta = np.asarray(zeta, dtype=complex)
+    xi = np.linalg.norm(zeta)
+    a1, mu = _ball_series(zp, zeta / xi)
+    return c + R * (zp + a1 * xi / (1.0 - mu * xi))
 
 
 # ---------------------------------------------------------------------------
@@ -952,6 +949,15 @@ def _numpy_openblas():
         except OSError:
             continue
     return None
+
+
+def _use_one_blas_thread():
+    """Run the OpenBLAS of :func:`_numpy_openblas` on one thread, in this
+    process; does nothing where numpy carries no such library."""
+    set_threads = getattr(_numpy_openblas(),
+                          "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads(1)
 
 
 @cache

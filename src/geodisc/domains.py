@@ -225,6 +225,9 @@ def make_perturbed_ball(epsilon: float, bump: Bump | str = "re_z1_sq",
     """rho(z) = |z|^2 - 1 + epsilon * bump(z); the convexity certificate
     must pass for the requested epsilon."""
     if isinstance(bump, str):
+        if bump not in NAMED_BUMPS:
+            raise PreconditionError(f"unknown bump '{bump}'; NAMED_BUMPS has "
+                                    f"{sorted(NAMED_BUMPS)}")
         bump = NAMED_BUMPS[bump]
     n = dimension
     ball_rho, ball_grad, ball_hess = _quadratic(np.zeros(n, dtype=complex),

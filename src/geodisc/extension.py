@@ -249,11 +249,18 @@ def reconstruct(f: BoundaryFunction, domain1: ConvexDomain,
 # the concentric-ball counterexample
 
 
+def _check_inner_radius(r2):
+    """The inner sphere must lie strictly inside the unit sphere."""
+    if not 0.0 < r2 < 1.0:
+        raise PreconditionError(f"inner radius must lie in (0, 1), not {r2}")
+
+
 def tangent_line_disc(r2: float, base_point, direction,
                       grid: CircleGrid) -> AnalyticDisc:
     """The complex line tangent to the sphere of radius r2 at
     ``base_point``, cut by the unit sphere: phi(tau) = p + s*tau*d with
     s = sqrt(1 - r2^2); an exact degree-one attached disc."""
+    _check_inner_radius(r2)
     p = np.asarray(base_point, dtype=complex)
     d = np.asarray(direction, dtype=complex)
     d = d / np.linalg.norm(d)
@@ -270,6 +277,7 @@ def tangent_line_family(r2: float, count: int, grid: CircleGrid,
     radius r2 in C^2, with base points kept away from the degenerate
     touch circles (where the trace of the counterexample function
     becomes holomorphic)."""
+    _check_inner_radius(r2)
     lo, hi = alpha_range
     discs = []
     for i in range(count):
@@ -303,7 +311,7 @@ def counterexample_harness(n_discs: int = 64, grid_size: int = 512,
     family vanishes while the per-disc extension defect stays bounded
     away from zero; at the control radius 0.5 the integrals are visibly
     nonzero.  A holomorphic control (f = z1 z2^2) zeroes both metrics.
-    Raises :class:`PreconditionError` for n_discs < 1.
+    Raises :class:`PreconditionError` for n_discs < 1 or r2 not in (0, 1).
     """
     if n_discs < 1:
         raise PreconditionError(f"n_discs must be >= 1, not {n_discs}")

@@ -27,11 +27,12 @@ this module adds the three inner-boundary rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .discs import (AnalyticDisc, SolverSettings, _OuterSystem, _ball_series,
-                    _complete_unitary, _coordinate_tangents,
+from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
+                    _ball_psi_inverse, _complete_unitary, _coordinate_tangents,
                     _direction_tangents, _herm, _solve_cd_raw)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
@@ -440,23 +441,6 @@ def jacobian_certificate(rho2_in_psi_coords: ConvexDomain, point) -> float:
     return float(c ** 2 * (abs(a22) ** 2 - c22 ** 2) / gnorm ** 2)
 
 
-def _ball_psi_inverse_fn(domain1, z_o):
-    """Inverse Riemann map of a ball, exact: the ball geodesic through z_o
-    with direction zeta/|zeta| (:func:`geodisc.discs._ball_series`),
-    evaluated at |zeta| in closed form."""
-    c = domain1.center
-    R = domain1.meta["radius"]
-    zp = (np.asarray(z_o, dtype=complex) - c) / R
-
-    def inverse(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        xi = np.linalg.norm(zeta)
-        a1, mu = _ball_series(zp, zeta / xi)
-        return c + R * (zp + a1 * xi / (1.0 - mu * xi))
-
-    return inverse
-
-
 def push_domain_through_psi(domain1: ConvexDomain, domain2: ConvexDomain,
                             z_o, settings: SolverSettings | None = None,
                             fd_step: float | None = None) -> ConvexDomain:
@@ -470,7 +454,7 @@ def push_domain_through_psi(domain1: ConvexDomain, domain2: ConvexDomain,
     z_o = np.asarray(z_o, dtype=complex)
     n = domain1.dimension
     if domain1.kind == "ball":
-        inverse = _ball_psi_inverse_fn(domain1, z_o)
+        inverse = partial(_ball_psi_inverse, domain1, z_o)
         h = fd_step or 1e-5
     else:
         from .lempert import psi_inverse

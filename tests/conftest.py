@@ -5,9 +5,6 @@ busy on the host its threads slow the heaviest tests by about 2x.
 numpy's bundled OpenBLAS is pinned through its own setter, in this
 process only; where numpy carries no such library nothing changes."""
 
-from geodisc.discs import _numpy_openblas
+from geodisc.discs import _use_one_blas_thread
 
-_set_threads = getattr(_numpy_openblas(), "scipy_openblas_set_num_threads64_",
-                       None)
-if _set_threads is not None:
-    _set_threads(1)
+_use_one_blas_thread()

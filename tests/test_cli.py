@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,3 +209,149 @@ def test_reports_without_extension_are_strict_json(tmp_path, args, expected):
     assert all(value == [None, 0.0] for value in results["values"])
     for key, value in expected.items():
         assert results[key] == value
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("domain_flags", [
+    lambda d: ["--domain", "ellipsoid"],
+    lambda d: ["--domain", "perturbed_ball"],
+    lambda d: ["--domain", "ball:abc"],
+    lambda d: ["--domain", "ellipsoid:2,x"],
+    lambda d: ["--domain", "ball:0.5:x"],
+    lambda d: ["--domain", str(d / "missing.json")],
+    lambda d: ["--domain", _write(d, "broken.json", '{"kind": "ball", ')],
+    lambda d: ["--domain", _write(d, "nokind.json", '{"radius": 0.5}')],
+    lambda d: ["--domain", _write(d, "list.json", '[1, 2]')],
+    lambda d: ["--domain", _write(d, "cube.json", '{"kind": "cube"}')],
+    lambda d: ["--domain", "perturbed_ball:0.05:nosuchbump"],
+], ids=["ellipsoid-without-axes", "perturbed-ball-without-epsilon",
+        "ball-radius-abc", "ellipsoid-axis-x", "ball-extra-field",
+        "missing-file", "malformed-json", "json-without-kind",
+        "json-not-an-object", "unknown-kind", "unknown-bump"])
+def test_malformed_domain_specs_exit_2_naming_the_spec(tmp_path, capsys,
+                                                       domain_flags):
+    flags = domain_flags(tmp_path)
+    code, _ = run(["disc", "solve", "--z", "0.1,0", "--v", "1,0"] + flags,
+                  tmp_path)
+    assert code == 2
+    assert f"domain spec '{flags[1]}'" in capsys.readouterr().err
+    with pytest.raises(PreconditionError, match="domain spec"):
+        build_domain(flags[1])
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["disc", "solve", "--domain", "ball", "--z", "0.1,0"], "--v"),
+    (["riemann", "psi", "--domain", "ball", "--z", "0.1,0"], "--w"),
+    (["riemann", "psi", "--domain", "ball", "--z", "0.1,0", "--inverse"],
+     "--v"),
+], ids=["disc-solve", "psi", "psi-inverse"])
+def test_missing_point_flag_exits_2_naming_it(tmp_path, capsys, args, flag):
+    code, _ = run(args, tmp_path)
+    assert code == 2
+    assert f"needs {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "[[[0.6, 0.0], [0.1, 0.0]], "
+                                        "[[0.1, 0.0]]]", "[]", "{"],
+                         ids=["missing", "ragged", "empty", "malformed"])
+def test_bad_points_file_exits_2_naming_it(tmp_path, capsys, text):
+    path = tmp_path / "pts.json"
+    if text is not None:
+        path.write_text(text)
+    code, _ = run(["extension", "reconstruct", "--domain1", "ball",
+                   "--domain2", "ball:0.5", "--function", "holo_mix",
+                   "--points-file", str(path), "--discs", "2"], tmp_path)
+    assert code == 2
+    assert f"--points-file '{path}'" in capsys.readouterr().err
+
+
+def test_inline_spec_does_not_depend_on_the_working_directory(tmp_path,
+                                                              monkeypatch):
+    # an entry named like a shorthand is not read as a domain file
+    (tmp_path / "ball").mkdir()
+    (tmp_path / "ellipsoid:2,1").write_text('{"kind": "ball"}')
+    monkeypatch.chdir(tmp_path)
+    assert build_domain("ball").meta["radius"] == 1.0
+    assert build_domain("ellipsoid:2,1").kind == "ellipsoid"
+    code, rep = run(["disc", "solve", "--domain", "ball", "--z", "0,0",
+                     "--v", "1,0"], tmp_path)
+    assert code == 0
+    assert abs(rep["results"]["disc"]["coeffs"][1][0][0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("data,kind,meta", [
+    ({"kind": "ellipsoid", "semi_axes": [2.0, 1.0]}, "ellipsoid",
+     {"semi_axes": [2.0, 1.0]}),
+    ({"kind": "perturbed_ball", "epsilon": 0.05, "bump": "re_z1z2",
+      "dimension": 3}, "perturbed_ball", {"epsilon": 0.05, "bump": "re_z1z2"}),
+], ids=["ellipsoid", "perturbed-ball"])
+def test_build_domain_json_file_kinds(tmp_path, data, kind, meta):
+    dom = build_domain(_write(tmp_path, "dom.json", json.dumps(data)))
+    assert dom.kind == kind
+    assert dom.dimension == data.get("dimension", 2)
+    for key, value in meta.items():
+        assert dom.meta[key] == value
+
+
+def test_disc_lift_command(tmp_path):
+    # the lift of the radial disc of the unit ball through 0 is
+    # conj(z) = conj(tau) e_1 on the boundary: a pole 1/tau in z_1
+    code, rep = run(["disc", "lift", "--domain", "ball", "--z", "0,0",
+                     "--v", "1,0", "--modes", "32", "--grid", "128"],
+                    tmp_path)
+    assert code == 0
+    assert rep["command"] == "disc lift"
+    assert set(rep["results"]) == {"lift", "projectivized_residue"}
+    residue = np.array([complex(*c) for c in
+                        rep["results"]["projectivized_residue"]])
+    assert np.allclose(np.abs(residue), [1.0, 0.0], atol=1e-10)
+
+
+def test_tangency_pi_command(tmp_path):
+    # in C^2 the pi set of a base point on the inner boundary is one point
+    code, rep = run(["tangency", "pi", "--domain1", "ball", "--domain2",
+                     "ball:0.5", "--z-o", "0.5,0", "--count", "3",
+                     "--modes", "32", "--grid", "128"], tmp_path)
+    assert code == 0
+    assert len(rep["results"]["samples"]) == 3
+    assert rep["results"]["spread"] < 1e-6
+
+
+def test_hypothesis_violation_exits_4(tmp_path, capsys, monkeypatch):
+    # a nonpositive tangency constant: the inner domain is not strongly
+    # convex with respect to the tangent disc
+    from geodisc import tangency
+    monkeypatch.setattr(tangency, "tangency_order_constant",
+                        lambda domain, disc: -1.0)
+    code, rep = run(["tangency", "trace", "--domain1", "ball", "--domain2",
+                     "ball:0.5", "--z-o", "0.7,0", "--steps", "4",
+                     "--modes", "32", "--grid", "128"], tmp_path)
+    assert (code, rep) == (4, None)
+    assert "tangency constant is not positive" in capsys.readouterr().err
+
+
+def test_report_does_not_depend_on_blas_threads(tmp_path):
+    # the CLI runs numpy's OpenBLAS on one thread, whatever the
+    # environment asks for; its thread count moves this trace's closure
+    # gap in the last digits
+    src = pathlib.Path(__file__).parents[1] / "src"
+    args = ["tangency", "trace", "--domain1", "perturbed_ball:0.05",
+            "--domain2", "ball:0.5", "--z-o", "0.6,0.1", "--steps", "12",
+            "--modes", "32", "--grid", "128", "--out", "report.json"]
+    reports = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(src),
+                                             env.get("PYTHONPATH", "")])
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run([sys.executable, "-m", "geodisc.cli"] + args,
+                       cwd=tmp_path, env=env, check=True, timeout=300)
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]

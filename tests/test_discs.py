@@ -19,7 +19,7 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
                      SolverDivergence)
 from geodisc import (NAMED_FUNCTIONS, consistency_check,
                      counterexample_harness, pi_set_sample, reconstruct,
-                     trace_locus)
+                     tangent_line_disc, tangent_line_family, trace_locus)
 from geodisc import discs as discs_module
 from geodisc.circle import power_series
 from geodisc.cli import main as cli_main, parse_points
@@ -724,6 +724,19 @@ def _matching(pattern, call):
     pytest.param(_matching("epsilon", lambda: make_perturbed_ball(5.0)),
                  ["disc", "solve", "--domain", "perturbed_ball:5", "--z",
                   "0.1,0", "--v", "1,0"], id="perturbed-ball-unbounded"),
+    pytest.param(_matching("NAMED_BUMPS",
+                           lambda: make_perturbed_ball(0.05, "nosuchbump")),
+                 ["disc", "solve", "--domain", "perturbed_ball:0.05:nosuchbump",
+                  "--z", "0.1,0", "--v", "1,0"], id="unknown-bump"),
+    *[pytest.param(call, None, id=f"{name}-inner-radius-{r2}")
+      for r2 in (1.5, 0.0, np.nan, -0.3)
+      for name, call in (
+          ("tangent-line-disc", lambda r2=r2: tangent_line_disc(
+              r2, [0.3, 0.0], [0.0, 1.0], CircleGrid(64))),
+          ("tangent-line-family", lambda r2=r2: tangent_line_family(
+              r2, 4, CircleGrid(64))),
+          ("harness", lambda r2=r2: counterexample_harness(4, 64,
+                                                           radii=(r2,))))],
 ])
 def test_bad_inputs_raise_precondition_errors(call, cli):
     with pytest.raises(PreconditionError):

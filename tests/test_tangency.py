@@ -8,11 +8,11 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      jacobian_certificate, push_domain_through_psi,
                      pi_set_sample, tangent_line_disc, lift_from_disc,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
-                     PreconditionError)
+                     PreconditionError, SolverDivergence)
 from geodisc import tangency as tangency_module
-from geodisc.discs import (_CenterDirectionSystem, _ball_two_point_data,
-                           _solve_cd_raw)
-from geodisc.tangency import _TangencySystem, _ball_psi_inverse_fn
+from geodisc.discs import (_CenterDirectionSystem, _ball_psi_inverse,
+                           _ball_two_point_data, _solve_cd_raw)
+from geodisc.tangency import _TangencySystem
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -115,6 +115,22 @@ def test_locus_shrinks_toward_inner_boundary():
         diams.append(locus.diameter())
     assert all(diams[i] > diams[i + 1] for i in range(len(diams) - 1))
     assert diams[-1] < 0.35
+
+
+def test_trace_locus_from_a_given_seed():
+    # a seed off the locus is corrected onto it, and the curve closes
+    inner = make_ball([0, 0], 0.5)
+    small = SolverSettings(modes=32, grid=CircleGrid(128))
+    locus = trace_locus(BALL, inner, np.array([0.7, 0.1j]), 12, small,
+                        seed_w=np.array([0.3, 0.4]))
+    assert len(locus.points) == 12
+    assert locus.closure_gap < 0.5       # closed curve
+    assert np.allclose(np.linalg.norm(locus.touch_points(), axis=1), 0.5,
+                       atol=1e-9)
+    # the radial seed of a base point on the axis does not converge
+    with pytest.raises(SolverDivergence):
+        trace_locus(BALL, inner, np.array([0.8, 0.0]), 12, small,
+                    seed_w=np.array([0.5, 0.0]))
 
 
 def test_pi_set_single_point_in_dimension_two():
@@ -440,7 +456,7 @@ def test_ball_inverse_riemann_map_inverts_the_two_point_data(n):
         zeta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         zeta *= rng.uniform(0.05, 0.9) / np.linalg.norm(zeta)
         ball = make_ball(center, radius)
-        w = _ball_psi_inverse_fn(ball, z_o)(zeta)
+        w = _ball_psi_inverse(ball, z_o, zeta)
         v, xi = _ball_two_point_data(ball, z_o, w)
         assert np.max(np.abs(xi * v - zeta)) < 1e-13
 
