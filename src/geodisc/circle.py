@@ -188,7 +188,7 @@ def cauchy_extend(boundary: TrigSeries, tau) -> complex | np.ndarray:
     ``negative_tail_norm``.
     """
     tau_arr = np.asarray(tau, dtype=complex)
-    if np.any(np.abs(tau_arr) >= 1.0):
+    if not np.all(np.abs(tau_arr) < 1.0):
         raise PreconditionError("cauchy_extend requires |tau| < 1")
     n = boundary.grid.size
     c = boundary.coeffs[n // 2:]          # k = 0 .. N/2-1

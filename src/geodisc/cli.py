@@ -5,9 +5,10 @@ Each ``cmd_*`` handler maps parsed arguments to its results, and
 numbers always [re, im], nan as null) embedding the configuration, tool
 version and tolerances; with numpy's bundled OpenBLAS on one thread,
 identical configs and seeds give byte-identical reports.  Malformed
-domain specs, points and point files are precondition errors.  Exit
-codes: 0 success, 2 precondition error, 3 solver divergence, 4
-hypothesis violation.
+domain specs, points and point files are precondition errors, and so
+is an --out or --csv path that cannot be written, found before the
+command runs.  Exit codes: 0 success, 2 precondition error, 3 solver
+divergence, 4 hypothesis violation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -187,6 +189,26 @@ def _report(args, results):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _check_writable(args):
+    """Raise PreconditionError, naming the flag and the path, for an --out
+    or --csv file that cannot be written; checked before the command runs,
+    which may take minutes."""
+    for flag in ("out", "csv"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            reason = "it is a directory"
+        elif not os.path.isdir(folder):
+            reason = f"no directory {folder}"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        raise PreconditionError(f"--{flag} {path} cannot be written: {reason}")
 
 
 def _point_row(point, values):
@@ -365,9 +387,8 @@ def _add_common(p, func):
     p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: geodisc starts no threads "
-                        "(numpy's OpenBLAS may; OPENBLAS_NUM_THREADS=1 gives "
-                        "reproducible reports)")
+                   help="accepted and ignored: geodisc starts no threads, "
+                        "and sets numpy's bundled OpenBLAS to one thread")
     p.add_argument("--out", help="write the JSON report to this path")
     p.set_defaults(func=func)
 
@@ -483,6 +504,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _use_one_blas_thread()
     try:
+        _check_writable(args)
         _report(args, args.func(args))
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)

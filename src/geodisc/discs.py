@@ -39,7 +39,9 @@ every column of J is a shifted copy of one of a few field spectra, so
 each block of J^T J follows from its first row and column, which are
 cross-correlations of the spectra, by a cumulative sum of rank-one
 boundary terms along its diagonals (see :func:`_shift_gram`).  J^T F is
-one more correlation, and the step is a Cholesky solve.  The builder
+one more correlation, and the step is a Cholesky solve.  The state is
+laid out as the columns of these equations (:func:`_state_layout`), so
+their solution is the state step as it stands.  The builder
 writes into buffers allocated once per thread and array shape
 (:func:`_workspace`) and reused by every later step, so a step faults in
 no fresh pages; the normal equations it returns are views that last
@@ -71,6 +73,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -96,9 +99,9 @@ class MoebiusMap:
     def __post_init__(self):
         self.a = complex(self.a)
         self.rotation = complex(self.rotation)
-        if abs(self.a) >= 1.0:
+        if not abs(self.a) < 1.0:
             raise PreconditionError("Moebius parameter needs |a| < 1")
-        if abs(abs(self.rotation) - 1.0) > 1e-12:
+        if not abs(abs(self.rotation) - 1.0) <= 1e-12:
             raise PreconditionError("rotation must be unimodular")
 
     def __call__(self, tau):
@@ -211,16 +214,11 @@ class SolverSettings:
     continuation_steps: int = 1
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise PreconditionError("modes must be >= 1")
-        if self.continuation_steps < 1:
-            raise PreconditionError("continuation_steps must be >= 1")
+        for name in ("modes", "continuation_steps", "max_iters"):
+            _count(name, getattr(self, name))
         if not 1e-12 <= self.newton_tol < np.inf:
             raise PreconditionError(
                 f"newton_tol must be finite and >= 1e-12, not {self.newton_tol}")
-        if self.max_iters < 1:
-            raise PreconditionError(
-                f"max_iters must be >= 1, not {self.max_iters}")
         if self.modes > self.grid.size // 4:
             raise PreconditionError(
                 "modes must be <= grid.size/4 for dealiasing headroom")
@@ -231,6 +229,14 @@ class SolverSettings:
             grid=CircleGrid(grid_size) if grid_size is not None else self.grid,
             newton_tol=self.newton_tol, max_iters=self.max_iters,
             continuation_steps=self.continuation_steps)
+
+
+def _count(name, value):
+    """Raise PreconditionError unless ``value`` is an integer >= 1; NaN,
+    like any float, fails."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise PreconditionError(
+            f"{name} must be >= 1 and an integer, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +305,25 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     return disc
 
 
-def _point_and_direction(domain, z, v):
-    """(z, v/|v|) as complex vectors in C^n of the domain; raises
-    PreconditionError for a wrong shape, a non-finite entry or v = 0."""
+def _point(domain, z, name="base point"):
+    """z as a complex vector in C^n of the domain; raises
+    PreconditionError, naming it ``name``, for a wrong shape or a
+    non-finite entry."""
     z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
     n = domain.dimension
-    if z.shape != (n,) or v.shape != (n,):
+    if z.shape != (n,):
         raise PreconditionError(
-            f"base point and direction must have shape ({n},), not "
-            f"{z.shape} and {v.shape}")
+            f"{name} must have shape ({n},), not {z.shape}")
     if not np.isfinite(z).all():
-        raise PreconditionError("base point must be finite")
+        raise PreconditionError(f"{name} must be finite")
+    return z
+
+
+def _point_and_direction(domain, z, v):
+    """(z, v/|v|) as complex vectors in C^n of the domain (:func:`_point`);
+    raises PreconditionError for v = 0 too."""
+    z = _point(domain, z)
+    v = _point(domain, v, "direction")
     nv = np.linalg.norm(v)
     if not 0 < nv < np.inf:
         raise PreconditionError("direction must be nonzero and finite")
@@ -574,42 +587,47 @@ def _shift_gram(fields, lo, hi, P):
 
 @cache
 def _state_layout(n, M):
-    """Where the unknowns sit among the columns (f, re/im, k) of
-    :func:`_shift_gram`, flattened, for the families (phi_1..phi_n, g) at
-    shifts k = 0..M: (state, sign, k0, k1, unused).
+    """The layout of the state u, which is that of the columns (f, re/im,
+    k) of :func:`_shift_gram`, flattened, for the families (phi_1..phi_n,
+    g) at shifts k = 0..M: a solution of the normal equations is a state
+    step as it stands.  Returns (k0, k1, unused).
 
-    ``state`` lists, in state order after r, a_k (k = 2..M, component,
-    re/im) and then gamma_0 and (gamma_cj, gamma_sj) for j = 1..M.  The g
-    family's shift-j re column is the cos(j theta) column and its im
-    column minus the sin(j theta) column, hence ``sign``.  ``k0`` and
-    ``k1`` are the shift-0 and shift-1 columns, re of each component and
-    then im: the r column is the k1 columns contracted with (Re v, Im v)
-    and takes the place of the first of them, and F_p's columns are the
-    k0 columns and r times the k1 columns.  ``unused`` are the columns no
-    unknown takes: the other k0 and k1 columns and the g family's zero
-    shift-0 im column.  Shared between systems, hence read-only."""
+    phi_c's shift-k re and im columns hold Re and Im a_k[c], k = 2..M.
+    ``k0`` and ``k1`` are the shift-0 and shift-1 columns, re of each
+    component and then im: r sits at the first k1 column, entry 1 of u,
+    whose column in the normal equations is the k1 columns contracted
+    with (Re v, Im v); F_p's columns are the k0 columns and r times the
+    k1 columns.  The g family's shift-j re column is the cos(j theta)
+    column and its im column minus the sin(j theta) column, so they hold
+    gamma_0, gamma_cj and -gamma_sj (:func:`_gamma`).  ``unused`` are the
+    columns no unknown takes, zero in u: the other k0 and k1 columns and
+    the g family's shift-0 im column.  Shared between systems, hence
+    read-only."""
     P = M + 1
 
     def col(f, part, k):
         return (np.asarray(f) * 2 + part) * P + k
 
     c = np.arange(n)
-    a = col(c[None, :, None], np.arange(2)[None, None, :],
-            np.arange(2, P)[:, None, None]).ravel()
-    j = np.arange(1, P)
-    cos_sin = np.stack([col(n, 0, j), col(n, 1, j)], axis=1).ravel()
-    state = np.concatenate([a, [col(n, 0, 0)], cos_sin])
-    sign = np.ones(len(state))
-    sign[len(a) + 2::2] = -1.0
     k0 = np.concatenate([col(c, 0, 0), col(c, 1, 0)])
     k1 = np.concatenate([col(c, 0, 1), col(c, 1, 1)])
-    used = np.zeros(2 * (n + 1) * P, dtype=bool)
-    used[state] = used[k1[:1]] = True
-    unused = np.flatnonzero(~used)
-    arrays = (state, sign, k0, k1, unused)
+    unused = np.concatenate([k0, k1[1:], [col(n, 1, 0)]])
+    arrays = (k0, k1, unused)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
+
+
+def _gamma(x):
+    """gamma = (gamma_0, gamma_c1, gamma_s1, ...) of g from its columns x
+    (2(K+1), ...) in the state (:func:`_state_layout`): re at shifts
+    0..K, then im."""
+    x = x.reshape((2, -1) + x.shape[1:])
+    gamma = np.empty((2 * x.shape[1] - 1,) + x.shape[2:])
+    gamma[0] = x[0, 0]
+    gamma[1::2] = x[0, 1:]
+    gamma[2::2] = -x[1, 1:]
+    return gamma
 
 
 def _gauged_gram(Y, f):
@@ -622,14 +640,14 @@ def _gauged_gram(Y, f):
     return np.add(Y2, Y2.T, out=_workspace("gauged gram", Y2.shape))
 
 
-def _decouple(G, unused, size):
+def _decouple(G, unused):
     """Zero the ``unused`` rows and columns of the Gram matrix G, with the
-    mean diagonal of the ``size`` unknowns on their diagonal: the unknowns
-    keep their equations, the unused ones solve to zero, and the trace per
-    unknown is that of the unknowns alone."""
+    mean diagonal of the other columns, the unknowns, on their diagonal:
+    the unknowns keep their equations, the unused ones solve to zero, and
+    the trace per unknown is that of the unknowns alone."""
     G[unused] = 0.0
     G[:, unused] = 0.0
-    G.flat[unused * (len(G) + 1)] = np.trace(G) / size
+    G.flat[unused * (len(G) + 1)] = np.trace(G) / (len(G) - len(unused))
     return G
 
 
@@ -644,16 +662,15 @@ def _conormal_gamma(grads, K):
     L = nn // 4
     field = 0.5 * (_grid_nodes(nn)[:, None] * grads).T[:, None, :]   # (n, 1, nn)
     Y, _ = _shift_gram(np.stack([field, field]), (-L,) * n, (-1,) * n, K + 1)
-    state, sign, _, _, unused = _state_layout(0, K)
     gauge = np.zeros(2 * (K + 1))
     gauge[:K + 1] = 1.0                   # g(1): gamma_0 and the cos terms
-    normal = _decouple(_gauged_gram(Y, 0), unused, len(state))
+    normal = _decouple(_gauged_gram(Y, 0), _state_layout(0, K)[2])
     try:
         x = np.linalg.solve(normal.T, gauge)      # symmetric; Fortran order
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(
             f"conormal factor equations are singular ({exc})") from None
-    return x[state] * sign
+    return _gamma(x)
 
 
 @dataclass
@@ -662,9 +679,9 @@ class _NormalEquations:
     :meth:`_CenterDirectionSystem.jacobian`) over the columns of
     :func:`_shift_gram`: ``gram`` = J^T J and ``rhs_p`` = J^T F_p, with
     r in place of the first shift-1 column and the unused columns
-    decoupled; :meth:`rhs` gives J^T F from the ``stretches`` of
-    :func:`_shift_gram`, and :meth:`state` takes a solution to the state
-    layout.
+    decoupled, so that their columns are the state's
+    (:func:`_state_layout`); :meth:`rhs` gives J^T F from the
+    ``stretches`` of :func:`_shift_gram`.
 
     ``gram`` and ``stretches`` are :func:`_workspace` views: they hold
     these equations until normal equations of the same shape are built
@@ -702,19 +719,9 @@ class _NormalEquations:
         out[:, 1] = dv[:, k].imag - du[:, P - 1 - k].imag
         out[n, 0] += F[-1]                             # gauge row
         out = out.ravel()
-        _, _, _, k1, unused = _state_layout(n, s.M)
+        _, k1, unused = _state_layout(n, s.M)
         out[k1[0]] = s.v_pairs @ out[k1]
         out[unused] = 0.0
-        return out
-
-    def state(self, du):
-        """A solution of these normal equations (along axis 0) in the
-        layout of the state u."""
-        s = self.system
-        state, sign, _, k1, _ = _state_layout(s.n, s.M)
-        out = np.empty((s.size,) + du.shape[1:])
-        out[0] = du[k1[0]]
-        out[1:] = du[state] * sign.reshape((-1,) + (1,) * (du.ndim - 1))
         return out
 
 
@@ -733,54 +740,42 @@ class _CenterDirectionSystem:
         self.L = N // 2
         self.nn = 2 * N                          # residual grid
         self.tau = _grid_nodes(self.nn)
-        self.n_a = 2 * self.n * (self.M - 1)
-        self.n_g = 1 + 2 * self.M
-        self.size = 1 + self.n_a + self.n_g
         self._evaluated = (None,) * 4       # (u, phi, g, grad rho) of residual
 
-    # -- packing ------------------------------------------------------
-
-    def pack(self, r, a_tail, gamma):
-        u = np.empty(self.size)
-        u[0] = r
-        u[1:1 + self.n_a:2] = a_tail.real.ravel()
-        u[2:1 + self.n_a:2] = a_tail.imag.ravel()
-        u[1 + self.n_a:] = gamma
-        return u
-
-    def unpack(self, u):
-        r = u[0]
-        re = u[1:1 + self.n_a:2].reshape(self.M - 1, self.n)
-        im = u[2:1 + self.n_a:2].reshape(self.M - 1, self.n)
-        gamma = u[1 + self.n_a:]
-        return r, re + 1j * im, gamma
+    # -- the state (see _state_layout) ------------------------------------
 
     def disc_coeffs(self, u):
-        r, a_tail, _ = self.unpack(u)
-        a = np.zeros((self.M + 1, self.n), dtype=complex)
+        """The coefficients (M+1, n) of phi at state u."""
+        x = u.reshape(self.n + 1, 2, self.M + 1)
+        # in C order, as every disc's coefficients are
+        a = np.ascontiguousarray((x[:-1, 0] + 1j * x[:-1, 1]).T)
         a[0] = self.z
-        a[1] = r * self.v
-        a[2:] = a_tail
+        a[1] = u[1] * self.v                 # r
         return a
 
     def initial_state(self, coeffs, gamma=None):
-        """Pack a starting point from disc coefficients of any length."""
+        """The state of disc coefficients of any length, with r = Re<a_1,
+        v> but at least 1e-6, and g's ``gamma`` (default g = 1)."""
         a = np.zeros((self.M + 1, self.n), dtype=complex)
         k = min(len(coeffs), self.M + 1)
         a[:k] = coeffs[:k]
-        r = float(np.real(_herm(a[1], self.v)))
-        r = max(r, 1e-6)
-        if gamma is None:
-            gamma = np.zeros(self.n_g)
-            gamma[0] = 1.0
-        return self.pack(r, a[2:], gamma)
+        x = np.zeros((self.n + 1, 2, self.M + 1))
+        x[:-1, 0, 2:] = a[2:].real.T
+        x[:-1, 1, 2:] = a[2:].imag.T
+        x[0, 0, 1] = max(float(np.real(_herm(a[1], self.v))), 1e-6)
+        x[-1, 0, 0] = 1.0                        # g = 1 unless gamma is given
+        if gamma is not None:
+            x[-1, 0, 0] = gamma[0]
+            x[-1, 0, 1:] = gamma[1::2]
+            x[-1, 1, 1:] = -gamma[2::2]
+        return x.ravel()
 
     # -- evaluation ----------------------------------------------------
 
     def _fields(self, u):
         """(phi, g) at the residual grid nodes at state u."""
         return (_grid_values(self.disc_coeffs(u), self.nn),
-                _boundary_factor(u[1 + self.n_a:], self.nn))
+                _boundary_factor(_gamma(u[-2 * (self.M + 1):]), self.nn))
 
     def residual(self, u):
         phi, g = self._fields(u)
@@ -839,9 +834,10 @@ class _CenterDirectionSystem:
               shift-j cos/sin coefficients of g (see :func:`_state_layout`)
 
         :func:`_shift_gram` builds the Gram of all these columns at shifts
-        k = 0..M from the spectra.  The state's columns are a selection of
-        them; the r column (delta phi = v tau) is the k = 1 columns
-        contracted with v, and the gauge row g(1) - 1 adds a rank-one term.
+        k = 0..M from the spectra, in the order of the state u; the r
+        column (delta phi = v tau) is the k = 1 columns contracted with v,
+        the columns no unknown takes are decoupled, and the gauge row
+        g(1) - 1 adds a rank-one term.
         At fixed u a parameter perturbation moves phi by delta phi = dz +
         r tau dv, so the F_p columns are the k = 0 columns and r times the
         k = 1 columns, and J^T F_p is read off the same Gram.
@@ -861,7 +857,7 @@ class _CenterDirectionSystem:
         fields[1, n, :n] = np.conj(grads.T)
         Y, stretches = _shift_gram(fields, (-L,) * n + (0,), (-1,) * n + (L,),
                                    self.M + 1)
-        _, _, k0, k1, unused = _state_layout(n, self.M)
+        k0, k1, unused = _state_layout(n, self.M)
         G = _gauged_gram(Y, n)
         Gp = G[:, np.concatenate([k0, k1])]
         # r's column is the k1 columns contracted with v; it takes k1[0]
@@ -869,33 +865,32 @@ class _CenterDirectionSystem:
         G[host] = G[:, host] = Gp[:, 2 * n:] @ v
         G[host, host] = v @ G[k1, host]
         Gp[host] = v @ Gp[k1]
-        Gp[:, 2 * n:] *= u[0]
+        Gp[:, 2 * n:] *= u[1]                    # r
         Gp[unused] = 0.0
-        return _NormalEquations(_decouple(G, unused, self.size), Gp, self,
-                                stretches)
+        return _NormalEquations(_decouple(G, unused), Gp, self, stretches)
 
     def coefficient_tangent(self, u, du):
         """(d coeffs, d gamma) along the 4n real parameter perturbations,
-        shapes (4n, M+1, n) and (4n, n_g), from the state derivative ``du``
-        (size, 4n) at state u: a_0 = z moves by dz and a_1 = r v by
-        dr v + r dv."""
-        n, M, n_a = self.n, self.M, self.n_a
+        shapes (4n, M+1, n) and (4n, 1 + 2M), from the state derivative
+        ``du`` (len(u), 4n) at state u: a_0 = z moves by dz and a_1 = r v
+        by dr v + r dv."""
+        n, P = self.n, self.M + 1
+        x = du.reshape(n + 1, 2, P, 4 * n)
         E = _coordinate_tangents(n)
         zero = np.zeros_like(E)
-        dcoeffs = np.empty((4 * n, M + 1, n), dtype=complex)
+        dcoeffs = np.empty((4 * n, P, n), dtype=complex)
         dcoeffs[:, 0] = np.concatenate([E, zero])
-        dcoeffs[:, 1] = du[0][:, None] * self.v \
-            + u[0] * np.concatenate([zero, E])
-        dcoeffs[:, 2:] = (du[1:1 + n_a:2] + 1j * du[2:1 + n_a:2]) \
-            .reshape(M - 1, n, 4 * n).transpose(2, 0, 1)
-        return dcoeffs, du[1 + n_a:].T
+        dcoeffs[:, 1] = du[1][:, None] * self.v \
+            + u[1] * np.concatenate([zero, E])
+        dcoeffs[:, 2:] = (x[:n, 0, 2:] + 1j * x[:n, 1, 2:]).transpose(2, 1, 0)
+        return dcoeffs, _gamma(du[-2 * P:]).T
 
     # -- the iteration --------------------------------------------------
 
     @staticmethod
     def _ls_step(G, B):
         """Gauss-Newton step -(G + s I)^{-1} B from the Gram matrix G = J^T J
-        and B = J^T F, with the shift s = 1e-13 tr(G) / size added to G in
+        and B = J^T F, with the shift s = 1e-13 tr(G) / len(G) added to G in
         place, by Cholesky (:func:`_cholesky_solve`, which may overwrite G
         with its factor); where that is not at hand or G + s I is not
         positive definite, by LU on it, or least squares where it is
@@ -924,9 +919,9 @@ class _CenterDirectionSystem:
         def step(u, F, diag):
             normal = self.jacobian(u)
             if not tangent:
-                return normal.state(self._ls_step(normal.gram, normal.rhs(F)))
-            du = normal.state(self._ls_step(
-                normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p])))
+                return self._ls_step(normal.gram, normal.rhs(F))
+            du = self._ls_step(
+                normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p]))
             last[0] = du[:, 1:]
             return du[:, 0]
 
@@ -1173,8 +1168,7 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
 
 
 def _finalize(system, u, diag, settings, tangent=None):
-    r, _, gamma = system.unpack(u)
-    if r <= 0:
+    if u[1] <= 0:                                  # r
         raise SolverDivergence("converged to nonpositive derivative scale",
                                last_residual=diag["attachment"])
     if diag["min_g"] <= 0:
@@ -1182,7 +1176,8 @@ def _finalize(system, u, diag, settings, tangent=None):
                                last_residual=diag["attachment"])
     return AnalyticDisc(system.disc_coeffs(u), settings.grid, system.domain,
                         attachment_residual=diag["attachment"],
-                        solver_g=gamma, tangent=tangent)
+                        solver_g=_gamma(u[-2 * (system.M + 1):]),
+                        tangent=tangent)
 
 
 def solve_from_center_direction(domain: ConvexDomain, z, v,
@@ -1312,7 +1307,7 @@ def _parameter_tangent(domain, disc, settings):
     u = system.initial_state(disc.coeffs, disc.solver_g)
     normal = system.jacobian(u)
     return system.coefficient_tangent(
-        u, normal.state(system._ls_step(normal.gram, normal.rhs_p)))
+        u, system._ls_step(normal.gram, normal.rhs_p))
 
 
 def _tangent_at(tangent, s, dz, dv):
@@ -1354,8 +1349,7 @@ def solve_two_point(domain: ConvexDomain, z, w,
     disc solves beyond its line search.
     """
     settings = settings or SolverSettings()
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z, w = _point(domain, z), _point(domain, w, "point w")
     if np.linalg.norm(w - z) < 1e-6:
         raise PreconditionError("points must be distinct (|z - w| >= 1e-6)")
     for p in (z, w):
@@ -1432,6 +1426,9 @@ def _shifted_sq_distances(targets, nodes):
 
 def poincare_distance(t1: complex, t2: complex) -> float:
     """Poincare distance between points of the unit disc."""
+    if not (abs(t1) < 1.0 and abs(t2) < 1.0):
+        raise PreconditionError(
+            f"poincare_distance needs points of the unit disc, not {t1}, {t2}")
     q = abs((t1 - t2) / (1.0 - np.conj(t2) * t1))
     return float(np.arctanh(q))
 
@@ -1440,8 +1437,7 @@ def kobayashi_distance(domain: ConvexDomain, z, w,
                        settings: SolverSettings | None = None) -> float:
     """Kobayashi distance from the two-point geodesic parameter:
     (1/2) log((1+xi)/(1-xi))."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z, w = _point(domain, z), _point(domain, w, "point w")
     if np.array_equal(z, w):
         return 0.0
     _, xi = solve_two_point(domain, z, w, settings)
@@ -1473,8 +1469,7 @@ def extremality_probe(domain: ConvexDomain, disc: AnalyticDisc, trials: int,
     is attained on the boundary circle because rho is convex).  Raises
     :class:`PreconditionError` for trials < 1.
     """
-    if trials < 1:
-        raise PreconditionError(f"trials must be >= 1, not {trials}")
+    _count("trials", trials)
     rng = np.random.default_rng(seed)
     z = disc.base_point
     dphi = disc.base_direction

@@ -291,7 +291,7 @@ def certify(domain: ConvexDomain, samples: int, seed: int = 0) -> ConvexityCerti
 def unit_outward_conormal(domain: ConvexDomain, z) -> np.ndarray:
     """d rho(z) / |d rho(z)| at a boundary point."""
     z = np.asarray(z, dtype=complex)
-    if abs(float(domain.rho(z))) >= BOUNDARY_TOL:
+    if not abs(float(domain.rho(z))) < BOUNDARY_TOL:
         raise PreconditionError("point is not on the boundary")
     g = domain.grad(z)
     return g / np.linalg.norm(g)

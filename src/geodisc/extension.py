@@ -25,7 +25,7 @@ import numpy as np
 
 from .circle import CircleGrid, TrigSeries, analyze, cauchy_extend, \
     negative_tail_norm
-from .discs import AnalyticDisc, SolverSettings
+from .discs import AnalyticDisc, SolverSettings, _count
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError
 from .tangency import _base_point, trace_locus
@@ -182,8 +182,7 @@ def consistency_check(f: BoundaryFunction, domain1: ConvexDomain,
     defect threshold contribute no value but stay in the report.  Raises
     :class:`PreconditionError` for disc_count < 1 or a z that is not
     strictly between the domains."""
-    if disc_count < 1:
-        raise PreconditionError(f"disc_count must be >= 1, not {disc_count}")
+    _count("disc_count", disc_count)
     z = _base_point(domain1, domain2, z)
     settings = settings or SolverSettings()
     if locus is None:
@@ -224,8 +223,7 @@ def reconstruct(f: BoundaryFunction, domain1: ConvexDomain,
     accepted and ignored: points run in order with no worker threads,
     which measured faster than a thread pool.  Raises
     :class:`PreconditionError` for disc_count < 1."""
-    if disc_count < 1:
-        raise PreconditionError(f"disc_count must be >= 1, not {disc_count}")
+    _count("disc_count", disc_count)
     pts = np.asarray(grid_points, dtype=complex)
     values = np.empty(len(pts), dtype=complex)
     spreads = np.empty(len(pts))
@@ -313,8 +311,7 @@ def counterexample_harness(n_discs: int = 64, grid_size: int = 512,
     nonzero.  A holomorphic control (f = z1 z2^2) zeroes both metrics.
     Raises :class:`PreconditionError` for n_discs < 1 or r2 not in (0, 1).
     """
-    if n_discs < 1:
-        raise PreconditionError(f"n_discs must be >= 1, not {n_discs}")
+    _count("n_discs", n_discs)
     grid = CircleGrid(grid_size)
     f = NAMED_FUNCTIONS["z1_zbar2_sq"]
     report = CounterexampleReport(function=f.label, grid_size=grid_size,

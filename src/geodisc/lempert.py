@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import SolverSettings, _solve_cd_raw, solve_two_point
+from .discs import SolverSettings, _point, _solve_cd_raw, solve_two_point
 from .domains import ConvexDomain
 from .errors import PreconditionError
 
@@ -32,8 +32,7 @@ class RiemannMapSample:
 def psi(domain: ConvexDomain, z, w,
         settings: SolverSettings | None = None) -> RiemannMapSample:
     """Pointwise evaluation of the Riemann map Psi_z(w)."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z, w = _point(domain, z), _point(domain, w, "point w")
     if np.linalg.norm(w - z) < DIAGONAL_MARGIN:
         raise PreconditionError(
             "Psi_z is ill-conditioned near the diagonal; need |w - z| >= 1e-6")

@@ -112,7 +112,7 @@ def move_pole(lift: ConormalLift, tau_o: complex) -> ConormalLift:
     data still fits it.
     """
     tau_o = complex(tau_o)
-    if abs(tau_o) >= 1.0:
+    if not abs(tau_o) < 1.0:
         raise PreconditionError("pole location must satisfy |tau_o| < 1")
     disc = lift.disc
     grid2 = CircleGrid(2 * disc.grid.size)
@@ -160,7 +160,7 @@ def projectivize(lift: ConormalLift, tau: complex) -> np.ndarray:
     largest-modulus coordinate equals 1, lowest index winning ties
     (within 1e-12 relative).  At tau = 0 the value is the residue."""
     tau = complex(tau)
-    if abs(tau) > 1.0 + 1e-12:
+    if not abs(tau) <= 1.0 + 1e-12:
         raise PreconditionError("projectivize requires |tau| <= 1")
     if tau == 0.0:
         value = lift.residue().copy()

@@ -33,7 +33,7 @@ import numpy as np
 
 from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
                     _ball_psi_inverse, _complete_unitary, _coordinate_tangents,
-                    _direction_tangents, _herm, _solve_cd_raw)
+                    _count, _direction_tangents, _herm, _point, _solve_cd_raw)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -213,7 +213,7 @@ def _tangent_projection(grad, vector):
 def _initial_state(system, seed_w):
     d2 = system.d2
     z_o = system.z_o
-    w0 = d2.boundary_point(np.asarray(seed_w, dtype=complex) - d2.center)
+    w0 = d2.boundary_point(_point(d2, seed_w, "seed point") - d2.center)
     chord = z_o - w0
     d0 = _tangent_projection(d2.grad(w0), chord)
     if np.linalg.norm(d0) < 1e-10:
@@ -231,10 +231,10 @@ def _initial_state(system, seed_w):
 
 
 def _base_point(domain1, domain2, z_o):
-    """z_o as a complex array; raises PreconditionError unless it lies
-    strictly between the domains, 1e-8 in rho from both boundaries (a
-    non-finite z_o fails too)."""
-    z_o = np.asarray(z_o, dtype=complex)
+    """z_o as a complex vector (:func:`_point`); raises PreconditionError
+    unless it lies strictly between the domains, 1e-8 in rho from both
+    boundaries."""
+    z_o = _point(domain1, z_o)
     if not float(domain2.rho(z_o)) > 1e-8:
         raise PreconditionError("base point must lie outside the inner domain")
     if not float(domain1.rho(z_o)) < -1e-8:
@@ -291,8 +291,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     :class:`PreconditionError` for steps < 1 or a base point that is not
     strictly between the domains, before any solve.
     """
-    if steps < 1:
-        raise PreconditionError(f"steps must be >= 1, not {steps}")
+    _count("steps", steps)
     settings = settings or SolverSettings()
     z_o = _base_point(domain1, domain2, z_o)
     if seed_w is not None:
@@ -420,13 +419,13 @@ def jacobian_certificate(rho2_in_psi_coords: ConvexDomain, point) -> float:
     that the locus is regular at the point (the restricted real Hessian
     is positive definite).
     """
-    z = np.asarray(point, dtype=complex)
+    z = _point(rho2_in_psi_coords, point, "certificate point")
     grad = rho2_in_psi_coords.grad(z)
     gnorm = float(np.linalg.norm(grad))
-    if gnorm < 1e-12:
+    if not gnorm >= 1e-12:
         raise PreconditionError("normalization failure: vanishing gradient")
     c = float(np.linalg.norm(z))
-    if c < 1e-12:
+    if not c >= 1e-12:
         raise PreconditionError("certificate point must be away from the origin")
     u1 = np.conj(grad) / gnorm
     u2 = z / c
@@ -533,10 +532,9 @@ def pi_set_sample(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
     projective line)."""
     from .lifts import lift_from_disc, projectivize
 
-    if count < 1:
-        raise PreconditionError(f"count must be >= 1, not {count}")
+    _count("count", count)
     settings = settings or SolverSettings()
-    z_o = np.asarray(z_o, dtype=complex)
+    z_o = _point(domain1, z_o)
     if abs(float(domain2.rho(z_o))) > 1e-8:
         raise PreconditionError("base point must lie on the inner boundary")
     if float(domain1.rho(z_o)) >= -1e-8:

@@ -270,6 +270,30 @@ def test_bad_points_file_exits_2_naming_it(tmp_path, capsys, text):
     assert f"--points-file '{path}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,flag,handler", [
+    (["disc", "solve", "--domain", "ball", "--z", "0,0", "--v", "1,0"],
+     "--out", "cmd_disc_solve"),
+    (["tangency", "trace", "--domain1", "ball", "--domain2", "ball:0.5",
+      "--z-o", "0.7,0"], "--csv", "cmd_tangency_trace"),
+    (["extension", "reconstruct", "--domain1", "ball", "--domain2",
+      "ball:0.5", "--function", "holo_mix"], "--csv",
+     "cmd_extension_reconstruct"),
+], ids=["solve-out", "trace-csv", "reconstruct-csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2_before_the_command_runs(
+        tmp_path, capsys, monkeypatch, args, flag, handler, where):
+    from geodisc import cli
+
+    def unreachable(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, handler, unreachable)
+    path = tmp_path / "missing" / "out" if where == "missing-directory" \
+        else tmp_path
+    assert main(args + [flag, str(path)]) == 2
+    assert f"{flag} {path} cannot be written" in capsys.readouterr().err
+
+
 def test_inline_spec_does_not_depend_on_the_working_directory(tmp_path,
                                                               monkeypatch):
     # an entry named like a shorthand is not read as a domain file

@@ -20,6 +20,9 @@ from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball,
 from geodisc import (NAMED_FUNCTIONS, consistency_check,
                      counterexample_harness, pi_set_sample, reconstruct,
                      tangent_line_disc, tangent_line_family, trace_locus)
+from geodisc import (analyze, cauchy_extend, jacobian_certificate,
+                     lift_from_disc, move_pole, projectivize, psi,
+                     solve_tangent_disc, unit_outward_conormal)
 from geodisc import discs as discs_module
 from geodisc.circle import power_series
 from geodisc.cli import main as cli_main, parse_points
@@ -90,8 +93,7 @@ def test_jacobian_matches_finite_differences():
     u = system.initial_state(disc.coeffs)
     u += 0.01 * rng.standard_normal(len(u))
     J, _ = _dense_reference_jacobian(system, u)
-    _, JtF, _ = _in_state_layout(system, system.jacobian(u),
-                                 system.residual(u)[0])
+    JtF = system.jacobian(u).rhs(system.residual(u)[0])
     h = 1e-7
     cols = rng.choice(len(u), size=12, replace=False)
     for i in cols:
@@ -140,35 +142,35 @@ def _spectral_rows(system, Drho, Dw, gauge):
 
 
 def _dense_reference_jacobian(system, u):
-    """The Gauss-Newton Jacobian one column at a time: each unit field
-    perturbation (delta phi = v tau for r, e_c tau^k and i e_c tau^k for
-    a_k, k = 2..M, and delta g = 1, cos j theta, sin j theta) through
-    the pointwise derivative and its own FFT; then F_p, the columns of
-    delta phi = dz and r tau dv for dz, dv = e_c, i e_c."""
-    nn, n, M = system.nn, system.n, system.M
+    """The Gauss-Newton Jacobian one column per entry of the state u (see
+    :func:`_state_layout`), each unit field perturbation through the
+    pointwise derivative and its own FFT: delta phi = e_c tau^k and
+    i e_c tau^k for phi_c's shift-k re and im entries, k = 2..M, and
+    v tau for r at the first shift-1 entry; delta g = cos k theta and
+    -sin k theta for the g family's re and im entries; zero columns for
+    the unused entries.  Then F_p, the columns of delta phi = dz and
+    r tau dv for dz, dv = e_c, i e_c."""
+    nn, n, P = system.nn, system.n, system.M + 1
     lin = system._linearization(u)
     grads = lin[1]
     tau = system.tau[:, None]
-    dphi = [tau * system.v]
-    for k in range(2, M + 1):
-        for c in range(n):
-            e = np.eye(n)[c]
-            dphi += [tau ** k * e, 1j * tau ** k * e]
-    dphi = np.stack(dphi, axis=1)                           # (nn, P, n)
-    Drho_phi, Dw_phi = _field_columns(lin, dphi)
+    k = np.arange(P)
+    dphi = np.zeros((nn, n + 1, 2, P, n), dtype=complex)
+    for c in range(n):
+        dphi[:, c, 0, 2:, c] = tau ** k[2:]
+        dphi[:, c, 1, 2:, c] = 1j * tau ** k[2:]
+    dphi[:, 0, 0, 1] = tau * system.v                       # r
+    Drho, Dw = _field_columns(lin, dphi.reshape(nn, len(u), n))
 
     theta = 2.0 * np.pi * np.arange(nn) / nn
-    basis = [np.ones(nn)]
-    for j in range(1, M + 1):
-        basis += [np.cos(j * theta), np.sin(j * theta)]
-    basis = np.stack(basis, axis=1)                         # (nn, 1 + 2M)
-    Dw_g = (tau * grads)[:, :, None] * basis[:, None, :]
-    Drho = np.concatenate([Drho_phi, np.zeros((nn, basis.shape[1]))], axis=1)
-    Dw = np.concatenate([Dw_phi, Dw_g], axis=2)
-    gauge = np.concatenate([np.zeros(dphi.shape[1]), basis[0]])    # g(1)
+    basis = np.stack([np.cos(np.outer(theta, k)),
+                      -np.sin(np.outer(theta, k))], axis=1).reshape(nn, -1)
+    Dw[:, :, -2 * P:] = (tau * grads)[:, :, None] * basis[:, None, :]
+    gauge = np.zeros(len(u))
+    gauge[-2 * P:] = basis[0]                               # g(1)
     E = np.concatenate([np.eye(n), 1j * np.eye(n)])
     dpar = np.concatenate([np.broadcast_to(E, (nn,) + E.shape),
-                           u[0] * tau[:, :, None] * E], axis=1)
+                           u[1] * tau[:, :, None] * E], axis=1)
     Drho_p, Dw_p = _field_columns(lin, dpar)
     return (_spectral_rows(system, Drho, Dw, gauge),
             _spectral_rows(system, Drho_p, Dw_p, np.zeros(4 * n)))
@@ -191,15 +193,19 @@ def _relative_error(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-def _in_state_layout(system, normal, F):
-    """(J^T J, J^T F, J^T F_p) of ``normal`` in the order of the state u:
-    r sits at the first shift-1 column, and the g family's im columns are
-    minus the sin columns."""
-    state, sign, _, k1, _ = _state_layout(system.n, system.M)
-    index = np.concatenate([k1[:1], state])
-    sign = np.concatenate([[1.0], sign])
-    return (normal.gram[np.ix_(index, index)] * np.outer(sign, sign),
-            normal.rhs(F)[index] * sign, normal.rhs_p[index] * sign[:, None])
+def _unknowns(system):
+    """The entries of the state u that unknowns take: all but the unused
+    columns of the normal equations."""
+    size = 2 * (system.n + 1) * (system.M + 1)
+    return np.setdiff1d(np.arange(size),
+                        _state_layout(system.n, system.M)[2])
+
+
+def _over_unknowns(system, normal, F):
+    """(J^T J, J^T F, J^T F_p) of ``normal`` over the unknowns of the
+    state u, the rows and columns that are not decoupled."""
+    i = _unknowns(system)
+    return normal.gram[np.ix_(i, i)], normal.rhs(F)[i], normal.rhs_p[i]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -210,13 +216,15 @@ def test_jacobian_matches_dense_reference(n, modes, grid):
     system, u = _unconverged_system(n, modes, grid)
     F = system.residual(u)[0]
     ref, ref_p = _dense_reference_jacobian(system, u)
-    assert ref.shape == (len(F), system.size)
+    assert ref.shape == (len(F), len(u))
     assert ref_p.shape == (len(F), 4 * n)
-    gram, JtF, JtFp = _in_state_layout(system, system.jacobian(u), F)
-    assert gram.shape == (system.size, system.size)
+    unknowns = _unknowns(system)
+    ref = ref[:, unknowns]
+    gram, JtF, JtFp = _over_unknowns(system, system.jacobian(u), F)
+    assert gram.shape == (len(unknowns), len(unknowns))
     assert _relative_error(gram, ref.T @ ref) < 1e-12
     assert _relative_error(JtF, ref.T @ F) < 1e-12
-    assert JtFp.shape == (system.size, 4 * n)
+    assert JtFp.shape == (len(unknowns), 4 * n)
     assert _relative_error(JtFp, ref.T @ ref_p) < 1e-12
 
 
@@ -232,13 +240,17 @@ def test_normal_equation_step_matches_the_dense_lu_step(n, lapack,
     system, u = _unconverged_system(n, 32, 128)
     F = system.residual(u)[0]
     J, Fp = _dense_reference_jacobian(system, u)
+    unknowns = _unknowns(system)
+    J = J[:, unknowns]
     JtJ = J.T @ J
     JtJ[np.diag_indices_from(JtJ)] += 1e-13 * np.trace(JtJ) / len(JtJ)
     dense = np.linalg.solve(JtJ, -J.T @ np.column_stack([F, Fp]))
     normal = system.jacobian(u)
-    step = normal.state(_CenterDirectionSystem._ls_step(
-        normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p])))
-    assert _relative_error(step, dense) < 1e-10
+    step = _CenterDirectionSystem._ls_step(
+        normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p]))
+    assert _relative_error(step[unknowns], dense) < 1e-10
+    # the unused entries of the state stay zero
+    assert not np.any(np.delete(step, unknowns, axis=0))
 
 
 def test_normal_equations_survive_interleaved_shapes():
@@ -617,6 +629,12 @@ _PSI_INVERSE_CLI = ["riemann", "psi", "--domain", "ball", "--z", "0,0",
 _VERIFY_CLI = ["extension", "verify", "--domain1", "ball", "--domain2",
                "ball:0.5", "--function", "holo_mix"]
 _SOLVE_CLI = ["disc", "solve", "--domain", "ball"]
+_HOLO = NAMED_FUNCTIONS["holo_mix"]
+_LONG = np.array([0.3, 0.0, 0.0])             # a point of C^3, not of C^2
+
+
+def _ball_lift():
+    return lift_from_disc(BALL, ball_geodesic(BALL, _Z, _V, SMALL))
 
 
 def _matching(pattern, call):
@@ -677,6 +695,64 @@ def _matching(pattern, call):
                  _PSI_INVERSE_CLI + ["--tol", "nan"], id="nan-newton-tol"),
     pytest.param(lambda: SolverSettings(max_iters=0), None,
                  id="zero-max-iters"),
+    pytest.param(lambda: SolverSettings(max_iters=np.nan), None,
+                 id="nan-max-iters"),
+    pytest.param(lambda: SolverSettings(continuation_steps=np.nan), None,
+                 id="nan-continuation-steps"),
+    pytest.param(lambda: SolverSettings(continuation_steps=1.5), None,
+                 id="fractional-continuation-steps"),
+    pytest.param(lambda: SolverSettings(modes=np.nan), None, id="nan-modes"),
+    pytest.param(lambda: trace_locus(BALL, _INNER, _Z_O, np.nan, SMALL), None,
+                 id="locus-nan-steps"),
+    pytest.param(lambda: consistency_check(_HOLO, BALL, _INNER, _Z_O, np.nan,
+                                           SMALL), None, id="verify-nan-discs"),
+    pytest.param(lambda: reconstruct(_HOLO, BALL, _INNER, _Z_O[None, :],
+                                     np.nan, SMALL), None,
+                 id="reconstruct-nan-discs"),
+    pytest.param(lambda: counterexample_harness(np.nan, 64), None,
+                 id="harness-nan-discs"),
+    pytest.param(lambda: pi_set_sample(BALL, _INNER, np.array([0.5, 0.0]),
+                                       np.nan, SMALL), None,
+                 id="pi-nan-count"),
+    pytest.param(lambda: extremality_probe(
+        BALL, ball_geodesic(BALL, _Z, _V, SMALL), np.nan), None,
+        id="probe-nan-trials"),
+    pytest.param(lambda: solve_two_point(BALL, _Z, _LONG, SMALL),
+                 _SOLVE_CLI + ["--z", "0.2,0", "--w", "0.3,0,0"],
+                 id="two-point-long-w"),
+    pytest.param(lambda: psi(BALL, _Z, _LONG, SMALL),
+                 ["riemann", "psi", "--domain", "ball", "--z", "0.2,0", "--w",
+                  "0.3,0,0"], id="psi-long-w"),
+    pytest.param(lambda: kobayashi_distance(BALL, _LONG, _Z, SMALL),
+                 ["geodesic", "distance", "--domain", "ball", "--z", "0.2,0",
+                  "--w", "0.3,0,0"], id="distance-long-w"),
+    pytest.param(lambda: trace_locus(BALL, _INNER, np.append(_Z_O, 0.0), 12,
+                                     SMALL), None, id="locus-long-base"),
+    pytest.param(lambda: solve_tangent_disc(BALL, _INNER, _Z_O,
+                                            np.array([0.5, 0.0, 0.0]), SMALL),
+                 None, id="tangent-disc-long-seed"),
+    pytest.param(lambda: pi_set_sample(BALL, _INNER,
+                                       np.array([0.5, 0.0, 0.0]), 4, SMALL),
+                 None, id="pi-long-base"),
+    pytest.param(lambda: consistency_check(_HOLO, BALL, _INNER,
+                                           np.append(_Z_O, 0.0), 4, SMALL),
+                 None, id="verify-long-z"),
+    pytest.param(lambda: reconstruct(_HOLO, BALL, _INNER,
+                                     np.append(_Z_O, 0.0)[None, :], 4, SMALL),
+                 None, id="reconstruct-long-points"),
+    pytest.param(lambda: move_pole(_ball_lift(), np.nan), None,
+                 id="move-pole-nan"),
+    pytest.param(lambda: projectivize(_ball_lift(), np.nan), None,
+                 id="projectivize-nan"),
+    pytest.param(lambda: unit_outward_conormal(BALL, [np.nan, 0.0]), None,
+                 id="conormal-nan"),
+    pytest.param(lambda: jacobian_certificate(BALL, [np.nan, 0.0]), None,
+                 id="jacobian-certificate-nan"),
+    pytest.param(lambda: poincare_distance(2.0, 0.0), None,
+                 id="poincare-outside-disc"),
+    pytest.param(lambda: cauchy_extend(analyze(np.ones(16)), np.nan), None,
+                 id="cauchy-extend-nan"),
+    pytest.param(lambda: MoebiusMap(a=np.nan), None, id="moebius-nan"),
     pytest.param(lambda: make_ellipsoid([1.0, np.nan]),
                  ["disc", "solve", "--domain", "ellipsoid:1,nan", "--z",
                   "0.1,0", "--v", "1,0"], id="nan-semi-axis"),
@@ -1126,10 +1202,10 @@ def test_fields_match_the_power_series_and_the_cos_sin_sum(n, modes, grid):
     phi, g = system._fields(u)
     theta = 2.0 * np.pi * np.arange(system.nn) / system.nn
     ref_phi = power_series(system.disc_coeffs(u), np.exp(1j * theta))
-    gamma = u[1 + system.n_a:]
+    re, im = u.reshape(n + 1, 2, modes + 1)[n]     # g: cos and -sin entries
     j = np.arange(1, modes + 1)
-    ref_g = gamma[0] + np.cos(np.outer(theta, j)) @ gamma[1::2] \
-        + np.sin(np.outer(theta, j)) @ gamma[2::2]
+    ref_g = re[0] + np.cos(np.outer(theta, j)) @ re[1:] \
+        - np.sin(np.outer(theta, j)) @ im[1:]
     assert _relative_error(phi, ref_phi) < 1e-13
     assert _relative_error(g, ref_g) < 1e-13
 
