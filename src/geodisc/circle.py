@@ -20,6 +20,7 @@ zero on the grid).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,22 @@ from .errors import PreconditionError, WindingNumberError
 REAL_TOL = 1e-12
 
 
+def _count(name, value, least=1):
+    """Raise PreconditionError unless ``value`` is an integer >= ``least``;
+    NaN, like any float, fails."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise PreconditionError(
+            f"{name} must be >= {least} and an integer, not {value!r}")
+
+
+def _tolerance(name, value):
+    """Raise PreconditionError unless ``value`` is finite and > 0; NaN,
+    which no comparison rejects, fails."""
+    if not 0 < value < np.inf:
+        raise PreconditionError(
+            f"{name} must be finite and > 0, not {value!r}")
+
+
 @dataclass(frozen=True)
 class CircleGrid:
     """Equispaced nodes theta_j = 2*pi*j/N; N a power of two, N >= 16."""
@@ -38,6 +55,7 @@ class CircleGrid:
 
     def __post_init__(self):
         n = self.size
+        _count("grid size", n)
         if n < 16 or (n & (n - 1)) != 0:
             raise PreconditionError(
                 f"grid size must be a power of two >= 16, got {n}")

@@ -32,7 +32,9 @@ failure.  An attempt that stagnates with its residual norm already below
 newton_tol has reached the resolution floor of M, and the solve ends
 there.  Where the domain itself was tried and failed, the error raised
 is the domain's own last divergence, with a failing blend's as its
-``__cause__``, so that it describes the domain asked for.
+``__cause__``, so that it describes the domain asked for.  A ball has no
+homotopy: where Gauss-Newton fails there, the error names the M at which
+the closed form is truncated, with the Gauss-Newton failure as its cause.
 
 The Gauss-Newton normal equations are built without the Jacobian J:
 every column of J is a shifted copy of one of a few field spectra, so
@@ -54,9 +56,13 @@ stagnated once the residual norm is not below half its value five
 iterations earlier; accept a trial u + t du when
 |F_new| <= (1 - 1e-4 t)|F| + tol; halve t from 1 down to 1/32; count a
 trial whose residual raises PreconditionError or SolverDivergence as
-rejected.  The disc solve steps by its normal equations; the two-point
-solve and the tangency corrector share one outer system and its
-minimum-norm lstsq step (:class:`_OuterSystem`).
+rejected.  The iteration hands every residual the aux of the accepted
+iterate, so no system keeps state between calls.  The disc solve steps
+by its normal equations, from the fields its residual returned; the
+two-point solve and the tangency corrector share one outer system and
+its minimum-norm lstsq step (:class:`_OuterSystem`), whose residual
+solves its disc from the accepted iterate's: a ball's closed form where
+it attaches to newton_tol, else Gauss-Newton, cold on a ball.
 
 A warm solve starts from a solved disc, moved to first order along that
 disc's parameter tangent: coeffs + tangent dp, gamma + tangent dp.  The
@@ -73,7 +79,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -81,7 +86,7 @@ from functools import cache
 
 import numpy as np
 
-from .circle import CircleGrid, analyze, power_series
+from .circle import CircleGrid, _count, analyze, power_series
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError, SolverDivergence
 
@@ -231,14 +236,6 @@ class SolverSettings:
             continuation_steps=self.continuation_steps)
 
 
-def _count(name, value):
-    """Raise PreconditionError unless ``value`` is an integer >= 1; NaN,
-    like any float, fails."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise PreconditionError(
-            f"{name} must be >= 1 and an integer, not {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # closed-form geodesics of the ball
 
@@ -345,16 +342,20 @@ def _ball_series(z, v):
     return (1.0 - nz2) / rho * v, -b / rho
 
 
-def _ball_point_sensitivity(domain, z, v, s, modes, dz, dv):
-    """Derivative of phi(s) for the ball geodesic of :func:`ball_geodesic`
-    (truncated at ``modes``) along P perturbations: ``dz`` (P, n) of the
-    center and ``dv`` (P, n) of the unit direction; returns (P, n).
+def _ball_point_sensitivity(domain, z, v, s, modes):
+    """dphi(s)/dp for the ball geodesic of :func:`ball_geodesic` (truncated
+    at ``modes``) through z with unit direction v, as rows (4n, n) along
+    the real perturbations p = (Re z, Im z, Re v, Im v), as a parameter
+    tangent's.
 
     Differentiates phi(s) = c + R (z' + a_1 sum_{k=1..M} mu^{k-1} s^k) in
     the normalized coordinates z' = (z - c)/R, an O(n M) map."""
     c = domain.center
     R = domain.meta["radius"]
     zp = (np.asarray(z, dtype=complex) - c) / R
+    E = _coordinate_tangents(len(zp))
+    dz = np.concatenate([E, np.zeros_like(E)])
+    dv = np.concatenate([np.zeros_like(E), E])
     dzp = dz / R
     b = _herm(v, zp)
     nz2 = float(np.real(_herm(zp, zp)))
@@ -740,7 +741,6 @@ class _CenterDirectionSystem:
         self.L = N // 2
         self.nn = 2 * N                          # residual grid
         self.tau = _grid_nodes(self.nn)
-        self._evaluated = (None,) * 4       # (u, phi, g, grad rho) of residual
 
     # -- the state (see _state_layout) ------------------------------------
 
@@ -777,11 +777,12 @@ class _CenterDirectionSystem:
         return (_grid_values(self.disc_coeffs(u), self.nn),
                 _boundary_factor(_gamma(u[-2 * (self.M + 1):]), self.nn))
 
-    def residual(self, u):
+    def residual(self, u, aux=None):
+        """(F, (diag, fields)) at state u; the fields (phi, g, grad rho) at
+        the residual grid nodes serve :meth:`jacobian`."""
         phi, g = self._fields(u)
         rho_vals = np.real(self.domain.rho(phi))
         grads = self.domain.grad(phi)
-        self._evaluated = (u.tobytes(), phi, g, grads)
         w = (g * self.tau)[:, None] * grads
         rho_hat = np.fft.fft(rho_vals) / self.nn
         w_hat = np.fft.fft(w, axis=0) / self.nn
@@ -799,20 +800,20 @@ class _CenterDirectionSystem:
             "gauge": abs(g[0] - 1.0),
             "min_g": float(np.min(g)),
         }
-        return F, diag
+        return F, (diag, (phi, g, grads))
 
-    def _linearization(self, u):
+    def _linearization(self, u, fields=None):
         """Boundary factor times tau, gradient and Hessian blocks of rho
-        along the disc at state u; the fields of the last residual are
-        reused when it was taken at u, as Gauss-Newton takes it."""
-        last_u, phi, g, grads = self._evaluated
-        if last_u != u.tobytes():
+        along the disc at state u, from the ``fields`` that
+        :meth:`residual` returned at u, or evaluated here without them."""
+        if fields is None:
             phi, g = self._fields(u)
-            grads = self.domain.grad(phi)
+            fields = phi, g, self.domain.grad(phi)
+        phi, g, grads = fields
         A, C = self.domain.hess_complex(phi)
         return g * self.tau, grads, A, C
 
-    def jacobian(self, u):
+    def jacobian(self, u, fields=None):
         """The Gauss-Newton normal equations at state u, as
         :class:`_NormalEquations`: the Gram matrix J^T J of the Jacobian
         J = d residual / d u (gauge row included), J^T F_p for the 4n real
@@ -844,8 +845,9 @@ class _CenterDirectionSystem:
 
         The Gram matrix and the stretches for J^T F live in reused buffers
         until the next call of the same shape (see :class:`_NormalEquations`).
+        ``fields`` are those :meth:`residual` returned at u, if at hand.
         """
-        gt, grads, A, C = self._linearization(u)
+        gt, grads, A, C = self._linearization(u, fields)
         n, nn, L = self.n, self.nn, self.L
         # (U or V, component, family)
         fields = _workspace("fields", (2, n + 1, n + 1, nn), complex)
@@ -916,8 +918,8 @@ class _CenterDirectionSystem:
         ``tangent``)."""
         last = [None]
 
-        def step(u, F, diag):
-            normal = self.jacobian(u)
+        def step(u, F, aux):
+            normal = self.jacobian(u, aux[1])
             if not tangent:
                 return self._ls_step(normal.gram, normal.rhs(F))
             du = self._ls_step(
@@ -925,9 +927,10 @@ class _CenterDirectionSystem:
             last[0] = du[:, 1:]
             return du[:, 0]
 
-        u, _, diag = _damped_newton(
+        u, _, (diag, _) = _damped_newton(
             u0, self.residual, step,
-            lambda F, d: max(d["attachment"], d["neg_modes"], d["gauge"]) <= tol,
+            lambda F, aux: max(aux[0]["attachment"], aux[0]["neg_modes"],
+                               aux[0]["gauge"]) <= tol,
             tol, max_iters)
         return u, diag, last[0]
 
@@ -1009,13 +1012,14 @@ def _cholesky_solve(A, B):
     return X
 
 
-def _damped_newton(u, residual, step, converged, tol, max_iters):
+def _damped_newton(u, residual, step, converged, tol, max_iters, aux=None):
     """The damped Newton iteration of the disc, tangency and two-point
     solves, with the policy of the module docstring (Deuflhard, *Newton
-    Methods for Nonlinear Problems*, 2004, ch. 3).  ``residual(u)`` gives
-    (F, aux), ``step(u, F, aux)`` the undamped step and ``converged(F,
+    Methods for Nonlinear Problems*, 2004, ch. 3).  ``residual(u, aux)``
+    gives (F, aux) at u from the aux of the accepted iterate (``aux`` at
+    the start), ``step(u, F, aux)`` the undamped step and ``converged(F,
     aux)`` the stopping test; returns (u, F, aux)."""
-    F, aux = residual(u)
+    F, aux = residual(u, aux)
     norms = [np.linalg.norm(F)]
     for _ in range(max_iters):
         if converged(F, aux):
@@ -1031,7 +1035,7 @@ def _damped_newton(u, residual, step, converged, tol, max_iters):
         for t in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             trial = u + t * du
             try:
-                F_new, aux_new = residual(trial)
+                F_new, aux_new = residual(trial, aux)
             except (PreconditionError, SolverDivergence):
                 continue
             if np.linalg.norm(F_new) <= (1.0 - 1e-4 * t) * norm + tol:
@@ -1147,12 +1151,18 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
         try:
             u_next, diag, _ = target.gauss_newton(u, tol, settings.max_iters)
         except SolverDivergence as exc:
+            if ball0 is domain:
+                # a ball has no homotopy to subdivide: its closed form is
+                # what M cannot attach
+                raise SolverDivergence(
+                    f"ball geodesic truncated at M = {settings.modes} is "
+                    f"attached only to {init.attachment_residual:.3g}",
+                    last_residual=init.attachment_residual) from exc
             # stagnation below newton_tol is the resolution floor of this
             # M, which no shorter homotopy step lowers
             floor = exc.stagnated and exc.last_residual <= tol
             if target is system:
-                # a ball has no homotopy to subdivide
-                if ball0 is domain or floor:
+                if floor:
                     raise
                 failure = exc
             dt *= 0.5
@@ -1203,31 +1213,26 @@ def solve_from_center_direction(domain: ConvexDomain, z, v,
 class _OuterSystem:
     """Newton system for the disc with center c and direction d/|d| that
     passes through ``target`` at the real parameter s.  A subclass picks
-    the unknowns (``residual(x)`` -> (R, disc), ``jacobian(x, disc)``)
-    from the rows and Jacobian here.  The warm slot holds the last disc
-    solved by Gauss-Newton (or None)."""
+    the unknowns (``residual(x, warm)`` -> (R, disc), ``jacobian(x,
+    disc)``) from the rows and Jacobian here.  It keeps no state: each
+    residual solves its disc from the accepted iterate's, ``warm``."""
 
     def __init__(self, domain, settings):
         self.domain = domain
         self.settings = settings
         self.n = domain.dimension
-        self.warm = None
 
-    def solve_disc(self, c, d):
-        """The closed form on a ball, where it must attach to newton_tol at
-        the truncation M; else a warm Gauss-Newton solve."""
+    def solve_disc(self, c, d, warm):
+        """A ball's closed form where it attaches to newton_tol at the
+        truncation M; else :func:`_solve_cd_raw`, from the solved disc
+        ``warm`` on other domains and cold on a ball."""
         dn = d / np.linalg.norm(d)
-        if self.domain.kind != "ball":
-            self.warm = _solve_cd_raw(self.domain, c, dn, self.settings,
-                                      warm=self.warm)
-            return self.warm
-        disc = ball_geodesic(self.domain, c, dn, self.settings)
-        if disc.attachment_residual > self.settings.newton_tol:
-            raise SolverDivergence(
-                f"ball geodesic truncated at M = {self.settings.modes} is "
-                f"attached only to {disc.attachment_residual:.3g}",
-                last_residual=disc.attachment_residual)
-        return disc
+        if self.domain.kind == "ball":
+            disc = ball_geodesic(self.domain, c, dn, self.settings)
+            if disc.attachment_residual <= self.settings.newton_tol:
+                return disc
+            warm = None
+        return _solve_cd_raw(self.domain, c, dn, self.settings, warm=warm)
 
     def through_rows(self, disc, d, s, target):
         """(Re, Im)(phi(s) - target) and |d|^2 - 1."""
@@ -1237,21 +1242,21 @@ class _OuterSystem:
 
     def through_jacobian(self, disc, c, d, s):
         """Jacobian (2n + 1, 4n + 1) of the through-point rows in
-        (Re c, Im c, Re d, Im d, s), from the ball's closed form or the
-        disc's parameter tangent; solves no disc."""
+        (Re c, Im c, Re d, Im d, s); solves no disc.  dphi(s)/dp along
+        (Re c, Im c, Re v, Im v) comes from the ball's closed form or the
+        disc's parameter tangent, and v = d/|d| moves with (Re d, Im d)
+        by (I - w w^T)/|d|, w = (Re d, Im d)/|d|."""
         n = self.n
         s = s + 0.0j
-        ew, ed = _coordinate_tangents(n), _direction_tangents(d)
-        dz = np.concatenate([ew, np.zeros_like(ed)])
-        dv = np.concatenate([np.zeros_like(ew), ed])
+        nd = np.linalg.norm(d)
         if self.domain.kind == "ball":
-            dphi = _ball_point_sensitivity(self.domain, c,
-                                           d / np.linalg.norm(d), s,
-                                           self.settings.modes, dz, dv)
+            dphi = _ball_point_sensitivity(self.domain, c, d / nd, s,
+                                           self.settings.modes)
         else:
-            dphi = _tangent_at(
-                _parameter_tangent(self.domain, disc, self.settings), s,
-                dz, dv)
+            dcoeffs, _ = _parameter_tangent(self.domain, disc, self.settings)
+            dphi = power_series(dcoeffs.transpose(1, 0, 2), s)
+        w = np.concatenate([d.real, d.imag]) / nd
+        dphi[2 * n:] = (dphi[2 * n:] - np.outer(w, w @ dphi[2 * n:])) / nd
         ds = disc.derivative(np.array([s]))[0]
         J = np.zeros((2 * n + 1, 4 * n + 1))
         J[:2 * n, :4 * n] = np.concatenate([dphi.T.real, dphi.T.imag])
@@ -1259,15 +1264,15 @@ class _OuterSystem:
         J[2 * n, 2 * n:4 * n] = 2.0 * np.concatenate([d.real, d.imag])
         return J
 
-    def newton(self, x, tol, max_iters):
-        """(x, R, disc) with max |R| <= tol by :func:`_damped_newton`; the
-        step is lstsq's minimum-norm one, which also serves a square
-        system."""
+    def newton(self, x, tol, max_iters, warm):
+        """(x, R, disc) with max |R| <= tol by :func:`_damped_newton`, the
+        first disc solved from ``warm``; the step is lstsq's minimum-norm
+        one, which also serves a square system."""
         return _damped_newton(
             x, self.residual,
             lambda x, R, disc: np.linalg.lstsq(self.jacobian(x, disc), -R,
                                                rcond=None)[0],
-            lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters)
+            lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters, warm)
 
 
 class _TwoPointSystem(_OuterSystem):
@@ -1279,7 +1284,7 @@ class _TwoPointSystem(_OuterSystem):
         self.z = z
         self.w = w
 
-    def residual(self, x):
+    def residual(self, x, warm=None):
         """(G, disc); raises PreconditionError outside the admissible
         region 0 < xi < 1, |v| >= 1e-8."""
         n = self.n
@@ -1287,7 +1292,7 @@ class _TwoPointSystem(_OuterSystem):
         xi = x[2 * n]
         if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
             raise PreconditionError("two-point state left the admissible region")
-        disc = self.solve_disc(self.z, v)
+        disc = self.solve_disc(self.z, v, warm)
         return self.through_rows(disc, v, xi, self.w), disc
 
     def jacobian(self, x, disc):
@@ -1308,15 +1313,6 @@ def _parameter_tangent(domain, disc, settings):
     normal = system.jacobian(u)
     return system.coefficient_tangent(
         u, system._ls_step(normal.gram, normal.rhs_p))
-
-
-def _tangent_at(tangent, s, dz, dv):
-    """Derivative of phi(s) along P perturbations ``dz`` (P, n) of the
-    center and ``dv`` (P, n) of the unit direction, from the parameter
-    ``tangent``; returns (P, n)."""
-    dcoeffs, _ = tangent
-    dp = np.hstack([dz.real, dz.imag, dv.real, dv.imag])           # (P, 4n)
-    return dp @ power_series(dcoeffs.transpose(1, 0, 2), s)
 
 
 def _direction_tangents(d):
@@ -1343,8 +1339,9 @@ def solve_two_point(domain: ConvexDomain, z, w,
     phi(xi) = w with xi in (0, 1); returns (disc, xi).
 
     Newton iteration of :class:`_OuterSystem` with the center pinned at
-    z, over the direction sphere and xi.  On a ball, a geodesic that the
-    truncation M cannot attach to newton_tol raises SolverDivergence.
+    z, over the direction sphere and xi.  On a ball, a geodesic that
+    neither its closed form nor Gauss-Newton attaches to newton_tol at
+    the truncation M raises SolverDivergence naming M.
     The outer Jacobian solves no disc, so each outer iteration costs no
     disc solves beyond its line search.
     """
@@ -1366,7 +1363,7 @@ def solve_two_point(domain: ConvexDomain, z, w,
 
     system = _TwoPointSystem(domain, z, w, settings)
     x, _, disc = system.newton(np.concatenate([v0.real, v0.imag, [xi0]]),
-                               max(1e-9, settings.newton_tol), 30)
+                               max(1e-9, settings.newton_tol), 30, None)
     return disc, float(x[2 * n])
 
 
@@ -1393,7 +1390,10 @@ def boundary_hausdorff(disc1: AnalyticDisc, disc2: AnalyticDisc,
     grid samples of each disc to the boundary curve (not the samples) of
     the other.  Each foot point on the other curve is refined by at most
     ``newton_iters`` Gauss-Newton steps in theta, stopping once every
-    step is below 1e-14."""
+    step is below 1e-14; 0 takes the nearest grid node as it is.  Raises
+    :class:`PreconditionError` unless ``newton_iters`` is an integer
+    >= 0."""
+    _count("newton_iters", newton_iters, 0)
 
     def directed(da, db):
         targets = da.boundary_values()

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleGrid, TrigSeries, analyze, cauchy_extend, \
-    negative_tail_norm
-from .discs import AnalyticDisc, SolverSettings, _count
+from .circle import CircleGrid, TrigSeries, _count, _tolerance, analyze, \
+    cauchy_extend, negative_tail_norm
+from .discs import AnalyticDisc, SolverSettings
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError
 from .tangency import _base_point, trace_locus
@@ -111,6 +111,7 @@ def restrict(f: BoundaryFunction, disc: AnalyticDisc,
              attach_tol: float = ATTACH_TOL) -> DiscTrace:
     """Trace of f on the disc boundary, sampled exactly at the grid
     nodes and analyzed."""
+    _tolerance("attach_tol", attach_tol)
     if disc.domain is not None:
         res = disc.boundary_residual()
         if res > attach_tol:
@@ -136,6 +137,7 @@ def extend_along_disc(trace: DiscTrace, tau,
     """Value of the holomorphic extension of the trace at |tau| < 1.
 
     Refuses when the relative defect exceeds ``threshold``."""
+    _tolerance("threshold", threshold)
     rel = relative_defect(trace)
     if rel > threshold:
         raise PreconditionError(
@@ -148,6 +150,7 @@ def morera_integrals(f: BoundaryFunction, disc: AnalyticDisc,
     """The n contour integrals int f(phi) phi_j'(e^{i theta}) i e^{i theta} dtheta
     (the pairing of f with the constant forms dz_j over the disc
     boundary), by the trapezoid rule on the grid."""
+    _tolerance("attach_tol", attach_tol)
     if disc.domain is not None and disc.boundary_residual() > attach_tol:
         raise PreconditionError("disc is not attached")
     nodes = disc.grid.nodes
@@ -159,6 +162,7 @@ def morera_integrals(f: BoundaryFunction, disc: AnalyticDisc,
 
 def extension_report(f: BoundaryFunction, disc: AnalyticDisc,
                      threshold: float = DEFECT_THRESHOLD) -> ExtensionReport:
+    _tolerance("threshold", threshold)
     trace = restrict(f, disc)
     rel = relative_defect(trace)
     return ExtensionReport(defect=extension_defect(trace),
@@ -180,9 +184,10 @@ def consistency_check(f: BoundaryFunction, domain1: ConvexDomain,
     discs spread along it, extends the trace of f along each and reports
     all values together with their spread.  Discs whose trace fails the
     defect threshold contribute no value but stay in the report.  Raises
-    :class:`PreconditionError` for disc_count < 1 or a z that is not
-    strictly between the domains."""
+    :class:`PreconditionError` for disc_count < 1, a threshold that is
+    not finite and > 0 or a z that is not strictly between the domains."""
     _count("disc_count", disc_count)
+    _tolerance("threshold", threshold)
     z = _base_point(domain1, domain2, z)
     settings = settings or SolverSettings()
     if locus is None:
@@ -276,6 +281,7 @@ def tangent_line_family(r2: float, count: int, grid: CircleGrid,
     touch circles (where the trace of the counterexample function
     becomes holomorphic)."""
     _check_inner_radius(r2)
+    _count("count", count)
     lo, hi = alpha_range
     discs = []
     for i in range(count):

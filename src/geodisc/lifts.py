@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, analyze, power_series
+from .circle import CircleGrid, _tolerance, analyze, power_series
 from .discs import _boundary_factor, _conormal_gamma
 from .domains import ConvexDomain
 from .errors import PreconditionError
@@ -85,9 +85,12 @@ def lift_from_disc(domain: ConvexDomain, disc, coordinate_rotation=None,
 
     ``coordinate_rotation`` is accepted and ignored: the lift is unique,
     so it is the same in every unitary coordinate system.  Raises
-    :class:`PreconditionError` for a detached or non-injective disc, and
-    when g * drho(phi) keeps negative modes above ``stationarity_tol``
-    relative to its norm, i.e. the disc is not stationary."""
+    :class:`PreconditionError` for a tolerance that is not finite and > 0,
+    for a detached or non-injective disc, and when g * drho(phi) keeps
+    negative modes above ``stationarity_tol`` relative to its norm, i.e.
+    the disc is not stationary."""
+    _tolerance("attach_tol", attach_tol)
+    _tolerance("stationarity_tol", stationarity_tol)
     residual = disc.boundary_residual(domain)
     if residual > attach_tol:
         raise PreconditionError(

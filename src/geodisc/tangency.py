@@ -21,7 +21,10 @@ along the kernel of the residual Jacobian.
 With w held fixed this is the two-point problem for w and z_o, so the
 disc solve, the rows psi(sigma) = z_o and |d| = 1, their Jacobian and
 the Newton step are those of the two-point solve (``discs._OuterSystem``);
-this module adds the three inner-boundary rows.
+this module adds the three inner-boundary rows.  The systems keep no
+state: each correction is handed the disc its first solve starts from,
+and a locus step starts from the last disc accepted, also when it is
+retried after a failure.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from functools import partial
 
 import numpy as np
 
+from .circle import _count, _tolerance
 from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
                     _ball_psi_inverse, _complete_unitary, _coordinate_tangents,
-                    _count, _direction_tangents, _herm, _point, _solve_cd_raw)
+                    _direction_tangents, _herm, _point, _solve_cd_raw)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -151,9 +155,9 @@ class _TangencySystem(_OuterSystem):
         d = u[2 * n:3 * n] + 1j * u[3 * n:4 * n]
         return w, d, u[4 * n]
 
-    def residual(self, u):
+    def residual(self, u, warm=None):
         w, d, sigma = self.unpack(u)
-        disc = self.solve_disc(w, d)
+        disc = self.solve_disc(w, d, warm)
         pair = np.sum(self.d2.grad(w) * (d / np.linalg.norm(d)))
         R = np.concatenate([
             [float(self.d2.rho(w)), pair.real, pair.imag],
@@ -178,19 +182,17 @@ class _TangencySystem(_OuterSystem):
         inner[2, :4 * n] = dpair.imag
         return np.vstack([inner, self.through_jacobian(disc, w, d, u[4 * n])])
 
-    def correct(self, u):
+    def correct(self, u, warm):
         """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
-        Newton steps; the system is underdetermined (2n + 4 equations,
-        4n + 1 unknowns)."""
-        return self.newton(u, TANGENCY_TOL, 12)
+        Newton steps, the first disc solved from ``warm``; the system is
+        underdetermined (2n + 4 equations, 4n + 1 unknowns)."""
+        return self.newton(u, TANGENCY_TOL, 12, warm)
 
     def make_point(self, u, R, disc) -> TangencyPoint:
         w, d, sigma = self.unpack(u)
         if sigma < 0:
             # flip the direction so the base point sits at positive sigma
-            u = self.pack(w, -d, -sigma)
-            self.warm = None
-            u, R, disc = self.correct(u)
+            u, R, disc = self.correct(self.pack(w, -d, -sigma), None)
             w, d, sigma = self.unpack(u)
         const = tangency_order_constant(self.d2, disc)
         if const <= 0:
@@ -211,6 +213,7 @@ def _tangent_projection(grad, vector):
 
 
 def _initial_state(system, seed_w):
+    """(u, disc) of the tangent disc nearest ``seed_w``, uncorrected."""
     d2 = system.d2
     z_o = system.z_o
     w0 = d2.boundary_point(_point(d2, seed_w, "seed point") - d2.center)
@@ -223,11 +226,11 @@ def _initial_state(system, seed_w):
         k = int(np.argmin(np.abs(g)))
         d0 = _tangent_projection(d2.grad(w0), basis[k])
     d0 = d0 / np.linalg.norm(d0)
-    disc = system.solve_disc(w0, d0)
+    disc = system.solve_disc(w0, d0, None)
     sigma0, _ = _find_parameter(disc, z_o)
     # rotate d so the through-point parameter is real positive
     phase = np.exp(1j * np.angle(sigma0)) if sigma0 != 0 else 1.0
-    return system.pack(w0, d0 * phase, abs(sigma0))
+    return system.pack(w0, d0 * phase, abs(sigma0)), disc
 
 
 def _base_point(domain1, domain2, z_o):
@@ -254,8 +257,7 @@ def solve_tangent_disc(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
     settings = settings or SolverSettings()
     z_o = _base_point(domain1, domain2, z_o)
     system = _TangencySystem(domain1, domain2, z_o, settings)
-    u0 = _initial_state(system, seed_w)
-    u, R, disc = system.correct(u0)
+    u, R, disc = system.correct(*_initial_state(system, seed_w))
     return system.make_point(u, R, disc)
 
 
@@ -310,7 +312,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
             raise SolverDivergence(
                 f"no tangency seed converged ({error})")
     system = _TangencySystem(domain1, domain2, z_o, settings)
-    disc = system.warm = first.disc
+    disc = first.disc
     n = domain1.dimension
     u = system.pack(first.w, disc.base_direction
                     / np.linalg.norm(disc.base_direction), first.sigma)
@@ -337,9 +339,11 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     # oriented by Re <t_w, i (w - c)> > 0 (the packed dot product)
     rotation = system.pack(1j * (first.w - domain2.center), np.zeros(n), 0.0)
     t_first = kernel_tangent(u, disc, rotation)
-    u_c, _, disc_c = system.correct(u + probe * t_first)
-    u_d, _, _ = system.correct(u_c + probe * kernel_tangent(u_c, disc_c,
-                                                            t_first))
+    u_c, _, disc_c = system.correct(u + probe * t_first, disc)
+    # each correction starts from the last disc accepted: the first step
+    # from the second probe's
+    u_d, _, disc = system.correct(
+        u_c + probe * kernel_tangent(u_c, disc_c, t_first), disc_c)
     radius = _circumradius(*(system.unpack(s)[0] for s in (u, u_c, u_d)))
     radius = min(max(radius, probe), 10.0 * domain_scale)
     h = min(2.0 * np.pi * radius / steps, 0.5 * radius)
@@ -351,7 +355,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     arc = 0.0
     for _ in range(4 * steps):
         try:
-            u_new, R_new, disc_new = system.correct(u + h * t_prev)
+            u_new, R_new, disc_new = system.correct(u + h * t_prev, disc)
         except SolverDivergence:
             h *= 0.5
             if h < h_min:
@@ -361,7 +365,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
         point = system.make_point(u_new, R_new, disc_new)
         arc += float(np.linalg.norm(point.w - points[-1].w))
         points.append(point)
-        u, R, disc = u_new, R_new, disc_new
+        u, disc = u_new, disc_new
         h = min(1.15 * h, h_max)
         gap = float(np.linalg.norm(point.w - w_start))
         if len(points) >= 5 and arc > 4.0 * radius and gap < h:
@@ -386,7 +390,6 @@ def _sample_patch(system, first, u, steps, h):
     """Local patch of the (2n-3)-dimensional locus around the seed point
     ``first``, whose state is u."""
     rng = np.random.default_rng(11)
-    warm = system.warm
     points = [first]
     J = system.jacobian(u, first.disc)
     _, sv, vt = np.linalg.svd(J)
@@ -397,11 +400,10 @@ def _sample_patch(system, first, u, steps, h):
         t = combo @ kernel
         t /= max(np.linalg.norm(t[:2 * system.n]), 1e-12)
         try:
-            u_new, R_new, disc_new = system.correct(u + h * t)
+            u_new, R_new, disc_new = system.correct(u + h * t, first.disc)
             points.append(system.make_point(u_new, R_new, disc_new))
         except SolverDivergence:
             continue
-        system.warm = warm
     return TangencyLocus(system.z_o, points, float("nan"))
 
 
@@ -449,7 +451,9 @@ def push_domain_through_psi(domain1: ConvexDomain, domain2: ConvexDomain,
     For a ball outer domain the inverse map is closed-form; otherwise
     every evaluation costs one disc solve.  First and second derivatives
     are finite differences of rho_tilde, adequate for the sign
-    certificate."""
+    certificate, with step ``fd_step`` (finite and > 0) or a default."""
+    if fd_step is not None:
+        _tolerance("fd_step", fd_step)
     z_o = np.asarray(z_o, dtype=complex)
     n = domain1.dimension
     if domain1.kind == "ball":

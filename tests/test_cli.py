@@ -1,13 +1,14 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from geodisc.cli import main, parse_points, build_domain
+from geodisc.cli import build_parser, main, parse_points, build_domain
 from geodisc.errors import PreconditionError
 
 
@@ -16,6 +17,20 @@ def run(args, tmp_path, name="out.json"):
     code = main(args + ["--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+def test_readme_examples_parse():
+    # every command of the README's CLI block parses with today's flags;
+    # nothing runs
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("\n```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("geodisc ")]
+    assert len(commands) == 13
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func is not None
 
 
 def test_parse_points():

@@ -23,14 +23,15 @@ from geodisc import (NAMED_FUNCTIONS, consistency_check,
 from geodisc import (analyze, cauchy_extend, jacobian_certificate,
                      lift_from_disc, move_pole, projectivize, psi,
                      solve_tangent_disc, unit_outward_conormal)
+from geodisc import (extend_along_disc, extension_report, morera_integrals,
+                     push_domain_through_psi, restrict)
 from geodisc import discs as discs_module
 from geodisc.circle import power_series
 from geodisc.cli import main as cli_main, parse_points
 from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
                            _ball_point_sensitivity, _ball_series,
-                           _coordinate_tangents, _damped_newton,
-                           _direction_tangents, _parameter_tangent,
-                           _solve_cd_raw, _state_layout, _tangent_at)
+                           _damped_newton, _parameter_tangent, _solve_cd_raw,
+                           _state_layout)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -465,9 +466,9 @@ class _ContinuationLog:
             self.blends += 1
             return blend(*args)
 
-        def counting_jacobian(system, u):
+        def counting_jacobian(system, u, fields=None):
             self.jacobians += 1
-            return jacobian(system, u)
+            return jacobian(system, u, fields)
 
         def logging_gauss_newton(system, *args, **kwargs):
             if system.domain is not target:
@@ -604,14 +605,23 @@ def test_ball_geodesic_carries_its_solved_state(modes, grid):
     assert solved.solver_g.shape == disc.solver_g.shape == (1 + 2 * modes,)
     assert np.max(np.abs(solved.solver_g - disc.solver_g)) < 1e-10
 
-    ew, ev = _coordinate_tangents(2), _direction_tangents(v)
-    dz = np.concatenate([ew, np.zeros_like(ev)])
-    dv = np.concatenate([np.zeros_like(ew), ev])
-    tangent = _parameter_tangent(ball, disc, settings)
+    # both are dphi(s)/dp along (Re z, Im z, Re v, Im v); they agree along
+    # the center and along the tangents (I - w w^T)/|v| of the direction
+    # sphere, w = (Re v, Im v)/|v|, which is what moves a unit direction
+    w = np.concatenate([v.real, v.imag]) / np.linalg.norm(v)
+    sphere = (np.eye(4) - np.outer(w, w)) / np.linalg.norm(v)
+
+    def along_z_and_sphere(dphi):
+        return np.concatenate([dphi[:4], sphere @ dphi[4:]])
+
+    dcoeffs, _ = _parameter_tangent(ball, disc, settings)
     for s in (0.3 + 0.2j, -0.5j, 0.7, 0.95 * np.exp(2.0j)):
         exact = _ball_point_sensitivity(ball, z, v / np.linalg.norm(v), s,
-                                        modes, dz, dv)
-        assert np.max(np.abs(_tangent_at(tangent, s, dz, dv) - exact)) < 1e-10
+                                        modes)
+        solved = power_series(dcoeffs.transpose(1, 0, 2), s)
+        assert exact.shape == solved.shape == (8, 2)
+        assert np.max(np.abs(along_z_and_sphere(solved)
+                             - along_z_and_sphere(exact))) < 1e-10
 
 
 def _nan_in(x, k=0, value=np.nan):
@@ -635,6 +645,20 @@ _LONG = np.array([0.3, 0.0, 0.0])             # a point of C^3, not of C^2
 
 def _ball_lift():
     return lift_from_disc(BALL, ball_geodesic(BALL, _Z, _V, SMALL))
+
+
+def _detached():
+    """A disc of the ball of radius 0.8, held against the unit ball: its
+    boundary residual there is 0.36."""
+    disc = ball_geodesic(make_ball([0, 0], 0.8), _Z, _V, SMALL)
+    return dataclasses.replace(disc, domain=BALL)
+
+
+def _zbar1_trace():
+    """The trace of conj(z_1), which does not extend holomorphically, on
+    a ball geodesic."""
+    return restrict(NAMED_FUNCTIONS["zbar1"], ball_geodesic(BALL, _Z, _V,
+                                                            SMALL))
 
 
 def _matching(pattern, call):
@@ -753,6 +777,49 @@ def _matching(pattern, call):
     pytest.param(lambda: cauchy_extend(analyze(np.ones(16)), np.nan), None,
                  id="cauchy-extend-nan"),
     pytest.param(lambda: MoebiusMap(a=np.nan), None, id="moebius-nan"),
+    pytest.param(lambda: CircleGrid(np.nan), None, id="grid-nan"),
+    pytest.param(lambda: CircleGrid(100.0), None, id="grid-float-100"),
+    pytest.param(lambda: CircleGrid(64.0), None, id="grid-float-64"),
+    pytest.param(lambda: counterexample_harness(4, np.nan), None,
+                 id="harness-nan-grid"),
+    pytest.param(lambda: tangent_line_family(0.5, np.nan, CircleGrid(64)),
+                 None, id="tangent-line-family-nan-count"),
+    pytest.param(lambda: tangent_line_family(0.5, 2.5, CircleGrid(64)),
+                 None, id="tangent-line-family-fractional-count"),
+    pytest.param(lambda: boundary_hausdorff(_detached(), _detached(),
+                                            newton_iters=np.nan),
+                 None, id="hausdorff-nan-iters"),
+    pytest.param(lambda: boundary_hausdorff(_detached(), _detached(),
+                                            newton_iters=-1),
+                 None, id="hausdorff-negative-iters"),
+    pytest.param(lambda: lift_from_disc(BALL, _detached(), attach_tol=np.nan,
+                                        stationarity_tol=np.nan),
+                 None, id="lift-nan-tolerances"),
+    pytest.param(lambda: lift_from_disc(BALL, ball_geodesic(BALL, _Z, _V,
+                                                            SMALL),
+                                        stationarity_tol=np.nan),
+                 None, id="lift-nan-stationarity-tol"),
+    pytest.param(lambda: restrict(_HOLO, _detached(), attach_tol=np.nan),
+                 None, id="restrict-nan-attach-tol"),
+    pytest.param(lambda: morera_integrals(_HOLO, _detached(),
+                                          attach_tol=np.nan),
+                 None, id="morera-nan-attach-tol"),
+    pytest.param(lambda: extend_along_disc(_zbar1_trace(), 0.3,
+                                           threshold=np.nan),
+                 None, id="extend-nan-threshold"),
+    pytest.param(lambda: extension_report(_HOLO, ball_geodesic(BALL, _Z, _V,
+                                                               SMALL),
+                                          threshold=np.nan),
+                 None, id="extension-report-nan-threshold"),
+    pytest.param(lambda: consistency_check(_HOLO, BALL, _INNER, _Z_O, 4,
+                                           SMALL, threshold=np.nan),
+                 None, id="verify-nan-threshold"),
+    pytest.param(lambda: push_domain_through_psi(BALL, _INNER, _Z_O,
+                                                 fd_step=np.nan),
+                 None, id="push-nan-fd-step"),
+    pytest.param(lambda: push_domain_through_psi(BALL, _INNER, _Z_O,
+                                                 fd_step=-1e-5),
+                 None, id="push-negative-fd-step"),
     pytest.param(lambda: make_ellipsoid([1.0, np.nan]),
                  ["disc", "solve", "--domain", "ellipsoid:1,nan", "--z",
                   "0.1,0", "--v", "1,0"], id="nan-semi-axis"),
@@ -867,6 +934,34 @@ def test_two_point_past_the_ball_truncation_floor_diverges(z, w):
         solve_two_point(BALL, parse_points(z), parse_points(w),
                         SolverSettings())
     assert cli_main(_SOLVE_CLI + ["--z", z, "--w", w]) == 3
+
+
+def test_center_direction_past_the_ball_truncation_floor_names_m(capsys):
+    # the closed form through (0.9, 0) along (1, 0) is attached only to
+    # 0.00448 at M = 64, and Gauss-Newton cannot polish it: the error names
+    # that M, with the Gauss-Newton failure as its cause
+    with pytest.raises(SolverDivergence, match="M = 64") as info:
+        solve_from_center_direction(BALL, np.array([0.9, 0.0]),
+                                    np.array([1.0, 0.0]), SolverSettings())
+    assert isinstance(info.value.__cause__, SolverDivergence)
+    capsys.readouterr()
+    assert cli_main(_SOLVE_CLI + ["--z", "0.9,0", "--v", "1,0"]) == 3
+    assert "truncated at M = 64" in capsys.readouterr().err
+
+
+def test_two_point_residual_polishes_a_ball_closed_form_below_newton_tol():
+    # at M = 64 the ball geodesic through z along v is attached only to
+    # 2.8e-9; the disc solve polishes it by Gauss-Newton from that closed
+    # form instead of failing
+    z = np.array([0.562 - 0.27j, 0.09 + 0.635j])
+    v = np.array([-0.369 + 0.171j, -0.656 + 0.636j])
+    closed = ball_geodesic(BALL, z, v, SETTINGS)
+    assert closed.attachment_residual > SETTINGS.newton_tol
+    system = _TwoPointSystem(BALL, z, np.array([0.1, 0.1]), SETTINGS)
+    _, disc = system.residual(np.concatenate([v.real, v.imag, [0.5]]))
+    assert disc.attachment_residual <= SETTINGS.newton_tol
+    assert disc.boundary_residual() <= SETTINGS.newton_tol
+    assert np.max(np.abs(disc.coeffs - closed.coeffs)) < 1e-8
 
 
 def test_two_point_moebius_parameter():
@@ -1054,15 +1149,13 @@ def test_two_point_jacobian_matches_central_differences(case):
         domain, settings = make_perturbed_ball(0.05, "re_z1_sq"), SMALL
     system, x, disc = _two_point_state(domain, settings)
     J = system.jacobian(x, disc)
-    warm = system.warm
     h = 1e-6
     for i in range(len(x)):
         cols = []
         for sign in (1.0, -1.0):
             xp = x.copy()
             xp[i] += sign * h
-            system.warm = warm
-            cols.append(system.residual(xp)[0])
+            cols.append(system.residual(xp, disc)[0])
         fd = (cols[0] - cols[1]) / (2.0 * h)
         assert np.max(np.abs(J[:, i] - fd)) < 1e-7
 
@@ -1071,9 +1164,9 @@ def _count_gn_jacobians(monkeypatch):
     calls = []
     jacobian = _CenterDirectionSystem.jacobian
 
-    def counting(system, u):
+    def counting(system, u, fields=None):
         calls.append(u)
-        return jacobian(system, u)
+        return jacobian(system, u, fields)
 
     monkeypatch.setattr(_CenterDirectionSystem, "jacobian", counting)
     return calls
@@ -1084,8 +1177,8 @@ def test_two_point_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
     system, x, disc = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
                                        SMALL)
     x = x + 0.01
-    _, disc = system.residual(x)
-    assert system.warm is disc and disc.tangent is not None
+    _, disc = system.residual(x, disc)
+    assert disc.tangent is not None
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(x, disc)
     assert calls == []
@@ -1095,15 +1188,15 @@ def test_two_point_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
 
 
 def test_two_point_tangent_belongs_to_its_disc(monkeypatch):
-    # the warm slot moving on to another disc leaves the first disc's
-    # tangent with it: its Jacobian still builds no GN Jacobian
-    system, x_a, _ = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
-                                      SMALL)
+    # a later solve started from the disc leaves the disc's tangent with
+    # it: its Jacobian still builds no GN Jacobian
+    system, x_a, disc = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
+                                         SMALL)
     x_a = x_a + 0.01
-    _, disc_a = system.residual(x_a)
+    _, disc_a = system.residual(x_a, disc)
     assert disc_a.tangent is not None
-    system.residual(x_a + 0.01)
-    assert system.warm is not disc_a
+    _, disc_b = system.residual(x_a + 0.01, disc_a)
+    assert disc_b is not disc_a
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(x_a, disc_a)
     assert calls == []
@@ -1217,11 +1310,14 @@ def _max_norm_below(tol):
     return lambda F, aux: np.max(np.abs(F)) <= tol
 
 
-def _logged(residual, trials):
-    """The toy residual u -> (F, None), recording each state it sees."""
-    def wrapped(u):
+def _logged(residual, trials, handed=None):
+    """The toy residual u -> (F, u[0]), recording each state it sees and,
+    in ``handed``, the aux that _damped_newton hands it."""
+    def wrapped(u, aux):
         trials.append(float(u[0]))
-        return residual(u), None
+        if handed is not None:
+            handed.append(aux)
+        return residual(u), float(u[0])
     return wrapped
 
 
@@ -1259,13 +1355,17 @@ def test_damped_newton_rejects_inadmissible_trials(error):
 
 
 def test_damped_newton_line_search_stalls_at_one_thirty_second():
-    # an uphill step is rejected at t = 1, 1/2, ..., 1/32 and then reported
-    trials = []
+    # an uphill step is rejected at t = 1, 1/2, ..., 1/32 and then reported;
+    # every trial is handed the aux of the accepted iterate, not of the
+    # trial rejected before it, and the start is handed the caller's
+    trials, handed = [], []
     with pytest.raises(SolverDivergence, match="line search stalled") as info:
-        _damped_newton(np.ones(1), _logged(lambda u: u.copy(), trials),
-                       lambda u, F, aux: F, _max_norm_below(1e-12), 1e-12, 5)
+        _damped_newton(np.ones(1), _logged(lambda u: u.copy(), trials, handed),
+                       lambda u, F, aux: F, _max_norm_below(1e-12), 1e-12, 5,
+                       aux="start")
     assert info.value.last_residual == 1.0
     assert trials == [1.0] + [1.0 + 0.5 ** k for k in range(6)]
+    assert handed == ["start"] + [1.0] * 6
 
 
 def test_damped_newton_reports_the_last_residual():
@@ -1284,13 +1384,13 @@ def test_damped_newton_stops_when_the_residual_stagnates():
     # end the solve
     steps = []
     with pytest.raises(SolverDivergence, match="stagnated") as info:
-        _damped_newton(np.zeros(1), lambda u: (np.full(1, 1e-3), None),
+        _damped_newton(np.zeros(1), lambda u, aux: (np.full(1, 1e-3), None),
                        lambda u, F, aux: steps.append(u) or np.ones(1),
                        _max_norm_below(1e-6), 1e-3, 40)
     assert len(steps) == 5 and info.value.last_residual == 1e-3
     # a contraction by 0.87 per step halves the residual every five and
     # runs until it converges
-    u, F, _ = _damped_newton(np.ones(1), lambda u: (u.copy(), None),
+    u, F, _ = _damped_newton(np.ones(1), lambda u, aux: (u.copy(), None),
                              lambda u, F, aux: -0.13 * F,
                              _max_norm_below(1e-3), 1e-12, 60)
     assert abs(F[0]) <= 1e-3
@@ -1320,11 +1420,13 @@ def test_one_armijo_loop():
 def test_one_outer_system():
     # the tangency corrector and the two-point solve share
     # discs._OuterSystem: its through-point Jacobian is the one caller of
-    # each disc-point sensitivity, and tangency.py solves no ball geodesic
+    # each disc-point sensitivity, its disc solve the one place a ball's
+    # truncation is reported, and tangency.py solves no ball geodesic
     src = pathlib.Path(discs_module.__file__).parent
     text = "".join(p.read_text() for p in src.glob("*.py"))
-    for name in ("_ball_point_sensitivity(", "_tangent_at("):
+    for name in ("_ball_point_sensitivity(", "_parameter_tangent("):
         assert text.count(name) - text.count(f"def {name}") == 1
+    assert text.count("ball geodesic truncated at M =") == 1
     assert "ball_geodesic(" not in (src / "tangency.py").read_text()
 
 

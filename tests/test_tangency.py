@@ -10,9 +10,10 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
                      PreconditionError, SolverDivergence)
 from geodisc import tangency as tangency_module
-from geodisc.discs import (_CenterDirectionSystem, _ball_psi_inverse,
-                           _ball_two_point_data, _solve_cd_raw)
-from geodisc.tangency import _TangencySystem
+from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
+                           _ball_psi_inverse, _ball_two_point_data,
+                           _solve_cd_raw)
+from geodisc.tangency import _TangencySystem, _initial_state
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -308,7 +309,7 @@ def _converged_tangency(outer, inner, z_o, seed_w, settings):
     tp = solve_tangent_disc(outer, inner, z_o, seed_w, settings)
     system = _TangencySystem(outer, inner, z_o, settings)
     d = tp.disc.base_direction / np.linalg.norm(tp.disc.base_direction)
-    u, _, disc = system.correct(system.pack(tp.w, d, tp.sigma))
+    u, _, disc = system.correct(system.pack(tp.w, d, tp.sigma), None)
     return system, u, disc
 
 
@@ -335,17 +336,15 @@ def test_tangency_jacobian_matches_central_differences(case, offset):
                                           np.array(seed_w), settings)
     if offset:
         u = u + offset * np.cos(np.arange(len(u)))
-        _, disc = system.residual(u)
+        _, disc = system.residual(u, disc)
     J = system.jacobian(u, disc)
-    warm = system.warm
     h = 1e-6
     for i in range(len(u)):
         cols = []
         for sign in (1.0, -1.0):
             up = u.copy()
             up[i] += sign * h
-            system.warm = warm
-            cols.append(system.residual(up)[0])
+            cols.append(system.residual(up, disc)[0])
         fd = (cols[0] - cols[1]) / (2.0 * h)
         assert np.max(np.abs(J[:, i] - fd)) < 1e-7
 
@@ -370,9 +369,9 @@ def _count_gn_jacobians(monkeypatch):
     calls = []
     jacobian = _CenterDirectionSystem.jacobian
 
-    def counting(system, u):
+    def counting(system, u, fields=None):
         calls.append(u)
-        return jacobian(system, u)
+        return jacobian(system, u, fields)
 
     monkeypatch.setattr(_CenterDirectionSystem, "jacobian", counting)
     return calls
@@ -381,11 +380,11 @@ def _count_gn_jacobians(monkeypatch):
 def test_tangency_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
         monkeypatch):
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
-    system, u, _ = _converged_tangency(*make_domains(), np.array(z_o),
-                                       np.array(seed_w), settings)
+    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
+                                          np.array(seed_w), settings)
     u = u + 0.02 * np.cos(np.arange(len(u)))
-    _, disc = system.residual(u)
-    assert system.warm is disc and disc.tangent is not None
+    _, disc = system.residual(u, disc)
+    assert disc.tangent is not None
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(u, disc)
     assert calls == []
@@ -395,16 +394,17 @@ def test_tangency_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
 
 
 def test_tangency_tangent_belongs_to_its_disc(monkeypatch):
-    # the warm slot moving on to another disc leaves the first disc's
-    # tangent with it: its Jacobian still builds no GN Jacobian
+    # a later solve started from the disc leaves the disc's tangent with
+    # it: its Jacobian still builds no GN Jacobian
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
-    system, u, _ = _converged_tangency(*make_domains(), np.array(z_o),
-                                       np.array(seed_w), settings)
+    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
+                                          np.array(seed_w), settings)
     u_a = u + 0.02 * np.cos(np.arange(len(u)))
-    _, disc_a = system.residual(u_a)
+    _, disc_a = system.residual(u_a, disc)
     assert disc_a.tangent is not None
-    system.residual(u_a + 0.01 * np.sin(np.arange(len(u))))
-    assert system.warm is not disc_a
+    _, disc_b = system.residual(u_a + 0.01 * np.sin(np.arange(len(u))),
+                                disc_a)
+    assert disc_b is not disc_a
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(u_a, disc_a)
     assert calls == []
@@ -420,7 +420,6 @@ def test_first_order_start_saves_gn_jacobians(monkeypatch):
     J = system.jacobian(u, disc)
     t = np.linalg.svd(J)[2][-1]
     step = u + 0.1 * t / np.linalg.norm(t[:2 * system.n])
-    solved = system.warm
     calls = _count_gn_jacobians(monkeypatch)
     counts, touch = [], []
     for first_order in (True, False):
@@ -431,14 +430,71 @@ def test_first_order_start_saves_gn_jacobians(monkeypatch):
                 return _solve_cd_raw(domain, z, v, settings, warm=warm)
 
             monkeypatch.setattr("geodisc.discs._solve_cd_raw", zeroth_order)
-        system.warm = solved
         before = len(calls)
-        u_new, R, _ = system.correct(step)
+        u_new, R, _ = system.correct(step, disc)
         counts.append(len(calls) - before)
         touch.append(system.unpack(u_new)[0])
         assert np.max(np.abs(R)) <= 1e-9
     assert np.linalg.norm(touch[0] - touch[1]) < 1e-8
     assert counts[0] < counts[1]
+
+
+def test_outer_solves_leave_their_systems_unchanged():
+    # the Newton iteration carries the accepted iterate's disc from one
+    # residual to the next; neither outer system keeps any of it
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    outer, inner = make_domains()
+    z, w = np.array([0.2 + 0.1j, -0.1j]), np.array([-0.1, 0.25 + 0.2j])
+    two_point = _TwoPointSystem(outer, z, w, settings)
+    v0, xi0 = _ball_two_point_data(BALL, z, w)
+    tangency = _TangencySystem(outer, inner, np.array(z_o), settings)
+    u0, disc0 = _initial_state(tangency, np.array(seed_w))
+    solves = ((two_point, lambda: two_point.newton(
+                  np.concatenate([v0.real, v0.imag, [xi0]]), 1e-9, 30, None)),
+              (tangency, lambda: tangency.correct(u0, disc0)))
+    for system, solve in solves:
+        before = dict(vars(system))
+        solve()
+        assert vars(system).keys() == before.keys()
+        assert all(vars(system)[k] is value for k, value in before.items())
+
+
+def test_a_failed_correction_is_retried_from_the_last_accepted_disc(
+        monkeypatch):
+    # corrections 1-3 are the seed and the two probes and 4 is the first
+    # locus step; 5 solves discs and then fails, so the trace halves its
+    # step and retries: the retry starts from the disc of 4, not from a
+    # disc that the failed correction solved
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    starts, entries, results = [], [], []
+    solve = _solve_cd_raw
+
+    def recording(domain, z, v, settings, warm=None):
+        starts.append(warm)
+        return solve(domain, z, v, settings, warm=warm)
+
+    class Stop(Exception):
+        pass
+
+    correct = _TangencySystem.correct
+
+    def failing_fifth(system, *args):
+        entries.append(len(starts))
+        out = correct(system, *args)
+        results.append(out[2])
+        if len(entries) == 5:
+            raise SolverDivergence("failed after solving discs")
+        if len(entries) == 6:
+            raise Stop
+        return out
+
+    monkeypatch.setattr("geodisc.discs._solve_cd_raw", recording)
+    monkeypatch.setattr(_TangencySystem, "correct", failing_fifth)
+    with pytest.raises(Stop):
+        trace_locus(*make_domains(), np.array(z_o), 12, settings,
+                    seed_w=np.array(seed_w))
+    assert entries[5] > entries[4] + 1        # the failed one solved discs
+    assert starts[entries[5]] is results[3]
 
 
 @pytest.mark.parametrize("n", [2, 3])
