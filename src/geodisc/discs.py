@@ -22,8 +22,10 @@ parametrization.  Residuals are collocated on a grid oversampled 2x
 against the coefficient truncation to keep products alias-free.  On any
 circle grid, phi is one inverse FFT of its coefficients folded mod the
 grid size (:func:`_grid_values`) and g one inverse real FFT
-(:func:`_boundary_factor`); :func:`circle.power_series` serves off-grid
-points.  A cold solve starts from the closed-form state, coefficients and g, of
+(:func:`_boundary_factor`); on the residual grid the solver takes both
+from one inverse FFT, g's spectrum as one more column next to phi's
+coefficients.  :func:`circle.power_series` serves off-grid points.  A
+cold solve starts from the closed-form state, coefficients and g, of
 the domain itself when it is a ball, else of an inscribed ball, and runs
 Gauss-Newton on the domain; no Gauss-Newton runs on the ball.  Only when
 that diverges on a non-ball domain is the homotopy from the ball to the
@@ -58,21 +60,30 @@ iterations earlier; accept a trial u + t du when
 trial whose residual raises PreconditionError or SolverDivergence as
 rejected.  The iteration hands every residual the aux of the accepted
 iterate, so no system keeps state between calls.  The disc solve steps
-by its normal equations, from the fields its residual returned; the
+by its normal equations, from the fields its residual returned.  The
 two-point solve and the tangency corrector share one outer system and
-its minimum-norm lstsq step (:class:`_OuterSystem`), whose residual
-solves its disc from the accepted iterate's: a ball's closed form where
-it attaches to newton_tol, else Gauss-Newton, cold on a ball.
+its minimum-norm lstsq step (:class:`_OuterSystem`): a disc with center
+c and direction d/|d| that passes through a target at the real parameter
+s.  On a ball each of its residuals takes the disc's closed form where
+that attaches to newton_tol, else a cold Gauss-Newton solve.  On other
+domains the iterate is the outer unknowns together with the disc's
+Gauss-Newton state, and one bordered step serves both: one linearization
+of the disc's equations gives their Gauss-Newton step and the state's
+parameter tangent, the outer step follows from the outer Jacobian on
+that tangent with the through-point rows moved by the Gauss-Newton step,
+and the state follows the outer step along the tangent.  No residual
+solves a disc, and each step linearizes the disc once.
 
-A warm solve starts from a solved disc, moved to first order along that
-disc's parameter tangent: coeffs + tangent dp, gamma + tangent dp.  The
-disc it returns carries its own parameter tangent, the derivative of the
-coefficients and of g along the 4n real perturbations of z and v, from
-the implicit-function theorem.  Each step solves for it as 4n more
-right-hand sides of the factorization it makes anyway, so the tangent of
-the last step lags the converged state by that step.  The tangency and
-two-point systems take their sensitivities from it by the chain rule.
-Cold solves solve no extra right-hand sides and return no tangent.
+A warm start moves a solved disc to first order along its parameter
+tangent: coeffs + tangent dp, gamma + tangent dp (:func:`_warm_state`).
+The outer system's iteration starts so, as does a warm disc solve.  A
+disc returned by either carries its own parameter tangent, the
+derivative of the coefficients and of g along the 4n real perturbations
+of z and v, from the implicit-function theorem.  Each step solves for it
+as 4n more right-hand sides of the factorization it makes anyway, so the
+tangent of the last step lags the returned state by that step.  The
+outer Jacobian takes its sensitivities from it by the chain rule.  Cold
+solves solve no extra right-hand sides and return no tangent.
 """
 
 from __future__ import annotations
@@ -128,9 +139,9 @@ class AnalyticDisc:
 
     A disc returned by a Gauss-Newton solve or by :func:`ball_geodesic`
     carries the solver's state: its boundary factor ``solver_g`` and,
-    after a warm solve that took a step, its parameter ``tangent`` (d
-    coeffs, d gamma) of shapes (4n, M+1, n) and (4n, 1 + 2M) (see the
-    module docstring)."""
+    after a warm or outer solve that took a step, its parameter
+    ``tangent`` (d coeffs, d gamma) of shapes (4n, M+1, n) and (4n, 1 +
+    2M) (see the module docstring)."""
 
     coeffs: np.ndarray            # (M+1, n) complex
     grid: CircleGrid
@@ -432,11 +443,18 @@ def _grid_values(coeffs, size):
 def _boundary_factor(gamma, size):
     """g = gamma_0 + sum_j (gamma_cj cos j theta + gamma_sj sin j theta)
     at the ``size`` grid nodes, for gamma = (gamma_0, gamma_c1, gamma_s1,
-    ...): the inverse real FFT of gamma_0, (gamma_cj - i gamma_sj) / 2."""
+    ...): the inverse real FFT of its :func:`_half_spectrum`."""
+    return np.fft.irfft(_half_spectrum(gamma), size, norm="forward")
+
+
+def _half_spectrum(gamma):
+    """The Fourier coefficients of g at j = 0..K for gamma = (gamma_0,
+    gamma_c1, gamma_s1, ...): gamma_0, (gamma_cj - i gamma_sj) / 2; those
+    at -j are their conjugates."""
     c = np.empty(len(gamma) // 2 + 1, dtype=complex)
     c[0] = gamma[0]
     c[1:] = 0.5 * (gamma[1::2] - 1j * gamma[2::2])
-    return np.fft.irfft(c, size, norm="forward")
+    return c
 
 
 @cache
@@ -773,9 +791,17 @@ class _CenterDirectionSystem:
     # -- evaluation ----------------------------------------------------
 
     def _fields(self, u):
-        """(phi, g) at the residual grid nodes at state u."""
-        return (_grid_values(self.disc_coeffs(u), self.nn),
-                _boundary_factor(_gamma(u[-2 * (self.M + 1):]), self.nn))
+        """(phi, g) at the residual grid nodes at state u, from one inverse
+        FFT: g is real, so its spectrum (:func:`_half_spectrum` and its
+        conjugates at -j) rides as one more column next to phi's
+        coefficients."""
+        n, M, nn = self.n, self.M, self.nn
+        spectra = np.zeros((nn, n + 1), dtype=complex)
+        spectra[:M + 1, :n] = self.disc_coeffs(u)
+        spectra[:M + 1, n] = _half_spectrum(_gamma(u[-2 * (M + 1):]))
+        spectra[nn - M:, n] = np.conj(spectra[M:0:-1, n])
+        values = np.fft.ifft(spectra, axis=0, norm="forward")
+        return values[:, :n], values[:, n].real
 
     def residual(self, u, aux=None):
         """(F, (diag, fields)) at state u; the fields (phi, g, grad rho) at
@@ -1102,8 +1128,9 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     """Core center-direction solve; returns the solved :class:`AnalyticDisc`.
 
     A warm solve starts from the solved disc ``warm``, moved to (z, v)
-    along its parameter tangent when it has one; when it takes a step the
-    returned disc carries the tangent of its last step's factorization
+    along its parameter tangent when it has one (:func:`_warm_state`);
+    when it takes a step the returned disc carries the tangent of its
+    last step's factorization
     (:meth:`_CenterDirectionSystem.coefficient_tangent`)."""
     z, v = _point_and_direction(domain, z, v)
     if not float(domain.rho(z)) < -INTERIOR_MARGIN:
@@ -1113,17 +1140,8 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     tol = settings.newton_tol
 
     if warm is not None:
-        coeffs0, gamma0 = warm.coeffs, warm.solver_g
-        if warm.tangent is not None:
-            dcoeffs, dgamma = warm.tangent
-            dz = z - warm.base_point
-            dv = v - warm.base_direction / np.linalg.norm(warm.base_direction)
-            dp = np.concatenate([dz.real, dz.imag, dv.real, dv.imag])
-            coeffs0 = coeffs0 + np.tensordot(dp, dcoeffs, axes=1)
-            gamma0 = gamma0 + dp @ dgamma
         u, diag, du_dp = system.gauss_newton(
-            system.initial_state(coeffs0, gamma0), tol, settings.max_iters,
-            tangent=True)
+            _warm_state(system, warm), tol, settings.max_iters, tangent=True)
         tangent = None if du_dp is None \
             else system.coefficient_tangent(u, du_dp)
         return _finalize(system, u, diag, settings, tangent)
@@ -1177,6 +1195,21 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
     return _finalize(system, u, diag, settings)
 
 
+def _warm_state(system, warm):
+    """The state of ``system`` at the solved disc ``warm``, moved to the
+    system's (z, v) to first order along warm's parameter tangent where it
+    carries one: coeffs + tangent dp, gamma + tangent dp; else as it is."""
+    coeffs, gamma = warm.coeffs, warm.solver_g
+    if warm.tangent is not None:
+        dcoeffs, dgamma = warm.tangent
+        dz = system.z - warm.base_point
+        dv = system.v - warm.base_direction / np.linalg.norm(warm.base_direction)
+        dp = np.concatenate([dz.real, dz.imag, dv.real, dv.imag])
+        coeffs = coeffs + np.tensordot(dp, dcoeffs, axes=1)
+        gamma = gamma + dp @ dgamma
+    return system.initial_state(coeffs, gamma)
+
+
 def _finalize(system, u, diag, settings, tangent=None):
     if u[1] <= 0:                                  # r
         raise SolverDivergence("converged to nonpositive derivative scale",
@@ -1212,15 +1245,30 @@ def solve_from_center_direction(domain: ConvexDomain, z, v,
 
 class _OuterSystem:
     """Newton system for the disc with center c and direction d/|d| that
-    passes through ``target`` at the real parameter s.  A subclass picks
-    the unknowns (``residual(x, warm)`` -> (R, disc), ``jacobian(x,
-    disc)``) from the rows and Jacobian here.  It keeps no state: each
-    residual solves its disc from the accepted iterate's, ``warm``."""
+    passes through ``target`` at the real parameter s.  A subclass's
+    unknowns x are the trailing entries of q = (Re c, Im c, Re d, Im d, s),
+    the leading ones ``pinned``; it adds its rows on a disc (``rows(x,
+    disc)``, ending with :meth:`through_rows`) and their Jacobian
+    (``jacobian(x, disc)``, from :meth:`through_jacobian`).
+
+    On a ball the Newton iteration runs over x, each residual on the
+    disc's closed form (:meth:`residual`).  On other domains it runs over
+    X = (x, y), y the disc's Gauss-Newton state, and no residual solves a
+    disc (:meth:`newton`).  The system keeps no state between calls."""
+
+    pinned = np.zeros(0)
 
     def __init__(self, domain, settings):
         self.domain = domain
         self.settings = settings
         self.n = domain.dimension
+
+    def unpack(self, x):
+        """(c, d, s) at the unknowns x."""
+        q = np.concatenate([self.pinned, x])
+        n = self.n
+        return (q[:n] + 1j * q[n:2 * n], q[2 * n:3 * n] + 1j * q[3 * n:4 * n],
+                q[4 * n])
 
     def solve_disc(self, c, d, warm):
         """A ball's closed form where it attaches to newton_tol at the
@@ -1234,6 +1282,16 @@ class _OuterSystem:
             warm = None
         return _solve_cd_raw(self.domain, c, dn, self.settings, warm=warm)
 
+    def residual(self, x, warm=None):
+        """(R, disc): the rows at x on the disc solved there
+        (:meth:`solve_disc`), the function of x whose Jacobian
+        :meth:`jacobian` gives.  The Newton iteration evaluates it on a
+        ball only; on other domains it carries the disc's state instead
+        (:meth:`newton`)."""
+        c, d, _ = self.unpack(x)
+        disc = self.solve_disc(c, d, warm)
+        return self.rows(x, disc), disc
+
     def through_rows(self, disc, d, s, target):
         """(Re, Im)(phi(s) - target) and |d|^2 - 1."""
         val = disc(np.array([s + 0.0j]))[0] - target
@@ -1245,7 +1303,7 @@ class _OuterSystem:
         (Re c, Im c, Re d, Im d, s); solves no disc.  dphi(s)/dp along
         (Re c, Im c, Re v, Im v) comes from the ball's closed form or the
         disc's parameter tangent, and v = d/|d| moves with (Re d, Im d)
-        by (I - w w^T)/|d|, w = (Re d, Im d)/|d|."""
+        (:func:`_along_direction`)."""
         n = self.n
         s = s + 0.0j
         nd = np.linalg.norm(d)
@@ -1255,8 +1313,7 @@ class _OuterSystem:
         else:
             dcoeffs, _ = _parameter_tangent(self.domain, disc, self.settings)
             dphi = power_series(dcoeffs.transpose(1, 0, 2), s)
-        w = np.concatenate([d.real, d.imag]) / nd
-        dphi[2 * n:] = (dphi[2 * n:] - np.outer(w, w @ dphi[2 * n:])) / nd
+        dphi[2 * n:] = _along_direction(d, dphi[2 * n:])
         ds = disc.derivative(np.array([s]))[0]
         J = np.zeros((2 * n + 1, 4 * n + 1))
         J[:2 * n, :4 * n] = np.concatenate([dphi.T.real, dphi.T.imag])
@@ -1265,14 +1322,104 @@ class _OuterSystem:
         return J
 
     def newton(self, x, tol, max_iters, warm):
-        """(x, R, disc) with max |R| <= tol by :func:`_damped_newton`, the
-        first disc solved from ``warm``; the step is lstsq's minimum-norm
-        one, which also serves a square system."""
-        return _damped_newton(
-            x, self.residual,
-            lambda x, R, disc: np.linalg.lstsq(self.jacobian(x, disc), -R,
-                                               rcond=None)[0],
-            lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters, warm)
+        """(x, R, disc) with max |R| <= tol by :func:`_damped_newton`; the
+        outer step is lstsq's minimum-norm one, which also serves a square
+        system.
+
+        On a ball each residual takes the disc's closed form.  On other
+        domains the iterate is X = (x, y): y is the Gauss-Newton state of
+        the disc with center c and direction d/|d| at x, which starts as
+        the solved disc ``warm`` moved to x to first order
+        (:func:`_warm_state`), or as the disc solved cold at x without it.
+        X converges when the disc's attachment, lift modes and gauge are
+        <= newton_tol and max |R| <= tol, and the disc returned carries
+        the parameter tangent of the last step (:meth:`_joint_step`)."""
+        if self.domain.kind == "ball":
+            return _damped_newton(
+                x, self.residual,
+                lambda x, R, disc: np.linalg.lstsq(
+                    self.jacobian(x, disc), -R, rcond=None)[0],
+                lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters, warm)
+        c, d, _ = self.unpack(x)
+        system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
+                                        self.settings)
+        if warm is None:
+            warm = _solve_cd_raw(self.domain, c, system.v, self.settings)
+        last = [None]
+
+        def step(X, FR, aux):
+            dX, last[0] = self._joint_step(X, aux)
+            return dX
+
+        def converged(FR, aux):
+            _, _, R, diag, _ = aux
+            return max(diag["attachment"], diag["neg_modes"],
+                       diag["gauge"]) <= self.settings.newton_tol \
+                and np.max(np.abs(R)) <= tol
+
+        X, _, (system, _, R, diag, _) = _damped_newton(
+            np.concatenate([x, _warm_state(system, warm)]),
+            self._joint_residual, step, converged, tol, max_iters)
+        x, y = self._split(X)
+        tangent = None if last[0] is None \
+            else system.coefficient_tangent(y, last[0])
+        return x, R, _finalize(system, y, diag, self.settings, tangent)
+
+    def _split(self, X):
+        """(x, y) of the iterate X of :meth:`newton`."""
+        m = 4 * self.n + 1 - len(self.pinned)
+        return X[:m], X[m:]
+
+    def _disc(self, system, y, tangent=None):
+        """The disc at the Gauss-Newton state y of ``system``, unsolved."""
+        return AnalyticDisc(system.disc_coeffs(y), self.settings.grid,
+                            self.domain, tangent=tangent)
+
+    def _joint_residual(self, X, aux=None):
+        """(F, R) stacked at X = (x, y), with the aux (system, F, R, diag,
+        fields): F and (diag, fields) are the Gauss-Newton residual of y
+        for the disc with center c and direction d/|d| at x, and R the
+        rows at x on the disc of y.  Raises PreconditionError where c
+        leaves the domain."""
+        x, y = self._split(X)
+        c, d, _ = self.unpack(x)
+        if not float(self.domain.rho(c)) < -INTERIOR_MARGIN:
+            raise PreconditionError("the disc center left the domain")
+        system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
+                                        self.settings)
+        R = self.rows(x, self._disc(system, y))
+        F, (diag, fields) = system.residual(y)
+        return np.concatenate([F, R]), (system, F, R, diag, fields)
+
+    def _joint_step(self, X, aux):
+        """(dX, T): the bordered Newton step at X = (x, y) from the aux of
+        its residual, and T = dy/dp along the 4n parameter perturbations.
+
+        One linearization of the Gauss-Newton system at y gives its step
+        du0 at fixed parameters and T, as 1 + 4n right-hand sides of one
+        factorization.  The outer Jacobian is taken on the disc of y with
+        the tangent T, and the through-point rows are moved to the disc
+        of y + du0, which is linear in y; lstsq's minimum-norm dx solves
+        the outer rows, and dy = du0 + T dp, where dp is dx on the
+        parameters, its d part taken to v = d/|d|
+        (:func:`_along_direction`)."""
+        x, y = self._split(X)
+        system, F, R, _, fields = aux
+        normal = system.jacobian(y, fields)
+        sol = system._ls_step(
+            normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p]))
+        du0, T = sol[:, 0], sol[:, 1:]
+        disc = self._disc(system, y, system.coefficient_tangent(y, T))
+        _, d, s = self.unpack(x)
+        n = self.n
+        shift = power_series(system.disc_coeffs(y + du0) - disc.coeffs,
+                             np.array([s + 0.0j]))[0]
+        R = R.copy()
+        R[-2 * n - 1:-1] += np.concatenate([shift.real, shift.imag])
+        dx = np.linalg.lstsq(self.jacobian(x, disc), -R, rcond=None)[0]
+        dq = np.concatenate([np.zeros(len(self.pinned)), dx])
+        dp = np.concatenate([dq[:2 * n], _along_direction(d, dq[2 * n:4 * n])])
+        return np.concatenate([dx, du0 + T @ dp]), T
 
 
 class _TwoPointSystem(_OuterSystem):
@@ -1283,28 +1430,29 @@ class _TwoPointSystem(_OuterSystem):
         super().__init__(domain, settings)
         self.z = z
         self.w = w
+        self.pinned = np.concatenate([z.real, z.imag])
 
-    def residual(self, x, warm=None):
-        """(G, disc); raises PreconditionError outside the admissible
+    def unpack(self, x):
+        """(z, v, xi); raises PreconditionError outside the admissible
         region 0 < xi < 1, |v| >= 1e-8."""
-        n = self.n
-        v = x[:n] + 1j * x[n:2 * n]
-        xi = x[2 * n]
+        z, v, xi = super().unpack(x)
         if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
             raise PreconditionError("two-point state left the admissible region")
-        disc = self.solve_disc(self.z, v, warm)
-        return self.through_rows(disc, v, xi, self.w), disc
+        return z, v, xi
+
+    def rows(self, x, disc):
+        _, v, xi = self.unpack(x)
+        return self.through_rows(disc, v, xi, self.w)
 
     def jacobian(self, x, disc):
-        n = self.n
-        v = x[:n] + 1j * x[n:2 * n]
-        return self.through_jacobian(disc, self.z, v, x[2 * n])[:, 2 * n:]
+        _, v, xi = self.unpack(x)
+        return self.through_jacobian(disc, self.z, v, xi)[:, 2 * self.n:]
 
 
 def _parameter_tangent(domain, disc, settings):
-    """The parameter tangent of the solved ``disc``: the one its warm solve
-    returned with it, else one linearization and factorization at the
-    disc."""
+    """The parameter tangent of the solved ``disc``: the one its warm or
+    outer solve returned with it, else one linearization and
+    factorization at the disc."""
     if disc.tangent is not None:
         return disc.tangent
     v = disc.base_direction / np.linalg.norm(disc.base_direction)
@@ -1313,6 +1461,16 @@ def _parameter_tangent(domain, disc, settings):
     normal = system.jacobian(u)
     return system.coefficient_tangent(
         u, system._ls_step(normal.gram, normal.rhs_p))
+
+
+def _along_direction(d, a):
+    """(I - w w^T) a / |d| for w = (Re d, Im d)/|d| and a of shape (2n,)
+    or (2n, k): how v = d/|d| moves with the real coordinates (Re d, Im d),
+    applied to rows along (Re v, Im v) or to a step of d (the map is
+    symmetric)."""
+    nd = np.linalg.norm(d)
+    w = np.concatenate([d.real, d.imag]) / nd
+    return (a - np.multiply.outer(w, w @ a)) / nd
 
 
 def _direction_tangents(d):
@@ -1339,11 +1497,12 @@ def solve_two_point(domain: ConvexDomain, z, w,
     phi(xi) = w with xi in (0, 1); returns (disc, xi).
 
     Newton iteration of :class:`_OuterSystem` with the center pinned at
-    z, over the direction sphere and xi.  On a ball, a geodesic that
-    neither its closed form nor Gauss-Newton attaches to newton_tol at
-    the truncation M raises SolverDivergence naming M.
-    The outer Jacobian solves no disc, so each outer iteration costs no
-    disc solves beyond its line search.
+    z, over the direction sphere and xi.  On a ball each residual takes
+    the closed-form geodesic, and one that neither its closed form nor
+    Gauss-Newton attaches to newton_tol at the truncation M raises
+    SolverDivergence naming M.  On other domains only the first disc is
+    solved, cold; the iteration then carries the disc's Gauss-Newton
+    state with (v, xi), and each step linearizes the disc once.
     """
     settings = settings or SolverSettings()
     z, w = _point(domain, z), _point(domain, w, "point w")

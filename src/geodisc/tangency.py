@@ -19,12 +19,14 @@ locus (a curve for n = 2) is traced by predictor-corrector continuation
 along the kernel of the residual Jacobian.
 
 With w held fixed this is the two-point problem for w and z_o, so the
-disc solve, the rows psi(sigma) = z_o and |d| = 1, their Jacobian and
-the Newton step are those of the two-point solve (``discs._OuterSystem``);
-this module adds the three inner-boundary rows.  The systems keep no
-state: each correction is handed the disc its first solve starts from,
-and a locus step starts from the last disc accepted, also when it is
-retried after a failure.
+rows psi(sigma) = z_o and |d| = 1, their Jacobian and the Newton
+iteration are those of the two-point solve (``discs._OuterSystem``);
+this module adds the three inner-boundary rows.  Off a ball the
+iteration carries the disc's Gauss-Newton state with (w, d, sigma), one
+bordered step for both, so a correction solves no disc per residual.
+The systems keep no state: each correction is handed the disc it starts
+from, and a locus step starts from the last disc accepted, also when it
+is retried after a failure.
 """
 
 from __future__ import annotations
@@ -149,25 +151,17 @@ class _TangencySystem(_OuterSystem):
     def pack(self, w, d, sigma):
         return np.concatenate([w.real, w.imag, d.real, d.imag, [sigma]])
 
-    def unpack(self, u):
-        n = self.n
-        w = u[:n] + 1j * u[n:2 * n]
-        d = u[2 * n:3 * n] + 1j * u[3 * n:4 * n]
-        return w, d, u[4 * n]
-
-    def residual(self, u, warm=None):
+    def rows(self, u, disc):
         w, d, sigma = self.unpack(u)
-        disc = self.solve_disc(w, d, warm)
         pair = np.sum(self.d2.grad(w) * (d / np.linalg.norm(d)))
-        R = np.concatenate([
+        return np.concatenate([
             [float(self.d2.rho(w)), pair.real, pair.imag],
             self.through_rows(disc, d, sigma, self.z_o),
         ])
-        return R, disc
 
     def jacobian(self, u, disc):
-        """Analytic Jacobian of the residual at u, whose solved disc is
-        ``disc``; solves no disc."""
+        """Analytic Jacobian of the rows at u on ``disc``, the disc moving
+        with u along its parameter tangent; solves no disc."""
         n = self.n
         w, d, _ = self.unpack(u)
         ew = _coordinate_tangents(n)
@@ -184,8 +178,11 @@ class _TangencySystem(_OuterSystem):
 
     def correct(self, u, warm):
         """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
-        Newton steps, the first disc solved from ``warm``; the system is
-        underdetermined (2n + 4 equations, 4n + 1 unknowns)."""
+        Newton steps of :meth:`_OuterSystem.newton`, starting from the
+        solved disc ``warm`` moved to u (solved cold at u without it); off
+        a ball each step also moves the disc's Gauss-Newton state, whose
+        attachment ends <= newton_tol.  The system is underdetermined
+        (2n + 4 equations, 4n + 1 unknowns)."""
         return self.newton(u, TANGENCY_TOL, 12, warm)
 
     def make_point(self, u, R, disc) -> TangencyPoint:

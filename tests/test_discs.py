@@ -22,16 +22,17 @@ from geodisc import (NAMED_FUNCTIONS, consistency_check,
                      tangent_line_disc, tangent_line_family, trace_locus)
 from geodisc import (analyze, cauchy_extend, jacobian_certificate,
                      lift_from_disc, move_pole, projectivize, psi,
+                     psi_inverse, boundary_conormality_residual,
                      solve_tangent_disc, unit_outward_conormal)
 from geodisc import (extend_along_disc, extension_report, morera_integrals,
                      push_domain_through_psi, restrict)
 from geodisc import discs as discs_module
 from geodisc.circle import power_series
 from geodisc.cli import main as cli_main, parse_points
-from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
-                           _ball_point_sensitivity, _ball_series,
-                           _damped_newton, _parameter_tangent, _solve_cd_raw,
-                           _state_layout)
+from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
+                           _TwoPointSystem, _ball_point_sensitivity,
+                           _ball_series, _ball_two_point_data, _damped_newton,
+                           _parameter_tangent, _solve_cd_raw, _state_layout)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -1264,6 +1265,90 @@ def test_two_point_jacobian_solves_no_discs(monkeypatch):
     monkeypatch.setattr("geodisc.discs._solve_cd_raw", counting)
     system.jacobian(x, disc)
     assert calls == []
+
+
+def _two_point_case():
+    return (make_perturbed_ball(0.05, "re_z1_sq"), np.array([0.2 + 0.1j, -0.1j]),
+            np.array([-0.1, 0.25 + 0.2j]))
+
+
+def test_two_point_solve_iterates_on_the_disc_state(monkeypatch):
+    # off a ball, the first disc is solved cold and the Newton iteration
+    # then runs over (v, xi) and the disc's Gauss-Newton state together:
+    # one GN Jacobian per step and no disc solve per residual; the disc it
+    # returns is solved, conormal and passes through both points
+    domain, z, w = _two_point_case()
+    jacobians = _count_gn_jacobians(monkeypatch)
+    solves, steps = [], []
+    joint_step = _OuterSystem._joint_step
+
+    def counting_step(self, X, aux):
+        steps.append(len(jacobians))
+        return joint_step(self, X, aux)
+
+    def recording(*args, **kwargs):
+        solves.append(kwargs.get("warm"))
+        return _solve_cd_raw(*args, **kwargs)
+
+    monkeypatch.setattr(_OuterSystem, "_joint_step", counting_step)
+    monkeypatch.setattr(discs_module, "_solve_cd_raw", recording)
+    disc, xi = solve_two_point(domain, z, w, SMALL)
+    monkeypatch.undo()
+    assert solves == [None]
+    assert len(steps) >= 2
+    assert len(jacobians) - steps[0] == len(steps)
+    assert disc.attachment_residual <= SMALL.newton_tol
+    assert disc.boundary_residual() <= SMALL.newton_tol
+    lift = lift_from_disc(domain, disc)
+    assert boundary_conormality_residual(domain, disc, lift) <= 1e-10
+    assert np.array_equal(disc.base_point, z)
+    assert np.max(np.abs(disc(np.array([xi + 0j]))[0] - w)) <= 1e-9
+    sample = psi(domain, z, w, SMALL)
+    assert np.max(np.abs(psi_inverse(domain, z, sample.psi_value, SMALL)
+                         - w)) <= 1e-8
+
+
+def test_a_rejected_joint_trial_is_followed_from_the_accepted_iterate(
+        monkeypatch):
+    # the first trial of the first step raises, as a state whose xi left
+    # (0, 1) does: the next trial halves the step from the start, both are
+    # handed the start's aux, the next step is built from the aux of the
+    # trial accepted, and the solve converges where it does without the
+    # rejection
+    domain, z, w = _two_point_case()
+    system = _TwoPointSystem(domain, z, w, SMALL)
+    v0, xi0 = _ball_two_point_data(BALL, z, w)
+    x0 = np.concatenate([v0.real, v0.imag, [xi0]])
+    reference, _, _ = system.newton(x0, 1e-9, 30, None)
+    states, handed, returned, stepped = [], [], [], []
+    residual, joint_step = (_OuterSystem._joint_residual,
+                            _OuterSystem._joint_step)
+
+    def rejecting_the_first_trial(self, X, aux=None):
+        states.append(X.copy())
+        handed.append(aux)
+        if len(states) == 2:
+            returned.append(None)
+            raise PreconditionError("two-point state left the admissible region")
+        out = residual(self, X, aux)
+        returned.append(out[1])
+        return out
+
+    def recording(self, X, aux):
+        stepped.append(aux)
+        return joint_step(self, X, aux)
+
+    monkeypatch.setattr(_OuterSystem, "_joint_residual",
+                        rejecting_the_first_trial)
+    monkeypatch.setattr(_OuterSystem, "_joint_step", recording)
+    x, R, disc = system.newton(x0, 1e-9, 30, None)
+    assert np.allclose(states[2], states[0] + 0.5 * (states[1] - states[0]),
+                       rtol=0.0, atol=1e-14)
+    assert handed[1] is returned[0] and handed[2] is returned[0]
+    assert stepped[0] is returned[0] and stepped[1] is returned[2]
+    assert np.max(np.abs(R)) <= 1e-9
+    assert disc.attachment_residual <= SMALL.newton_tol
+    assert np.max(np.abs(x - reference)) < 1e-8
 
 
 def test_solvers_do_not_mutate_domain_meta():

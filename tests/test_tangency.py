@@ -10,10 +10,11 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
                      PreconditionError, SolverDivergence)
 from geodisc import tangency as tangency_module
-from geodisc.discs import (_CenterDirectionSystem, _TwoPointSystem,
-                           _ball_psi_inverse, _ball_two_point_data,
-                           _solve_cd_raw)
-from geodisc.tangency import _TangencySystem, _initial_state
+from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
+                           _TwoPointSystem, _ball_psi_inverse,
+                           _ball_two_point_data, _solve_cd_raw)
+from geodisc.lifts import boundary_conormality_residual
+from geodisc.tangency import TANGENCY_TOL, _TangencySystem, _initial_state
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -411,32 +412,63 @@ def test_tangency_tangent_belongs_to_its_disc(monkeypatch):
 
 
 def test_first_order_start_saves_gn_jacobians(monkeypatch):
-    # one corrector step along the locus, each inner solve started from the
-    # previous disc moved along its parameter tangent, then from the
-    # previous disc as it is
+    # a correction at a locus state from a disc solved nearby off the locus,
+    # started from that disc moved along its parameter tangent, then from
+    # the disc as it is.  Along the locus the disc state moves only at
+    # second order, so there both starts take as many joint steps
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
     system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
                                           np.array(seed_w), settings)
-    J = system.jacobian(u, disc)
-    t = np.linalg.svd(J)[2][-1]
-    step = u + 0.1 * t / np.linalg.norm(t[:2 * system.n])
+    _, warm = system.residual(u + 0.005 * np.cos(np.arange(len(u))), disc)
+    assert warm.tangent is not None
     calls = _count_gn_jacobians(monkeypatch)
     counts, touch = [], []
-    for first_order in (True, False):
-        if not first_order:
-            def zeroth_order(domain, z, v, settings, warm=None):
-                if warm is not None:
-                    warm = dataclasses.replace(warm, tangent=None)
-                return _solve_cd_raw(domain, z, v, settings, warm=warm)
-
-            monkeypatch.setattr("geodisc.discs._solve_cd_raw", zeroth_order)
+    for start in (warm, dataclasses.replace(warm, tangent=None)):
         before = len(calls)
-        u_new, R, _ = system.correct(step, disc)
+        u_new, R, _ = system.correct(u, start)
         counts.append(len(calls) - before)
         touch.append(system.unpack(u_new)[0])
         assert np.max(np.abs(R)) <= 1e-9
     assert np.linalg.norm(touch[0] - touch[1]) < 1e-8
     assert counts[0] < counts[1]
+
+
+def test_a_correction_builds_one_gn_jacobian_per_newton_step(monkeypatch):
+    # the corrector iterates on the touch state and the disc's Gauss-Newton
+    # state together: each step linearizes the disc once and no residual
+    # solves a disc, yet the disc it returns is solved, its lift conormal
+    # and its touch tangent
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    outer, inner = make_domains()
+    system, u, disc = _converged_tangency(outer, inner, np.array(z_o),
+                                          np.array(seed_w), settings)
+    t = np.linalg.svd(system.jacobian(u, disc))[2][-1]
+    step = u + 0.1 * t / np.linalg.norm(t[:2 * system.n])
+    jacobians = _count_gn_jacobians(monkeypatch)
+    solves, steps = [], []
+    joint_step = _OuterSystem._joint_step
+
+    def counting_step(self, X, aux):
+        steps.append(len(jacobians))
+        return joint_step(self, X, aux)
+
+    def recording(*args, **kwargs):
+        solves.append(args)
+        return _solve_cd_raw(*args, **kwargs)
+
+    monkeypatch.setattr(_OuterSystem, "_joint_step", counting_step)
+    monkeypatch.setattr("geodisc.discs._solve_cd_raw", recording)
+    u_new, R, disc_new = system.correct(step, disc)
+    monkeypatch.undo()
+    assert len(steps) >= 2
+    assert len(jacobians) == len(steps)
+    assert solves == []
+    assert np.max(np.abs(R)) <= TANGENCY_TOL
+    assert np.max(np.abs(system.rows(u_new, disc_new))) <= TANGENCY_TOL
+    assert disc_new.attachment_residual <= settings.newton_tol
+    assert disc_new.boundary_residual() <= settings.newton_tol
+    lift = lift_from_disc(outer, disc_new)
+    assert boundary_conormality_residual(outer, disc_new, lift) <= 1e-10
 
 
 def test_outer_solves_leave_their_systems_unchanged():
@@ -462,39 +494,34 @@ def test_outer_solves_leave_their_systems_unchanged():
 def test_a_failed_correction_is_retried_from_the_last_accepted_disc(
         monkeypatch):
     # corrections 1-3 are the seed and the two probes and 4 is the first
-    # locus step; 5 solves discs and then fails, so the trace halves its
-    # step and retries: the retry starts from the disc of 4, not from a
+    # locus step; 5 solves its disc and then fails, so the trace halves its
+    # step and retries: the retry starts from the disc of 4, not from the
     # disc that the failed correction solved
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
-    starts, entries, results = [], [], []
-    solve = _solve_cd_raw
-
-    def recording(domain, z, v, settings, warm=None):
-        starts.append(warm)
-        return solve(domain, z, v, settings, warm=warm)
+    warms, results = [], []
 
     class Stop(Exception):
         pass
 
     correct = _TangencySystem.correct
 
-    def failing_fifth(system, *args):
-        entries.append(len(starts))
-        out = correct(system, *args)
+    def failing_fifth(system, u, warm):
+        warms.append(warm)
+        out = correct(system, u, warm)
         results.append(out[2])
-        if len(entries) == 5:
-            raise SolverDivergence("failed after solving discs")
-        if len(entries) == 6:
+        if len(warms) == 5:
+            raise SolverDivergence("failed after solving its disc")
+        if len(warms) == 6:
             raise Stop
         return out
 
-    monkeypatch.setattr("geodisc.discs._solve_cd_raw", recording)
     monkeypatch.setattr(_TangencySystem, "correct", failing_fifth)
     with pytest.raises(Stop):
         trace_locus(*make_domains(), np.array(z_o), 12, settings,
                     seed_w=np.array(seed_w))
-    assert entries[5] > entries[4] + 1        # the failed one solved discs
-    assert starts[entries[5]] is results[3]
+    assert warms[4] is results[3]
+    assert results[4] is not results[3]
+    assert warms[5] is results[3]
 
 
 @pytest.mark.parametrize("n", [2, 3])
