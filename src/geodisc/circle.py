@@ -199,6 +199,32 @@ def power_series(coeffs, tau) -> np.ndarray:
     return values.reshape(tau.shape + coeffs.shape[1:])
 
 
+def ring_values(coeffs, size, radii=None) -> np.ndarray:
+    """sum_k coeffs[k] (r tau_j)^k at the ``size`` nodes tau_j =
+    e^{2 pi i j/size} of every ring |tau| = r, r in ``radii``, of shape
+    radii.shape + (size,) + coeffs.shape[1:]; without ``radii`` on the
+    unit circle, of shape (size,) + coeffs.shape[1:].
+
+    On a ring the series has the coefficients a_k r^k, and tau_j^size =
+    1, so they fold mod size into one inverse FFT per ring, all rings in
+    one batched call (Henrici, "Fast Fourier methods in computational
+    complex analysis", SIAM Review 21, 1979).  Exact for any number of
+    coefficients; the unit circle takes no multiply.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    K, tail = len(coeffs), coeffs.shape[1:]
+    if radii is not None:
+        powers = np.asarray(radii, dtype=float)[..., None] ** np.arange(K)
+        coeffs = coeffs * powers.reshape(powers.shape + (1,) * len(tail))
+    axis = coeffs.ndim - 1 - len(tail)
+    if K > size:
+        lead = coeffs.shape[:axis]
+        coeffs = np.concatenate(
+            [coeffs, np.zeros(lead + (-K % size,) + tail)], axis=axis) \
+            .reshape(lead + (-1, size) + tail).sum(axis=axis)
+    return np.fft.ifft(coeffs, size, axis=axis, norm="forward")
+
+
 def cauchy_extend(boundary: TrigSeries, tau) -> complex | np.ndarray:
     """Holomorphic extension sum_{k>=0} c_k tau^k at |tau| < 1.
 

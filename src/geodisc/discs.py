@@ -21,22 +21,24 @@ phi(0) = z and phi'(0) = r*v are enforced exactly through the
 parametrization.  Residuals are collocated on a grid oversampled 2x
 against the coefficient truncation to keep products alias-free.  On any
 circle grid, phi is one inverse FFT of its coefficients folded mod the
-grid size (:func:`_grid_values`) and g one inverse real FFT
-(:func:`_boundary_factor`); on the residual grid the solver takes both
-from one inverse FFT, g's spectrum as one more column next to phi's
-coefficients.  :func:`circle.power_series` serves off-grid points.  A
-cold solve starts from the closed-form state, coefficients and g, of
-the domain itself when it is a ball, else of an inscribed ball, and runs
-Gauss-Newton on the domain; no Gauss-Newton runs on the ball.  Only when
-that diverges on a non-ball domain is the homotopy from the ball to the
-domain subdivided into blended domains, halving the step on each
-failure.  An attempt that stagnates with its residual norm already below
-newton_tol has reached the resolution floor of M, and the solve ends
-there.  Where the domain itself was tried and failed, the error raised
-is the domain's own last divergence, with a failing blend's as its
-``__cause__``, so that it describes the domain asked for.  A ball has no
-homotopy: where Gauss-Newton fails there, the error names the M at which
-the closed form is truncated, with the Gauss-Newton failure as its cause.
+grid size, and on the rings |tau| = r of a polar grid one batched
+inverse FFT of a_k r^k (:func:`circle.ring_values`); g is one inverse
+real FFT (:func:`_boundary_factor`).  On the residual grid the solver
+takes phi and g from one inverse FFT, g's spectrum as one more column
+next to phi's coefficients.  :func:`circle.power_series` serves the
+points off these grids.  A cold solve starts from the closed-form state,
+coefficients and g, of the domain itself when it is a ball, else of an
+inscribed ball, and runs Gauss-Newton on the domain; no Gauss-Newton
+runs on the ball.  Only when that diverges on a non-ball domain is the
+homotopy from the ball to the domain subdivided into blended domains,
+halving the step on each failure.  An attempt that stagnates with its
+residual norm already below newton_tol has reached the resolution floor
+of M, and the solve ends there.  Where the domain itself was tried and
+failed, the error raised is the domain's own last divergence, with a
+failing blend's as its ``__cause__``, so that it describes the domain
+asked for.  A ball has no homotopy: where Gauss-Newton fails there, the
+error names the M at which the closed form is truncated, with the
+Gauss-Newton failure as its cause.
 
 The Gauss-Newton normal equations are built without the Jacobian J:
 every column of J is a shifted copy of one of a few field spectra, so
@@ -97,7 +99,7 @@ from functools import cache
 
 import numpy as np
 
-from .circle import CircleGrid, _count, analyze, power_series
+from .circle import CircleGrid, _count, analyze, power_series, ring_values
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError, SolverDivergence
 
@@ -180,7 +182,7 @@ class AnalyticDisc:
 
     def boundary_values(self, grid: CircleGrid | None = None) -> np.ndarray:
         """phi at the grid nodes, exact for any number of modes."""
-        return _grid_values(self.coeffs, (grid or self.grid).size)
+        return ring_values(self.coeffs, (grid or self.grid).size)
 
     def boundary_residual(self, domain: ConvexDomain | None = None) -> float:
         domain = domain or self.domain
@@ -427,17 +429,6 @@ def _grid_nodes(size):
     tau = CircleGrid(size).nodes
     tau.flags.writeable = False
     return tau
-
-
-def _grid_values(coeffs, size):
-    """sum_k coeffs[k] tau^k at the ``size`` grid nodes: tau^size = 1
-    there, so the coefficients fold mod size into one inverse FFT."""
-    K = len(coeffs)
-    if K > size:
-        tail = coeffs.shape[1:]
-        coeffs = np.concatenate([coeffs, np.zeros((-K % size,) + tail)]) \
-            .reshape((-1, size) + tail).sum(axis=0)
-    return np.fft.ifft(coeffs, size, axis=0, norm="forward")
 
 
 def _boundary_factor(gamma, size):
@@ -1638,7 +1629,8 @@ def extremality_probe(domain: ConvexDomain, disc: AnalyticDisc, trials: int,
     for _ in range(n_scaled):
         s = rng.uniform(0.3, 0.98)
         for _ in range(30):
-            if float(np.max(domain.rho(disc(s * nodes)))) < 0:
+            ring = ring_values(disc.coeffs, nodes.size, s)
+            if float(np.max(domain.rho(ring))) < 0:
                 lambdas.append(s)
                 break
             s *= 0.9

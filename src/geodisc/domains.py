@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import power_series
+from .circle import _count, power_series, ring_values
 from .errors import PreconditionError
 
 BOUNDARY_TOL = 1e-8
@@ -39,6 +39,7 @@ class ConvexDomain:
             raise PreconditionError("domains need dimension n >= 2")
         self._certificate = None
         self._inscribed_radius = None   # cache of discs._inscribed_ball_radius
+        self._seed_samples = None       # cache of tangency._ranked_seeds
 
     def hess_real(self, pts) -> np.ndarray:
         """Real Hessian in interleaved (x_1, y_1, ..., x_n, y_n) order."""
@@ -304,8 +305,9 @@ def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
     A positive value certifies second-order tangency (the disc is
     parametrized with the near-tangency point at tau = 0).  The minimum of
     the quotient q over a coarse polar grid (the ring |tau| = 1e-3 and
-    ``radial`` rings up to the rim, ``angular`` angles each) is refined
-    by Newton steps on q in polar coordinates (r, theta), with the
+    ``radial`` rings up to the rim, ``angular`` angles each, phi on all
+    rings from one batched inverse FFT, :func:`circle.ring_values`) is
+    refined by Newton steps on q in polar coordinates (r, theta), with the
     gradient and Hessian taken analytically from phi, phi', phi'' and the
     derivatives of rho2.  Where the minimum sits on the rim r = 1 (or on
     the innermost ring) and q decreases outward, the step runs along the
@@ -314,18 +316,22 @@ def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
     at the first rejected step or at a singular or indefinite Hessian.
     ``zoom_rounds`` caps the number of Newton steps (0 returns the coarse
     minimum).  The refined value is invariant under rotations of the
-    disc parametrization.
+    disc parametrization.  Raises :class:`PreconditionError` unless
+    ``radial`` and ``angular`` are integers >= 1 and ``zoom_rounds`` an
+    integer >= 0.
     """
+    _count("radial", radial)
+    _count("angular", angular)
+    _count("zoom_rounds", zoom_rounds, 0)
     radii = np.concatenate(([1e-3], np.linspace(1.0 / radial, 1.0, radial)))
     angles = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
 
-    R, TH = np.meshgrid(radii, angles, indexing="ij")
-    vals = rho2.rho(disc(R * np.exp(1j * TH))) / R ** 2
+    a = disc.coeffs
+    vals = rho2.rho(ring_values(a, angular, radii)) / radii[:, None] ** 2
     idx = np.unravel_index(np.argmin(vals), vals.shape)
     r, th = radii[idx[0]], angles[idx[1]]
     best = float(vals[idx])
 
-    a = disc.coeffs
     k = np.arange(len(a))[:, None]
     jets = np.zeros((len(a), 3, a.shape[1]), dtype=complex)
     jets[:, 0] = a

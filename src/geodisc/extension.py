@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import CircleGrid, TrigSeries, _count, _tolerance, analyze, \
-    cauchy_extend, negative_tail_norm
+    cauchy_extend, negative_tail_norm, ring_values
 from .discs import AnalyticDisc, SolverSettings
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError
@@ -154,8 +154,9 @@ def morera_integrals(f: BoundaryFunction, disc: AnalyticDisc,
     if disc.domain is not None and disc.boundary_residual() > attach_tol:
         raise PreconditionError("disc is not attached")
     nodes = disc.grid.nodes
-    fv = f(disc(nodes))
-    dv = disc.derivative(nodes)
+    k = np.arange(1, disc.modes + 1)
+    fv = f(disc.boundary_values())
+    dv = ring_values(disc.coeffs[1:] * k[:, None], nodes.size)
     integrand = fv[:, None] * dv * (1j * nodes)[:, None]
     return np.mean(integrand, axis=0) * 2.0 * np.pi
 

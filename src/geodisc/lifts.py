@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, _tolerance, analyze, power_series
+from .circle import (CircleGrid, _count, _tolerance, analyze, power_series,
+                     ring_values)
 from .discs import _boundary_factor, _conormal_gamma
 from .domains import ConvexDomain
 from .errors import PreconditionError
@@ -196,11 +197,14 @@ def disc_separation_integral(lift1: ConormalLift, lift2: ConormalLift,
     For distinct stationary discs of a strongly convex domain with the
     standard outward normalization the integrand keeps one strict sign
     (negative), so the integral is bounded away from zero; it is a
-    distinctness diagnostic, not an equality test.
+    distinctness diagnostic, not an equality test.  Raises
+    :class:`PreconditionError` unless ``n_nodes`` is an integer >= 1.
     """
+    _count("n_nodes", n_nodes)
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     tau = np.exp(1j * theta)
     dl = lift1(tau) - lift2(tau)
-    dp = lift2.disc(tau) - lift1.disc(tau)
+    dp = ring_values(lift2.disc.coeffs, n_nodes) \
+        - ring_values(lift1.disc.coeffs, n_nodes)
     integrand = np.sum(dl * dp, axis=1).real
     return float(np.mean(integrand) * 2.0 * np.pi)

@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .circle import _count, _tolerance
+from .circle import _count, _tolerance, ring_values
 from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
                     _ball_psi_inverse, _complete_unitary, _coordinate_tangents,
                     _direction_tangents, _herm, _point, _solve_cd_raw)
@@ -95,9 +95,10 @@ def _find_parameter(disc, target, init=None):
     if init is None:
         radii = np.linspace(0.0, 0.999, 12)
         angles = np.exp(2j * np.pi * np.arange(48) / 48)
-        taus = np.concatenate([(r * angles) for r in radii])
-        dists = np.linalg.norm(disc(taus) - target, axis=-1)
-        tau = taus[int(np.argmin(dists))]
+        dists = np.linalg.norm(ring_values(disc.coeffs, 48, radii) - target,
+                               axis=-1)
+        ring, node = divmod(int(np.argmin(dists)), 48)
+        tau = radii[ring] * angles[node]
     else:
         tau = complex(init)
     for _ in range(40):
@@ -120,9 +121,11 @@ def tangency_residual(rho2: ConvexDomain, z_o, candidate_w, disc,
                       sigma_w=None) -> np.ndarray:
     """The three real tangency equations at a candidate touch point:
     (rho2(w), Re<drho2(w), d>, Im<drho2(w), d>) with d the unit tangent
-    of the disc at w and <.,.> the bilinear pairing."""
-    z_o = np.asarray(z_o, dtype=complex)
-    w = np.asarray(candidate_w, dtype=complex)
+    of the disc at w and <.,.> the bilinear pairing.  Raises
+    :class:`PreconditionError` for a base or candidate point of the wrong
+    shape or not finite, or one the disc does not pass through."""
+    z_o = _point(rho2, z_o)
+    w = _point(rho2, candidate_w, "candidate point")
     _, dist_z = _find_parameter(disc, z_o)
     if dist_z > POINT_ON_DISC_TOL:
         raise PreconditionError(
@@ -263,11 +266,14 @@ def _ranked_seeds(domain2, z_o):
     ranked by how close the chord to z_o comes to complex tangency (the
     score vanishes on the locus for straight geodesics and stays small
     near it in general).  The radial projection of z_o is no candidate:
-    its solve failed on every shell point measured."""
-    dirs = _random_directions(np.random.default_rng(7), 256,
-                              domain2.dimension)
-    pts = domain2.boundary_point(dirs)
-    grads = domain2.grad(pts)
+    its solve failed on every shell point measured.  The boundary points
+    and their gradients do not depend on z_o and are kept on the domain."""
+    if domain2._seed_samples is None:
+        dirs = _random_directions(np.random.default_rng(7), 256,
+                                  domain2.dimension)
+        pts = domain2.boundary_point(dirs)
+        domain2._seed_samples = (pts, domain2.grad(pts))
+    pts, grads = domain2._seed_samples
     chords = z_o[None, :] - pts
     scores = np.abs(np.sum(grads * chords, axis=1)) \
         / (np.linalg.norm(grads, axis=1) * np.linalg.norm(chords, axis=1))

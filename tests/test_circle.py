@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from geodisc import (CircleGrid, analyze, synthesize, hilbert_conjugate,
                      cauchy_extend, negative_tail_norm, log_lift,
                      PreconditionError, WindingNumberError)
-from geodisc.circle import TrigSeries, power_series
+from geodisc.circle import TrigSeries, power_series, ring_values
 
 
 def direct_dft(samples):
@@ -228,6 +228,27 @@ def test_power_series_matches_polyval(K, shape):
     assert scalar.shape == shape
     assert np.max(np.abs(scalar - ref[..., 0])) \
         <= 1e-13 * np.sum(np.abs(coeffs[:, 0]))
+
+
+@pytest.mark.parametrize("K", [1, 33, 65, 128, 129, 300])
+def test_ring_values_match_power_series(K):
+    # one batched inverse FFT over the rings, the coefficients folded mod
+    # the ring size, so also exact for more coefficients than nodes
+    rng = np.random.default_rng(K)
+    coeffs = rng.standard_normal((K, 2)) + 1j * rng.standard_normal((K, 2))
+    radii = np.array([0.0, 1e-3, 0.5, 1.0])
+    size = 128
+    got = ring_values(coeffs, size, radii)
+    nodes = np.exp(2j * np.pi * np.arange(size) / size)
+    ref = power_series(coeffs, radii[:, None] * nodes)
+    assert got.shape == (4, size, 2)
+    scale = power_series(np.abs(coeffs), radii)      # sum_k |a_k| r^k
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale[:, None, :])
+    assert np.array_equal(ring_values(coeffs, size, 1.0),
+                          ring_values(coeffs, size))
+    scalar = ring_values(coeffs[:, 0], size, radii[2])
+    assert scalar.shape == (size,)
+    assert np.max(np.abs(scalar - ref[2, :, 0])) <= 1e-13 * scale[2, 0]
 
 
 def test_series_evaluators_do_not_use_polyval(monkeypatch):

@@ -23,7 +23,9 @@ from geodisc import (NAMED_FUNCTIONS, consistency_check,
 from geodisc import (analyze, cauchy_extend, jacobian_certificate,
                      lift_from_disc, move_pole, projectivize, psi,
                      psi_inverse, boundary_conormality_residual,
-                     solve_tangent_disc, unit_outward_conormal)
+                     solve_tangent_disc, unit_outward_conormal,
+                     tangency_order_constant, tangency_residual,
+                     disc_separation_integral)
 from geodisc import (extend_along_disc, extension_report, morera_integrals,
                      push_domain_through_psi, restrict)
 from geodisc import discs as discs_module
@@ -805,6 +807,21 @@ def _matching(pattern, call):
     pytest.param(lambda: morera_integrals(_HOLO, _detached(),
                                           attach_tol=np.nan),
                  None, id="morera-nan-attach-tol"),
+    pytest.param(lambda: tangency_order_constant(
+        _INNER, ball_geodesic(BALL, _Z, _V, SMALL), radial=0),
+        None, id="order-constant-zero-radial"),
+    pytest.param(lambda: tangency_order_constant(
+        _INNER, ball_geodesic(BALL, _Z, _V, SMALL), angular=0),
+        None, id="order-constant-zero-angular"),
+    pytest.param(lambda: tangency_order_constant(
+        _INNER, ball_geodesic(BALL, _Z, _V, SMALL), zoom_rounds=np.nan),
+        None, id="order-constant-nan-zoom-rounds"),
+    pytest.param(lambda: tangency_residual(
+        _INNER, _Z_O, [np.nan, 0.0], ball_geodesic(BALL, _Z_O, _V, SMALL)),
+        None, id="tangency-residual-nan-candidate"),
+    pytest.param(lambda: disc_separation_integral(_ball_lift(), _ball_lift(),
+                                                  0),
+                 None, id="separation-zero-nodes"),
     pytest.param(lambda: extend_along_disc(_zbar1_trace(), 0.3,
                                            threshold=np.nan),
                  None, id="extend-nan-threshold"),
@@ -994,6 +1011,14 @@ def test_boundary_values_match_power_series(modes, grid):
     values = disc.boundary_values()
     assert values.shape == direct.shape
     assert np.max(np.abs(values - direct)) <= 1e-14 * np.max(np.abs(direct))
+    # the unit circle of circle.ring_values takes no multiply: the values
+    # are those of the fold-then-ifft formula bit for bit
+    folded, K = coeffs, modes + 1
+    if K > grid:
+        folded = np.concatenate([coeffs, np.zeros((-K % grid, 2))]) \
+            .reshape((-1, grid, 2)).sum(axis=0)
+    assert np.array_equal(values,
+                          np.fft.ifft(folded, grid, axis=0, norm="forward"))
 
 
 def test_reparametrize():

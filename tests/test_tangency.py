@@ -107,6 +107,21 @@ def test_trace_locus_matches_oracle():
         assert np.abs(np.vdot(t1, t2)) > 0.9
 
 
+def test_ranked_seeds_sample_the_inner_boundary_once(monkeypatch):
+    # the 256 boundary samples do not depend on the base point, so the
+    # inner domain keeps them; the ranking is that of a fresh domain
+    inner = make_ball([0, 0], 0.5)
+    calls = []
+    sample = inner.boundary_point
+    monkeypatch.setattr(inner, "boundary_point",
+                        lambda d: calls.append(d.shape) or sample(d))
+    for z_o in (np.array([0.7, 0.1j]), np.array([0.2, 0.6 - 0.1j])):
+        seeds = tangency_module._ranked_seeds(inner, z_o)
+        fresh = tangency_module._ranked_seeds(make_ball([0, 0], 0.5), z_o)
+        assert np.array_equal(seeds, fresh)
+    assert calls == [(256, 2)]
+
+
 def test_locus_shrinks_toward_inner_boundary():
     r2 = 0.5
     inner = make_ball([0, 0], r2)
