@@ -925,31 +925,19 @@ class _CenterDirectionSystem:
         except np.linalg.LinAlgError:
             return -np.linalg.lstsq(G, B, rcond=None)[0]
 
-    def gauss_newton(self, u0, tol, max_iters, tangent=False):
-        """(u, diag, du_dp) with attachment, lift modes and gauge all <= tol.
-
-        With ``tangent`` each step also solves for the state's derivative
-        du/dp = -(J^T J)^{-1} J^T F_p along the 4n parameter perturbations,
-        as 4n more right-hand sides of the step's factorization; du_dp is
-        the last step's, or None when no step was taken (or without
-        ``tangent``)."""
-        last = [None]
+    def gauss_newton(self, u0, tol, max_iters):
+        """(u, diag) with attachment, lift modes and gauge all <= tol."""
 
         def step(u, F, aux):
             normal = self.jacobian(u, aux[1])
-            if not tangent:
-                return self._ls_step(normal.gram, normal.rhs(F))
-            du = self._ls_step(
-                normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p]))
-            last[0] = du[:, 1:]
-            return du[:, 0]
+            return self._ls_step(normal.gram, normal.rhs(F))
 
         u, _, (diag, _) = _damped_newton(
             u0, self.residual, step,
             lambda F, aux: max(aux[0]["attachment"], aux[0]["neg_modes"],
                                aux[0]["gauge"]) <= tol,
             tol, max_iters)
-        return u, diag, last[0]
+        return u, diag
 
 
 @cache
@@ -1115,27 +1103,16 @@ def _blend(domain_a, domain_b, t):
                         meta={"center": domain_b.center})
 
 
-def _solve_cd_raw(domain, z, v, settings, warm=None):
-    """Core center-direction solve; returns the solved :class:`AnalyticDisc`.
-
-    A warm solve starts from the solved disc ``warm``, moved to (z, v)
-    along its parameter tangent when it has one (:func:`_warm_state`);
-    when it takes a step the returned disc carries the tangent of its
-    last step's factorization
-    (:meth:`_CenterDirectionSystem.coefficient_tangent`)."""
+def _solve_cd_raw(domain, z, v, settings):
+    """Core center-direction solve, cold (see the module docstring);
+    returns the solved :class:`AnalyticDisc`, which carries no parameter
+    tangent."""
     z, v = _point_and_direction(domain, z, v)
     if not float(domain.rho(z)) < -INTERIOR_MARGIN:
         raise PreconditionError("base point must be strictly interior")
 
     system = _CenterDirectionSystem(domain, z, v, settings)
     tol = settings.newton_tol
-
-    if warm is not None:
-        u, diag, du_dp = system.gauss_newton(
-            _warm_state(system, warm), tol, settings.max_iters, tangent=True)
-        tangent = None if du_dp is None \
-            else system.coefficient_tangent(u, du_dp)
-        return _finalize(system, u, diag, settings, tangent)
 
     # start from the closed-form state of the domain when it is a ball,
     # else of an inscribed ball that contains z, and try the domain; only
@@ -1158,7 +1135,7 @@ def _solve_cd_raw(domain, z, v, settings, warm=None):
         target = system if t_next == 1.0 else _CenterDirectionSystem(
             _blend(ball0, domain, t_next), z, v, settings)
         try:
-            u_next, diag, _ = target.gauss_newton(u, tol, settings.max_iters)
+            u_next, diag = target.gauss_newton(u, tol, settings.max_iters)
         except SolverDivergence as exc:
             if ball0 is domain:
                 # a ball has no homotopy to subdivide: its closed form is
@@ -1261,26 +1238,24 @@ class _OuterSystem:
         return (q[:n] + 1j * q[n:2 * n], q[2 * n:3 * n] + 1j * q[3 * n:4 * n],
                 q[4 * n])
 
-    def solve_disc(self, c, d, warm):
+    def solve_disc(self, c, d):
         """A ball's closed form where it attaches to newton_tol at the
-        truncation M; else :func:`_solve_cd_raw`, from the solved disc
-        ``warm`` on other domains and cold on a ball."""
+        truncation M, else a cold :func:`_solve_cd_raw`."""
         dn = d / np.linalg.norm(d)
         if self.domain.kind == "ball":
             disc = ball_geodesic(self.domain, c, dn, self.settings)
             if disc.attachment_residual <= self.settings.newton_tol:
                 return disc
-            warm = None
-        return _solve_cd_raw(self.domain, c, dn, self.settings, warm=warm)
+        return _solve_cd_raw(self.domain, c, dn, self.settings)
 
-    def residual(self, x, warm=None):
+    def residual(self, x, aux=None):
         """(R, disc): the rows at x on the disc solved there
         (:meth:`solve_disc`), the function of x whose Jacobian
-        :meth:`jacobian` gives.  The Newton iteration evaluates it on a
-        ball only; on other domains it carries the disc's state instead
-        (:meth:`newton`)."""
+        :meth:`jacobian` gives; ``aux`` is the Newton driver's and unused.
+        The Newton iteration evaluates it on a ball only; on other domains
+        it carries the disc's state instead (:meth:`newton`)."""
         c, d, _ = self.unpack(x)
-        disc = self.solve_disc(c, d, warm)
+        disc = self.solve_disc(c, d)
         return self.rows(x, disc), disc
 
     def through_rows(self, disc, d, s, target):
@@ -1330,7 +1305,7 @@ class _OuterSystem:
                 x, self.residual,
                 lambda x, R, disc: np.linalg.lstsq(
                     self.jacobian(x, disc), -R, rcond=None)[0],
-                lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters, warm)
+                lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters)
         c, d, _ = self.unpack(x)
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)

@@ -226,7 +226,7 @@ def _initial_state(system, seed_w):
         k = int(np.argmin(np.abs(g)))
         d0 = _tangent_projection(d2.grad(w0), basis[k])
     d0 = d0 / np.linalg.norm(d0)
-    disc = system.solve_disc(w0, d0, None)
+    disc = system.solve_disc(w0, d0)
     sigma0, _ = _find_parameter(disc, z_o)
     # rotate d so the through-point parameter is real positive
     phase = np.exp(1j * np.angle(sigma0)) if sigma0 != 0 else 1.0

@@ -34,7 +34,8 @@ from geodisc.cli import main as cli_main, parse_points
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
                            _TwoPointSystem, _ball_point_sensitivity,
                            _ball_series, _ball_two_point_data, _damped_newton,
-                           _parameter_tangent, _solve_cd_raw, _state_layout)
+                           _gamma, _parameter_tangent, _solve_cd_raw,
+                           _state_layout)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -393,8 +394,7 @@ def test_cholesky_solve_leaves_an_indefinite_matrix_as_it_was():
 def test_gauss_newton_matches_the_ball_oracle(modes, grid, radius, raw,
                                               scale):
     # the unit ball as an ellipsoid is a general domain to the solver: a
-    # cold solve, and a warm one from a nearby disc that carries its
-    # tangent, both land on the closed-form geodesic
+    # cold solve lands on the closed-form geodesic
     raw = np.array(raw)
     z, v = raw[0:4:2] + 1j * raw[1:4:2], raw[4::2] + 1j * raw[5::2]
     assume(np.linalg.norm(z) > 1e-6 and np.linalg.norm(v) > 1e-6)
@@ -404,11 +404,6 @@ def test_gauss_newton_matches_the_ball_oracle(modes, grid, radius, raw,
     exact = ball_geodesic(BALL, z, v, settings).coeffs
     cold = _solve_cd_raw(domain, z, v, settings)
     assert np.max(np.abs(cold.coeffs - exact)) < 1e-10
-    near = _solve_cd_raw(domain, z + 0.02 * v / np.linalg.norm(v), v,
-                         settings, warm=cold)
-    assert near.tangent is not None
-    warm = _solve_cd_raw(domain, z, v, settings, warm=near)
-    assert np.max(np.abs(warm.coeffs - exact)) < 1e-10
 
 
 def test_solver_matches_oracle_on_ball():
@@ -435,9 +430,11 @@ def test_solver_converges_from_perturbed_start():
     bad = oracle.coeffs.copy()
     bad[2:] += 0.02 * (rng.standard_normal(bad[2:].shape)
                        + 1j * rng.standard_normal(bad[2:].shape))
-    solved = _solve_cd_raw(BALL, z, v, SETTINGS,
-                           warm=AnalyticDisc(bad, SETTINGS.grid, BALL))
-    assert solved.attachment_residual < 1e-10
+    system = _CenterDirectionSystem(BALL, z, v, SETTINGS)
+    u, diag = system.gauss_newton(system.initial_state(bad),
+                                  SETTINGS.newton_tol, SETTINGS.max_iters)
+    solved = AnalyticDisc(system.disc_coeffs(u), SETTINGS.grid, BALL)
+    assert diag["attachment"] < 1e-10
     assert np.max(np.abs(solved.boundary_values()
                          - oracle.boundary_values())) < 1e-8
 
@@ -603,10 +600,12 @@ def test_ball_geodesic_carries_its_solved_state(modes, grid):
     ball = make_ball([0.1, -0.2j], 0.8)
     z, v = np.array([0.25 + 0.1j, -0.1 - 0.15j]), np.array([0.6, 0.8j])
     disc = ball_geodesic(ball, z, v, settings)
-    solved = _solve_cd_raw(ball, z, v, settings,
-                           warm=dataclasses.replace(disc, solver_g=None))
-    assert solved.solver_g.shape == disc.solver_g.shape == (1 + 2 * modes,)
-    assert np.max(np.abs(solved.solver_g - disc.solver_g)) < 1e-10
+    system = _CenterDirectionSystem(ball, z, v / np.linalg.norm(v), settings)
+    u, _ = system.gauss_newton(system.initial_state(disc.coeffs),
+                               settings.newton_tol, settings.max_iters)
+    solved_g = _gamma(u[-2 * (modes + 1):])
+    assert solved_g.shape == disc.solver_g.shape == (1 + 2 * modes,)
+    assert np.max(np.abs(solved_g - disc.solver_g)) < 1e-10
 
     # both are dphi(s)/dp along (Re z, Im z, Re v, Im v); they agree along
     # the center and along the tangents (I - w w^T)/|v| of the direction
@@ -1198,12 +1197,19 @@ def _count_gn_jacobians(monkeypatch):
     return calls
 
 
+def _solved_two_point(settings=SMALL):
+    """The two-point system of :func:`_two_point_case` at its solution, with
+    the solved disc, which carries the tangent of its last joint step."""
+    domain, z, w = _two_point_case()
+    disc, xi = solve_two_point(domain, z, w, settings)
+    v = disc.base_direction / np.linalg.norm(disc.base_direction)
+    x = np.concatenate([v.real, v.imag, [xi]])
+    return _TwoPointSystem(domain, z, w, settings), x, disc
+
+
 def test_two_point_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
         monkeypatch):
-    system, x, disc = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
-                                       SMALL)
-    x = x + 0.01
-    _, disc = system.residual(x, disc)
+    system, x, disc = _solved_two_point()
     assert disc.tangent is not None
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(x, disc)
@@ -1216,49 +1222,45 @@ def test_two_point_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
 def test_two_point_tangent_belongs_to_its_disc(monkeypatch):
     # a later solve started from the disc leaves the disc's tangent with
     # it: its Jacobian still builds no GN Jacobian
-    system, x_a, disc = _two_point_state(make_perturbed_ball(0.05, "re_z1_sq"),
-                                         SMALL)
-    x_a = x_a + 0.01
-    _, disc_a = system.residual(x_a, disc)
-    assert disc_a.tangent is not None
-    _, disc_b = system.residual(x_a + 0.01, disc_a)
+    system, x_a, disc_a = _solved_two_point()
+    tangent = disc_a.tangent
+    assert tangent is not None
+    _, _, disc_b = system.newton(x_a + 0.01, 1e-9, 30, disc_a)
     assert disc_b is not disc_a
+    assert disc_a.tangent is tangent
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(x_a, disc_a)
     assert calls == []
 
 
 def test_warm_solve_returns_its_parameter_tangent(monkeypatch):
-    # d(coeffs, gamma)/dp along the 4n real perturbations of (z, v),
-    # against central differences of discs re-solved to 1e-12.  The
-    # tangent of the last step is taken at the state that step started
-    # from, so it is exact to first order in that step; built at the
-    # converged state it matches to 1e-7
-    domain = make_perturbed_ball(0.05, "re_z1_sq")
-    z, v = np.array([0.2 + 0.1j, -0.15j]), np.array([0.8, 0.6j])
-    start = _solve_cd_raw(domain, z + 0.01, v, SMALL)
-    assert start.tangent is None                  # a cold solve
+    # d(coeffs, gamma)/dp along the 4n real perturbations of (z, v) of the
+    # disc a two-point solve returns, against central differences of discs
+    # solved cold to 1e-12.  The tangent of the last joint step is taken at
+    # the iterate that step started from, so it is exact to first order in
+    # that step; built at the converged state it matches to 1e-7
     steps = []
-    ls_step = _CenterDirectionSystem._ls_step
+    joint_step = _OuterSystem._joint_step
 
-    def recording(J, F):
-        du = ls_step(J, F)
-        steps.append(np.linalg.norm(du[:, 0]))
-        return du
+    def recording(self, X, aux):
+        dX, T = joint_step(self, X, aux)
+        steps.append(np.linalg.norm(dX))
+        return dX, T
 
-    monkeypatch.setattr(_CenterDirectionSystem, "_ls_step",
-                        staticmethod(recording))
-    disc = _solve_cd_raw(domain, z, v, SMALL, warm=start)
+    monkeypatch.setattr(_OuterSystem, "_joint_step", recording)
+    system, _, disc = _solved_two_point()
     monkeypatch.undo()
+    domain = system.domain
     assert len(steps) >= 2
     dcoeffs, dgamma = disc.tangent
     assert dcoeffs.shape == (8, SMALL.modes + 1, 2)
     assert dgamma.shape == (8, len(disc.solver_g))
-    # without its tangent the disc is linearized at the converged state, and
-    # the central differences below start from it as it is
-    cold = dataclasses.replace(disc, tangent=None)
-    built = _parameter_tangent(domain, cold, SMALL)
+    # without its tangent the disc is linearized at the converged state
+    built = _parameter_tangent(domain, dataclasses.replace(disc, tangent=None),
+                               SMALL)
 
+    z = disc.base_point
+    v = disc.base_direction / np.linalg.norm(disc.base_direction)
     fine = SolverSettings(modes=32, grid=CircleGrid(128), newton_tol=1e-12)
     E = np.concatenate([np.eye(2), 1j * np.eye(2)])
     h = 1e-6
@@ -1266,7 +1268,7 @@ def test_warm_solve_returns_its_parameter_tangent(monkeypatch):
     for p in range(8):
         dz, dv = (E[p], 0.0) if p < 4 else (0.0, E[p - 4])
         plus, minus = (_solve_cd_raw(domain, z + s * h * dz, v + s * h * dv,
-                                     fine, warm=cold)
+                                     fine)
                        for s in (1.0, -1.0))
         fd_c = (plus.coeffs - minus.coeffs) / (2.0 * h)
         fd_g = (plus.solver_g - minus.solver_g) / (2.0 * h)
@@ -1312,14 +1314,14 @@ def test_two_point_solve_iterates_on_the_disc_state(monkeypatch):
         return joint_step(self, X, aux)
 
     def recording(*args, **kwargs):
-        solves.append(kwargs.get("warm"))
+        solves.append(args)
         return _solve_cd_raw(*args, **kwargs)
 
     monkeypatch.setattr(_OuterSystem, "_joint_step", counting_step)
     monkeypatch.setattr(discs_module, "_solve_cd_raw", recording)
     disc, xi = solve_two_point(domain, z, w, SMALL)
     monkeypatch.undo()
-    assert solves == [None]
+    assert len(solves) == 1
     assert len(steps) >= 2
     assert len(jacobians) - steps[0] == len(steps)
     assert disc.attachment_residual <= SMALL.newton_tol

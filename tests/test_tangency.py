@@ -398,8 +398,7 @@ def test_tangency_jacobian_after_a_warm_solve_builds_no_gn_jacobian(
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
     system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
                                           np.array(seed_w), settings)
-    u = u + 0.02 * np.cos(np.arange(len(u)))
-    _, disc = system.residual(u, disc)
+    u, _, disc = system.correct(u + 0.02 * np.cos(np.arange(len(u))), disc)
     assert disc.tangent is not None
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(u, disc)
@@ -415,37 +414,17 @@ def test_tangency_tangent_belongs_to_its_disc(monkeypatch):
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
     system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
                                           np.array(seed_w), settings)
-    u_a = u + 0.02 * np.cos(np.arange(len(u)))
-    _, disc_a = system.residual(u_a, disc)
-    assert disc_a.tangent is not None
-    _, disc_b = system.residual(u_a + 0.01 * np.sin(np.arange(len(u))),
-                                disc_a)
+    u_a, _, disc_a = system.correct(u + 0.02 * np.cos(np.arange(len(u))),
+                                    disc)
+    tangent = disc_a.tangent
+    assert tangent is not None
+    _, _, disc_b = system.correct(u_a + 0.01 * np.sin(np.arange(len(u))),
+                                  disc_a)
     assert disc_b is not disc_a
+    assert disc_a.tangent is tangent
     calls = _count_gn_jacobians(monkeypatch)
     system.jacobian(u_a, disc_a)
     assert calls == []
-
-
-def test_first_order_start_saves_gn_jacobians(monkeypatch):
-    # a correction at a locus state from a disc solved nearby off the locus,
-    # started from that disc moved along its parameter tangent, then from
-    # the disc as it is.  Along the locus the disc state moves only at
-    # second order, so there both starts take as many joint steps
-    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
-    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
-                                          np.array(seed_w), settings)
-    _, warm = system.residual(u + 0.005 * np.cos(np.arange(len(u))), disc)
-    assert warm.tangent is not None
-    calls = _count_gn_jacobians(monkeypatch)
-    counts, touch = [], []
-    for start in (warm, dataclasses.replace(warm, tangent=None)):
-        before = len(calls)
-        u_new, R, _ = system.correct(u, start)
-        counts.append(len(calls) - before)
-        touch.append(system.unpack(u_new)[0])
-        assert np.max(np.abs(R)) <= 1e-9
-    assert np.linalg.norm(touch[0] - touch[1]) < 1e-8
-    assert counts[0] < counts[1]
 
 
 def test_a_correction_builds_one_gn_jacobian_per_newton_step(monkeypatch):
