@@ -1433,21 +1433,11 @@ def _along_direction(d, a):
     """(I - w w^T) a / |d| for w = (Re d, Im d)/|d| and a of shape (2n,)
     or (2n, k): how v = d/|d| moves with the real coordinates (Re d, Im d),
     applied to rows along (Re v, Im v) or to a step of d (the map is
-    symmetric)."""
+    symmetric).  On the coordinate directions of :func:`_coordinate_tangents`
+    it gives the derivatives of v itself, as rows (2n, n)."""
     nd = np.linalg.norm(d)
     w = np.concatenate([d.real, d.imag]) / nd
     return (a - np.multiply.outer(w, w @ a)) / nd
-
-
-def _direction_tangents(d):
-    """Derivatives of the unit direction d/|d| along the real coordinates
-    (Re d_1..Re d_n, Im d_1..Im d_n) of d, as rows (2n, n):
-    (e - v Re<e, v>)/|d| with v = d/|d|."""
-    n = len(d)
-    nd = np.linalg.norm(d)
-    v = d / nd
-    E = _coordinate_tangents(n)
-    return (E - np.real(E @ np.conj(v))[:, None] * v) / nd
 
 
 def _coordinate_tangents(n):

@@ -38,8 +38,8 @@ import numpy as np
 
 from .circle import _count, _tolerance, ring_values
 from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
-                    _ball_psi_inverse, _complete_unitary, _coordinate_tangents,
-                    _direction_tangents, _herm, _point, _solve_cd_raw)
+                    _along_direction, _ball_psi_inverse, _complete_unitary,
+                    _coordinate_tangents, _herm, _point, _solve_cd_raw)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -172,7 +172,7 @@ class _TangencySystem(_OuterSystem):
         A2, C2 = self.d2.hess_complex(w)
         dgrad = ew @ A2.T + np.conj(ew) @ C2.T     # (2n, n) along w
         dpair = np.concatenate([dgrad @ (d / np.linalg.norm(d)),
-                                _direction_tangents(d) @ grad2])
+                                _along_direction(d, ew) @ grad2])
         inner = np.zeros((3, 4 * n + 1))
         inner[0, :2 * n] = 2.0 * np.real(ew @ grad2)
         inner[1, :4 * n] = dpair.real
