@@ -76,16 +76,17 @@ that tangent with the through-point rows moved by the Gauss-Newton step,
 and the state follows the outer step along the tangent.  No residual
 solves a disc, and each step linearizes the disc once.
 
-A warm start moves a solved disc to first order along its parameter
-tangent: coeffs + tangent dp, gamma + tangent dp (:func:`_warm_state`).
-The outer system's iteration starts so, as does a warm disc solve.  A
-disc returned by either carries its own parameter tangent, the
+Every disc solve is cold, from the closed-form state above; none starts
+from another solved disc.  Only the outer system's iteration off a ball
+starts its disc state from a solved disc, coefficients and g as they
+are: the disc solved cold at its first iterate, or the last disc a locus
+step accepted.  A disc it returns carries its own parameter tangent, the
 derivative of the coefficients and of g along the 4n real perturbations
-of z and v, from the implicit-function theorem.  Each step solves for it
-as 4n more right-hand sides of the factorization it makes anyway, so the
-tangent of the last step lags the returned state by that step.  The
-outer Jacobian takes its sensitivities from it by the chain rule.  Cold
-solves solve no extra right-hand sides and return no tangent.
+of z and v, from the implicit-function theorem.  Each joint step solves
+for it as 4n more right-hand sides of the factorization it makes anyway,
+so the tangent of the last step lags the returned state by that step.
+The outer Jacobian takes its sensitivities from it by the chain rule.
+Cold solves solve no extra right-hand sides and return no tangent.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ class AnalyticDisc:
 
     A disc returned by a Gauss-Newton solve or by :func:`ball_geodesic`
     carries the solver's state: its boundary factor ``solver_g`` and,
-    after a warm or outer solve that took a step, its parameter
+    after an outer solve off a ball that took a step, its parameter
     ``tangent`` (d coeffs, d gamma) of shapes (4n, M+1, n) and (4n, 1 +
-    2M) (see the module docstring)."""
+    2M) (see the module docstring), read by :func:`_parameter_tangent`."""
 
     coeffs: np.ndarray            # (M+1, n) complex
     grid: CircleGrid
@@ -1163,21 +1164,6 @@ def _solve_cd_raw(domain, z, v, settings):
     return _finalize(system, u, diag, settings)
 
 
-def _warm_state(system, warm):
-    """The state of ``system`` at the solved disc ``warm``, moved to the
-    system's (z, v) to first order along warm's parameter tangent where it
-    carries one: coeffs + tangent dp, gamma + tangent dp; else as it is."""
-    coeffs, gamma = warm.coeffs, warm.solver_g
-    if warm.tangent is not None:
-        dcoeffs, dgamma = warm.tangent
-        dz = system.z - warm.base_point
-        dv = system.v - warm.base_direction / np.linalg.norm(warm.base_direction)
-        dp = np.concatenate([dz.real, dz.imag, dv.real, dv.imag])
-        coeffs = coeffs + np.tensordot(dp, dcoeffs, axes=1)
-        gamma = gamma + dp @ dgamma
-    return system.initial_state(coeffs, gamma)
-
-
 def _finalize(system, u, diag, settings, tangent=None):
     if u[1] <= 0:                                  # r
         raise SolverDivergence("converged to nonpositive derivative scale",
@@ -1287,19 +1273,20 @@ class _OuterSystem:
         J[2 * n, 2 * n:4 * n] = 2.0 * np.concatenate([d.real, d.imag])
         return J
 
-    def newton(self, x, tol, max_iters, warm):
+    def newton(self, x, tol, max_iters, start):
         """(x, R, disc) with max |R| <= tol by :func:`_damped_newton`; the
         outer step is lstsq's minimum-norm one, which also serves a square
         system.
 
-        On a ball each residual takes the disc's closed form.  On other
-        domains the iterate is X = (x, y): y is the Gauss-Newton state of
-        the disc with center c and direction d/|d| at x, which starts as
-        the solved disc ``warm`` moved to x to first order
-        (:func:`_warm_state`), or as the disc solved cold at x without it.
-        X converges when the disc's attachment, lift modes and gauge are
-        <= newton_tol and max |R| <= tol, and the disc returned carries
-        the parameter tangent of the last step (:meth:`_joint_step`)."""
+        On a ball each residual takes the disc's closed form, and
+        ``start`` is not used.  On other domains the iterate is X = (x, y):
+        y is the Gauss-Newton state of the disc with center c and direction
+        d/|d| at x, and starts as the state of the solved disc ``start``,
+        coefficients and g as they are, or of the disc solved cold at x
+        where ``start`` is None.  X converges when the disc's attachment,
+        lift modes and gauge are <= newton_tol and max |R| <= tol, and the
+        disc returned carries the parameter tangent of the last step
+        (:meth:`_joint_step`)."""
         if self.domain.kind == "ball":
             return _damped_newton(
                 x, self.residual,
@@ -1309,8 +1296,8 @@ class _OuterSystem:
         c, d, _ = self.unpack(x)
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
-        if warm is None:
-            warm = _solve_cd_raw(self.domain, c, system.v, self.settings)
+        if start is None:
+            start = _solve_cd_raw(self.domain, c, system.v, self.settings)
         last = [None]
 
         def step(X, FR, aux):
@@ -1324,7 +1311,8 @@ class _OuterSystem:
                 and np.max(np.abs(R)) <= tol
 
         X, _, (system, _, R, diag, _) = _damped_newton(
-            np.concatenate([x, _warm_state(system, warm)]),
+            np.concatenate([x, system.initial_state(start.coeffs,
+                                                    start.solver_g)]),
             self._joint_residual, step, converged, tol, max_iters)
         x, y = self._split(X)
         tangent = None if last[0] is None \
@@ -1416,9 +1404,9 @@ class _TwoPointSystem(_OuterSystem):
 
 
 def _parameter_tangent(domain, disc, settings):
-    """The parameter tangent of the solved ``disc``: the one its warm or
-    outer solve returned with it, else one linearization and
-    factorization at the disc."""
+    """The parameter tangent of the solved ``disc``: the one its outer
+    solve returned with it, else one linearization and factorization at
+    the disc."""
     if disc.tangent is not None:
         return disc.tangent
     v = disc.base_direction / np.linalg.norm(disc.base_direction)

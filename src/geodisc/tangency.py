@@ -179,14 +179,14 @@ class _TangencySystem(_OuterSystem):
         inner[2, :4 * n] = dpair.imag
         return np.vstack([inner, self.through_jacobian(disc, w, d, u[4 * n])])
 
-    def correct(self, u, warm):
+    def correct(self, u, start):
         """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
         Newton steps of :meth:`_OuterSystem.newton`, starting from the
-        solved disc ``warm`` moved to u (solved cold at u without it); off
-        a ball each step also moves the disc's Gauss-Newton state, whose
-        attachment ends <= newton_tol.  The system is underdetermined
+        solved disc ``start`` as it is (solved cold at u where it is None);
+        off a ball each step also moves the disc's Gauss-Newton state,
+        whose attachment ends <= newton_tol.  The system is underdetermined
         (2n + 4 equations, 4n + 1 unknowns)."""
-        return self.newton(u, TANGENCY_TOL, 12, warm)
+        return self.newton(u, TANGENCY_TOL, 12, start)
 
     def make_point(self, u, R, disc) -> TangencyPoint:
         w, d, sigma = self.unpack(u)

@@ -492,20 +492,20 @@ def test_a_failed_correction_is_retried_from_the_last_accepted_disc(
     # step and retries: the retry starts from the disc of 4, not from the
     # disc that the failed correction solved
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
-    warms, results = [], []
+    starts, results = [], []
 
     class Stop(Exception):
         pass
 
     correct = _TangencySystem.correct
 
-    def failing_fifth(system, u, warm):
-        warms.append(warm)
-        out = correct(system, u, warm)
+    def failing_fifth(system, u, start):
+        starts.append(start)
+        out = correct(system, u, start)
         results.append(out[2])
-        if len(warms) == 5:
+        if len(starts) == 5:
             raise SolverDivergence("failed after solving its disc")
-        if len(warms) == 6:
+        if len(starts) == 6:
             raise Stop
         return out
 
@@ -513,9 +513,9 @@ def test_a_failed_correction_is_retried_from_the_last_accepted_disc(
     with pytest.raises(Stop):
         trace_locus(*make_domains(), np.array(z_o), 12, settings,
                     seed_w=np.array(seed_w))
-    assert warms[4] is results[3]
+    assert starts[4] is results[3]
     assert results[4] is not results[3]
-    assert warms[5] is results[3]
+    assert starts[5] is results[3]
 
 
 @pytest.mark.parametrize("n", [2, 3])
