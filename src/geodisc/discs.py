@@ -74,19 +74,12 @@ of the disc's equations gives their Gauss-Newton step and the state's
 parameter tangent, the outer step follows from the outer Jacobian on
 that tangent with the through-point rows moved by the Gauss-Newton step,
 and the state follows the outer step along the tangent.  No residual
-solves a disc, and each step linearizes the disc once.
-
-Every disc solve is cold, from the closed-form state above; none starts
-from another solved disc.  Only the outer system's iteration off a ball
-starts its disc state from a solved disc, coefficients and g as they
-are: the disc solved cold at its first iterate, or the last disc a locus
-step accepted.  A disc it returns carries its own parameter tangent, the
-derivative of the coefficients and of g along the 4n real perturbations
-of z and v, from the implicit-function theorem.  Each joint step solves
-for it as 4n more right-hand sides of the factorization it makes anyway,
-so the tangent of the last step lags the returned state by that step.
-The outer Jacobian takes its sensitivities from it by the chain rule.
-Cold solves solve no extra right-hand sides and return no tangent.
+solves a disc, and each step linearizes the disc once.  This iteration
+starts from a solved disc as it is; every other disc solve is cold.  The
+disc it returns carries its parameter tangent, the derivative of the
+coefficients and of g along the 4n real perturbations of z and v
+(implicit-function theorem), solved as 4n more right-hand sides of each
+step's factorization, so it lags the returned state by the last step.
 """
 
 from __future__ import annotations
@@ -157,6 +150,8 @@ class AnalyticDisc:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.ndim != 2:
             raise PreconditionError("disc coefficients must have shape (M+1, n)")
+        if not np.isfinite(self.coeffs).all():
+            raise PreconditionError("disc coefficients must be finite")
 
     @property
     def modes(self) -> int:
@@ -211,9 +206,15 @@ class AnalyticDisc:
 
     @classmethod
     def from_json(cls, data: dict, domain: ConvexDomain | None = None):
-        coeffs = np.array([[complex(re, im) for re, im in row]
-                           for row in data["coeffs"]])
-        return cls(coeffs, CircleGrid(int(data["grid"])), domain,
+        """The disc that :meth:`to_json` wrote as ``data``; raises
+        PreconditionError where ``data`` is not of that form."""
+        try:
+            coeffs = np.array([[complex(re, im) for re, im in row]
+                               for row in data["coeffs"]])
+            grid = CircleGrid(int(data["grid"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PreconditionError(f"malformed disc data ({exc})") from None
+        return cls(coeffs, grid, domain,
                    attachment_residual=data.get("residual"))
 
 
@@ -328,6 +329,13 @@ def _point(domain, z, name="base point"):
     if not np.isfinite(z).all():
         raise PreconditionError(f"{name} must be finite")
     return z
+
+
+def _interior(domain, z):
+    """Whether rho(z) < -INTERIOR_MARGIN; a point so far out that rho
+    overflows is not interior."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(domain.rho(z)) < -INTERIOR_MARGIN
 
 
 def _point_and_direction(domain, z, v):
@@ -1105,11 +1113,10 @@ def _blend(domain_a, domain_b, t):
 
 
 def _solve_cd_raw(domain, z, v, settings):
-    """Core center-direction solve, cold (see the module docstring);
-    returns the solved :class:`AnalyticDisc`, which carries no parameter
-    tangent."""
+    """The cold center-direction solve of the module docstring; returns
+    the solved :class:`AnalyticDisc`, without a parameter tangent."""
     z, v = _point_and_direction(domain, z, v)
-    if not float(domain.rho(z)) < -INTERIOR_MARGIN:
+    if not _interior(domain, z):
         raise PreconditionError("base point must be strictly interior")
 
     system = _CenterDirectionSystem(domain, z, v, settings)
@@ -1237,9 +1244,8 @@ class _OuterSystem:
     def residual(self, x, aux=None):
         """(R, disc): the rows at x on the disc solved there
         (:meth:`solve_disc`), the function of x whose Jacobian
-        :meth:`jacobian` gives; ``aux`` is the Newton driver's and unused.
-        The Newton iteration evaluates it on a ball only; on other domains
-        it carries the disc's state instead (:meth:`newton`)."""
+        :meth:`jacobian` gives; the driver's ``aux`` is not used.  The
+        Newton iteration evaluates it on a ball only (:meth:`newton`)."""
         c, d, _ = self.unpack(x)
         disc = self.solve_disc(c, d)
         return self.rows(x, disc), disc
@@ -1274,18 +1280,12 @@ class _OuterSystem:
         return J
 
     def newton(self, x, tol, max_iters, start):
-        """(x, R, disc) with max |R| <= tol by :func:`_damped_newton`; the
-        outer step is lstsq's minimum-norm one, which also serves a square
-        system.
-
-        On a ball each residual takes the disc's closed form, and
-        ``start`` is not used.  On other domains the iterate is X = (x, y):
-        y is the Gauss-Newton state of the disc with center c and direction
-        d/|d| at x, and starts as the state of the solved disc ``start``,
-        coefficients and g as they are, or of the disc solved cold at x
-        where ``start`` is None.  X converges when the disc's attachment,
+        """(x, R, disc) with max |R| <= tol by :func:`_damped_newton` and
+        lstsq's minimum-norm outer step.  Off a ball the disc's state y in
+        X = (x, y) starts at the solved disc ``start`` as it is, or solved
+        cold at x where it is None; X converges when the disc's attachment,
         lift modes and gauge are <= newton_tol and max |R| <= tol, and the
-        disc returned carries the parameter tangent of the last step
+        disc returned carries the tangent of the last step
         (:meth:`_joint_step`)."""
         if self.domain.kind == "ball":
             return _damped_newton(
@@ -1337,7 +1337,7 @@ class _OuterSystem:
         leaves the domain."""
         x, y = self._split(X)
         c, d, _ = self.unpack(x)
-        if not float(self.domain.rho(c)) < -INTERIOR_MARGIN:
+        if not _interior(self.domain, c):
             raise PreconditionError("the disc center left the domain")
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
@@ -1420,9 +1420,8 @@ def _parameter_tangent(domain, disc, settings):
 def _along_direction(d, a):
     """(I - w w^T) a / |d| for w = (Re d, Im d)/|d| and a of shape (2n,)
     or (2n, k): how v = d/|d| moves with the real coordinates (Re d, Im d),
-    applied to rows along (Re v, Im v) or to a step of d (the map is
-    symmetric).  On the coordinate directions of :func:`_coordinate_tangents`
-    it gives the derivatives of v itself, as rows (2n, n)."""
+    applied to rows along (Re v, Im v), such as :func:`_coordinate_tangents`
+    (giving dv as rows), or to a step of d (the map is symmetric)."""
     nd = np.linalg.norm(d)
     w = np.concatenate([d.real, d.imag]) / nd
     return (a - np.multiply.outer(w, w @ a)) / nd
@@ -1450,11 +1449,10 @@ def solve_two_point(domain: ConvexDomain, z, w,
     """
     settings = settings or SolverSettings()
     z, w = _point(domain, z), _point(domain, w, "point w")
+    if not (_interior(domain, z) and _interior(domain, w)):
+        raise PreconditionError("both points must be strictly interior")
     if np.linalg.norm(w - z) < 1e-6:
         raise PreconditionError("points must be distinct (|z - w| >= 1e-6)")
-    for p in (z, w):
-        if not float(domain.rho(p)) < -INTERIOR_MARGIN:
-            raise PreconditionError("both points must be strictly interior")
 
     n = len(z)
     center = domain.center

@@ -275,8 +275,7 @@ def _random_directions(rng, count, n):
 def certify(domain: ConvexDomain, samples: int, seed: int = 0) -> ConvexityCertificate:
     """Minima of the Hessian eigenvalue and real gradient norm over
     quasi-uniform boundary samples (failing certificate is data)."""
-    if samples < 100:
-        raise PreconditionError("certify requires at least 100 samples")
+    _count("samples", samples, 100)
     rng = np.random.default_rng(seed)
     pts = domain.boundary_point(
         _random_directions(rng, samples, domain.dimension))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .circle import CircleGrid, TrigSeries, _count, _tolerance, analyze, \
     cauchy_extend, negative_tail_norm, ring_values
-from .discs import AnalyticDisc, SolverSettings
+from .discs import AnalyticDisc, SolverSettings, _point_and_direction
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError
 from .tangency import _base_point, trace_locus
@@ -263,14 +263,13 @@ def tangent_line_disc(r2: float, base_point, direction,
                       grid: CircleGrid) -> AnalyticDisc:
     """The complex line tangent to the sphere of radius r2 at
     ``base_point``, cut by the unit sphere: phi(tau) = p + s*tau*d with
-    s = sqrt(1 - r2^2); an exact degree-one attached disc."""
+    s = sqrt(1 - r2^2); an exact degree-one attached disc.  Raises
+    PreconditionError for a non-finite point or direction, or d = 0."""
     _check_inner_radius(r2)
-    p = np.asarray(base_point, dtype=complex)
-    d = np.asarray(direction, dtype=complex)
-    d = d / np.linalg.norm(d)
+    ball = make_ball(np.zeros(np.size(base_point)), 1.0)
+    p, d = _point_and_direction(ball, base_point, direction)
     s = np.sqrt(1.0 - r2 ** 2)
-    coeffs = np.stack([p, s * d])
-    disc = AnalyticDisc(coeffs, grid, make_ball(np.zeros(len(p)), 1.0))
+    disc = AnalyticDisc(np.stack([p, s * d]), grid, ball)
     disc.attachment_residual = disc.boundary_residual()
     return disc
 

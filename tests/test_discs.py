@@ -30,6 +30,7 @@ from geodisc import (extend_along_disc, extension_report, morera_integrals,
                      push_domain_through_psi, restrict)
 from geodisc import discs as discs_module
 from geodisc.circle import power_series
+from geodisc.domains import certify
 from geodisc.cli import main as cli_main, parse_points
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
                            _TwoPointSystem, _ball_point_sensitivity,
@@ -888,6 +889,25 @@ def _matching(pattern, call):
                            lambda: make_perturbed_ball(0.05, "nosuchbump")),
                  ["disc", "solve", "--domain", "perturbed_ball:0.05:nosuchbump",
                   "--z", "0.1,0", "--v", "1,0"], id="unknown-bump"),
+    pytest.param(lambda: AnalyticDisc.from_json({"coeffs": "x", "grid": 64}),
+                 None, id="disc-json-malformed-coeffs"),
+    pytest.param(lambda: AnalyticDisc.from_json({"coeffs": [[[0.0, 0.0]]]}),
+                 None, id="disc-json-no-grid"),
+    pytest.param(lambda: AnalyticDisc(np.full((2, 2), np.nan), SMALL.grid,
+                                      BALL), None, id="disc-nan-coeffs"),
+    pytest.param(lambda: tangent_line_disc(0.5, [np.nan, 0.0], [0.0, 1.0],
+                                           CircleGrid(64)),
+                 None, id="tangent-line-disc-nan-base-point"),
+    pytest.param(lambda: tangent_line_disc(0.5, [0.3, 0.0], [0.0, 0.0],
+                                           CircleGrid(64)),
+                 None, id="tangent-line-disc-zero-direction"),
+    pytest.param(lambda: kobayashi_distance(BALL, np.zeros(2),
+                                            np.array([1e300, 0.0])),
+                 None, id="kobayashi-huge-w"),
+    pytest.param(lambda: solve_from_center_direction(
+        BALL, np.array([1e300, 0.0]), _V, SMALL), None, id="huge-z"),
+    pytest.param(lambda: certify(BALL, np.nan), None,
+                 id="certify-nan-samples"),
     *[pytest.param(call, None, id=f"{name}-inner-radius-{r2}")
       for r2 in (1.5, 0.0, np.nan, -0.3)
       for name, call in (
