@@ -66,15 +66,19 @@ by its normal equations, from the fields its residual returned.  The
 two-point solve and the tangency corrector share one outer system and
 its minimum-norm lstsq step (:class:`_OuterSystem`): a disc with center
 c and direction d/|d| that passes through a target at the real parameter
-s.  On a ball each of its residuals takes the disc's closed form where
-that attaches to newton_tol, else a cold Gauss-Newton solve.  On other
-domains the iterate is the outer unknowns together with the disc's
-Gauss-Newton state, and one bordered step serves both: one linearization
-of the disc's equations gives their Gauss-Newton step and the state's
-parameter tangent, the outer step follows from the outer Jacobian on
-that tangent with the through-point rows moved by the Gauss-Newton step,
-and the state follows the outer step along the tangent.  No residual
-solves a disc, and each step linearizes the disc once.  This iteration
+s.  On a ball each residual reads the disc's closed form at its one
+point s: phi(s), phi'(s) and dphi(s)/dp from one set of geometric sums.
+It builds no disc where the truncation bound shows that the closed form
+attaches to newton_tol; elsewhere it takes the closed-form disc where
+that attaches, else a cold Gauss-Newton solve.  The disc is built once,
+at the solution.  On other domains the iterate is the outer unknowns
+together with the disc's Gauss-Newton state, and one bordered step
+serves both: one linearization of the disc's equations gives their
+Gauss-Newton step and the state's parameter tangent, the outer step
+follows from the outer Jacobian on that tangent with the through-point
+rows moved by the Gauss-Newton step, and the state follows the outer
+step along the tangent.  No residual solves a disc, and each step
+linearizes the disc once.  This iteration
 starts from a solved disc as it is; every other disc solve is cold.  The
 disc it returns carries its parameter tangent, the derivative of the
 coefficients and of g along the 4n real perturbations of z and v
@@ -98,6 +102,7 @@ from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError, SolverDivergence
 
 INTERIOR_MARGIN = 1e-8
+MAX_ENTRY = 1e150
 
 
 @dataclass
@@ -150,8 +155,7 @@ class AnalyticDisc:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.ndim != 2:
             raise PreconditionError("disc coefficients must have shape (M+1, n)")
-        if not np.isfinite(self.coeffs).all():
-            raise PreconditionError("disc coefficients must be finite")
+        _bounded(self.coeffs, "disc coefficients")
 
     @property
     def modes(self) -> int:
@@ -317,17 +321,25 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     return disc
 
 
+def _bounded(values, name):
+    """Raise PreconditionError, naming the values ``name``, unless every
+    entry is finite with modulus at most MAX_ENTRY, which keeps squared
+    norms, and so rho of every domain here, finite."""
+    if not (np.abs(values) <= MAX_ENTRY).all():
+        raise PreconditionError(
+            f"{name} must be finite, with entries of modulus <= {MAX_ENTRY:g}")
+
+
 def _point(domain, z, name="base point"):
     """z as a complex vector in C^n of the domain; raises
-    PreconditionError, naming it ``name``, for a wrong shape or a
-    non-finite entry."""
+    PreconditionError, naming it ``name``, for a wrong shape or an entry
+    that is not finite or is huge (:func:`_bounded`)."""
     z = np.asarray(z, dtype=complex)
     n = domain.dimension
     if z.shape != (n,):
         raise PreconditionError(
             f"{name} must have shape ({n},), not {z.shape}")
-    if not np.isfinite(z).all():
-        raise PreconditionError(f"{name} must be finite")
+    _bounded(z, name)
     return z
 
 
@@ -364,38 +376,72 @@ def _ball_series(z, v):
     return (1.0 - nz2) / rho * v, -b / rho
 
 
-def _ball_point_sensitivity(domain, z, v, s, modes):
-    """dphi(s)/dp for the ball geodesic of :func:`ball_geodesic` (truncated
-    at ``modes``) through z with unit direction v, as rows (4n, n) along
-    the real perturbations p = (Re z, Im z, Re v, Im v), as a parameter
-    tangent's.
+@dataclass
+class _DiscPoint:
+    """A disc at its one point s, which is all the rows of
+    :class:`_OuterSystem` read of it: phi(s), phi'(s) and dphi(s)/dp as
+    rows (4n, n) along the real perturbations p = (Re c, Im c, Re v, Im
+    v) of its center c and unit direction v, or None where that is to be
+    read off the parameter tangent of ``disc``; and ``disc``, the disc
+    itself, where one was built."""
 
-    Differentiates phi(s) = c + R (z' + a_1 sum_{k=1..M} mu^{k-1} s^k) in
-    the normalized coordinates z' = (z - c)/R, an O(n M) map."""
+    value: np.ndarray
+    slope: np.ndarray
+    sensitivity: np.ndarray | None
+    disc: AnalyticDisc | None = None
+
+
+def _ball_point(domain, z, v, s, modes):
+    """(point, bound): the ball geodesic of :func:`ball_geodesic`,
+    truncated at ``modes``, through z with unit direction v, at s as a
+    :class:`_DiscPoint` without its disc, and a bound on the attachment
+    residual max |rho| that :func:`ball_geodesic` computes for it, its
+    rounding included; O(n M), no disc is built.
+
+    In the normalized coordinates z' = (z - c)/R, phi(s) = c + R (z' +
+    a_1 S) and phi'(s) = R a_1 S' with the truncated geometric sums S =
+    sum_{k=1..M} mu^{k-1} s^k and S' = dS/ds; dphi(s)/dp differentiates
+    a_1 and mu (:func:`_ball_series`).  The exact geodesic lies on the
+    sphere |phi - c| = R, and the series drops its tail R a_1 sum_{k>M}
+    mu^{k-1} tau^k, of modulus at most eps = R |a_1| |mu|^M / (1 - |mu|)
+    on |tau| = 1, so |rho| = |2 Re <phi - c, tail> - |tail|^2| <= 2 R eps
+    + eps^2 there; its evaluation rounds at a few ulps of (|c| + R)^2."""
     c = domain.center
     R = domain.meta["radius"]
-    zp = (np.asarray(z, dtype=complex) - c) / R
-    E = _coordinate_tangents(len(zp))
-    dz = np.concatenate([E, np.zeros_like(E)])
-    dv = np.concatenate([np.zeros_like(E), E])
-    dzp = dz / R
-    b = _herm(v, zp)
-    nz2 = float(np.real(_herm(zp, zp)))
-    rho = np.sqrt(1.0 - nz2 + abs(b) ** 2)
+    zp = (z - c) / R
+    nz2 = float(np.vdot(zp, zp).real)
+    if nz2 >= 1.0:
+        raise PreconditionError("center point is not inside the ball")
+    b = complex(np.vdot(zp, v))                    # <v, z'>
+    rho = (1.0 - nz2 + abs(b) ** 2) ** 0.5
     scale = (1.0 - nz2) / rho                      # a_1 = scale * v
     mu = -b / rho
-    db = dv @ np.conj(zp) + np.conj(dzp) @ v       # (P,)
-    dnz2 = 2.0 * np.real(np.conj(dzp) @ zp)
-    drho = (np.real(np.conj(b) * db) - 0.5 * dnz2) / rho
+    s = complex(s)
+    k = np.arange(modes)
+    geometric = (mu * s) ** k                      # (mu s)^k, k = 0..M-1
+    series = s * geometric.sum()                   # S
+    slope = ((k + 1) * geometric).sum()            # S'
+    dseries = s * s * (slope - modes * geometric[-1])    # dS/dmu
+    # the derivatives of b, |z'|^2, rho, scale and mu along p: z moves by
+    # the coordinate tangents E in the first 2n rows, v in the last 2n
+    E = _coordinate_tangents(len(zp))
+    n2 = len(E)
+    db = np.concatenate([np.conj(E) @ v / R, E @ np.conj(zp)])
+    dnz2 = np.zeros(2 * n2)
+    dnz2[:n2] = 2.0 / R * (np.conj(E) @ zp).real
+    drho = ((np.conj(b) * db).real - 0.5 * dnz2) / rho
     dscale = -(dnz2 + scale * drho) / rho
     dmu = -(db + mu * drho) / rho
-    k = np.arange(1, modes + 1)
-    series = np.sum(mu ** (k - 1) * s ** k)
-    j = k[:-1]
-    dseries = np.sum(j * mu ** (j - 1) * s ** (j + 1))   # d series / d mu
-    da1 = dscale[:, None] * v + scale * dv
-    return dz + R * (da1 * series
-                     + (scale * dseries * dmu)[:, None] * v[None, :])
+    # dphi = dz + R (da_1 S + a_1 dS/dmu dmu), da_1 = dscale v + scale dv
+    sensitivity = np.multiply.outer(
+        R * (series * dscale + scale * dseries * dmu), v)
+    sensitivity[:n2] += E
+    sensitivity[n2:] += (R * scale * series) * E
+    point = _DiscPoint(c + R * (zp + scale * series * v),
+                       R * scale * slope * v, sensitivity)
+    eps = R * scale * abs(mu) ** modes / (1.0 - abs(mu))
+    rounding = 256 * np.finfo(float).eps * (np.linalg.norm(c) + R) ** 2
+    return point, 2.0 * R * eps + eps ** 2 + rounding
 
 
 def _ball_two_point_data(domain: ConvexDomain, z, w):
@@ -1213,9 +1259,10 @@ class _OuterSystem:
     (``jacobian(x, disc)``, from :meth:`through_jacobian`).
 
     On a ball the Newton iteration runs over x, each residual on the
-    disc's closed form (:meth:`residual`).  On other domains it runs over
-    X = (x, y), y the disc's Gauss-Newton state, and no residual solves a
-    disc (:meth:`newton`).  The system keeps no state between calls."""
+    disc's closed form at its one point (:meth:`point`).  On other
+    domains it runs over X = (x, y), y the disc's Gauss-Newton state, and
+    no residual solves a disc (:meth:`newton`).  The system keeps no
+    state between calls."""
 
     pinned = np.zeros(0)
 
@@ -1241,38 +1288,67 @@ class _OuterSystem:
                 return disc
         return _solve_cd_raw(self.domain, c, dn, self.settings)
 
+    def point(self, c, d, s, disc=None):
+        """The disc with center c and direction d/|d| at s, as a
+        :class:`_DiscPoint` (``disc`` as it is where it is one).  Without
+        ``disc``, on a ball, the closed form of :func:`_ball_point` where
+        its bound is within newton_tol/2, so that the exact check of
+        :meth:`solve_disc` would pass; else the disc of
+        :meth:`solve_disc`.  A disc is read at s, dphi(s)/dp taken from
+        the ball's closed form or left to its parameter tangent.  Raises
+        PreconditionError, as :func:`ball_geodesic` does, where c or d
+        is not admissible."""
+        if isinstance(disc, _DiscPoint):
+            return disc
+        sensitivity = None
+        if self.domain.kind == "ball":
+            c, v = _point_and_direction(self.domain, c, d)
+            point, bound = _ball_point(self.domain, c, v, s,
+                                       self.settings.modes)
+            if disc is None and bound <= 0.5 * self.settings.newton_tol:
+                return point
+            sensitivity = point.sensitivity
+        if disc is None:
+            disc = self.solve_disc(c, d)
+        tau = np.array([s + 0.0j])
+        return _DiscPoint(disc(tau)[0], disc.derivative(tau)[0], sensitivity,
+                          disc)
+
     def residual(self, x, aux=None):
-        """(R, disc): the rows at x on the disc solved there
-        (:meth:`solve_disc`), the function of x whose Jacobian
+        """(R, point): the rows at x on the disc there, read at its one
+        point (:meth:`point`), the function of x whose Jacobian
         :meth:`jacobian` gives; the driver's ``aux`` is not used.  The
         Newton iteration evaluates it on a ball only (:meth:`newton`)."""
-        c, d, _ = self.unpack(x)
-        disc = self.solve_disc(c, d)
-        return self.rows(x, disc), disc
+        c, d, s = self.unpack(x)
+        point = self.point(c, d, s)
+        return self.rows(x, point), point
 
     def through_rows(self, disc, d, s, target):
-        """(Re, Im)(phi(s) - target) and |d|^2 - 1."""
-        val = disc(np.array([s + 0.0j]))[0] - target
+        """(Re, Im)(phi(s) - target) and |d|^2 - 1 on ``disc``, a disc or
+        its :class:`_DiscPoint` at s."""
+        value = disc.value if isinstance(disc, _DiscPoint) \
+            else disc(np.array([s + 0.0j]))[0]
+        val = value - target
         return np.concatenate([val.real, val.imag,
                                [np.linalg.norm(d) ** 2 - 1.0]])
 
     def through_jacobian(self, disc, c, d, s):
         """Jacobian (2n + 1, 4n + 1) of the through-point rows in
-        (Re c, Im c, Re d, Im d, s); solves no disc.  dphi(s)/dp along
-        (Re c, Im c, Re v, Im v) comes from the ball's closed form or the
-        disc's parameter tangent, and v = d/|d| moves with (Re d, Im d)
-        (:func:`_along_direction`)."""
+        (Re c, Im c, Re d, Im d, s) on ``disc``, a disc or its
+        :class:`_DiscPoint` at s (:meth:`point`); solves no disc.
+        dphi(s)/dp along (Re c, Im c, Re v, Im v) comes from the ball's
+        closed form or the disc's parameter tangent, and v = d/|d| moves
+        with (Re d, Im d) (:func:`_along_direction`)."""
         n = self.n
-        s = s + 0.0j
-        nd = np.linalg.norm(d)
-        if self.domain.kind == "ball":
-            dphi = _ball_point_sensitivity(self.domain, c, d / nd, s,
-                                           self.settings.modes)
-        else:
-            dcoeffs, _ = _parameter_tangent(self.domain, disc, self.settings)
-            dphi = power_series(dcoeffs.transpose(1, 0, 2), s)
-        dphi[2 * n:] = _along_direction(d, dphi[2 * n:])
-        ds = disc.derivative(np.array([s]))[0]
+        point = self.point(c, d, s, disc)
+        dphi = point.sensitivity
+        if dphi is None:
+            dcoeffs, _ = _parameter_tangent(self.domain, point.disc,
+                                            self.settings)
+            dphi = power_series(dcoeffs.transpose(1, 0, 2), s + 0.0j)
+        dphi = np.concatenate([dphi[:2 * n],
+                               _along_direction(d, dphi[2 * n:])])
+        ds = point.slope
         J = np.zeros((2 * n + 1, 4 * n + 1))
         J[:2 * n, :4 * n] = np.concatenate([dphi.T.real, dphi.T.imag])
         J[:2 * n, 4 * n] = np.concatenate([ds.real, ds.imag])
@@ -1281,18 +1357,24 @@ class _OuterSystem:
 
     def newton(self, x, tol, max_iters, start):
         """(x, R, disc) with max |R| <= tol by :func:`_damped_newton` and
-        lstsq's minimum-norm outer step.  Off a ball the disc's state y in
-        X = (x, y) starts at the solved disc ``start`` as it is, or solved
-        cold at x where it is None; X converges when the disc's attachment,
-        lift modes and gauge are <= newton_tol and max |R| <= tol, and the
-        disc returned carries the tangent of the last step
-        (:meth:`_joint_step`)."""
+        lstsq's minimum-norm outer step.  On a ball each iterate is read
+        at its one point (:meth:`residual`), and the disc is built once,
+        at the x returned, where no residual built it.  Off a ball the
+        disc's state y in X = (x, y) starts at the solved disc ``start``
+        as it is, or solved cold at x where it is None; X converges when
+        the disc's attachment, lift modes and gauge are <= newton_tol and
+        max |R| <= tol, and the disc returned carries the tangent of the
+        last step (:meth:`_joint_step`)."""
         if self.domain.kind == "ball":
-            return _damped_newton(
+            x, R, point = _damped_newton(
                 x, self.residual,
-                lambda x, R, disc: np.linalg.lstsq(
-                    self.jacobian(x, disc), -R, rcond=None)[0],
-                lambda R, disc: np.max(np.abs(R)) <= tol, tol, max_iters)
+                lambda x, R, point: np.linalg.lstsq(
+                    self.jacobian(x, point), -R, rcond=None)[0],
+                lambda R, point: np.max(np.abs(R)) <= tol, tol, max_iters)
+            if point.disc is not None:
+                return x, R, point.disc
+            c, d, _ = self.unpack(x)
+            return x, R, self.solve_disc(c, d)
         c, d, _ = self.unpack(x)
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
@@ -1427,11 +1509,14 @@ def _along_direction(d, a):
     return (a - np.multiply.outer(w, w @ a)) / nd
 
 
+@cache
 def _coordinate_tangents(n):
     """The real coordinate directions (e_1..e_n, i e_1..i e_n) of C^n as
-    rows (2n, n)."""
+    rows (2n, n).  Shared between callers, hence read-only."""
     eye = np.eye(n)
-    return np.concatenate([eye, 1j * eye])
+    rows = np.concatenate([eye, 1j * eye])
+    rows.flags.writeable = False
+    return rows
 
 
 def solve_two_point(domain: ConvexDomain, z, w,
@@ -1440,12 +1525,13 @@ def solve_two_point(domain: ConvexDomain, z, w,
     phi(xi) = w with xi in (0, 1); returns (disc, xi).
 
     Newton iteration of :class:`_OuterSystem` with the center pinned at
-    z, over the direction sphere and xi.  On a ball each residual takes
-    the closed-form geodesic, and one that neither its closed form nor
-    Gauss-Newton attaches to newton_tol at the truncation M raises
-    SolverDivergence naming M.  On other domains only the first disc is
-    solved, cold; the iteration then carries the disc's Gauss-Newton
-    state with (v, xi), and each step linearizes the disc once.
+    z, over the direction sphere and xi.  On a ball each residual reads
+    the closed-form geodesic at xi, and the disc is built once, at the
+    solution; a residual that neither its closed form nor Gauss-Newton
+    attaches to newton_tol at the truncation M raises SolverDivergence
+    naming M.  On other domains only the first disc is solved, cold; the
+    iteration then carries the disc's Gauss-Newton state with (v, xi),
+    and each step linearizes the disc once.
     """
     settings = settings or SolverSettings()
     z, w = _point(domain, z), _point(domain, w, "point w")

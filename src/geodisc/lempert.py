@@ -46,8 +46,7 @@ def psi_inverse(domain: ConvexDomain, z, v,
     """The point w with Psi_z(w) = v, via the geodesic through z with
     direction v/|v| evaluated at |v|."""
     settings = settings or SolverSettings()
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    z, v = _point(domain, z), _point(domain, v, "point v")
     xi = np.linalg.norm(v)
     if not 0.0 < xi < 1.0:
         raise PreconditionError("psi_inverse requires 0 < |v| < 1")

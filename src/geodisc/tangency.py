@@ -21,7 +21,9 @@ along the kernel of the residual Jacobian.
 With w held fixed this is the two-point problem for w and z_o, so the
 rows psi(sigma) = z_o and |d| = 1, their Jacobian and the Newton
 iteration are those of the two-point solve (``discs._OuterSystem``);
-this module adds the three inner-boundary rows.  Off a ball the
+this module adds the three inner-boundary rows.  On a ball each residual
+reads the closed-form geodesic at its one point sigma, and a correction
+builds its disc once, at the state it returns.  Off a ball the
 iteration carries the disc's Gauss-Newton state with (w, d, sigma), one
 bordered step for both, so a correction solves no disc per residual.
 The systems keep no state: each correction is handed the disc it starts
@@ -163,8 +165,9 @@ class _TangencySystem(_OuterSystem):
         ])
 
     def jacobian(self, u, disc):
-        """Analytic Jacobian of the rows at u on ``disc``, the disc moving
-        with u along its parameter tangent; solves no disc."""
+        """Analytic Jacobian of the rows at u on ``disc``, a disc or its
+        point record (``discs._DiscPoint``), the disc moving with u along
+        its parameter tangent; solves no disc."""
         n = self.n
         w, d, _ = self.unpack(u)
         ew = _coordinate_tangents(n)

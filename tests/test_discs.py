@@ -33,10 +33,10 @@ from geodisc.circle import power_series
 from geodisc.domains import certify
 from geodisc.cli import main as cli_main, parse_points
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
-                           _TwoPointSystem, _ball_point_sensitivity,
-                           _ball_series, _ball_two_point_data, _damped_newton,
-                           _gamma, _parameter_tangent, _solve_cd_raw,
-                           _state_layout)
+                           _TwoPointSystem, _along_direction, _ball_point,
+                           _ball_series, _ball_two_point_data,
+                           _coordinate_tangents, _damped_newton, _gamma,
+                           _parameter_tangent, _solve_cd_raw, _state_layout)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -619,12 +619,140 @@ def test_ball_geodesic_carries_its_solved_state(modes, grid):
 
     dcoeffs, _ = _parameter_tangent(ball, disc, settings)
     for s in (0.3 + 0.2j, -0.5j, 0.7, 0.95 * np.exp(2.0j)):
-        exact = _ball_point_sensitivity(ball, z, v / np.linalg.norm(v), s,
-                                        modes)
+        exact = _ball_point(ball, z, v / np.linalg.norm(v), s,
+                            modes)[0].sensitivity
         solved = power_series(dcoeffs.transpose(1, 0, 2), s)
         assert exact.shape == solved.shape == (8, 2)
         assert np.max(np.abs(along_z_and_sphere(solved)
                              - along_z_and_sphere(exact))) < 1e-10
+
+
+def _random_ball_case(rng, ball, radius=0.95):
+    """A center z of ``ball`` at up to ``radius`` of its radius and a unit
+    direction v."""
+    R = ball.meta["radius"]
+    z = ball.center + R * random_interior(rng, ball.dimension, radius)
+    return z, random_direction(rng, ball.dimension)
+
+
+@pytest.mark.parametrize("modes", [8, 16, 64])
+def test_ball_point_is_the_closed_form_disc_at_its_point(modes):
+    # phi(s) and phi'(s) of the point record agree with the power series
+    # of ball_geodesic's coefficients to 2e-15 of the series of moduli:
+    # either sum is exact to about 1e-15 of it, a few ulps.  dphi(s)/dp
+    # agrees with central differences of ball_geodesic along z and along
+    # the direction sphere
+    rng = np.random.default_rng(modes)
+    settings = SolverSettings(modes=modes, grid=CircleGrid(max(4 * modes, 64)))
+    k = np.arange(modes + 1)
+    E = _coordinate_tangents(2)
+    h = 1e-6
+    for ball in (BALL, make_ball([0.1, -0.2j], 0.8)):
+        for _ in range(20):
+            z, v = _random_ball_case(rng, ball)
+            s = rng.uniform(0.05, 0.95)
+            point, _ = _ball_point(ball, z, v, s, modes)
+            a = ball_geodesic(ball, z, v, settings).coeffs
+            da = a[1:] * k[1:, None]
+            moduli = np.abs(a) * s ** k[:, None]
+            assert np.all(np.abs(point.value - power_series(a, s))
+                          <= 2e-15 * np.sum(moduli, axis=0))
+            assert np.all(np.abs(point.slope - power_series(da, s))
+                          <= 2e-15 * np.sum(np.abs(da) * s ** k[:-1, None],
+                                            axis=0))
+
+            def central(dz, dv):
+                plus, minus = (ball_geodesic(ball, z + t * dz, v + t * dv,
+                                             settings).coeffs
+                               for t in (h, -h))
+                return (power_series(plus, s) - power_series(minus, s)) / (2 * h)
+
+            fd = np.array([central(e, 0) for e in E]
+                          + [central(0, e) for e in E])
+            sens = point.sensitivity
+            exact = np.concatenate([sens[:4], _along_direction(v, sens[4:])])
+            assert np.max(np.abs(fd - exact)) < 1e-8 * max(1.0, np.max(np.abs(exact)))
+
+
+def test_ball_point_decides_attachment_as_the_exact_check(monkeypatch):
+    # where the truncation bound decides, the closed form attaches; else
+    # the exact check of ball_geodesic decides, and the cold polish runs
+    # where it fails.  |mu| near 1 at small M takes the fallback
+    class Polish(Exception):
+        pass
+
+    def polish(*args):
+        raise Polish
+
+    monkeypatch.setattr(discs_module, "_solve_cd_raw", polish)
+    rng = np.random.default_rng(5)
+    paths = {"bound": 0, "check": 0, "polish": 0}
+    for ball in (BALL, make_ball([0.1, -0.2j], 0.8)):
+        for modes in (8, 16, 64):
+            settings = SolverSettings(modes=modes,
+                                      grid=CircleGrid(max(4 * modes, 64)))
+            system = _OuterSystem(ball, settings)
+            for _ in range(40):
+                z, v = _random_ball_case(rng, ball)
+                d = 2.0 * v
+                closed = ball_geodesic(ball, z, d / np.linalg.norm(d),
+                                       settings)
+                attached = closed.attachment_residual <= settings.newton_tol
+                try:
+                    point = system.point(z, d, 0.5)
+                except Polish:
+                    assert not attached
+                    paths["polish"] += 1
+                    continue
+                assert attached
+                if point.disc is None:
+                    paths["bound"] += 1
+                else:
+                    paths["check"] += 1
+                    assert np.array_equal(point.disc.coeffs, closed.coeffs)
+    assert min(paths.values()) > 0, paths
+
+
+def _count_ball_geodesics(monkeypatch):
+    calls = []
+    geodesic = discs_module.ball_geodesic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return geodesic(*args, **kwargs)
+
+    monkeypatch.setattr(discs_module, "ball_geodesic", counting)
+    return calls
+
+
+def test_ball_two_point_solve_builds_one_disc(monkeypatch):
+    # each iterate is read at its one point; the disc is built once, at
+    # the x returned, and is ball_geodesic's there bit for bit
+    z, w = np.array([0.2 + 0.1j, -0.1j]), np.array([-0.1, 0.25 + 0.2j])
+    system = _TwoPointSystem(BALL, z, w, SETTINGS)
+    v0, xi0 = _ball_two_point_data(make_ball([0, 0], 0.9), z, w)
+    residuals = []
+    residual = _OuterSystem.residual
+
+    def counting(self, x, aux=None):
+        residuals.append(x)
+        return residual(self, x, aux)
+
+    monkeypatch.setattr(_OuterSystem, "residual", counting)
+    geodesics = _count_ball_geodesics(monkeypatch)
+    x, R, disc = system.newton(np.concatenate([v0.real, v0.imag, [xi0]]),
+                               1e-9, 30, None)
+    assert len(residuals) >= 3 and len(geodesics) == 1
+    assert np.max(np.abs(R)) <= 1e-9
+    c, d, _ = system.unpack(x)
+    exact = ball_geodesic(BALL, c, d / np.linalg.norm(d), SETTINGS)
+    assert np.array_equal(disc.coeffs, exact.coeffs)
+    assert np.array_equal(disc.solver_g, exact.solver_g)
+    assert disc.attachment_residual == exact.attachment_residual
+    geodesics.clear()
+    disc, xi = solve_two_point(BALL, z, w, SETTINGS)
+    assert len(geodesics) == 1
+    assert np.max(np.abs(disc(np.array([xi + 0j]))[0] - w)) <= 1e-9
 
 
 def _nan_in(x, k=0, value=np.nan):
@@ -644,6 +772,7 @@ _VERIFY_CLI = ["extension", "verify", "--domain1", "ball", "--domain2",
 _SOLVE_CLI = ["disc", "solve", "--domain", "ball"]
 _HOLO = NAMED_FUNCTIONS["holo_mix"]
 _LONG = np.array([0.3, 0.0, 0.0])             # a point of C^3, not of C^2
+_HUGE = np.array([1e300, 0.0])                # finite, but rho overflows
 
 
 def _ball_lift():
@@ -908,6 +1037,19 @@ def _matching(pattern, call):
         BALL, np.array([1e300, 0.0]), _V, SMALL), None, id="huge-z"),
     pytest.param(lambda: certify(BALL, np.nan), None,
                  id="certify-nan-samples"),
+    pytest.param(lambda: psi(BALL, np.zeros(2), _HUGE, SMALL), None,
+                 id="psi-huge-w"),
+    pytest.param(lambda: psi_inverse(BALL, np.zeros(2), _HUGE, SMALL), None,
+                 id="psi-inverse-huge-v"),
+    pytest.param(lambda: ball_geodesic(BALL, _HUGE, _V, SMALL), None,
+                 id="ball-geodesic-huge-z"),
+    pytest.param(lambda: trace_locus(BALL, _INNER, _HUGE, 4, SMALL), None,
+                 id="trace-locus-huge-z-o"),
+    pytest.param(lambda: pi_set_sample(BALL, _INNER, _HUGE, 2, SMALL), None,
+                 id="pi-set-sample-huge-z-o"),
+    pytest.param(lambda: AnalyticDisc(np.array([_HUGE, [1.0, 0.0]]),
+                                      CircleGrid(64), BALL).boundary_residual(),
+                 None, id="disc-huge-coefficients"),
     *[pytest.param(call, None, id=f"{name}-inner-radius-{r2}")
       for r2 in (1.5, 0.0, np.nan, -0.3)
       for name, call in (
@@ -995,7 +1137,8 @@ def test_two_point_residual_polishes_a_ball_closed_form_below_newton_tol():
     closed = ball_geodesic(BALL, z, v, SETTINGS)
     assert closed.attachment_residual > SETTINGS.newton_tol
     system = _TwoPointSystem(BALL, z, np.array([0.1, 0.1]), SETTINGS)
-    _, disc = system.residual(np.concatenate([v.real, v.imag, [0.5]]))
+    _, point = system.residual(np.concatenate([v.real, v.imag, [0.5]]))
+    disc = point.disc
     assert disc.attachment_residual <= SETTINGS.newton_tol
     assert disc.boundary_residual() <= SETTINGS.newton_tol
     assert np.max(np.abs(disc.coeffs - closed.coeffs)) < 1e-8
@@ -1416,6 +1559,8 @@ def test_collocation_arrays_are_shared_and_read_only():
     second = _CenterDirectionSystem(BALL, -z, v, SMALL)
     assert first.tau is second.tau
     assert not first.tau.flags.writeable
+    assert _coordinate_tangents(2) is _coordinate_tangents(2)
+    assert not _coordinate_tangents(2).flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1556,7 +1701,7 @@ def test_one_outer_system():
     # truncation is reported, and tangency.py solves no ball geodesic
     src = pathlib.Path(discs_module.__file__).parent
     text = "".join(p.read_text() for p in src.glob("*.py"))
-    for name in ("_ball_point_sensitivity(", "_parameter_tangent("):
+    for name in ("_ball_point(", "_parameter_tangent("):
         assert text.count(name) - text.count(f"def {name}") == 1
     assert text.count("ball geodesic truncated at M =") == 1
     assert "ball_geodesic(" not in (src / "tangency.py").read_text()

@@ -9,6 +9,7 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      pi_set_sample, tangent_line_disc, lift_from_disc,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
                      PreconditionError, SolverDivergence)
+from geodisc import discs as discs_module
 from geodisc import tangency as tangency_module
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
                            _TwoPointSystem, _ball_psi_inverse,
@@ -463,6 +464,39 @@ def test_a_correction_builds_one_gn_jacobian_per_newton_step(monkeypatch):
     assert disc_new.boundary_residual() <= settings.newton_tol
     lift = lift_from_disc(outer, disc_new)
     assert boundary_conormality_residual(outer, disc_new, lift) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["ball2", "ball3"])
+def test_a_ball_correction_builds_one_disc(monkeypatch, case):
+    # on a ball each iterate of the corrector is read at its one point, no
+    # disc per residual: the disc is built once, at the u returned, and is
+    # ball_geodesic's there bit for bit
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES[case]
+    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
+                                          np.array(seed_w), settings)
+    residuals, geodesics = [], []
+    residual, geodesic = _OuterSystem.residual, discs_module.ball_geodesic
+
+    def counting_residual(self, x, aux=None):
+        residuals.append(x)
+        return residual(self, x, aux)
+
+    def counting_geodesic(*args, **kwargs):
+        geodesics.append(args)
+        return geodesic(*args, **kwargs)
+
+    monkeypatch.setattr(_OuterSystem, "residual", counting_residual)
+    monkeypatch.setattr(discs_module, "ball_geodesic", counting_geodesic)
+    u_new, R, disc_new = system.correct(
+        u + 0.02 * np.cos(np.arange(len(u))), disc)
+    monkeypatch.undo()
+    assert len(residuals) >= 3 and len(geodesics) == 1
+    assert np.max(np.abs(R)) <= TANGENCY_TOL
+    w, d, _ = system.unpack(u_new)
+    exact = ball_geodesic(system.domain, w, d / np.linalg.norm(d), settings)
+    assert np.array_equal(disc_new.coeffs, exact.coeffs)
+    assert np.array_equal(disc_new.solver_g, exact.solver_g)
+    assert disc_new.attachment_residual == exact.attachment_residual
 
 
 def test_outer_solves_leave_their_systems_unchanged():
