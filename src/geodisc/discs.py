@@ -440,7 +440,7 @@ def _ball_point(domain, z, v, s, modes):
     point = _DiscPoint(c + R * (zp + scale * series * v),
                        R * scale * slope * v, sensitivity)
     eps = R * scale * abs(mu) ** modes / (1.0 - abs(mu))
-    rounding = 256 * np.finfo(float).eps * (np.linalg.norm(c) + R) ** 2
+    rounding = 2.0 ** -44 * (np.linalg.norm(c) + R) ** 2     # 256 ulps
     return point, 2.0 * R * eps + eps ** 2 + rounding
 
 
@@ -1290,14 +1290,14 @@ class _OuterSystem:
 
     def point(self, c, d, s, disc=None):
         """The disc with center c and direction d/|d| at s, as a
-        :class:`_DiscPoint` (``disc`` as it is where it is one).  Without
-        ``disc``, on a ball, the closed form of :func:`_ball_point` where
-        its bound is within newton_tol/2, so that the exact check of
-        :meth:`solve_disc` would pass; else the disc of
-        :meth:`solve_disc`.  A disc is read at s, dphi(s)/dp taken from
-        the ball's closed form or left to its parameter tangent.  Raises
-        PreconditionError, as :func:`ball_geodesic` does, where c or d
-        is not admissible."""
+        :class:`_DiscPoint` (``disc`` as it is where it is one).  On a
+        ball, the closed form of :func:`_ball_point` where its bound is
+        within newton_tol/2, so that the exact check of
+        :meth:`solve_disc` passes and the disc there is the closed form;
+        else ``disc``, or the disc of :meth:`solve_disc` where it is None,
+        read at s, with dphi(s)/dp taken from the ball's closed form or
+        left to the disc's parameter tangent.  Raises PreconditionError,
+        as :func:`ball_geodesic` does, where c or d is not admissible."""
         if isinstance(disc, _DiscPoint):
             return disc
         sensitivity = None
@@ -1305,7 +1305,7 @@ class _OuterSystem:
             c, v = _point_and_direction(self.domain, c, d)
             point, bound = _ball_point(self.domain, c, v, s,
                                        self.settings.modes)
-            if disc is None and bound <= 0.5 * self.settings.newton_tol:
+            if bound <= 0.5 * self.settings.newton_tol:
                 return point
             sensitivity = point.sensitivity
         if disc is None:

@@ -1696,8 +1696,9 @@ def test_one_armijo_loop():
 
 def test_one_outer_system():
     # the tangency corrector and the two-point solve share
-    # discs._OuterSystem: its through-point Jacobian is the one caller of
-    # each disc-point sensitivity, its disc solve the one place a ball's
+    # discs._OuterSystem: its point record is the one reader of the ball's
+    # closed form at a point, its through-point Jacobian the one reader of
+    # a parameter tangent, its disc solve the one place a ball's
     # truncation is reported, and tangency.py solves no ball geodesic
     src = pathlib.Path(discs_module.__file__).parent
     text = "".join(p.read_text() for p in src.glob("*.py"))
