@@ -78,12 +78,12 @@ Gauss-Newton step and the state's parameter tangent, the outer step
 follows from the outer Jacobian on that tangent with the through-point
 rows moved by the Gauss-Newton step, and the state follows the outer
 step along the tangent.  No residual solves a disc, and each step
-linearizes the disc once.  This iteration
-starts from a solved disc as it is; every other disc solve is cold.  The
-disc it returns carries its parameter tangent, the derivative of the
-coefficients and of g along the 4n real perturbations of z and v
-(implicit-function theorem), solved as 4n more right-hand sides of each
-step's factorization, so it lags the returned state by the last step.
+linearizes the disc once.  This iteration starts from a solved disc as
+it is; every other disc solve is cold.  The disc it returns carries its
+parameter tangent, the derivative of the coefficients and of g along the
+4n real perturbations of z and v (implicit-function theorem), solved as
+4n more right-hand sides of each step's factorization, so it lags the
+returned state by the last step.
 """
 
 from __future__ import annotations
