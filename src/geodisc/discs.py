@@ -379,13 +379,14 @@ def _ball_series(z, v):
 @dataclass
 class _DiscPoint:
     """A disc at its one point s, which is all the rows of
-    :class:`_OuterSystem` read of it: phi(s), phi'(s) and dphi(s)/dp as
-    rows (4n, n) along the real perturbations p = (Re c, Im c, Re v, Im
-    v) of its center c and unit direction v, or None where that is to be
-    read off the parameter tangent of ``disc``; and ``disc``, the disc
-    itself, where one was built."""
+    :class:`_OuterSystem` read of it: phi(s), or None where only the
+    Jacobian reads the record; phi'(s); dphi(s)/dp as rows (4n, n) along
+    the real perturbations p = (Re c, Im c, Re v, Im v) of its center c
+    and unit direction v, or None where that is to be read off the
+    parameter tangent of ``disc``; and ``disc``, the disc itself, where
+    one was built."""
 
-    value: np.ndarray
+    value: np.ndarray | None
     slope: np.ndarray
     sensitivity: np.ndarray | None
     disc: AnalyticDisc | None = None
@@ -410,7 +411,7 @@ def _ball_point(domain, z, v, s, modes):
     R = domain.meta["radius"]
     zp = (z - c) / R
     nz2 = float(np.vdot(zp, zp).real)
-    if nz2 >= 1.0:
+    if not nz2 < 1.0:
         raise PreconditionError("center point is not inside the ball")
     b = complex(np.vdot(zp, v))                    # <v, z'>
     rho = (1.0 - nz2 + abs(b) ** 2) ** 0.5
@@ -1293,11 +1294,12 @@ class _OuterSystem:
         :class:`_DiscPoint` (``disc`` as it is where it is one).  On a
         ball, the closed form of :func:`_ball_point` where its bound is
         within newton_tol/2, so that the exact check of
-        :meth:`solve_disc` passes and the disc there is the closed form;
-        else ``disc``, or the disc of :meth:`solve_disc` where it is None,
-        read at s, with dphi(s)/dp taken from the ball's closed form or
-        left to the disc's parameter tangent.  Raises PreconditionError,
-        as :func:`ball_geodesic` does, where c or d is not admissible."""
+        :meth:`solve_disc` passes and the disc there is the closed form.
+        Else the disc of :meth:`solve_disc` read at s, or ``disc`` read at
+        s for the Jacobian alone, without phi(s); dphi(s)/dp comes from
+        the ball's closed form or is left to the disc's parameter tangent.
+        Raises PreconditionError, as :func:`ball_geodesic` does, where c
+        or d is not admissible."""
         if isinstance(disc, _DiscPoint):
             return disc
         sensitivity = None
@@ -1308,11 +1310,12 @@ class _OuterSystem:
             if bound <= 0.5 * self.settings.newton_tol:
                 return point
             sensitivity = point.sensitivity
+        tau = np.array([s + 0.0j])
+        value = None
         if disc is None:
             disc = self.solve_disc(c, d)
-        tau = np.array([s + 0.0j])
-        return _DiscPoint(disc(tau)[0], disc.derivative(tau)[0], sensitivity,
-                          disc)
+            value = disc(tau)[0]
+        return _DiscPoint(value, disc.derivative(tau)[0], sensitivity, disc)
 
     def residual(self, x, aux=None):
         """(R, point): the rows at x on the disc there, read at its one
