@@ -26,10 +26,20 @@ inverse FFT of a_k r^k (:func:`circle.ring_values`); g is one inverse
 real FFT (:func:`_boundary_factor`).  On the residual grid the solver
 takes phi and g from one inverse FFT, g's spectrum as one more column
 next to phi's coefficients.  :func:`circle.power_series` serves the
-points off these grids.  A cold solve starts from the closed-form state,
-coefficients and g, of the domain itself when it is a ball, else of an
-inscribed ball, and runs Gauss-Newton on the domain; no Gauss-Newton
-runs on the ball.  Only when that diverges on a non-ball domain is the
+points off these grids.  A cold solve on a ball starts from its
+closed-form state, coefficients and g, and runs Gauss-Newton on it,
+which has no step to take where the truncation attaches.  Off a ball it
+starts from the closed form of an inscribed ball, on which no
+Gauss-Newton runs, and solves in two levels (nested iteration: Brandt,
+"Multi-level adaptive solutions to boundary-value problems", Math.
+Comp. 31, 1977).  The first target of the homotopy, the domain itself
+unless continuation_steps > 1, is solved at (M/2, N/2) from that closed
+form truncated there, to the loose COARSE_TOL; its coefficients and g,
+zero-padded to M, start the solve at M, which takes at least one
+Gauss-Newton step, since the padded state has only the accuracy of M/2.
+Where the half-resolution solve diverges, the solve at M starts from
+the closed form at M instead.  Below M = 16 there is no half-resolution
+level.  Only when the solve at M diverges on a non-ball domain is the
 homotopy from the ball to the domain subdivided into blended domains,
 halving the step on each failure.  An attempt that stagnates with its
 residual norm already below newton_tol has reached the resolution floor
@@ -103,6 +113,7 @@ from .errors import PreconditionError, SolverDivergence
 
 INTERIOR_MARGIN = 1e-8
 MAX_ENTRY = 1e150
+COARSE_TOL = 1e-6          # of the half-resolution start of a cold solve
 
 
 @dataclass
@@ -293,8 +304,9 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     g = |1 - mu tau|^2 / |1 - mu|^2 on |tau| = 1 (Lempert, Bull. SMF 109,
     1981): ``solver_g`` is gamma = (1 + |mu|^2, -2 Re mu, 2 Im mu, 0, ...)
     / |1 - mu|^2.  Up to the truncation |mu|^M this is the solved state
-    of the Gauss-Newton system; a cold solve starts from it, and runs no
-    Gauss-Newton on the ball.
+    of the Gauss-Newton system.  A cold solve on a ball starts from it;
+    off a ball it starts from an inscribed ball's, truncated to M/2 for
+    the half-resolution level, and runs no Gauss-Newton on that ball.
     """
     if domain.kind != "ball":
         raise PreconditionError("ball_geodesic needs a ball domain")
@@ -820,7 +832,8 @@ class _CenterDirectionSystem:
 
     def initial_state(self, coeffs, gamma=None):
         """The state of disc coefficients of any length, with r = Re<a_1,
-        v> but at least 1e-6, and g's ``gamma`` (default g = 1)."""
+        v> but at least 1e-6, and g's ``gamma`` (default g = 1) of any
+        degree: both are zero-padded or truncated to M."""
         a = np.zeros((self.M + 1, self.n), dtype=complex)
         k = min(len(coeffs), self.M + 1)
         a[:k] = coeffs[:k]
@@ -830,9 +843,10 @@ class _CenterDirectionSystem:
         x[0, 0, 1] = max(float(np.real(_herm(a[1], self.v))), 1e-6)
         x[-1, 0, 0] = 1.0                        # g = 1 unless gamma is given
         if gamma is not None:
+            K = min(len(gamma) // 2, self.M)
             x[-1, 0, 0] = gamma[0]
-            x[-1, 0, 1:] = gamma[1::2]
-            x[-1, 1, 1:] = -gamma[2::2]
+            x[-1, 0, 1:K + 1] = gamma[1:2 * K:2]
+            x[-1, 1, 1:K + 1] = -gamma[2:2 * K + 1:2]
         return x.ravel()
 
     # -- evaluation ----------------------------------------------------
@@ -981,17 +995,21 @@ class _CenterDirectionSystem:
         except np.linalg.LinAlgError:
             return -np.linalg.lstsq(G, B, rcond=None)[0]
 
-    def gauss_newton(self, u0, tol, max_iters):
-        """(u, diag) with attachment, lift modes and gauge all <= tol."""
+    def gauss_newton(self, u0, tol, max_iters, min_steps=0):
+        """(u, diag) with attachment, lift modes and gauge all <= tol,
+        after at least ``min_steps`` steps."""
+        steps = [0]
 
         def step(u, F, aux):
+            steps[0] += 1
             normal = self.jacobian(u, aux[1])
             return self._ls_step(normal.gram, normal.rhs(F))
 
         u, _, (diag, _) = _damped_newton(
             u0, self.residual, step,
-            lambda F, aux: max(aux[0]["attachment"], aux[0]["neg_modes"],
-                               aux[0]["gauge"]) <= tol,
+            lambda F, aux: steps[0] >= min_steps and max(
+                aux[0]["attachment"], aux[0]["neg_modes"],
+                aux[0]["gauge"]) <= tol,
             tol, max_iters)
         return u, diag
 
@@ -1159,9 +1177,29 @@ def _blend(domain_a, domain_b, t):
                         meta={"center": domain_b.center})
 
 
+def _coarse_start(system, init, settings):
+    """The state of ``system`` zero-padded from its solve at (M/2, N/2) to
+    COARSE_TOL, started from the closed-form disc ``init`` truncated to
+    M/2; where that solve diverges, ``init`` itself, as at M."""
+    half = settings.scaled(modes=settings.modes // 2,
+                           grid_size=settings.grid.size // 2)
+    coarse = _CenterDirectionSystem(system.domain, system.z, system.v, half)
+    try:
+        u, _ = coarse.gauss_newton(
+            coarse.initial_state(init.coeffs, init.solver_g), COARSE_TOL,
+            half.max_iters)
+    except SolverDivergence:
+        return system.initial_state(init.coeffs, init.solver_g)
+    return system.initial_state(coarse.disc_coeffs(u),
+                                _gamma(u[-2 * (coarse.M + 1):]))
+
+
 def _solve_cd_raw(domain, z, v, settings):
     """The cold center-direction solve of the module docstring; returns
-    the solved :class:`AnalyticDisc`, without a parameter tangent."""
+    the solved :class:`AnalyticDisc`, without a parameter tangent.  Off a
+    ball at M >= 16 the first target of the homotopy starts from its
+    solve at half resolution (:func:`_coarse_start`), and off a ball
+    every Gauss-Newton call at M takes at least one step."""
     z, v = _point_and_direction(domain, z, v)
     if not _interior(domain, z):
         raise PreconditionError("base point must be strictly interior")
@@ -1181,6 +1219,10 @@ def _solve_cd_raw(domain, z, v, settings):
         dt_max = 1.0 / settings.continuation_steps
     init = ball_geodesic(ball0, z, v, settings)
     u = system.initial_state(init.coeffs, init.solver_g)
+    # off a ball the closed form is not the solved state, and a start
+    # prolonged from M/2 is solved only to the accuracy of M/2
+    min_steps = int(ball0 is not domain)
+    coarse = ball0 is not domain and settings.modes >= 16
     t, dt = 0.0, dt_max
     failure = None                  # the domain's own last divergence
     while t < 1.0:
@@ -1189,8 +1231,11 @@ def _solve_cd_raw(domain, z, v, settings):
             t_next = 1.0
         target = system if t_next == 1.0 else _CenterDirectionSystem(
             _blend(ball0, domain, t_next), z, v, settings)
+        start = _coarse_start(target, init, settings) if coarse else u
+        coarse = False
         try:
-            u_next, diag = target.gauss_newton(u, tol, settings.max_iters)
+            u_next, diag = target.gauss_newton(start, tol, settings.max_iters,
+                                               min_steps)
         except SolverDivergence as exc:
             if ball0 is domain:
                 # a ball has no homotopy to subdivide: its closed form is

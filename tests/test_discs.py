@@ -450,14 +450,15 @@ def test_solver_on_ellipsoid_continuation():
 
 class _ContinuationLog:
     """Counts, through monkeypatched seams, the blended domains a cold solve
-    builds, the Gauss-Newton Jacobians it assembles, the outcome of each
-    Gauss-Newton call on ``target`` and the Gauss-Newton calls on any other
-    domain that is not a blend."""
+    builds, the Gauss-Newton Jacobians it assembles, in all and by M, the
+    outcome of each Gauss-Newton call on ``target`` by the M of its system
+    and the Gauss-Newton calls on any other domain that is not a blend."""
 
     def __init__(self, monkeypatch, target):
         self.blends = 0
         self.jacobians = 0
-        self.target_calls = []              # True for a converged call
+        self.jacobians_at = {}              # M -> Jacobians at that M
+        self.target_calls = {}              # M -> True for a converged call
         self.other_calls = 0
         blend = discs_module._blend
         jacobian = _CenterDirectionSystem.jacobian
@@ -469,18 +470,20 @@ class _ContinuationLog:
 
         def counting_jacobian(system, u, fields=None):
             self.jacobians += 1
+            self.jacobians_at[system.M] = self.jacobians_at.get(system.M, 0) + 1
             return jacobian(system, u, fields)
 
         def logging_gauss_newton(system, *args, **kwargs):
             if system.domain is not target:
                 self.other_calls += system.domain.kind != "blend"
                 return gauss_newton(system, *args, **kwargs)
+            calls = self.target_calls.setdefault(system.M, [])
             try:
                 out = gauss_newton(system, *args, **kwargs)
             except SolverDivergence:
-                self.target_calls.append(False)
+                calls.append(False)
                 raise
-            self.target_calls.append(True)
+            calls.append(True)
             return out
 
         monkeypatch.setattr(discs_module, "_blend", counting_blend)
@@ -497,11 +500,16 @@ def test_cold_solve_tries_the_domain_directly(monkeypatch):
     for _ in range(3):
         z = random_interior(rng, 2, radius=0.4)
         v = random_direction(rng, 2)
-        before = log.jacobians
+        before, fine = log.jacobians, log.jacobians_at.get(64, 0)
         disc = _solve_cd_raw(domain, z, v, SETTINGS)
         assert disc.attachment_residual <= SETTINGS.newton_tol
+        # the half-resolution Jacobians count toward the budget, and the
+        # solve ends with at least one step at the M asked for
         assert log.jacobians - before <= 8
-    assert log.blends == 0 and log.target_calls == [True] * 3
+        assert log.jacobians_at[64] - fine >= 1
+    # each solve tries the domain once at M/2 and once at M
+    assert log.blends == 0
+    assert log.target_calls == {32: [True] * 3, 64: [True] * 3}
     # the inscribed ball's state is closed form: no Gauss-Newton runs on it
     assert log.other_calls == 0
 
@@ -525,7 +533,8 @@ def test_cold_ball_solve_inside_the_resolvable_radius_builds_no_jacobian(
         assert np.max(np.abs(disc.coeffs - exact.coeffs)) < 1e-15
         assert np.array_equal(disc.solver_g, exact.solver_g)
     assert log.jacobians == 0 and log.blends == 0 and log.other_calls == 0
-    assert log.target_calls == [True] * 4
+    # a ball has no half-resolution level
+    assert log.target_calls == {64: [True] * 4}
 
 
 def test_continuation_steps_land_on_the_domain(monkeypatch):
@@ -538,7 +547,8 @@ def test_continuation_steps_land_on_the_domain(monkeypatch):
     _solve_cd_raw(domain, np.array([0.3, 0.1j]), np.array([1.0, 0.5j]),
                   settings)
     assert log.blends == 9
-    assert log.target_calls == [True]
+    # the half-resolution level solves the first blend, not the domain
+    assert log.target_calls == {32: [True]}
 
 
 def test_continuation_subdivides_when_newton_fails(monkeypatch):
@@ -549,7 +559,10 @@ def test_continuation_subdivides_when_newton_fails(monkeypatch):
     log = _ContinuationLog(monkeypatch, domain)
     disc = _solve_cd_raw(domain, np.array([0.2 + 0.1j, 0.1j]),
                          np.array([1.0, 0.5j]), settings)
-    assert log.target_calls[0] is False and log.target_calls[-1] is True
+    # nor do they at half resolution, where the first attempt starts
+    assert log.target_calls[16] == [False]
+    calls = log.target_calls[32]
+    assert calls[0] is False and calls[-1] is True
     assert log.blends > 0 and log.other_calls == 0
     assert disc.boundary_residual() <= 1e-10
 
@@ -583,12 +596,118 @@ def test_failed_blends_report_the_domain_divergence(monkeypatch, modes, grid,
     with pytest.raises(SolverDivergence) as info:
         _solve_cd_raw(domain, np.array([radius, 0j]), np.array([1.0, 0j]),
                       settings)
-    assert log.target_calls == [False] and log.blends == 1
+    # the half-resolution level diverges too, and the full-resolution
+    # domain starts from the closed form as it would without it
+    assert log.target_calls == {modes // 2: [False], modes: [False]}
+    assert log.blends == 1
     assert info.value.stagnated
     assert info.value.last_residual > settings.newton_tol
     cause = info.value.__cause__
     assert isinstance(cause, SolverDivergence) and cause.stagnated
     assert cause.last_residual <= settings.newton_tol
+
+
+def test_initial_state_pads_and_truncates_gamma():
+    # gamma = (gamma_0, gamma_c1, gamma_s1, ...) of any degree reads as g
+    # of degree M, zero-padded or truncated like the coefficients
+    system = _CenterDirectionSystem(BALL, np.array([0.1, 0.2j]),
+                                    np.array([1.0, 0j]), SMALL)
+    M = SMALL.modes
+    coeffs = np.zeros((2, 2), dtype=complex)
+    gamma = np.arange(1.0, 2.0 + 4 * M)               # degree 2M
+    short = system.initial_state(coeffs, gamma[:17])  # degree 8
+    assert np.array_equal(_gamma(short[-2 * (M + 1):]),
+                          np.concatenate([gamma[:17], np.zeros(2 * M - 16)]))
+    long = system.initial_state(coeffs, gamma)
+    assert np.array_equal(_gamma(long[-2 * (M + 1):]), gamma[:1 + 2 * M])
+
+
+def _inscribed_start(domain, z, v, settings):
+    """The single-level cold start of _solve_cd_raw: the closed-form
+    state at M of the inscribed ball that contains z."""
+    r_ins = discs_module._inscribed_ball_radius(domain)
+    ball0 = make_ball(domain.center, max(
+        r_ins, 1.05 * float(np.linalg.norm(z - domain.center)) + 0.05 * r_ins))
+    return ball_geodesic(ball0, z, v, settings)
+
+
+def _direction(kind, e):
+    transverse = np.array([-np.conj(e[1]), np.conj(e[0])])
+    return {"radial": e, "transverse": transverse,
+            "oblique": (e + transverse) / np.sqrt(2.0)}[kind]
+
+
+@pytest.mark.parametrize("modes,grid,radius", [
+    (32, 128, 0.12), (32, 128, 0.24), (64, 256, 0.12), (64, 256, 0.24),
+    (64, 256, 0.36), (64, 256, 0.48)])
+@pytest.mark.parametrize("kind", ["radial", "transverse", "oblique"])
+def test_two_level_solve_agrees_with_one_level(modes, grid, radius, kind):
+    # the disc started at M/2 is the disc Gauss-Newton reaches at M from
+    # the inscribed ball's closed form
+    domain = make_perturbed_ball(0.05)
+    settings = SolverSettings(modes=modes, grid=CircleGrid(grid))
+    e = random_direction(np.random.default_rng([modes, int(100 * radius)]), 2)
+    z, v = radius * e, _direction(kind, e)
+    system = _CenterDirectionSystem(domain, z, v, settings)
+    init = _inscribed_start(domain, z, v, settings)
+    u, _ = system.gauss_newton(system.initial_state(init.coeffs, init.solver_g),
+                               settings.newton_tol, settings.max_iters)
+    disc = _solve_cd_raw(domain, z, v, settings)
+    assert np.max(np.abs(disc.coeffs - system.disc_coeffs(u))) <= 1e-10
+    assert disc.attachment_residual <= settings.newton_tol
+
+
+def test_cold_solve_steps_at_full_resolution_after_a_converged_coarse_level(
+        monkeypatch):
+    # at this point the half-resolution level lands below newton_tol, and
+    # so does its zero-padded state at M = 64; accepted as it stands, the
+    # disc's lift misses conormality 1e-10, and one step at M = 64 meets it
+    domain = make_perturbed_ball(0.05)
+    z = np.array([-0.09311623509318766 - 0.025503897698852338j,
+                  0.21936437829586944 - 0.40577896055177404j])
+    v = np.array([-0.4688515842600667 - 0.6471046288662244j,
+                  0.18942500562993964 - 0.5705716067934231j])
+    v = v / np.linalg.norm(v)
+    system = _CenterDirectionSystem(domain, z, v, SETTINGS)
+    padded = discs_module._coarse_start(
+        system, _inscribed_start(domain, z, v, SETTINGS), SETTINGS)
+    _, (diag, _) = system.residual(padded)
+    assert max(diag["attachment"], diag["neg_modes"],
+               diag["gauge"]) <= SETTINGS.newton_tol
+
+    log = _ContinuationLog(monkeypatch, domain)
+    disc, lift = solve_from_center_direction(domain, z, v, SETTINGS)
+    assert log.target_calls == {32: [True], 64: [True]}
+    assert log.jacobians_at[64] >= 1
+    assert disc.attachment_residual <= SETTINGS.newton_tol
+    assert boundary_conormality_residual(domain, disc, lift) <= 1e-10
+
+
+def test_coarse_divergence_leaves_the_error_as_it_was(monkeypatch):
+    # the half-resolution level diverges here; the solve then raises what
+    # the single-level solve from the closed form at M raises
+    domain = make_perturbed_ball(0.05)
+    settings = SolverSettings(modes=32, grid=CircleGrid(128))
+    z, v = np.array([0.5, 0j]), np.array([1.0, 0j])
+
+    def failure():
+        with pytest.raises(SolverDivergence) as info:
+            _solve_cd_raw(domain, z, v, settings)
+        return info.value
+
+    log = _ContinuationLog(monkeypatch, domain)
+    two_level = failure()
+    assert log.target_calls[16] == [False]
+    monkeypatch.setattr(discs_module, "_coarse_start",
+                        lambda system, init, settings: system.initial_state(
+                            init.coeffs, init.solver_g))
+    one_level = failure()
+    for exc in (two_level, one_level):
+        assert isinstance(exc.__cause__, SolverDivergence)
+    assert str(two_level) == str(one_level)
+    assert str(two_level.__cause__) == str(one_level.__cause__)
+    assert two_level.last_residual == one_level.last_residual
+    assert two_level.stagnated == one_level.stagnated
 
 
 @pytest.mark.parametrize("modes,grid", [(32, 128), (64, 256)])
@@ -1681,7 +1800,7 @@ def test_cold_ball_solve_with_transverse_direction_builds_no_jacobian(
     v = np.array([2j / 3, 1.0])
     log = _ContinuationLog(monkeypatch, BALL)
     disc = _solve_cd_raw(BALL, z, v, SETTINGS)
-    assert log.jacobians == 0 and log.target_calls == [True]
+    assert log.jacobians == 0 and log.target_calls == {64: [True]}
     assert disc.attachment_residual <= SETTINGS.newton_tol
     exact = ball_geodesic(BALL, z, v, SETTINGS).coeffs
     assert np.max(np.abs(disc.coeffs - exact)) < 1e-15
