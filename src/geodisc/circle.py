@@ -40,9 +40,9 @@ def _count(name, value, least=1):
 
 
 def _tolerance(name, value):
-    """Raise PreconditionError unless ``value`` is finite and > 0; NaN,
-    which no comparison rejects, fails."""
-    if not 0 < value < np.inf:
+    """Raise PreconditionError unless ``value`` is a real number, finite
+    and > 0; NaN, which no comparison rejects, fails, as does an array."""
+    if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
         raise PreconditionError(
             f"{name} must be finite and > 0, not {value!r}")
 

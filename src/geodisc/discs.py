@@ -72,16 +72,16 @@ iterations earlier; accept a trial u + t du when
 trial whose residual raises PreconditionError or SolverDivergence as
 rejected.  The iteration hands every residual the aux of the accepted
 iterate, so no system keeps state between calls.  The disc solve steps
-by its normal equations, from the fields its residual returned.  The
-two-point solve and the tangency corrector share one outer system and
-its minimum-norm lstsq step (:class:`_OuterSystem`): a disc with center
-c and direction d/|d| that passes through a target at the real parameter
-s.  On a ball each residual reads the disc's closed form at its one
-point s: phi(s), phi'(s) and dphi(s)/dp from one set of geometric sums.
-It builds no disc where the truncation bound shows that the closed form
-attaches to newton_tol; elsewhere it takes the closed-form disc where
-that attaches, else a cold Gauss-Newton solve.  The disc is built once,
-at the solution.  On other domains the iterate is the outer unknowns
+by its normal equations, from the fields its residual returned.  Off a
+ball the two-point solve and the tangency corrector share one outer
+system and its minimum-norm lstsq step (:class:`_OuterSystem`): a disc
+with center c and direction d/|d| that passes through a target at the
+real parameter s.  A ball needs no such iteration, since its geodesics
+are its complex lines: the two-point data are closed-form
+(:func:`_ball_two_point_data`), and the disc through them is
+:func:`_ball_disc`, the closed form where that attaches to newton_tol,
+else a cold Gauss-Newton solve.  The outer system takes any domain, so
+the ball is a test oracle for it.  Its iterate is the outer unknowns
 together with the disc's Gauss-Newton state, and one bordered step
 serves both: one linearization of the disc's equations gives their
 Gauss-Newton step and the state's parameter tangent, the outer step
@@ -151,7 +151,7 @@ class AnalyticDisc:
 
     A disc returned by a Gauss-Newton solve or by :func:`ball_geodesic`
     carries the solver's state: its boundary factor ``solver_g`` and,
-    after an outer solve off a ball that took a step, its parameter
+    after an outer solve that took a step, its parameter
     ``tangent`` (d coeffs, d gamma) of shapes (4n, M+1, n) and (4n, 1 +
     2M) (see the module docstring), read by :func:`_parameter_tangent`."""
 
@@ -386,75 +386,6 @@ def _ball_series(z, v):
     nz2 = float(np.real(_herm(z, z)))
     rho = np.sqrt(1.0 - nz2 + abs(b) ** 2)
     return (1.0 - nz2) / rho * v, -b / rho
-
-
-@dataclass
-class _DiscPoint:
-    """A disc at its one point s, which is all the rows of
-    :class:`_OuterSystem` read of it: phi(s), or None where only the
-    Jacobian reads the record; phi'(s); dphi(s)/dp as rows (4n, n) along
-    the real perturbations p = (Re c, Im c, Re v, Im v) of its center c
-    and unit direction v, or None where that is to be read off the
-    parameter tangent of ``disc``; and ``disc``, the disc itself, where
-    one was built."""
-
-    value: np.ndarray | None
-    slope: np.ndarray
-    sensitivity: np.ndarray | None
-    disc: AnalyticDisc | None = None
-
-
-def _ball_point(domain, z, v, s, modes):
-    """(point, bound): the ball geodesic of :func:`ball_geodesic`,
-    truncated at ``modes``, through z with unit direction v, at s as a
-    :class:`_DiscPoint` without its disc, and a bound on the attachment
-    residual max |rho| that :func:`ball_geodesic` computes for it, its
-    rounding included; O(n M), no disc is built.
-
-    In the normalized coordinates z' = (z - c)/R, phi(s) = c + R (z' +
-    a_1 S) and phi'(s) = R a_1 S' with the truncated geometric sums S =
-    sum_{k=1..M} mu^{k-1} s^k and S' = dS/ds; dphi(s)/dp differentiates
-    a_1 and mu (:func:`_ball_series`).  The exact geodesic lies on the
-    sphere |phi - c| = R, and the series drops its tail R a_1 sum_{k>M}
-    mu^{k-1} tau^k, of modulus at most eps = R |a_1| |mu|^M / (1 - |mu|)
-    on |tau| = 1, so |rho| = |2 Re <phi - c, tail> - |tail|^2| <= 2 R eps
-    + eps^2 there; its evaluation rounds at a few ulps of (|c| + R)^2."""
-    c = domain.center
-    R = domain.meta["radius"]
-    zp = (z - c) / R
-    nz2 = float(np.vdot(zp, zp).real)
-    if not nz2 < 1.0:
-        raise PreconditionError("center point is not inside the ball")
-    b = complex(np.vdot(zp, v))                    # <v, z'>
-    rho = (1.0 - nz2 + abs(b) ** 2) ** 0.5
-    scale = (1.0 - nz2) / rho                      # a_1 = scale * v
-    mu = -b / rho
-    s = complex(s)
-    k = np.arange(modes)
-    geometric = (mu * s) ** k                      # (mu s)^k, k = 0..M-1
-    series = s * geometric.sum()                   # S
-    slope = ((k + 1) * geometric).sum()            # S'
-    dseries = s * s * (slope - modes * geometric[-1])    # dS/dmu
-    # the derivatives of b, |z'|^2, rho, scale and mu along p: z moves by
-    # the coordinate tangents E in the first 2n rows, v in the last 2n
-    E = _coordinate_tangents(len(zp))
-    n2 = len(E)
-    db = np.concatenate([np.conj(E) @ v / R, E @ np.conj(zp)])
-    dnz2 = np.zeros(2 * n2)
-    dnz2[:n2] = 2.0 / R * (np.conj(E) @ zp).real
-    drho = ((np.conj(b) * db).real - 0.5 * dnz2) / rho
-    dscale = -(dnz2 + scale * drho) / rho
-    dmu = -(db + mu * drho) / rho
-    # dphi = dz + R (da_1 S + a_1 dS/dmu dmu), da_1 = dscale v + scale dv
-    sensitivity = np.multiply.outer(
-        R * (series * dscale + scale * dseries * dmu), v)
-    sensitivity[:n2] += E
-    sensitivity[n2:] += (R * scale * series) * E
-    point = _DiscPoint(c + R * (zp + scale * series * v),
-                       R * scale * slope * v, sensitivity)
-    eps = R * scale * abs(mu) ** modes / (1.0 - abs(mu))
-    rounding = 2.0 ** -44 * (np.linalg.norm(c) + R) ** 2     # 256 ulps
-    return point, 2.0 * R * eps + eps ** 2 + rounding
 
 
 def _ball_two_point_data(domain: ConvexDomain, z, w):
@@ -1263,6 +1194,17 @@ def _solve_cd_raw(domain, z, v, settings):
     return _finalize(system, u, diag, settings)
 
 
+def _ball_disc(domain, z, v, settings):
+    """The geodesic of the ball ``domain`` through z along v: its closed
+    form (:func:`ball_geodesic`) where that attaches to newton_tol at the
+    truncation M, else the cold solve from it, which raises
+    SolverDivergence naming M where Gauss-Newton cannot attach it."""
+    disc = ball_geodesic(domain, z, v, settings)
+    if disc.attachment_residual <= settings.newton_tol:
+        return disc
+    return _solve_cd_raw(domain, z, v, settings)
+
+
 def _finalize(system, u, diag, settings, tangent=None):
     if u[1] <= 0:                                  # r
         raise SolverDivergence("converged to nonpositive derivative scale",
@@ -1304,11 +1246,9 @@ class _OuterSystem:
     disc)``, ending with :meth:`through_rows`) and their Jacobian
     (``jacobian(x, disc)``, from :meth:`through_jacobian`).
 
-    On a ball the Newton iteration runs over x, each residual on the
-    disc's closed form at its one point (:meth:`point`).  On other
-    domains it runs over X = (x, y), y the disc's Gauss-Newton state, and
-    no residual solves a disc (:meth:`newton`).  The system keeps no
-    state between calls."""
+    The Newton iteration runs over X = (x, y), y the disc's Gauss-Newton
+    state, and no residual solves a disc (:meth:`newton`).  The system
+    keeps no state between calls."""
 
     pinned = np.zeros(0)
 
@@ -1324,79 +1264,34 @@ class _OuterSystem:
         return (q[:n] + 1j * q[n:2 * n], q[2 * n:3 * n] + 1j * q[3 * n:4 * n],
                 q[4 * n])
 
-    def solve_disc(self, c, d):
-        """A ball's closed form where it attaches to newton_tol at the
-        truncation M, else a cold :func:`_solve_cd_raw`."""
-        dn = d / np.linalg.norm(d)
-        if self.domain.kind == "ball":
-            disc = ball_geodesic(self.domain, c, dn, self.settings)
-            if disc.attachment_residual <= self.settings.newton_tol:
-                return disc
-        return _solve_cd_raw(self.domain, c, dn, self.settings)
-
-    def point(self, c, d, s, disc=None):
-        """The disc with center c and direction d/|d| at s, as a
-        :class:`_DiscPoint` (``disc`` as it is where it is one).  On a
-        ball, the closed form of :func:`_ball_point` where its bound is
-        within newton_tol/2, so that the exact check of
-        :meth:`solve_disc` passes and the disc there is the closed form.
-        Else the disc of :meth:`solve_disc` read at s, or ``disc`` read at
-        s for the Jacobian alone, without phi(s); dphi(s)/dp comes from
-        the ball's closed form or is left to the disc's parameter tangent.
-        Raises PreconditionError, as :func:`ball_geodesic` does, where c
-        or d is not admissible."""
-        if isinstance(disc, _DiscPoint):
-            return disc
-        sensitivity = None
-        if self.domain.kind == "ball":
-            c, v = _point_and_direction(self.domain, c, d)
-            point, bound = _ball_point(self.domain, c, v, s,
-                                       self.settings.modes)
-            if bound <= 0.5 * self.settings.newton_tol:
-                return point
-            sensitivity = point.sensitivity
-        tau = np.array([s + 0.0j])
-        value = None
-        if disc is None:
-            disc = self.solve_disc(c, d)
-            value = disc(tau)[0]
-        return _DiscPoint(value, disc.derivative(tau)[0], sensitivity, disc)
-
     def residual(self, x, aux=None):
-        """(R, point): the rows at x on the disc there, read at its one
-        point (:meth:`point`), the function of x whose Jacobian
-        :meth:`jacobian` gives; the driver's ``aux`` is not used.  The
-        Newton iteration evaluates it on a ball only (:meth:`newton`)."""
-        c, d, s = self.unpack(x)
-        point = self.point(c, d, s)
-        return self.rows(x, point), point
+        """(R, disc): the rows at x on the disc solved cold there, the
+        function of x whose Jacobian :meth:`jacobian` gives; ``aux`` is
+        not used."""
+        c, d, _ = self.unpack(x)
+        disc = _solve_cd_raw(self.domain, c, d / np.linalg.norm(d),
+                             self.settings)
+        return self.rows(x, disc), disc
 
     def through_rows(self, disc, d, s, target):
-        """(Re, Im)(phi(s) - target) and |d|^2 - 1 on ``disc``, a disc or
-        its :class:`_DiscPoint` at s."""
-        value = disc.value if isinstance(disc, _DiscPoint) \
-            else disc(np.array([s + 0.0j]))[0]
-        val = value - target
+        """(Re, Im)(phi(s) - target) and |d|^2 - 1 on ``disc``."""
+        val = disc(np.array([s + 0.0j]))[0] - target
         return np.concatenate([val.real, val.imag,
                                [np.linalg.norm(d) ** 2 - 1.0]])
 
-    def through_jacobian(self, disc, c, d, s):
+    def through_jacobian(self, disc, d, s):
         """Jacobian (2n + 1, 4n + 1) of the through-point rows in
-        (Re c, Im c, Re d, Im d, s) on ``disc``, a disc or its
-        :class:`_DiscPoint` at s (:meth:`point`); solves no disc.
-        dphi(s)/dp along (Re c, Im c, Re v, Im v) comes from the ball's
-        closed form or the disc's parameter tangent, and v = d/|d| moves
-        with (Re d, Im d) (:func:`_along_direction`)."""
+        (Re c, Im c, Re d, Im d, s) on ``disc``; solves no disc.
+        dphi(s)/dp along (Re c, Im c, Re v, Im v) comes from the disc's
+        parameter tangent, and v = d/|d| moves with (Re d, Im d)
+        (:func:`_along_direction`)."""
         n = self.n
-        point = self.point(c, d, s, disc)
-        dphi = point.sensitivity
-        if dphi is None:
-            dcoeffs, _ = _parameter_tangent(self.domain, point.disc,
-                                            self.settings)
-            dphi = power_series(dcoeffs.transpose(1, 0, 2), s + 0.0j)
+        tau = np.array([s + 0.0j])
+        dcoeffs, _ = _parameter_tangent(self.domain, disc, self.settings)
+        dphi = power_series(dcoeffs.transpose(1, 0, 2), s + 0.0j)
         dphi = np.concatenate([dphi[:2 * n],
                                _along_direction(d, dphi[2 * n:])])
-        ds = point.slope
+        ds = disc.derivative(tau)[0]
         J = np.zeros((2 * n + 1, 4 * n + 1))
         J[:2 * n, :4 * n] = np.concatenate([dphi.T.real, dphi.T.imag])
         J[:2 * n, 4 * n] = np.concatenate([ds.real, ds.imag])
@@ -1405,24 +1300,12 @@ class _OuterSystem:
 
     def newton(self, x, tol, max_iters, start):
         """(x, R, disc) with max |R| <= tol by :func:`_damped_newton` and
-        lstsq's minimum-norm outer step.  On a ball each iterate is read
-        at its one point (:meth:`residual`), and the disc is built once,
-        at the x returned, where no residual built it.  Off a ball the
-        disc's state y in X = (x, y) starts at the solved disc ``start``
-        as it is, or solved cold at x where it is None; X converges when
-        the disc's attachment, lift modes and gauge are <= newton_tol and
-        max |R| <= tol, and the disc returned carries the tangent of the
-        last step (:meth:`_joint_step`)."""
-        if self.domain.kind == "ball":
-            x, R, point = _damped_newton(
-                x, self.residual,
-                lambda x, R, point: np.linalg.lstsq(
-                    self.jacobian(x, point), -R, rcond=None)[0],
-                lambda R, point: np.max(np.abs(R)) <= tol, tol, max_iters)
-            if point.disc is not None:
-                return x, R, point.disc
-            c, d, _ = self.unpack(x)
-            return x, R, self.solve_disc(c, d)
+        lstsq's minimum-norm outer step.  The disc's state y in X = (x, y)
+        starts at the solved disc ``start`` as it is, or solved cold at x
+        where it is None; X converges when the disc's attachment, lift
+        modes and gauge are <= newton_tol and max |R| <= tol, and the
+        disc returned carries the tangent of the last step
+        (:meth:`_joint_step`)."""
         c, d, _ = self.unpack(x)
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
@@ -1530,7 +1413,7 @@ class _TwoPointSystem(_OuterSystem):
 
     def jacobian(self, x, disc):
         _, v, xi = self.unpack(x)
-        return self.through_jacobian(disc, self.z, v, xi)[:, 2 * self.n:]
+        return self.through_jacobian(disc, v, xi)[:, 2 * self.n:]
 
 
 def _parameter_tangent(domain, disc, settings):
@@ -1572,14 +1455,14 @@ def solve_two_point(domain: ConvexDomain, z, w,
     """Stationary disc through two points, normalized by phi(0) = z,
     phi(xi) = w with xi in (0, 1); returns (disc, xi).
 
-    Newton iteration of :class:`_OuterSystem` with the center pinned at
-    z, over the direction sphere and xi.  On a ball each residual reads
-    the closed-form geodesic at xi, and the disc is built once, at the
-    solution; a residual that neither its closed form nor Gauss-Newton
-    attaches to newton_tol at the truncation M raises SolverDivergence
-    naming M.  On other domains only the first disc is solved, cold; the
-    iteration then carries the disc's Gauss-Newton state with (v, xi),
-    and each step linearizes the disc once.
+    On a ball (v, xi) are closed-form (:func:`_ball_two_point_data`) and
+    the disc is :func:`_ball_disc`, with no Newton iteration; where
+    neither the closed form nor Gauss-Newton attaches it to newton_tol at
+    the truncation M, SolverDivergence names M.  On other domains it is
+    the Newton iteration of :class:`_OuterSystem` with the center pinned
+    at z, over the direction sphere and xi: only the first disc is
+    solved, cold; the iteration then carries the disc's Gauss-Newton
+    state with (v, xi), and each step linearizes the disc once.
     """
     settings = settings or SolverSettings()
     z, w = _point(domain, z), _point(domain, w, "point w")
@@ -1587,6 +1470,9 @@ def solve_two_point(domain: ConvexDomain, z, w,
         raise PreconditionError("both points must be strictly interior")
     if np.linalg.norm(w - z) < 1e-6:
         raise PreconditionError("points must be distinct (|z - w| >= 1e-6)")
+    if domain.kind == "ball":
+        v, xi = _ball_two_point_data(domain, z, w)
+        return _ball_disc(domain, z, v, settings), xi
 
     n = len(z)
     center = domain.center

@@ -25,7 +25,8 @@ import numpy as np
 
 from .circle import CircleGrid, TrigSeries, _count, _tolerance, analyze, \
     cauchy_extend, negative_tail_norm, ring_values
-from .discs import AnalyticDisc, SolverSettings, _point_and_direction
+from .discs import (AnalyticDisc, SolverSettings, _bounded,
+                    _point_and_direction)
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError
 from .tangency import _base_point, trace_locus
@@ -107,18 +108,25 @@ class ReconstructionResult:
     unextended_points: int      # points where no disc extended (value nan)
 
 
+def _boundary_samples(f: BoundaryFunction, disc: AnalyticDisc) -> np.ndarray:
+    """f at the disc's grid nodes, finite (:func:`discs._bounded`)."""
+    samples = f(disc.boundary_values())
+    _bounded(samples, "boundary values of f")
+    return samples
+
+
 def restrict(f: BoundaryFunction, disc: AnalyticDisc,
              attach_tol: float = ATTACH_TOL) -> DiscTrace:
     """Trace of f on the disc boundary, sampled exactly at the grid
-    nodes and analyzed."""
+    nodes and analyzed; raises PreconditionError for a detached disc or
+    values of f that are not finite."""
     _tolerance("attach_tol", attach_tol)
     if disc.domain is not None:
         res = disc.boundary_residual()
         if res > attach_tol:
             raise PreconditionError(
                 f"disc is not attached (residual {res:.3g})")
-    samples = f(disc.boundary_values())
-    return DiscTrace(disc, analyze(samples, disc.grid))
+    return DiscTrace(disc, analyze(_boundary_samples(f, disc), disc.grid))
 
 
 def extension_defect(trace: DiscTrace) -> float:
@@ -155,7 +163,7 @@ def morera_integrals(f: BoundaryFunction, disc: AnalyticDisc,
         raise PreconditionError("disc is not attached")
     nodes = disc.grid.nodes
     k = np.arange(1, disc.modes + 1)
-    fv = f(disc.boundary_values())
+    fv = _boundary_samples(f, disc)
     dv = ring_values(disc.coeffs[1:] * k[:, None], nodes.size)
     integrand = fv[:, None] * dv * (1j * nodes)[:, None]
     return np.mean(integrand, axis=0) * 2.0 * np.pi

@@ -21,14 +21,17 @@ along the kernel of the residual Jacobian.
 With w held fixed this is the two-point problem for w and z_o, so the
 rows psi(sigma) = z_o and |d| = 1, their Jacobian and the Newton
 iteration are those of the two-point solve (``discs._OuterSystem``);
-this module adds the three inner-boundary rows.  On a ball each residual
-reads the closed-form geodesic at its one point sigma, and a correction
-builds its disc once, at the state it returns.  Off a ball the
-iteration carries the disc's Gauss-Newton state with (w, d, sigma), one
-bordered step for both, so a correction solves no disc per residual.
-The systems keep no state: each correction is handed the disc it starts
-from, and a locus step starts from the last disc accepted, also when it
-is retried after a failure.
+this module adds the three inner-boundary rows.  The iteration carries
+the disc's Gauss-Newton state with (w, d, sigma), one bordered step for
+both, so a correction solves no disc per residual.  The systems keep no
+state: each correction is handed the disc it starts from, and a locus
+step starts from the last disc accepted, also when it is retried after
+a failure.
+
+On a ball the geodesics are the complex lines (Lempert, Bull. SMF 109,
+1981), so the tangent disc through z_o touching at w is the line through
+w and z_o, and the locus is traced in w alone, with no disc in its rows;
+d and sigma are closed-form, and a correction builds its disc once.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ import numpy as np
 
 from .circle import _count, _tolerance, ring_values
 from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
-                    _along_direction, _ball_psi_inverse, _complete_unitary,
-                    _coordinate_tangents, _herm, _point, _solve_cd_raw)
+                    _along_direction, _ball_disc, _ball_psi_inverse,
+                    _ball_two_point_data, _complete_unitary,
+                    _coordinate_tangents, _damped_newton, _herm, _interior,
+                    _point, _solve_cd_raw)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -142,6 +147,38 @@ def tangency_residual(rho2: ConvexDomain, z_o, candidate_w, disc,
     return np.array([float(rho2.rho(w)), pair.real, pair.imag])
 
 
+def _inner_rows(domain2, w, d):
+    """(rho2(w), Re/Im sum_j d_j rho2(w) d_j): w on the inner boundary
+    and the vector d complex-tangent to it there."""
+    pair = np.sum(domain2.grad(w) * d)
+    return np.array([float(domain2.rho(w)), pair.real, pair.imag])
+
+
+def _inner_jacobian(domain2, w, d):
+    """(J, grad rho2(w)): J (3, 2n) is the Jacobian of :func:`_inner_rows`
+    along (Re w, Im w) with d held fixed."""
+    ew = _coordinate_tangents(len(w))
+    grad2 = domain2.grad(w)
+    A2, C2 = domain2.hess_complex(w)
+    dpair = (ew @ A2.T + np.conj(ew) @ C2.T) @ d     # the gradient moves
+    return np.stack([2.0 * np.real(ew @ grad2), dpair.real, dpair.imag]), grad2
+
+
+def _tangency_point(system, u, R, disc) -> TangencyPoint:
+    """The locus point of ``system`` at its corrected state u; raises
+    HypothesisViolation where the tangency constant is not positive."""
+    w, _, sigma = system.unpack(u)
+    const = tangency_order_constant(system.d2, disc)
+    if const <= 0:
+        raise HypothesisViolation(
+            "tangency constant is not positive: the inner domain is not "
+            "strongly convex with respect to this disc "
+            f"(constant {const:.3g})")
+    return TangencyPoint(w=w, disc=disc, tangency_constant=const,
+                         sigma=float(sigma), base_point=system.z_o,
+                         residual=float(np.max(np.abs(R))))
+
+
 class _TangencySystem(_OuterSystem):
     """The touch-centered tangency equations over u = (w, d, sigma): the
     three inner-boundary rows (rho2(w), Re/Im <drho2(w), d/|d|>) on top
@@ -158,54 +195,124 @@ class _TangencySystem(_OuterSystem):
 
     def rows(self, u, disc):
         w, d, sigma = self.unpack(u)
-        pair = np.sum(self.d2.grad(w) * (d / np.linalg.norm(d)))
         return np.concatenate([
-            [float(self.d2.rho(w)), pair.real, pair.imag],
+            _inner_rows(self.d2, w, d / np.linalg.norm(d)),
             self.through_rows(disc, d, sigma, self.z_o),
         ])
 
     def jacobian(self, u, disc):
-        """Analytic Jacobian of the rows at u on ``disc``, a disc or its
-        point record (``discs._DiscPoint``), the disc moving with u along
-        its parameter tangent; solves no disc."""
+        """Analytic Jacobian of the rows at u on ``disc``, the disc moving
+        with u along its parameter tangent; solves no disc."""
         n = self.n
         w, d, _ = self.unpack(u)
-        ew = _coordinate_tangents(n)
-        grad2 = self.d2.grad(w)
-        A2, C2 = self.d2.hess_complex(w)
-        dgrad = ew @ A2.T + np.conj(ew) @ C2.T     # (2n, n) along w
-        dpair = np.concatenate([dgrad @ (d / np.linalg.norm(d)),
-                                _along_direction(d, ew) @ grad2])
+        along_w, grad2 = _inner_jacobian(self.d2, w, d / np.linalg.norm(d))
         inner = np.zeros((3, 4 * n + 1))
-        inner[0, :2 * n] = 2.0 * np.real(ew @ grad2)
-        inner[1, :4 * n] = dpair.real
-        inner[2, :4 * n] = dpair.imag
-        return np.vstack([inner, self.through_jacobian(disc, w, d, u[4 * n])])
+        inner[:, :2 * n] = along_w
+        dpair = _along_direction(d, _coordinate_tangents(n)) @ grad2
+        inner[1, 2 * n:4 * n] = dpair.real
+        inner[2, 2 * n:4 * n] = dpair.imag
+        return np.vstack([inner, self.through_jacobian(disc, d, u[4 * n])])
 
     def correct(self, u, start):
         """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
         Newton steps of :meth:`_OuterSystem.newton`, starting from the
         solved disc ``start`` as it is (solved cold at u where it is None);
-        off a ball each step also moves the disc's Gauss-Newton state,
-        whose attachment ends <= newton_tol.  The system is underdetermined
+        each step also moves the disc's Gauss-Newton state, whose
+        attachment ends <= newton_tol.  The system is underdetermined
         (2n + 4 equations, 4n + 1 unknowns)."""
         return self.newton(u, TANGENCY_TOL, 12, start)
+
+    def seed(self, w0):
+        """(u, disc) of the tangent disc at the boundary point w0,
+        uncorrected: d is the chord to z_o projected to the complex
+        tangent space, rotated so that sigma is real positive."""
+        chord = self.z_o - w0
+        d0 = _tangent_projection(self.d2.grad(w0), chord)
+        if np.linalg.norm(d0) < 1e-10:
+            # chord is conormal; take any tangent vector
+            g = np.conj(self.d2.grad(w0))
+            basis = np.eye(self.n, dtype=complex)
+            k = int(np.argmin(np.abs(g)))
+            d0 = _tangent_projection(self.d2.grad(w0), basis[k])
+        d0 = d0 / np.linalg.norm(d0)
+        # solved at d/|d|, as the outer system solves every disc
+        disc = _solve_cd_raw(self.domain, w0, d0 / np.linalg.norm(d0),
+                             self.settings)
+        sigma0, _ = _find_parameter(disc, self.z_o)
+        phase = np.exp(1j * np.angle(sigma0)) if sigma0 != 0 else 1.0
+        return self.pack(w0, d0 * phase, abs(sigma0)), disc
 
     def make_point(self, u, R, disc) -> TangencyPoint:
         w, d, sigma = self.unpack(u)
         if sigma < 0:
             # flip the direction so the base point sits at positive sigma
             u, R, disc = self.correct(self.pack(w, -d, -sigma), None)
-            w, d, sigma = self.unpack(u)
-        const = tangency_order_constant(self.d2, disc)
-        if const <= 0:
-            raise HypothesisViolation(
-                "tangency constant is not positive: the inner domain is not "
-                "strongly convex with respect to this disc "
-                f"(constant {const:.3g})")
-        return TangencyPoint(w=w, disc=disc, tangency_constant=const,
-                             sigma=float(sigma), base_point=self.z_o,
-                             residual=float(np.max(np.abs(R))))
+        return _tangency_point(self, u, R, disc)
+
+
+class _BallTangencySystem:
+    """The tangency equations on a ball outer domain over u = (Re w,
+    Im w): the inner-boundary rows of the chord z_o - w, the tangent
+    disc, whose d and sigma > 0 are the two-point data of w and z_o.  The
+    interface is that of :class:`_TangencySystem`; the discs handed to
+    it are not used."""
+
+    def __init__(self, domain1, domain2, z_o, settings):
+        self.domain = domain1
+        self.d2 = domain2
+        self.z_o = np.asarray(z_o, dtype=complex)
+        self.settings = settings
+        self.n = domain1.dimension
+
+    def pack(self, w, *_):
+        """u at the touch point w, whose chord fixes d and sigma."""
+        return np.concatenate([w.real, w.imag])
+
+    def _touch(self, u):
+        return u[:self.n] + 1j * u[self.n:]
+
+    def unpack(self, u):
+        """(w, d, sigma) at u."""
+        w = self._touch(u)
+        return (w, *_ball_two_point_data(self.domain, w, self.z_o))
+
+    def residual(self, u, aux=None):
+        w = self._touch(u)
+        return _inner_rows(self.d2, w, self.z_o - w), None
+
+    def jacobian(self, u, disc=None):
+        """Analytic Jacobian (3, 2n) of the rows at u."""
+        w = self._touch(u)
+        J, grad2 = _inner_jacobian(self.d2, w, self.z_o - w)
+        pull = _coordinate_tangents(self.n) @ grad2    # the chord moves too
+        J[1] -= pull.real
+        J[2] -= pull.imag
+        return J
+
+    def correct(self, u, start=None):
+        """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
+        Newton steps with lstsq's minimum-norm step; the system is
+        underdetermined (3 equations, 2n unknowns)."""
+        u, R, _ = _damped_newton(
+            u, self.residual,
+            lambda u, R, aux: np.linalg.lstsq(self.jacobian(u), -R,
+                                              rcond=None)[0],
+            lambda R, aux: np.max(np.abs(R)) <= TANGENCY_TOL,
+            TANGENCY_TOL, 12)
+        w, d, _ = self.unpack(u)
+        return u, R, _ball_disc(self.domain, w, d, self.settings)
+
+    def seed(self, w0):
+        """(u, None) at the boundary point w0."""
+        return self.pack(w0), None
+
+    make_point = _tangency_point
+
+
+def _tangency_system(domain1, domain2, z_o, settings):
+    """The tangency system for the outer domain ``domain1``."""
+    system = _BallTangencySystem if domain1.kind == "ball" else _TangencySystem
+    return system(domain1, domain2, z_o, settings)
 
 
 def _tangent_projection(grad, vector):
@@ -216,24 +323,11 @@ def _tangent_projection(grad, vector):
 
 
 def _initial_state(system, seed_w):
-    """(u, disc) of the tangent disc nearest ``seed_w``, uncorrected."""
+    """(u, start) of the tangent disc nearest ``seed_w``, uncorrected,
+    for ``system.correct``."""
     d2 = system.d2
-    z_o = system.z_o
-    w0 = d2.boundary_point(_point(d2, seed_w, "seed point") - d2.center)
-    chord = z_o - w0
-    d0 = _tangent_projection(d2.grad(w0), chord)
-    if np.linalg.norm(d0) < 1e-10:
-        # chord is conormal; take any tangent vector
-        g = np.conj(d2.grad(w0))
-        basis = np.eye(system.n, dtype=complex)
-        k = int(np.argmin(np.abs(g)))
-        d0 = _tangent_projection(d2.grad(w0), basis[k])
-    d0 = d0 / np.linalg.norm(d0)
-    disc = system.solve_disc(w0, d0)
-    sigma0, _ = _find_parameter(disc, z_o)
-    # rotate d so the through-point parameter is real positive
-    phase = np.exp(1j * np.angle(sigma0)) if sigma0 != 0 else 1.0
-    return system.pack(w0, d0 * phase, abs(sigma0)), disc
+    return system.seed(
+        d2.boundary_point(_point(d2, seed_w, "seed point") - d2.center))
 
 
 def _base_point(domain1, domain2, z_o):
@@ -259,7 +353,7 @@ def solve_tangent_disc(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
     """
     settings = settings or SolverSettings()
     z_o = _base_point(domain1, domain2, z_o)
-    system = _TangencySystem(domain1, domain2, z_o, settings)
+    system = _tangency_system(domain1, domain2, z_o, settings)
     u, R, disc = system.correct(*_initial_state(system, seed_w))
     return system.make_point(u, R, disc)
 
@@ -317,7 +411,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
         if first is None:
             raise SolverDivergence(
                 f"no tangency seed converged ({error})")
-    system = _TangencySystem(domain1, domain2, z_o, settings)
+    system = _tangency_system(domain1, domain2, z_o, settings)
     disc = first.disc
     n = domain1.dimension
     u = system.pack(first.w, disc.base_direction
@@ -457,10 +551,14 @@ def push_domain_through_psi(domain1: ConvexDomain, domain2: ConvexDomain,
     For a ball outer domain the inverse map is closed-form; otherwise
     every evaluation costs one disc solve.  First and second derivatives
     are finite differences of rho_tilde, adequate for the sign
-    certificate, with step ``fd_step`` (finite and > 0) or a default."""
+    certificate, with step ``fd_step`` (finite and > 0) or a default.
+    Raises PreconditionError unless z_o is a finite interior point of
+    the outer domain."""
     if fd_step is not None:
         _tolerance("fd_step", fd_step)
-    z_o = np.asarray(z_o, dtype=complex)
+    z_o = _point(domain1, z_o)
+    if not _interior(domain1, z_o):
+        raise PreconditionError("base point must be interior to the outer domain")
     n = domain1.dimension
     if domain1.kind == "ball":
         inverse = partial(_ball_psi_inverse, domain1, z_o)

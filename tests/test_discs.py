@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import os
 import pathlib
 import subprocess
@@ -33,10 +34,10 @@ from geodisc.circle import power_series
 from geodisc.domains import certify
 from geodisc.cli import main as cli_main, parse_points
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
-                           _TwoPointSystem, _along_direction, _ball_point,
-                           _ball_series, _ball_two_point_data,
-                           _coordinate_tangents, _damped_newton, _gamma,
-                           _parameter_tangent, _solve_cd_raw, _state_layout)
+                           _TwoPointSystem, _ball_disc, _ball_series,
+                           _ball_two_point_data, _coordinate_tangents,
+                           _damped_newton, _gamma, _parameter_tangent,
+                           _solve_cd_raw, _state_layout)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -714,8 +715,8 @@ def test_coarse_divergence_leaves_the_error_as_it_was(monkeypatch):
 def test_ball_geodesic_carries_its_solved_state(modes, grid):
     # the closed-form g = |1 - mu tau|^2 / |1 - mu|^2 is the factor
     # Gauss-Newton reaches from the same disc started at g = 1, and the
-    # parameter tangent linearized at the closed-form state is the ball's
-    # own point sensitivity
+    # parameter tangent linearized at the closed-form state is the
+    # derivative of the closed form itself
     settings = SolverSettings(modes=modes, grid=CircleGrid(grid))
     ball = make_ball([0.1, -0.2j], 0.8)
     z, v = np.array([0.25 + 0.1j, -0.1 - 0.15j]), np.array([0.6, 0.8j])
@@ -727,109 +728,25 @@ def test_ball_geodesic_carries_its_solved_state(modes, grid):
     assert solved_g.shape == disc.solver_g.shape == (1 + 2 * modes,)
     assert np.max(np.abs(solved_g - disc.solver_g)) < 1e-10
 
-    # both are dphi(s)/dp along (Re z, Im z, Re v, Im v); they agree along
-    # the center and along the tangents (I - w w^T)/|v| of the direction
-    # sphere, w = (Re v, Im v)/|v|, which is what moves a unit direction
+    # dphi(s)/dp along (Re z, Im z, Re v, Im v) against central differences
+    # of ball_geodesic, which takes v to v/|v|: along the direction they
+    # agree on the tangents (I - w w^T)/|v| of the sphere, w = (Re v, Im
+    # v)/|v|, which is all that moves a unit direction
     w = np.concatenate([v.real, v.imag]) / np.linalg.norm(v)
     sphere = (np.eye(4) - np.outer(w, w)) / np.linalg.norm(v)
-
-    def along_z_and_sphere(dphi):
-        return np.concatenate([dphi[:4], sphere @ dphi[4:]])
-
     dcoeffs, _ = _parameter_tangent(ball, disc, settings)
+    E, h = _coordinate_tangents(2), 1e-6
     for s in (0.3 + 0.2j, -0.5j, 0.7, 0.95 * np.exp(2.0j)):
-        exact = _ball_point(ball, z, v / np.linalg.norm(v), s,
-                            modes)[0].sensitivity
+        def central(dz, dv):
+            plus, minus = (ball_geodesic(ball, z + t * dz, v + t * dv,
+                                         settings).coeffs for t in (h, -h))
+            return (power_series(plus, s) - power_series(minus, s)) / (2 * h)
+
+        fd = np.array([central(e, 0) for e in E] + [central(0, e) for e in E])
         solved = power_series(dcoeffs.transpose(1, 0, 2), s)
-        assert exact.shape == solved.shape == (8, 2)
-        assert np.max(np.abs(along_z_and_sphere(solved)
-                             - along_z_and_sphere(exact))) < 1e-10
-
-
-def _random_ball_case(rng, ball, radius=0.95):
-    """A center z of ``ball`` at up to ``radius`` of its radius and a unit
-    direction v."""
-    R = ball.meta["radius"]
-    z = ball.center + R * random_interior(rng, ball.dimension, radius)
-    return z, random_direction(rng, ball.dimension)
-
-
-@pytest.mark.parametrize("modes", [8, 16, 64])
-def test_ball_point_is_the_closed_form_disc_at_its_point(modes):
-    # phi(s) and phi'(s) of the point record agree with the power series
-    # of ball_geodesic's coefficients to 2e-15 of the series of moduli:
-    # either sum is exact to about 1e-15 of it, a few ulps.  dphi(s)/dp
-    # agrees with central differences of ball_geodesic along z and along
-    # the direction sphere
-    rng = np.random.default_rng(modes)
-    settings = SolverSettings(modes=modes, grid=CircleGrid(max(4 * modes, 64)))
-    k = np.arange(modes + 1)
-    E = _coordinate_tangents(2)
-    h = 1e-6
-    for ball in (BALL, make_ball([0.1, -0.2j], 0.8)):
-        for _ in range(20):
-            z, v = _random_ball_case(rng, ball)
-            s = rng.uniform(0.05, 0.95)
-            point, _ = _ball_point(ball, z, v, s, modes)
-            a = ball_geodesic(ball, z, v, settings).coeffs
-            da = a[1:] * k[1:, None]
-            moduli = np.abs(a) * s ** k[:, None]
-            assert np.all(np.abs(point.value - power_series(a, s))
-                          <= 2e-15 * np.sum(moduli, axis=0))
-            assert np.all(np.abs(point.slope - power_series(da, s))
-                          <= 2e-15 * np.sum(np.abs(da) * s ** k[:-1, None],
-                                            axis=0))
-
-            def central(dz, dv):
-                plus, minus = (ball_geodesic(ball, z + t * dz, v + t * dv,
-                                             settings).coeffs
-                               for t in (h, -h))
-                return (power_series(plus, s) - power_series(minus, s)) / (2 * h)
-
-            fd = np.array([central(e, 0) for e in E]
-                          + [central(0, e) for e in E])
-            sens = point.sensitivity
-            exact = np.concatenate([sens[:4], _along_direction(v, sens[4:])])
-            assert np.max(np.abs(fd - exact)) < 1e-8 * max(1.0, np.max(np.abs(exact)))
-
-
-def test_ball_point_decides_attachment_as_the_exact_check(monkeypatch):
-    # where the truncation bound decides, the closed form attaches; else
-    # the exact check of ball_geodesic decides, and the cold polish runs
-    # where it fails.  |mu| near 1 at small M takes the fallback
-    class Polish(Exception):
-        pass
-
-    def polish(*args):
-        raise Polish
-
-    monkeypatch.setattr(discs_module, "_solve_cd_raw", polish)
-    rng = np.random.default_rng(5)
-    paths = {"bound": 0, "check": 0, "polish": 0}
-    for ball in (BALL, make_ball([0.1, -0.2j], 0.8)):
-        for modes in (8, 16, 64):
-            settings = SolverSettings(modes=modes,
-                                      grid=CircleGrid(max(4 * modes, 64)))
-            system = _OuterSystem(ball, settings)
-            for _ in range(40):
-                z, v = _random_ball_case(rng, ball)
-                d = 2.0 * v
-                closed = ball_geodesic(ball, z, d / np.linalg.norm(d),
-                                       settings)
-                attached = closed.attachment_residual <= settings.newton_tol
-                try:
-                    point = system.point(z, d, 0.5)
-                except Polish:
-                    assert not attached
-                    paths["polish"] += 1
-                    continue
-                assert attached
-                if point.disc is None:
-                    paths["bound"] += 1
-                else:
-                    paths["check"] += 1
-                    assert np.array_equal(point.disc.coeffs, closed.coeffs)
-    assert min(paths.values()) > 0, paths
+        assert fd.shape == solved.shape == (8, 2)
+        fd[4:], solved[4:] = sphere @ fd[4:], sphere @ solved[4:]
+        assert np.max(np.abs(solved - fd)) < 1e-8 * max(1.0, np.max(np.abs(fd)))
 
 
 def _count_ball_geodesics(monkeypatch):
@@ -845,33 +762,41 @@ def _count_ball_geodesics(monkeypatch):
 
 
 def test_ball_two_point_solve_builds_one_disc(monkeypatch):
-    # each iterate is read at its one point; the disc is built once, at
-    # the x returned, and is ball_geodesic's there bit for bit
+    # on a ball the two-point data are closed-form: the solve runs no
+    # Newton iteration and builds one disc, ball_geodesic's at them bit
+    # for bit, which passes through w
     z, w = np.array([0.2 + 0.1j, -0.1j]), np.array([-0.1, 0.25 + 0.2j])
-    system = _TwoPointSystem(BALL, z, w, SETTINGS)
-    v0, xi0 = _ball_two_point_data(make_ball([0, 0], 0.9), z, w)
-    residuals = []
-    residual = _OuterSystem.residual
-
-    def counting(self, x, aux=None):
-        residuals.append(x)
-        return residual(self, x, aux)
-
-    monkeypatch.setattr(_OuterSystem, "residual", counting)
+    newton = []
+    monkeypatch.setattr(discs_module, "_damped_newton",
+                        lambda *args: newton.append(args))
     geodesics = _count_ball_geodesics(monkeypatch)
-    x, R, disc = system.newton(np.concatenate([v0.real, v0.imag, [xi0]]),
-                               1e-9, 30, None)
-    assert len(residuals) >= 3 and len(geodesics) == 1
-    assert np.max(np.abs(R)) <= 1e-9
-    c, d, _ = system.unpack(x)
-    exact = ball_geodesic(BALL, c, d / np.linalg.norm(d), SETTINGS)
+    disc, xi = solve_two_point(BALL, z, w, SETTINGS)
+    monkeypatch.undo()
+    assert len(geodesics) == 1 and newton == []
+    v, exact_xi = _ball_two_point_data(BALL, z, w)
+    assert xi == exact_xi
+    exact = ball_geodesic(BALL, z, v, SETTINGS)
     assert np.array_equal(disc.coeffs, exact.coeffs)
     assert np.array_equal(disc.solver_g, exact.solver_g)
     assert disc.attachment_residual == exact.attachment_residual
-    geodesics.clear()
-    disc, xi = solve_two_point(BALL, z, w, SETTINGS)
-    assert len(geodesics) == 1
-    assert np.max(np.abs(disc(np.array([xi + 0j]))[0] - w)) <= 1e-9
+    assert np.max(np.abs(disc(np.array([xi + 0j]))[0] - w)) <= 1e-12
+
+
+def test_the_joint_two_point_solve_meets_the_ball_closed_form():
+    # the outer system's Newton iteration over (v, xi) and the disc's
+    # Gauss-Newton state, run on a ball, which solve_two_point no longer
+    # does, lands on the closed form
+    z, w = np.array([0.2 + 0.1j, -0.1j]), np.array([-0.1, 0.25 + 0.2j])
+    system = _TwoPointSystem(BALL, z, w, SETTINGS)
+    v0, xi0 = _ball_two_point_data(make_ball([0, 0], 0.9), z, w)
+    x, R, disc = system.newton(np.concatenate([v0.real, v0.imag, [xi0]]),
+                               1e-9, 30, None)
+    assert np.max(np.abs(R)) <= 1e-9
+    assert disc.tangent is not None          # a joint step was taken
+    v, xi = _ball_two_point_data(BALL, z, w)
+    assert abs(x[-1] - xi) < 1e-10
+    exact = ball_geodesic(BALL, z, v, SETTINGS)
+    assert np.max(np.abs(disc.coeffs - exact.coeffs)) < 1e-10
 
 
 def _nan_in(x, k=0, value=np.nan):
@@ -896,6 +821,11 @@ _HUGE = np.array([1e300, 0.0])                # finite, but rho overflows
 
 def _ball_lift():
     return lift_from_disc(BALL, ball_geodesic(BALL, _Z, _V, SMALL))
+
+
+def _nan_function(z):
+    """Boundary data that are NaN everywhere."""
+    return np.full(len(z), np.nan)
 
 
 def _detached():
@@ -1086,6 +1016,31 @@ def _matching(pattern, call):
     pytest.param(lambda: push_domain_through_psi(BALL, _INNER, _Z_O,
                                                  fd_step=-1e-5),
                  None, id="push-negative-fd-step"),
+    pytest.param(lambda: push_domain_through_psi(BALL, _INNER,
+                                                 _nan_in(_Z_O)),
+                 None, id="push-nan-base"),
+    pytest.param(lambda: push_domain_through_psi(BALL, _INNER,
+                                                 np.array([1.2, 0.0])),
+                 None, id="push-exterior-base"),
+    pytest.param(lambda: restrict(_nan_function, ball_geodesic(BALL, _Z, _V,
+                                                               SMALL)),
+                 None, id="restrict-nan-f"),
+    pytest.param(lambda: morera_integrals(_nan_function,
+                                          ball_geodesic(BALL, _Z, _V, SMALL)),
+                 None, id="morera-nan-f"),
+    pytest.param(lambda: morera_integrals(
+        _HOLO, ball_geodesic(BALL, _Z, _V, SMALL),
+        attach_tol=np.array([1e-9, 1e-9])), None, id="morera-array-attach-tol"),
+    pytest.param(lambda: morera_integrals(
+        _HOLO, ball_geodesic(BALL, _Z, _V, SMALL), attach_tol=[1e-9]),
+        None, id="morera-list-attach-tol"),
+    pytest.param(lambda: restrict(_HOLO, ball_geodesic(BALL, _Z, _V, SMALL),
+                                  attach_tol="1e-9"),
+                 None, id="restrict-string-attach-tol"),
+    pytest.param(lambda: lift_from_disc(BALL, ball_geodesic(BALL, _Z, _V,
+                                                            SMALL),
+                                        attach_tol=None),
+                 None, id="lift-none-attach-tol"),
     pytest.param(lambda: make_ellipsoid([1.0, np.nan]),
                  ["disc", "solve", "--domain", "ellipsoid:1,nan", "--z",
                   "0.1,0", "--v", "1,0"], id="nan-semi-axis"),
@@ -1249,18 +1204,22 @@ def test_center_direction_past_the_ball_truncation_floor_names_m(capsys):
 
 def test_two_point_residual_polishes_a_ball_closed_form_below_newton_tol():
     # at M = 64 the ball geodesic through z along v is attached only to
-    # 2.8e-9; the disc solve polishes it by Gauss-Newton from that closed
-    # form instead of failing
+    # 2.8e-9; the ball's disc is then polished by Gauss-Newton from that
+    # closed form instead of failing, also in the two-point solve through
+    # a point of it
     z = np.array([0.562 - 0.27j, 0.09 + 0.635j])
     v = np.array([-0.369 + 0.171j, -0.656 + 0.636j])
     closed = ball_geodesic(BALL, z, v, SETTINGS)
     assert closed.attachment_residual > SETTINGS.newton_tol
-    system = _TwoPointSystem(BALL, z, np.array([0.1, 0.1]), SETTINGS)
-    _, point = system.residual(np.concatenate([v.real, v.imag, [0.5]]))
-    disc = point.disc
+    disc = _ball_disc(BALL, z, v, SETTINGS)
     assert disc.attachment_residual <= SETTINGS.newton_tol
     assert disc.boundary_residual() <= SETTINGS.newton_tol
     assert np.max(np.abs(disc.coeffs - closed.coeffs)) < 1e-8
+    w = closed(np.array([0.5 + 0j]))[0]
+    polished, xi = solve_two_point(BALL, z, w, SETTINGS)
+    assert abs(xi - 0.5) < 1e-12
+    assert polished.attachment_residual <= SETTINGS.newton_tol
+    assert np.max(np.abs(polished.coeffs - disc.coeffs)) < 1e-10
 
 
 def test_two_point_moebius_parameter():
@@ -1814,17 +1773,22 @@ def test_one_armijo_loop():
 
 
 def test_one_outer_system():
-    # the tangency corrector and the two-point solve share
-    # discs._OuterSystem: its point record is the one reader of the ball's
-    # closed form at a point, its through-point Jacobian the one reader of
-    # a parameter tangent, its disc solve the one place a ball's
-    # truncation is reported, and tangency.py solves no ball geodesic
+    # the joint tangency corrector and the two-point solve share
+    # discs._OuterSystem, which takes every domain alike; its
+    # through-point Jacobian is the one reader of a parameter tangent.  A
+    # ball's disc comes from discs._ball_disc, the one place its
+    # truncation is reported, and tangency.py builds no ball geodesic
+    from geodisc.tangency import _TangencySystem
+
     src = pathlib.Path(discs_module.__file__).parent
     text = "".join(p.read_text() for p in src.glob("*.py"))
-    for name in ("_ball_point(", "_parameter_tangent("):
-        assert text.count(name) - text.count(f"def {name}") == 1
+    name = "_parameter_tangent("
+    assert text.count(name) - text.count(f"def {name}") == 1
     assert text.count("ball geodesic truncated at M =") == 1
+    assert "_ball_point" not in text and "_DiscPoint" not in text
     assert "ball_geodesic(" not in (src / "tangency.py").read_text()
+    for system in (_OuterSystem, _TangencySystem):
+        assert '"ball"' not in inspect.getsource(system)
 
 
 def test_one_place_builds_a_solved_disc():

@@ -191,6 +191,24 @@ def test_lift_rejects_non_injective_cover():
         lift_from_disc(BALL, cover)
 
 
+def test_lift_boundary_values():
+    # the lift at the nodes of the disc's grid, or of a grid given; on a
+    # ball geodesic a positive real multiple of drho(phi) at every node,
+    # the conormal bundle
+    disc, lift = lift_of([0.3, 0.1j], [1.0, 0.5j])
+    values = lift.boundary_values()
+    assert values.shape == (disc.grid.size, 2)
+    assert np.array_equal(values, lift(disc.grid.nodes))
+    grid = CircleGrid(64)
+    assert np.array_equal(lift.boundary_values(grid), lift(grid.nodes))
+    grads = BALL.grad(disc.boundary_values())
+    scale = np.sum(values * np.conj(grads), axis=1) \
+        / np.sum(np.abs(grads) ** 2, axis=1)
+    assert np.all(scale.real > 0)
+    assert np.max(np.abs(values - scale.real[:, None] * grads)) \
+        < 1e-10 * np.max(np.abs(values))
+
+
 def test_move_pole_identity():
     _, lift = lift_of([0.4, 0], [1, 0])
     moved = move_pole(lift, 0.0)

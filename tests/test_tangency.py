@@ -14,8 +14,11 @@ from geodisc import tangency as tangency_module
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
                            _TwoPointSystem, _ball_psi_inverse,
                            _ball_two_point_data, _solve_cd_raw)
+from geodisc.lempert import psi_inverse
 from geodisc.lifts import boundary_conormality_residual
-from geodisc.tangency import TANGENCY_TOL, _TangencySystem, _initial_state
+from geodisc.tangency import (TANGENCY_TOL, _BallTangencySystem,
+                              _TangencySystem, _initial_state,
+                              _tangency_system)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -301,6 +304,17 @@ def test_psi_pushforward_batches_pointwise():
     assert np.array_equal(C.reshape(-1, 2, 2), [c for _, c in pointwise])
 
 
+def test_psi_pushforward_off_a_ball_inverts_by_disc_solves():
+    # off a ball each value of rho_tilde is rho2 at psi_inverse, one disc
+    # solve
+    outer, inner = make_perturbed_ball(0.05, "re_z1_sq"), make_ball([0, 0], 0.4)
+    settings = SolverSettings(modes=32, grid=CircleGrid(128))
+    z_o, zeta = np.array([0.2, 0.05j]), np.array([0.3, 0.2j])
+    rho_psi = push_domain_through_psi(outer, inner, z_o, settings)
+    assert rho_psi.rho(zeta) == float(
+        inner.rho(psi_inverse(outer, z_o, zeta, settings)))
+
+
 def test_trace_locus_patch_dimension_three():
     ball3 = make_ball([0, 0, 0], 1.0)
     inner3 = make_ball([0, 0, 0], 0.5)
@@ -468,35 +482,60 @@ def test_a_correction_builds_one_gn_jacobian_per_newton_step(monkeypatch):
 
 @pytest.mark.parametrize("case", ["ball2", "ball3"])
 def test_a_ball_correction_builds_one_disc(monkeypatch, case):
-    # on a ball each iterate of the corrector is read at its one point, no
-    # disc per residual: the disc is built once, at the u returned, and is
-    # ball_geodesic's there bit for bit
+    # on a ball the corrector iterates on the touch point alone, runs no
+    # outer system and builds one disc, ball_geodesic's at the w it
+    # returns bit for bit, with sigma > 0 from the chord's closed form
     make_domains, z_o, seed_w, settings = TANGENCY_CASES[case]
-    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
-                                          np.array(seed_w), settings)
-    residuals, geodesics = [], []
-    residual, geodesic = _OuterSystem.residual, discs_module.ball_geodesic
-
-    def counting_residual(self, x, aux=None):
-        residuals.append(x)
-        return residual(self, x, aux)
+    outer, inner = make_domains()
+    tp = solve_tangent_disc(outer, inner, np.array(z_o), np.array(seed_w),
+                            settings)
+    system = _tangency_system(outer, inner, np.array(z_o), settings)
+    assert isinstance(system, _BallTangencySystem)
+    u = system.pack(tp.w)
+    newtons, geodesics = [], []
+    geodesic = discs_module.ball_geodesic
 
     def counting_geodesic(*args, **kwargs):
         geodesics.append(args)
         return geodesic(*args, **kwargs)
 
-    monkeypatch.setattr(_OuterSystem, "residual", counting_residual)
+    monkeypatch.setattr(_OuterSystem, "newton",
+                        lambda *args: newtons.append(args))
     monkeypatch.setattr(discs_module, "ball_geodesic", counting_geodesic)
     u_new, R, disc_new = system.correct(
-        u + 0.02 * np.cos(np.arange(len(u))), disc)
+        u + 0.02 * np.cos(np.arange(len(u))), tp.disc)
     monkeypatch.undo()
-    assert len(residuals) >= 3 and len(geodesics) == 1
+    assert len(geodesics) == 1 and newtons == []
     assert np.max(np.abs(R)) <= TANGENCY_TOL
-    w, d, _ = system.unpack(u_new)
-    exact = ball_geodesic(system.domain, w, d / np.linalg.norm(d), settings)
+    w, d, sigma = system.unpack(u_new)
+    assert sigma > 0
+    exact = ball_geodesic(outer, w, d, settings)
     assert np.array_equal(disc_new.coeffs, exact.coeffs)
     assert np.array_equal(disc_new.solver_g, exact.solver_g)
     assert disc_new.attachment_residual == exact.attachment_residual
+
+
+@pytest.mark.parametrize("case", ["ball2", "ball3"])
+def test_the_joint_corrector_meets_the_ball_oracle(case):
+    # the joint corrector, with the disc's Gauss-Newton state in its
+    # iterate, run on a ball, where the tracer takes the w-system instead:
+    # w lies on the locus of concentric balls, |w| = r2 and <z_o, w> =
+    # r2^2, and the disc and sigma are the chord's closed form there
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES[case]
+    outer, inner = make_domains()
+    z_o = np.array(z_o)
+    system, u, disc = _converged_tangency(outer, inner, z_o,
+                                          np.array(seed_w), settings)
+    u, _, disc = system.correct(u + 0.02 * np.cos(np.arange(len(u))), disc)
+    assert disc.tangent is not None          # a joint step was taken
+    w, _, sigma = system.unpack(u)
+    r2 = inner.meta["radius"]
+    assert abs(np.linalg.norm(w) - r2) < 1e-10
+    assert abs(np.sum(z_o * np.conj(w)) - r2 ** 2) < 1e-10
+    v, xi = _ball_two_point_data(outer, w, z_o)
+    assert abs(sigma - xi) < 1e-10
+    exact = ball_geodesic(outer, w, v, settings)
+    assert np.max(np.abs(disc.coeffs - exact.coeffs)) < 1e-10
 
 
 def test_outer_solves_leave_their_systems_unchanged():
