@@ -177,26 +177,31 @@ def hilbert_conjugate(u: TrigSeries, tol: float = REAL_TOL) -> TrigSeries:
 
 
 def power_series(coeffs, tau) -> np.ndarray:
-    """sum_k coeffs[k] tau^k, of shape tau.shape + coeffs.shape[1:].
-
-    The powers tau^0..tau^{K-1} are built by doubling (row block [m, 2m)
-    is row block [0, m) times tau^m, so log2 K vector products) and
-    contracted with the coefficients in one matmul.
-    """
+    """sum_k coeffs[k] tau^k, of shape tau.shape + coeffs.shape[1:]: the
+    powers of :func:`_powers` contracted with the coefficients in one
+    matmul."""
     coeffs = np.asarray(coeffs, dtype=complex)
     tau = np.asarray(tau, dtype=complex)
     K = coeffs.shape[0]
-    t = tau.reshape(-1)
-    powers = np.empty((K, t.size), dtype=complex)
+    values = _powers(tau.reshape(-1), K).T @ coeffs.reshape(K, -1)
+    return values.reshape(tau.shape + coeffs.shape[1:])
+
+
+def _powers(t, K) -> np.ndarray:
+    """t^0..t^{K-1} of a number or array t, of shape (K,) + t.shape and
+    t's dtype, built by doubling: row block [m, 2m) is row block [0, m)
+    times t^m, so log2 K vector products."""
+    t = np.asarray(t)
+    powers = np.empty((K,) + t.shape, dtype=t.dtype)
     powers[:1] = 1.0
     powers[1:2] = t
     m = 2
     while m < K:
         step = min(m, K - m)
-        np.multiply(powers[:step], powers[m // 2] ** 2, out=powers[m:m + step])
+        np.multiply(powers[:step], powers[m // 2:m // 2 + 1] ** 2,
+                    out=powers[m:m + step])
         m += step
-    values = powers.T @ coeffs.reshape(K, -1)
-    return values.reshape(tau.shape + coeffs.shape[1:])
+    return powers
 
 
 def ring_values(coeffs, size, radii=None) -> np.ndarray:

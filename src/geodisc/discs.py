@@ -25,8 +25,10 @@ grid size, and on the rings |tau| = r of a polar grid one batched
 inverse FFT of a_k r^k (:func:`circle.ring_values`); g is one inverse
 real FFT (:func:`_boundary_factor`).  On the residual grid the solver
 takes phi and g from one inverse FFT, g's spectrum as one more column
-next to phi's coefficients.  :func:`circle.power_series` serves the
-points off these grids.  A cold solve on a ball starts from its
+next to phi's coefficients.  Off these grids a series is read from
+the powers of :func:`circle._powers`: by :func:`circle.power_series`,
+or at the real parameter s of the outer system by a real vector of
+powers of s.  A cold solve on a ball starts from its
 closed-form state, coefficients and g, and runs Gauss-Newton on it,
 which has no step to take where the truncation attaches.  Off a ball it
 starts from the closed form of an inscribed ball, on which no
@@ -74,13 +76,16 @@ rejected.  The iteration hands every residual the aux of the accepted
 iterate, so no system keeps state between calls.  The disc solve steps
 by its normal equations, from the fields its residual returned.  Off a
 ball the two-point solve and the tangency corrector share one outer
-system and its minimum-norm lstsq step (:class:`_OuterSystem`): a disc
-with center c and direction d/|d| that passes through a target at the
-real parameter s.  A ball needs no such iteration, since its geodesics
-are its complex lines: the two-point data are closed-form
-(:func:`_ball_two_point_data`), and the disc through them is
-:func:`_ball_disc`, the closed form where that attaches to newton_tol,
-else a cold Gauss-Newton solve.  The outer system takes any domain, so
+system and its minimum-norm step (:class:`_OuterSystem`): a disc with
+center c and direction d/|d| that passes through a target at the real
+parameter s.  The step solves the rows' Gram J J^T and maps back by J^T
+(:func:`_min_norm_solve`), with lstsq only where the rows are dependent;
+the rows, their Jacobian and the step read phi(s), phi'(s) and dphi(s)/dp
+with one real vector of powers of s per iterate.  A ball needs no such
+iteration, since its geodesics are its complex lines: the two-point
+data are closed-form (:func:`_ball_two_point_data`), and the disc
+through them is :func:`_ball_disc`, the closed form where that attaches
+to newton_tol, else a cold Gauss-Newton solve.  The outer system takes any domain, so
 the ball is a test oracle for it.  Its iterate is the outer unknowns
 together with the disc's Gauss-Newton state, and one bordered step
 serves both: one linearization of the disc's equations gives their
@@ -107,7 +112,8 @@ from functools import cache
 
 import numpy as np
 
-from .circle import CircleGrid, _count, analyze, power_series, ring_values
+from .circle import (CircleGrid, _count, _powers, analyze, power_series,
+                     ring_values)
 from .domains import ConvexDomain, _random_directions, make_ball
 from .errors import PreconditionError, SolverDivergence
 
@@ -1064,6 +1070,29 @@ def _damped_newton(u, residual, step, converged, tol, max_iters, aux=None):
         last_residual=float(norm))
 
 
+def _min_norm_solve(J, b):
+    """The minimum-norm least-squares solution of J x = b for J (m, k),
+    m <= k: x = J^T y with (J J^T) y = b, one LU solve on the rows' Gram,
+    which on the small outer and tangency systems costs half of an
+    SVD-based least squares; a square J is solved by LU as it stands.
+    |A| |y| / |b| (Frobenius norm) bounds the condition number of the
+    matrix A solved from below, which is cond(J) for a square J and
+    cond(J)^2 for the Gram.  Where A is singular, exactly or with J's
+    bound above 1e6, the rows are dependent to working precision and
+    np.linalg.lstsq takes over, so a rank-deficient J gets lstsq's answer
+    and no LinAlgError."""
+    square = J.shape[0] == J.shape[1]
+    A = J if square else J @ J.T
+    try:
+        y = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        y = None
+    limit = 1e12 if square else 1e24          # J's bound 1e6, squared
+    if y is None or not (y @ y) * np.vdot(A, A) <= limit * (b @ b):
+        return np.linalg.lstsq(J, b, rcond=None)[0]
+    return y if square else y @ J
+
+
 def _interleave(values):
     out = np.empty(2 * len(values))
     out[0::2] = values.real
@@ -1243,8 +1272,10 @@ class _OuterSystem:
     passes through ``target`` at the real parameter s.  A subclass's
     unknowns x are the trailing entries of q = (Re c, Im c, Re d, Im d, s),
     the leading ones ``pinned``; it adds its rows on a disc (``rows(x,
-    disc)``, ending with :meth:`through_rows`) and their Jacobian
-    (``jacobian(x, disc)``, from :meth:`through_jacobian`).
+    disc, powers=None)``, ending with :meth:`through_rows`) and their
+    Jacobian (``jacobian(x, disc, powers=None)``, from
+    :meth:`through_jacobian`), where ``powers`` are the real s^0..s^M at
+    hand.
 
     The Newton iteration runs over X = (x, y), y the disc's Gauss-Newton
     state, and no residual solves a disc (:meth:`newton`).  The system
@@ -1273,25 +1304,30 @@ class _OuterSystem:
                              self.settings)
         return self.rows(x, disc), disc
 
-    def through_rows(self, disc, d, s, target):
-        """(Re, Im)(phi(s) - target) and |d|^2 - 1 on ``disc``."""
-        val = disc(np.array([s + 0.0j]))[0] - target
+    def through_rows(self, disc, d, s, target, powers=None):
+        """(Re, Im)(phi(s) - target) and |d|^2 - 1 on ``disc``; ``powers``
+        are s^0..s^M (:func:`circle._powers`), made here where not given."""
+        if powers is None:
+            powers = _powers(s, len(disc.coeffs))
+        val = powers @ disc.coeffs - target
         return np.concatenate([val.real, val.imag,
                                [np.linalg.norm(d) ** 2 - 1.0]])
 
-    def through_jacobian(self, disc, d, s):
+    def through_jacobian(self, disc, d, s, powers=None):
         """Jacobian (2n + 1, 4n + 1) of the through-point rows in
         (Re c, Im c, Re d, Im d, s) on ``disc``; solves no disc.
         dphi(s)/dp along (Re c, Im c, Re v, Im v) comes from the disc's
         parameter tangent, and v = d/|d| moves with (Re d, Im d)
-        (:func:`_along_direction`)."""
+        (:func:`_along_direction`).  It, and phi'(s), are read with the
+        real ``powers`` s^0..s^M, made here where not given."""
         n = self.n
-        tau = np.array([s + 0.0j])
+        if powers is None:
+            powers = _powers(s, len(disc.coeffs))
         dcoeffs, _ = _parameter_tangent(self.domain, disc, self.settings)
-        dphi = power_series(dcoeffs.transpose(1, 0, 2), s + 0.0j)
+        dphi = powers @ dcoeffs
         dphi = np.concatenate([dphi[:2 * n],
                                _along_direction(d, dphi[2 * n:])])
-        ds = disc.derivative(tau)[0]
+        ds = (np.arange(1, len(powers)) * powers[:-1]) @ disc.coeffs[1:]
         J = np.zeros((2 * n + 1, 4 * n + 1))
         J[:2 * n, :4 * n] = np.concatenate([dphi.T.real, dphi.T.imag])
         J[:2 * n, 4 * n] = np.concatenate([ds.real, ds.imag])
@@ -1300,12 +1336,12 @@ class _OuterSystem:
 
     def newton(self, x, tol, max_iters, start):
         """(x, R, disc) with max |R| <= tol by :func:`_damped_newton` and
-        lstsq's minimum-norm outer step.  The disc's state y in X = (x, y)
-        starts at the solved disc ``start`` as it is, or solved cold at x
-        where it is None; X converges when the disc's attachment, lift
-        modes and gauge are <= newton_tol and max |R| <= tol, and the
-        disc returned carries the tangent of the last step
-        (:meth:`_joint_step`)."""
+        the minimum-norm outer step (:func:`_min_norm_solve`).  The disc's
+        state y in X = (x, y) starts at the solved disc ``start`` as it
+        is, or solved cold at x where it is None; X converges when the
+        disc's attachment, lift modes and gauge are <= newton_tol and
+        max |R| <= tol, and the disc returned carries the tangent of the
+        last step (:meth:`_joint_step`)."""
         c, d, _ = self.unpack(x)
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
@@ -1318,12 +1354,12 @@ class _OuterSystem:
             return dX
 
         def converged(FR, aux):
-            _, _, R, diag, _ = aux
+            _, _, R, diag, _, _ = aux
             return max(diag["attachment"], diag["neg_modes"],
                        diag["gauge"]) <= self.settings.newton_tol \
                 and np.max(np.abs(R)) <= tol
 
-        X, _, (system, _, R, diag, _) = _damped_newton(
+        X, _, (system, _, R, diag, _, _) = _damped_newton(
             np.concatenate([x, system.initial_state(start.coeffs,
                                                     start.solver_g)]),
             self._joint_residual, step, converged, tol, max_iters)
@@ -1344,19 +1380,21 @@ class _OuterSystem:
 
     def _joint_residual(self, X, aux=None):
         """(F, R) stacked at X = (x, y), with the aux (system, F, R, diag,
-        fields): F and (diag, fields) are the Gauss-Newton residual of y
-        for the disc with center c and direction d/|d| at x, and R the
-        rows at x on the disc of y.  Raises PreconditionError where c
-        leaves the domain."""
+        fields, powers): F and (diag, fields) are the Gauss-Newton residual
+        of y for the disc with center c and direction d/|d| at x, R the
+        rows at x on the disc of y, and powers the real s^0..s^M with
+        which R and the step read every series at s.  Raises
+        PreconditionError where c leaves the domain."""
         x, y = self._split(X)
-        c, d, _ = self.unpack(x)
+        c, d, s = self.unpack(x)
         if not _interior(self.domain, c):
             raise PreconditionError("the disc center left the domain")
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
-        R = self.rows(x, self._disc(system, y))
+        powers = _powers(s, system.M + 1)
+        R = self.rows(x, self._disc(system, y), powers)
         F, (diag, fields) = system.residual(y)
-        return np.concatenate([F, R]), (system, F, R, diag, fields)
+        return np.concatenate([F, R]), (system, F, R, diag, fields, powers)
 
     def _joint_step(self, X, aux):
         """(dX, T): the bordered Newton step at X = (x, y) from the aux of
@@ -1366,24 +1404,24 @@ class _OuterSystem:
         du0 at fixed parameters and T, as 1 + 4n right-hand sides of one
         factorization.  The outer Jacobian is taken on the disc of y with
         the tangent T, and the through-point rows are moved to the disc
-        of y + du0, which is linear in y; lstsq's minimum-norm dx solves
-        the outer rows, and dy = du0 + T dp, where dp is dx on the
-        parameters, its d part taken to v = d/|d|
-        (:func:`_along_direction`)."""
+        of y + du0, which is linear in y; the minimum-norm dx
+        (:func:`_min_norm_solve`) solves the outer rows, and dy = du0 + T
+        dp, where dp is dx on the parameters, its d part taken to v =
+        d/|d| (:func:`_along_direction`).  The rows, their Jacobian and
+        the shift read the series at s with the powers of the aux."""
         x, y = self._split(X)
-        system, F, R, _, fields = aux
+        system, F, R, _, fields, powers = aux
         normal = system.jacobian(y, fields)
         sol = system._ls_step(
             normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p]))
         du0, T = sol[:, 0], sol[:, 1:]
         disc = self._disc(system, y, system.coefficient_tangent(y, T))
-        _, d, s = self.unpack(x)
+        _, d, _ = self.unpack(x)
         n = self.n
-        shift = power_series(system.disc_coeffs(y + du0) - disc.coeffs,
-                             np.array([s + 0.0j]))[0]
+        shift = powers @ (system.disc_coeffs(y + du0) - disc.coeffs)
         R = R.copy()
         R[-2 * n - 1:-1] += np.concatenate([shift.real, shift.imag])
-        dx = np.linalg.lstsq(self.jacobian(x, disc), -R, rcond=None)[0]
+        dx = _min_norm_solve(self.jacobian(x, disc, powers), -R)
         dq = np.concatenate([np.zeros(len(self.pinned)), dx])
         dp = np.concatenate([dq[:2 * n], _along_direction(d, dq[2 * n:4 * n])])
         return np.concatenate([dx, du0 + T @ dp]), T
@@ -1407,13 +1445,13 @@ class _TwoPointSystem(_OuterSystem):
             raise PreconditionError("two-point state left the admissible region")
         return z, v, xi
 
-    def rows(self, x, disc):
+    def rows(self, x, disc, powers=None):
         _, v, xi = self.unpack(x)
-        return self.through_rows(disc, v, xi, self.w)
+        return self.through_rows(disc, v, xi, self.w, powers)
 
-    def jacobian(self, x, disc):
+    def jacobian(self, x, disc, powers=None):
         _, v, xi = self.unpack(x)
-        return self.through_jacobian(disc, v, xi)[:, 2 * self.n:]
+        return self.through_jacobian(disc, v, xi, powers)[:, 2 * self.n:]
 
 
 def _parameter_tangent(domain, disc, settings):

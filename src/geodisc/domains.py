@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import _count, power_series, ring_values
+from .circle import _count, _powers, ring_values
 from .errors import PreconditionError
 
 BOUNDARY_TOL = 1e-8
@@ -133,7 +133,10 @@ def _quadratic(center, weights, level):
 
     def rho(z):
         z = np.asarray(z, dtype=complex)
-        return np.sum(np.abs(z - center) ** 2 * weights, axis=-1) - level
+        # np.add.reduce is np.sum without its wrapper, which costs more
+        # than the sum itself at one point
+        return np.add.reduce(np.abs(z - center) ** 2 * weights, axis=-1) \
+            - level
 
     def grad(z):
         z = np.asarray(z, dtype=complex)
@@ -142,8 +145,9 @@ def _quadratic(center, weights, level):
     def hess(z):
         z = np.asarray(z, dtype=complex)
         shape = z.shape[:-1] + (n, n)
-        return (np.zeros(shape, dtype=complex),
-                np.broadcast_to(diag, shape).copy())
+        C = np.empty(shape, dtype=complex)
+        C[...] = diag
+        return np.zeros(shape, dtype=complex), C
 
     return rho, grad, hess
 
@@ -289,8 +293,12 @@ def certify(domain: ConvexDomain, samples: int, seed: int = 0) -> ConvexityCerti
 
 
 def unit_outward_conormal(domain: ConvexDomain, z) -> np.ndarray:
-    """d rho(z) / |d rho(z)| at a boundary point."""
-    z = np.asarray(z, dtype=complex)
+    """d rho(z) / |d rho(z)| at a boundary point; raises
+    PreconditionError for a z that is not a finite vector of the domain's
+    dimension (``discs._point``) or not on the boundary."""
+    from .discs import _point    # discs imports this module
+
+    z = _point(domain, z, "boundary point")
     if not abs(float(domain.rho(z))) < BOUNDARY_TOL:
         raise PreconditionError("point is not on the boundary")
     g = domain.grad(z)
@@ -308,7 +316,8 @@ def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
     rings from one batched inverse FFT, :func:`circle.ring_values`) is
     refined by Newton steps on q in polar coordinates (r, theta), with the
     gradient and Hessian taken analytically from phi, phi', phi'' and the
-    derivatives of rho2.  Where the minimum sits on the rim r = 1 (or on
+    derivatives of rho2, and each 2x2 step and definiteness test in
+    closed form.  Where the minimum sits on the rim r = 1 (or on
     the innermost ring) and q decreases outward, the step runs along the
     ring in theta alone.  A step is accepted only when q decreases, so
     the result is never above the coarse minimum; the refinement stops
@@ -336,18 +345,24 @@ def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
     jets[:, 0] = a
     jets[:-1, 1] = k[1:] * a[1:]
     jets[:-2, 2] = k[2:] * (k[2:] - 1) * a[2:]
+    jets = jets.reshape(len(a), -1)
     _, grad, hess = _order_quotient_jet(rho2, jets, r, th)
     for _ in range(zoom_rounds):
+        q_r, q_t = grad
+        q_rr, q_rt, q_tt = hess
         # at the rim or the innermost ring with q falling outward: step
         # along the ring
-        if (r >= 1.0 and grad[0] < 0) or (r <= radii[0] and grad[0] > 0):
-            if not hess[1, 1] > 0:
+        if (r >= 1.0 and q_r < 0) or (r <= radii[0] and q_r > 0):
+            if not q_tt > 0:
                 break
-            r_new, th_new = r, th - grad[1] / hess[1, 1]
+            r_new, th_new = r, th - q_t / q_tt
         else:
-            if not (hess[0, 0] > 0 and np.linalg.det(hess) > 0):
+            # the 2x2 Newton step, with positive definiteness, in closed form
+            det = q_rr * q_tt - q_rt * q_rt
+            if not (q_rr > 0 and det > 0):
                 break
-            dr, dth = np.linalg.solve(hess, -grad)
+            dr = (q_rt * q_t - q_tt * q_r) / det
+            dth = (q_rt * q_r - q_rr * q_t) / det
             r_new, th_new = min(max(r + dr, radii[0]), 1.0), th + dth
         q, grad, hess = _order_quotient_jet(rho2, jets, r_new, th_new)
         if not q < best:
@@ -358,11 +373,13 @@ def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
 
 def _order_quotient_jet(rho2, jets, r, th):
     """q(r, theta) = rho2(phi(tau)) / r^2 at tau = r e^{i theta}, with its
-    gradient and Hessian in (r, theta).  ``jets`` stacks the power-series
-    coefficients of phi, phi' and phi'' along axis 1."""
+    gradient (q_r, q_theta) and Hessian (q_rr, q_rtheta, q_thetatheta).
+    ``jets`` (K, 3n) stacks the power-series coefficients of phi, phi'
+    and phi'' along its columns, so one vector of powers of tau
+    (:func:`circle._powers`) reads all three."""
     e = np.exp(1j * th)
     tau = r * e
-    phi, d1, d2 = power_series(jets, tau)
+    phi, d1, d2 = (_powers(tau, len(jets)) @ jets).reshape(3, -1)
     f = float(rho2.rho(phi))
     g = rho2.grad(phi)
     A, C = rho2.hess_complex(phi)
@@ -378,8 +395,7 @@ def _order_quotient_jet(rho2, jets, r, th):
     f_rt = -2.0 * ((b * tau + a) * e).imag
     f_tt = -2.0 * (b * tau * tau + a * tau).real + 2.0 * c * r * r
     q = f / r ** 2
-    grad = np.array([f_r / r ** 2 - 2.0 * f / r ** 3, f_t / r ** 2])
+    grad = (f_r / r ** 2 - 2.0 * f / r ** 3, f_t / r ** 2)
     q_rr = f_rr / r ** 2 - 4.0 * f_r / r ** 3 + 6.0 * f / r ** 4
     q_rt = f_rt / r ** 2 - 2.0 * f_t / r ** 3
-    hess = np.array([[q_rr, q_rt], [q_rt, f_tt / r ** 2]])
-    return q, grad, hess
+    return q, grad, (q_rr, q_rt, f_tt / r ** 2)

@@ -46,7 +46,7 @@ from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
                     _along_direction, _ball_disc, _ball_psi_inverse,
                     _ball_two_point_data, _complete_unitary,
                     _coordinate_tangents, _damped_newton, _herm, _interior,
-                    _point, _solve_cd_raw)
+                    _min_norm_solve, _point, _solve_cd_raw)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -161,13 +161,19 @@ def _inner_jacobian(domain2, w, d):
     grad2 = domain2.grad(w)
     A2, C2 = domain2.hess_complex(w)
     dpair = (ew @ A2.T + np.conj(ew) @ C2.T) @ d     # the gradient moves
-    return np.stack([2.0 * np.real(ew @ grad2), dpair.real, dpair.imag]), grad2
+    return np.array([2.0 * np.real(ew @ grad2), dpair.real, dpair.imag]), grad2
 
 
-def _tangency_point(system, u, R, disc) -> TangencyPoint:
-    """The locus point of ``system`` at its corrected state u; raises
+def _touch(u, n):
+    """The touch point w of a state u of either tangency system, which
+    leads with (Re w, Im w)."""
+    return u[:n] + 1j * u[n:2 * n]
+
+
+def _tangency_point(system, w, sigma, R, disc) -> TangencyPoint:
+    """The locus point of ``system`` touching at w, with its corrected
+    residual R and its disc through z_o at sigma; raises
     HypothesisViolation where the tangency constant is not positive."""
-    w, _, sigma = system.unpack(u)
     const = tangency_order_constant(system.d2, disc)
     if const <= 0:
         raise HypothesisViolation(
@@ -193,16 +199,17 @@ class _TangencySystem(_OuterSystem):
     def pack(self, w, d, sigma):
         return np.concatenate([w.real, w.imag, d.real, d.imag, [sigma]])
 
-    def rows(self, u, disc):
+    def rows(self, u, disc, powers=None):
         w, d, sigma = self.unpack(u)
         return np.concatenate([
             _inner_rows(self.d2, w, d / np.linalg.norm(d)),
-            self.through_rows(disc, d, sigma, self.z_o),
+            self.through_rows(disc, d, sigma, self.z_o, powers),
         ])
 
-    def jacobian(self, u, disc):
+    def jacobian(self, u, disc, powers=None):
         """Analytic Jacobian of the rows at u on ``disc``, the disc moving
-        with u along its parameter tangent; solves no disc."""
+        with u along its parameter tangent; solves no disc.  ``powers``
+        are sigma^0..sigma^M, made where not given."""
         n = self.n
         w, d, _ = self.unpack(u)
         along_w, grad2 = _inner_jacobian(self.d2, w, d / np.linalg.norm(d))
@@ -211,7 +218,8 @@ class _TangencySystem(_OuterSystem):
         dpair = _along_direction(d, _coordinate_tangents(n)) @ grad2
         inner[1, 2 * n:4 * n] = dpair.real
         inner[2, 2 * n:4 * n] = dpair.imag
-        return np.vstack([inner, self.through_jacobian(disc, d, u[4 * n])])
+        return np.vstack([inner, self.through_jacobian(disc, d, u[4 * n],
+                                                       powers)])
 
     def correct(self, u, start):
         """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
@@ -247,15 +255,18 @@ class _TangencySystem(_OuterSystem):
         if sigma < 0:
             # flip the direction so the base point sits at positive sigma
             u, R, disc = self.correct(self.pack(w, -d, -sigma), None)
-        return _tangency_point(self, u, R, disc)
+            w, _, sigma = self.unpack(u)
+        return _tangency_point(self, w, sigma, R, disc)
 
 
 class _BallTangencySystem:
     """The tangency equations on a ball outer domain over u = (Re w,
     Im w): the inner-boundary rows of the chord z_o - w, the tangent
     disc, whose d and sigma > 0 are the two-point data of w and z_o.  The
-    interface is that of :class:`_TangencySystem`; the discs handed to
-    it are not used."""
+    interface is that of :class:`_TangencySystem`, but in the disc's
+    place a correction hands on the pair (disc, sigma), which only
+    :meth:`make_point` reads; the discs and pairs handed to
+    :meth:`correct` and :meth:`jacobian` are not used."""
 
     def __init__(self, domain1, domain2, z_o, settings):
         self.domain = domain1
@@ -268,21 +279,18 @@ class _BallTangencySystem:
         """u at the touch point w, whose chord fixes d and sigma."""
         return np.concatenate([w.real, w.imag])
 
-    def _touch(self, u):
-        return u[:self.n] + 1j * u[self.n:]
-
     def unpack(self, u):
         """(w, d, sigma) at u."""
-        w = self._touch(u)
+        w = _touch(u, self.n)
         return (w, *_ball_two_point_data(self.domain, w, self.z_o))
 
     def residual(self, u, aux=None):
-        w = self._touch(u)
+        w = _touch(u, self.n)
         return _inner_rows(self.d2, w, self.z_o - w), None
 
     def jacobian(self, u, disc=None):
         """Analytic Jacobian (3, 2n) of the rows at u."""
-        w = self._touch(u)
+        w = _touch(u, self.n)
         J, grad2 = _inner_jacobian(self.d2, w, self.z_o - w)
         pull = _coordinate_tangents(self.n) @ grad2    # the chord moves too
         J[1] -= pull.real
@@ -290,23 +298,27 @@ class _BallTangencySystem:
         return J
 
     def correct(self, u, start=None):
-        """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
-        Newton steps with lstsq's minimum-norm step; the system is
-        underdetermined (3 equations, 2n unknowns)."""
+        """(u, R, (disc, sigma)) with max |R| <= TANGENCY_TOL, in at most
+        12 damped Newton steps with the minimum-norm step
+        (:func:`_min_norm_solve`); the system is underdetermined (3
+        equations, 2n unknowns).  d and sigma are taken once, at the u
+        returned, and the disc is built from them (:func:`_ball_disc`)."""
         u, R, _ = _damped_newton(
             u, self.residual,
-            lambda u, R, aux: np.linalg.lstsq(self.jacobian(u), -R,
-                                              rcond=None)[0],
+            lambda u, R, aux: _min_norm_solve(self.jacobian(u), -R),
             lambda R, aux: np.max(np.abs(R)) <= TANGENCY_TOL,
             TANGENCY_TOL, 12)
-        w, d, _ = self.unpack(u)
-        return u, R, _ball_disc(self.domain, w, d, self.settings)
+        w, d, sigma = self.unpack(u)
+        return u, R, (_ball_disc(self.domain, w, d, self.settings), sigma)
 
     def seed(self, w0):
         """(u, None) at the boundary point w0."""
         return self.pack(w0), None
 
-    make_point = _tangency_point
+    def make_point(self, u, R, corrected) -> TangencyPoint:
+        """The locus point at u from the (disc, sigma) of its correction."""
+        disc, sigma = corrected
+        return _tangency_point(self, _touch(u, self.n), sigma, R, disc)
 
 
 def _tangency_system(domain1, domain2, z_o, settings):
@@ -444,7 +456,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     # from the second probe's
     u_d, _, disc = system.correct(
         u_c + probe * kernel_tangent(u_c, disc_c, t_first), disc_c)
-    radius = _circumradius(*(system.unpack(s)[0] for s in (u, u_c, u_d)))
+    radius = _circumradius(*(_touch(s, n) for s in (u, u_c, u_d)))
     radius = min(max(radius, probe), 10.0 * domain_scale)
     h = min(2.0 * np.pi * radius / steps, 0.5 * radius)
 

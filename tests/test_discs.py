@@ -36,8 +36,8 @@ from geodisc.cli import main as cli_main, parse_points
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
                            _TwoPointSystem, _ball_disc, _ball_series,
                            _ball_two_point_data, _coordinate_tangents,
-                           _damped_newton, _gamma, _parameter_tangent,
-                           _solve_cd_raw, _state_layout)
+                           _damped_newton, _gamma, _min_norm_solve,
+                           _parameter_tangent, _solve_cd_raw, _state_layout)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -951,6 +951,8 @@ def _matching(pattern, call):
                  id="projectivize-nan"),
     pytest.param(lambda: unit_outward_conormal(BALL, [np.nan, 0.0]), None,
                  id="conormal-nan"),
+    pytest.param(lambda: unit_outward_conormal(BALL, [1.0, 0.0, 0.0]), None,
+                 id="conormal-long-point"),
     pytest.param(lambda: jacobian_certificate(BALL, [np.nan, 0.0]), None,
                  id="jacobian-certificate-nan"),
     pytest.param(lambda: poincare_distance(2.0, 0.0), None,
@@ -1797,3 +1799,32 @@ def test_one_place_builds_a_solved_disc():
     src = pathlib.Path(discs_module.__file__).parent
     assert sum(p.read_text().count("attachment_residual=diag")
                for p in src.glob("*.py")) == 1
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 6), (8, 9), (5, 5)])
+def test_min_norm_solve_matches_lstsq_on_full_row_rank(shape):
+    # the shapes of the ball corrector (n = 2, 3), the joint tangency step
+    # and the two-point step
+    rng = np.random.default_rng([27, *shape])
+    for _ in range(20):
+        J = rng.standard_normal(shape)
+        b = rng.standard_normal(shape[0])
+        exact = np.linalg.lstsq(J, b, rcond=None)[0]
+        assert np.linalg.norm(_min_norm_solve(J, b) - exact) \
+            <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_min_norm_solve_gives_lstsq_on_dependent_rows():
+    # a zero row makes the Gram exactly singular, where LU raises; a row
+    # that combines two others makes it singular to working precision
+    rng = np.random.default_rng(27)
+    J = rng.standard_normal((3, 4))
+    b = rng.standard_normal(3)
+    zero, combined = J.copy(), J.copy()
+    zero[2] = 0.0
+    combined[2] = J[0] - 2.0 * J[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(zero @ zero.T, b)
+    for dependent in (zero, combined):
+        assert np.array_equal(_min_norm_solve(dependent, b),
+                              np.linalg.lstsq(dependent, b, rcond=None)[0])

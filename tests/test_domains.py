@@ -4,8 +4,9 @@ import pytest
 from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball, certify,
                      unit_outward_conormal, tangency_order_constant,
                      ball_geodesic, solve_tangent_disc, SolverSettings,
+                     solve_from_center_direction,
                      AnalyticDisc, CircleGrid, PreconditionError)
-from geodisc.circle import ring_values
+from geodisc.circle import power_series, ring_values
 from geodisc.domains import NAMED_BUMPS, _random_directions
 
 
@@ -212,6 +213,88 @@ def test_tangency_order_constant_never_above_coarse_minimum():
         coarse = _coarse_minimum(rho2, disc)
         assert tangency_order_constant(rho2, disc, zoom_rounds=0) == coarse
         assert tangency_order_constant(rho2, disc) <= coarse
+
+
+def _power_series_order_constant(rho2, disc, zoom_rounds=8):
+    """The order constant with phi, phi' and phi'' read by power_series
+    and every Newton step taken by np.linalg.det and np.linalg.solve."""
+    radii = np.concatenate(([1e-3], np.linspace(1.0 / 16, 1.0, 16)))
+    angles = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    vals = rho2.rho(ring_values(disc.coeffs, 128, radii)) / radii[:, None] ** 2
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    r, th, best = radii[i], angles[j], float(vals[i, j])
+    a = disc.coeffs
+    k = np.arange(len(a))[:, None]
+    jets = [a, np.zeros_like(a), np.zeros_like(a)]
+    jets[1][:-1] = k[1:] * a[1:]
+    jets[2][:-2] = k[2:] * (k[2:] - 1) * a[2:]
+
+    def jet(r, th):
+        e = np.exp(1j * th)
+        tau = r * e
+        phi, d1, d2 = (power_series(c, tau) for c in jets)
+        f = float(rho2.rho(phi))
+        g = rho2.grad(phi)
+        A, C = rho2.hess_complex(phi)
+        fa, fb = g @ d1, d1 @ A @ d1 + g @ d2
+        fc = float((d1 @ C @ np.conj(d1)).real)
+        f_r, f_t = 2.0 * (fa * e).real, -2.0 * (fa * tau).imag
+        f_rr = 2.0 * (fb * e * e).real + 2.0 * fc
+        f_rt = -2.0 * ((fb * tau + fa) * e).imag
+        f_tt = -2.0 * (fb * tau * tau + fa * tau).real + 2.0 * fc * r * r
+        grad = np.array([f_r / r ** 2 - 2.0 * f / r ** 3, f_t / r ** 2])
+        q_rr = f_rr / r ** 2 - 4.0 * f_r / r ** 3 + 6.0 * f / r ** 4
+        q_rt = f_rt / r ** 2 - 2.0 * f_t / r ** 3
+        hess = np.array([[q_rr, q_rt], [q_rt, f_tt / r ** 2]])
+        return f / r ** 2, grad, hess
+
+    _, grad, hess = jet(r, th)
+    for _ in range(zoom_rounds):
+        if (r >= 1.0 and grad[0] < 0) or (r <= radii[0] and grad[0] > 0):
+            if not hess[1, 1] > 0:
+                break
+            r_new, th_new = r, th - grad[1] / hess[1, 1]
+        else:
+            if not (hess[0, 0] > 0 and np.linalg.det(hess) > 0):
+                break
+            dr, dth = np.linalg.solve(hess, -grad)
+            r_new, th_new = min(max(r + dr, radii[0]), 1.0), th + dth
+        q, grad, hess = jet(r_new, th_new)
+        if not q < best:
+            break
+        r, th, best = r_new, th_new, q
+    return best
+
+
+def _order_constant_cases():
+    """(rho2, disc): the rim, interior and rotated discs above, the
+    offset line, and a perturbed-ball geodesic against a ball."""
+    inner, locus = _perturbed_locus_disc()
+    ball, interior, _ = _interior_minimum_disc()
+    r = 0.45
+    base = np.array([[r, 0.0], [0.0, np.sqrt(1 - r ** 2)]], dtype=complex)
+    rotated = [base * np.array([[1.0], [np.exp(1j * alpha)]])
+               for alpha in (0.0, 0.3, 1.1, 2.7)]
+    offset = np.array([[0.8, 0.0], [0.0, 0.1]], dtype=complex)
+    geodesic, _ = solve_from_center_direction(
+        make_perturbed_ball(0.05, "re_z1_sq"), np.array([0.5, 0.2j]),
+        np.array([0.3j, 1.0]), SolverSettings(modes=32, grid=CircleGrid(128)))
+    return ([(inner, locus), (ball, interior), (inner, geodesic),
+             (make_ball([0, 0], 0.5), AnalyticDisc(offset, CircleGrid(64)))]
+            + [(make_ball([0, 0], r), AnalyticDisc(c, CircleGrid(64)))
+               for c in rotated])
+
+
+def test_tangency_order_constant_matches_the_power_series_path():
+    # the jets read from one vector of powers and the closed-form 2x2 step
+    # refine to the values of power_series and LAPACK's det and solve; the
+    # coarse minimum is the same number
+    for rho2, disc in _order_constant_cases():
+        refined = _power_series_order_constant(rho2, disc)
+        assert abs(tangency_order_constant(rho2, disc) - refined) \
+            <= 1e-13 * abs(refined)
+        assert tangency_order_constant(rho2, disc, zoom_rounds=0) \
+            == _power_series_order_constant(rho2, disc, zoom_rounds=0)
 
 
 def test_hess_real_matches_complex_blocks():

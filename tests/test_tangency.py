@@ -502,17 +502,88 @@ def test_a_ball_correction_builds_one_disc(monkeypatch, case):
     monkeypatch.setattr(_OuterSystem, "newton",
                         lambda *args: newtons.append(args))
     monkeypatch.setattr(discs_module, "ball_geodesic", counting_geodesic)
-    u_new, R, disc_new = system.correct(
+    u_new, R, (disc_new, sigma_new) = system.correct(
         u + 0.02 * np.cos(np.arange(len(u))), tp.disc)
     monkeypatch.undo()
     assert len(geodesics) == 1 and newtons == []
     assert np.max(np.abs(R)) <= TANGENCY_TOL
     w, d, sigma = system.unpack(u_new)
-    assert sigma > 0
+    assert sigma > 0 and sigma_new == sigma
     exact = ball_geodesic(outer, w, d, settings)
     assert np.array_equal(disc_new.coeffs, exact.coeffs)
     assert np.array_equal(disc_new.solver_g, exact.solver_g)
     assert disc_new.attachment_residual == exact.attachment_residual
+
+
+@pytest.mark.parametrize("case", ["ball2", "ball3"])
+def test_a_ball_correction_and_its_point_take_the_chord_once(monkeypatch,
+                                                             case):
+    # a correction takes d and sigma from the chord once, at the w it
+    # returns, and hands sigma on with the disc, so make_point takes no
+    # chord of its own; its point is the one of the closed form at that w
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES[case]
+    outer, inner = make_domains()
+    z_o = np.array(z_o)
+    tp = solve_tangent_disc(outer, inner, z_o, np.array(seed_w), settings)
+    system = _tangency_system(outer, inner, z_o, settings)
+    u = system.pack(tp.w)
+    chords = []
+    two_point = tangency_module._ball_two_point_data
+
+    def counting_two_point(*args):
+        chords.append(args)
+        return two_point(*args)
+
+    monkeypatch.setattr(tangency_module, "_ball_two_point_data",
+                        counting_two_point)
+    u_new, R, corrected = system.correct(
+        u + 0.02 * np.cos(np.arange(len(u))), tp.disc)
+    point = system.make_point(u_new, R, corrected)
+    monkeypatch.undo()
+    assert len(chords) == 1
+    w, _, sigma = system.unpack(u_new)
+    assert np.array_equal(point.w, w) and point.sigma == sigma
+    assert point.disc is corrected[0]
+    assert point.residual == np.max(np.abs(R)) <= TANGENCY_TOL
+
+
+def test_a_ball_trace_takes_one_chord_per_correction(monkeypatch):
+    # neither the points nor the circumradius of the probes take a chord
+    # of their own: one per correction, the seed's included
+    inner = make_ball([0, 0], 0.5)
+    small = SolverSettings(modes=32, grid=CircleGrid(128))
+    chords, corrections = [], []
+    two_point = tangency_module._ball_two_point_data
+    correct = _BallTangencySystem.correct
+
+    def counting_two_point(*args):
+        chords.append(args)
+        return two_point(*args)
+
+    def counting_correct(self, *args):
+        corrections.append(args)
+        return correct(self, *args)
+
+    monkeypatch.setattr(tangency_module, "_ball_two_point_data",
+                        counting_two_point)
+    monkeypatch.setattr(_BallTangencySystem, "correct", counting_correct)
+    locus = trace_locus(BALL, inner, np.array([0.7, 0.1j]), 12, small)
+    monkeypatch.undo()
+    assert len(locus.points) >= 12
+    assert len(chords) == len(corrections) >= len(locus.points) + 2
+
+
+def test_a_rank_deficient_ball_correction_ends_in_solver_divergence():
+    # the radial seed of a base point on the axis: the chord is conormal,
+    # so the rows' Gram is singular at the seed; the minimum-norm step
+    # falls back to lstsq there, and the correction fails as a solve does
+    inner = make_ball([0, 0], 0.5)
+    system = _tangency_system(BALL, inner, np.array([0.8 + 0j, 0j]),
+                              SolverSettings(modes=32, grid=CircleGrid(128)))
+    u, _ = system.seed(np.array([0.5 + 0j, 0j]))
+    assert np.linalg.matrix_rank(system.jacobian(u)) < 3
+    with pytest.raises(SolverDivergence):
+        system.correct(u)
 
 
 @pytest.mark.parametrize("case", ["ball2", "ball3"])

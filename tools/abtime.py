@@ -1,0 +1,109 @@
+"""Interleaved CPU timing of one perfbench workload on two source trees.
+
+    python tools/abtime.py PARENT CHANGE WORKLOAD OPS REPS
+
+PARENT and CHANGE are the roots of two geodisc checkouts.  Each tree's
+``src/geodisc`` is copied to a package name of its own
+(``geodisc_parent``, ``geodisc_change``) in a temporary directory, so
+both load into one process, and each tree's ``perfbench/workloads.py``
+is loaded against its own copy; nothing else of perfbench is read.
+Every rep runs ops 0..OPS-1 of seed 1 of WORKLOAD on both trees, one
+after the other, the order flipped every rep; each side builds its
+context and runs the workload's warm-up op once, untimed, before the
+first rep.  It prints ms/op by ``time.process_time`` per rep and side,
+the ratio parent/change, and the median ratio over the reps (above 1
+means the change is faster).
+
+Both trees share one process, so host drift between the two sides of a
+rep is small; single timed runs of a few seconds drift by several
+percent on a shared host.  BLAS is pinned to one thread, as perfbench
+pins it.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+
+SEED = 1
+SIDES = ("parent", "change")
+
+
+def load_workloads(root, name, package_dir):
+    """perfbench/workloads.py of the tree at ``root``, loaded against a
+    copy of its ``src/geodisc`` named ``geodisc_<name>``."""
+    package = f"geodisc_{name}"
+    shutil.copytree(os.path.join(root, "src", "geodisc"),
+                    os.path.join(package_dir, package),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lib = importlib.import_module(package)
+    # workloads.py imports ``geodisc`` and its modules by name: point the
+    # names at this tree's copy while it loads, then drop them
+    aliases = {"geodisc": lib}
+    for module in ("circle", "discs", "domains", "extension", "lempert",
+                   "lifts"):
+        aliases[f"geodisc.{module}"] = importlib.import_module(
+            f"{package}.{module}")
+    spec = importlib.util.spec_from_file_location(
+        f"workloads_{name}", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclasses look it up
+    saved = {key: sys.modules.get(key) for key in aliases}
+    sys.modules.update(aliases)
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        for key, module in saved.items():
+            if module is None:
+                sys.modules.pop(key, None)
+            else:
+                sys.modules[key] = module
+    return workloads
+
+
+def main(argv):
+    if len(argv) != 5:
+        sys.exit(__doc__.strip().splitlines()[2].strip())
+    parent, change, workload_name = argv[0], argv[1], argv[2]
+    ops, reps = int(argv[3]), int(argv[4])
+    with tempfile.TemporaryDirectory() as package_dir:
+        sys.path.insert(0, package_dir)
+        runs = {}
+        for name, root in zip(SIDES, (parent, change)):
+            workload = load_workloads(root, name, package_dir).WORKLOADS[
+                workload_name]
+            ctx = workload.build()
+            workload.run(ctx, workload.warmup_item())
+            runs[name] = (workload, ctx,
+                          [workload.item(SEED, i) for i in range(ops)])
+
+        def ms_per_op(name):
+            workload, ctx, items = runs[name]
+            start = time.process_time()
+            for item in items:
+                workload.run(ctx, item)
+            return 1e3 * (time.process_time() - start) / ops
+
+        print(f"{workload_name} seed {SEED} ops 0-{ops - 1}, {reps} reps, "
+              "ms/op by process_time")
+        ratios = []
+        for rep in range(reps):
+            order = SIDES if rep % 2 == 0 else SIDES[::-1]
+            times = {name: ms_per_op(name) for name in order}
+            ratios.append(times["parent"] / times["change"])
+            print(f"rep {rep}: parent {times['parent']:.3f}  change "
+                  f"{times['change']:.3f}  ratio {ratios[-1]:.4f}"
+                  f"  ({order[0]} first)")
+        print(f"median ratio parent/change {statistics.median(ratios):.4f}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
