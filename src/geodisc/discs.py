@@ -155,6 +155,9 @@ class AnalyticDisc:
     """Truncated power series of a holomorphic map of the closed unit
     disc into C^n, attached to the boundary of ``domain``.
 
+    The coefficients must have shape (M+1, n) with M >= 1 and n >= 1
+    and be finite; otherwise the constructor raises PreconditionError.
+
     A disc returned by a Gauss-Newton solve or by :func:`ball_geodesic`
     carries the solver's state: its boundary factor ``solver_g`` and,
     after an outer solve that took a step, its parameter
@@ -170,8 +173,10 @@ class AnalyticDisc:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 2:
-            raise PreconditionError("disc coefficients must have shape (M+1, n)")
+        if self.coeffs.ndim != 2 or self.coeffs.shape[0] < 2 \
+                or self.coeffs.shape[1] == 0:
+            raise PreconditionError("disc coefficients must have shape "
+                                    "(M+1, n) with M >= 1 and n >= 1")
         _bounded(self.coeffs, "disc coefficients")
 
     @property
@@ -768,16 +773,19 @@ class _CenterDirectionSystem:
         return a
 
     def initial_state(self, coeffs, gamma=None):
-        """The state of disc coefficients of any length, with r = Re<a_1,
-        v> but at least 1e-6, and g's ``gamma`` (default g = 1) of any
-        degree: both are zero-padded or truncated to M."""
+        """The state of disc coefficients of any length, with r = |a_1|
+        but at least 1e-6, and g's ``gamma`` (default g = 1) of any
+        degree: both are zero-padded or truncated to M.  A warm start
+        from a disc of another direction keeps its scale |a_1|, which
+        the projection Re<a_1, v> would shrink by the cosine of the turn;
+        where a_1 is parallel to the unit v the two agree."""
         a = np.zeros((self.M + 1, self.n), dtype=complex)
         k = min(len(coeffs), self.M + 1)
         a[:k] = coeffs[:k]
         x = np.zeros((self.n + 1, 2, self.M + 1))
         x[:-1, 0, 2:] = a[2:].real.T
         x[:-1, 1, 2:] = a[2:].imag.T
-        x[0, 0, 1] = max(float(np.real(_herm(a[1], self.v))), 1e-6)
+        x[0, 0, 1] = max(float(np.linalg.norm(a[1])), 1e-6)
         x[-1, 0, 0] = 1.0                        # g = 1 unless gamma is given
         if gamma is not None:
             K = min(len(gamma) // 2, self.M)
@@ -1337,8 +1345,10 @@ class _OuterSystem:
     def newton(self, x, tol, max_iters, start):
         """(x, R, disc) with max |R| <= tol by :func:`_damped_newton` and
         the minimum-norm outer step (:func:`_min_norm_solve`).  The disc's
-        state y in X = (x, y) starts at the solved disc ``start`` as it
-        is, or solved cold at x where it is None; X converges when the
+        state y in X = (x, y) starts at the solved disc ``start``, its
+        scale |a_1| taken along the direction at x
+        (:meth:`_CenterDirectionSystem.initial_state`), or solved cold at
+        x where it is None; X converges when the
         disc's attachment, lift modes and gauge are <= newton_tol and
         max |R| <= tol, and the disc returned carries the tangent of the
         last step (:meth:`_joint_step`)."""

@@ -224,7 +224,8 @@ class _TangencySystem(_OuterSystem):
     def correct(self, u, start):
         """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
         Newton steps of :meth:`_OuterSystem.newton`, starting from the
-        solved disc ``start`` as it is (solved cold at u where it is None);
+        solved disc ``start`` with its scale |a_1| (solved cold at u where
+        it is None);
         each step also moves the disc's Gauss-Newton state, whose
         attachment ends <= newton_tol.  The system is underdetermined
         (2n + 4 equations, 4n + 1 unknowns)."""
@@ -401,7 +402,11 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     first of the :func:`_ranked_seeds` whose tangent disc converges.
     The curve is traversed in the sense of the rotation w -> e^{it} w
     about the inner domain's center, so its order does not depend on the
-    sign that the SVD gives the first kernel tangent.  Raises
+    sign that the SVD gives the first kernel tangent.  Each step is
+    predicted on the parabola that the last two kernel tangents bend
+    (:func:`_predict`), at the point nearest the tangent step, where the
+    corrector would land from it; the first step, and any whose bend is
+    too large for its length to be trusted, is the tangent step.  Raises
     :class:`PreconditionError` for steps < 1 or a base point that is not
     strictly between the domains, before any solve.
     """
@@ -461,13 +466,14 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     h = min(2.0 * np.pi * radius / steps, 0.5 * radius)
 
     points = [first]
-    t_prev = t_first
+    t_prev, bend = t_first, None
     w_start = first.w
     h_min, h_max = h / 16.0, 1.25 * h
     arc = 0.0
     for _ in range(4 * steps):
         try:
-            u_new, R_new, disc_new = system.correct(u + h * t_prev, disc)
+            u_new, R_new, disc_new = system.correct(
+                _predict(u, t_prev, bend, h), disc)
         except SolverDivergence:
             h *= 0.5
             if h < h_min:
@@ -475,15 +481,40 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
                     "step-size collapse while tracing the tangency locus")
             continue
         point = system.make_point(u_new, R_new, disc_new)
-        arc += float(np.linalg.norm(point.w - points[-1].w))
+        length = float(np.linalg.norm(point.w - points[-1].w))
+        arc += length
         points.append(point)
         u, disc = u_new, disc_new
         h = min(1.15 * h, h_max)
         gap = float(np.linalg.norm(point.w - w_start))
         if len(points) >= 5 and arc > 4.0 * radius and gap < h:
             return TangencyLocus(z_o, points, gap)
-        t_prev = kernel_tangent(u, disc, t_prev)
+        t_new = kernel_tangent(u, disc, t_prev)
+        bend = (t_new - t_prev) / length
+        t_prev = t_new
     raise SolverDivergence("tangency locus did not close while tracing")
+
+
+def _predict(u, t, bend, h):
+    """The predictor of a locus step h from u along the tangent t: the
+    point of the parabola u + s t + s^2 bend / 2 nearest to u + h t,
+    where the corrector's minimum-norm steps would land from u + h t.
+    Its s solves the cubic ((s - h) t + s^2 bend / 2) . (t + s bend) = 0,
+    by three Newton steps from s = h.  Where there is no curvature
+    estimate ``bend`` yet, or h |bend| >= |t|^2 / 2 (the estimate is
+    noise where the probe outgrew the locus), it is the tangent step
+    u + h t."""
+    if bend is None:
+        return u + h * t
+    tt, bb = t @ t, bend @ bend
+    if not h * h * bb < 0.25 * tt * tt:
+        return u + h * t
+    tb = t @ bend
+    s = h
+    for _ in range(3):
+        f = (s - h) * tt + (1.5 * s - h) * s * tb + 0.5 * s ** 3 * bb
+        s -= f / (tt + (3.0 * s - h) * tb + 1.5 * s * s * bb)
+    return u + s * t + 0.5 * s * s * bend
 
 
 def _circumradius(p0, p1, p2) -> float:

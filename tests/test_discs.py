@@ -623,6 +623,27 @@ def test_initial_state_pads_and_truncates_gamma():
     assert np.array_equal(_gamma(long[-2 * (M + 1):]), gamma[:1 + 2 * M])
 
 
+def test_initial_state_keeps_the_disc_scale_when_the_direction_turns():
+    # a warm start from the disc of a direction turned by 0.4 keeps its
+    # scale r = |a_1|, which the projection Re<a_1, v> would shrink by
+    # cos 0.4; on a cold start a_1 is parallel to v, and the two agree
+    z, v = np.array([0.1, 0.2j]), np.array([0.6, 0.8j])
+    a1 = ball_geodesic(BALL, z, v, SMALL).coeffs[1]
+    normal = np.array([0.8, -0.6j])               # <v, normal> = 0
+    turned = _CenterDirectionSystem(
+        BALL, z, np.cos(0.4) * v + np.sin(0.4) * normal, SMALL)
+    warm = turned.initial_state(np.array([z, a1]))
+    assert warm[1] == np.linalg.norm(a1)
+    assert np.linalg.norm(turned.disc_coeffs(warm)[1]) \
+        == pytest.approx(np.linalg.norm(a1), rel=1e-15)
+    projection = float(np.real(np.vdot(turned.v, a1)))
+    assert projection == pytest.approx(np.cos(0.4) * warm[1], rel=1e-12)
+    cold = _CenterDirectionSystem(BALL, z, v, SMALL).initial_state(
+        np.array([z, a1]))
+    assert abs(cold[1] - float(np.real(np.vdot(v, a1)))) \
+        <= np.spacing(cold[1])
+
+
 def _inscribed_start(domain, z, v, settings):
     """The single-level cold start of _solve_cd_raw: the closed-form
     state at M of the inscribed ball that contains z."""
@@ -1100,6 +1121,15 @@ def _matching(pattern, call):
                  None, id="disc-json-no-grid"),
     pytest.param(lambda: AnalyticDisc(np.full((2, 2), np.nan), SMALL.grid,
                                       BALL), None, id="disc-nan-coeffs"),
+    pytest.param(lambda: AnalyticDisc(np.zeros((0, 2)), CircleGrid(64)),
+                 None, id="disc-no-coefficient-rows"),
+    pytest.param(lambda: AnalyticDisc(np.zeros((1, 2)), CircleGrid(64)),
+                 None, id="disc-one-coefficient-row"),
+    pytest.param(lambda: AnalyticDisc(np.zeros((2, 0)), CircleGrid(64)),
+                 None, id="disc-no-coefficient-columns"),
+    pytest.param(lambda: AnalyticDisc.from_json(
+        {"coeffs": [[[0.5, 0.0], [0.0, 0.0]]], "grid": 64}),
+                 None, id="disc-json-one-row"),
     pytest.param(lambda: tangent_line_disc(0.5, [np.nan, 0.0], [0.0, 1.0],
                                            CircleGrid(64)),
                  None, id="tangent-line-disc-nan-base-point"),

@@ -722,3 +722,59 @@ def test_locus_order_does_not_depend_on_the_svd_sign(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", flipped)
     w = trace_locus(BALL, inner, _FLIP_Z, 12, SETTINGS).touch_points()
     assert np.array_equal(w, base)
+
+
+def test_the_curved_predictor_saves_joint_steps(monkeypatch):
+    # the predictor aims at the parabola of the kernel tangents' turn,
+    # where the minimum-norm corrector lands: the trace takes fewer joint
+    # steps than the 51 of the tangent-line predictor, with as many points
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    steps = []
+    joint_step = _OuterSystem._joint_step
+
+    def counting_step(self, X, aux):
+        steps.append(X)
+        return joint_step(self, X, aux)
+
+    monkeypatch.setattr(_OuterSystem, "_joint_step", counting_step)
+    locus = trace_locus(*make_domains(), np.array(z_o), 12, settings,
+                        seed_w=np.array(seed_w))
+    assert len(locus.points) == 12
+    assert len(steps) < 51
+
+
+def test_the_predictor_falls_back_to_the_tangent_on_a_tiny_locus(
+        monkeypatch):
+    # at 1e-6 from the inner boundary the probe outgrows the locus and the
+    # curvature estimate is noise: every step is the tangent step
+    inner = make_ball([0, 0], 0.5)
+    z_o = np.array([0.5 + 1e-6, 0.0])
+    curved = trace_locus(BALL, inner, z_o, 16, SETTINGS).touch_points()
+    monkeypatch.setattr(tangency_module, "_predict",
+                        lambda u, t, bend, h: u + h * t)
+    tangent = trace_locus(BALL, inner, z_o, 16, SETTINGS).touch_points()
+    assert np.array_equal(curved, tangent)
+
+
+def test_the_predictor_lands_on_the_parabola_nearest_the_tangent_step():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        u, t = rng.standard_normal(9), rng.standard_normal(9)
+        t /= np.linalg.norm(t[:4])
+        bend = 0.4 * rng.standard_normal(9)
+        h = 0.2 * (t @ t) / np.linalg.norm(bend)
+        p = tangency_module._predict(u, t, bend, h)
+        s = np.linspace(0.0, 2.0 * h, 20001)
+        curve = u + np.multiply.outer(s, t) + 0.5 * np.multiply.outer(
+            s * s, bend)
+        target = u + h * t
+        assert np.linalg.norm(p - target) \
+            <= np.min(np.linalg.norm(curve - target, axis=1)) + 1e-12
+        # the offset from the tangent step is orthogonal to the curve at p
+        s_p = np.linalg.lstsq(np.column_stack([t, bend]), p - u,
+                              rcond=None)[0][0]
+        assert abs((p - target) @ (t + s_p * bend)) < 1e-9 * h * (t @ t)
+    # no estimate, or one beyond the guard: the tangent step
+    assert np.array_equal(tangency_module._predict(u, t, None, h), u + h * t)
+    big = bend * (0.6 * (t @ t) / (h * np.linalg.norm(bend)))
+    assert np.array_equal(tangency_module._predict(u, t, big, h), u + h * t)

@@ -1,13 +1,14 @@
 """Interleaved CPU timing of one perfbench workload on two source trees.
 
-    python tools/abtime.py PARENT CHANGE WORKLOAD OPS REPS
+    python tools/abtime.py PARENT CHANGE WORKLOAD OPS REPS [SEED]
 
 PARENT and CHANGE are the roots of two geodisc checkouts.  Each tree's
 ``src/geodisc`` is copied to a package name of its own
 (``geodisc_parent``, ``geodisc_change``) in a temporary directory, so
 both load into one process, and each tree's ``perfbench/workloads.py``
 is loaded against its own copy; nothing else of perfbench is read.
-Every rep runs ops 0..OPS-1 of seed 1 of WORKLOAD on both trees, one
+Every rep runs ops 0..OPS-1 of seed SEED (default 1; perfbench holds
+seed 90210 out for confirming claims) of WORKLOAD on both trees, one
 after the other, the order flipped every rep; each side builds its
 context and runs the workload's warm-up op once, untimed, before the
 first rep.  It prints ms/op by ``time.process_time`` per rep and side,
@@ -33,7 +34,6 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 
-SEED = 1
 SIDES = ("parent", "change")
 
 
@@ -70,10 +70,11 @@ def load_workloads(root, name, package_dir):
 
 
 def main(argv):
-    if len(argv) != 5:
+    if len(argv) not in (5, 6):
         sys.exit(__doc__.strip().splitlines()[2].strip())
     parent, change, workload_name = argv[0], argv[1], argv[2]
     ops, reps = int(argv[3]), int(argv[4])
+    seed = int(argv[5]) if len(argv) == 6 else 1
     with tempfile.TemporaryDirectory() as package_dir:
         sys.path.insert(0, package_dir)
         runs = {}
@@ -83,7 +84,7 @@ def main(argv):
             ctx = workload.build()
             workload.run(ctx, workload.warmup_item())
             runs[name] = (workload, ctx,
-                          [workload.item(SEED, i) for i in range(ops)])
+                          [workload.item(seed, i) for i in range(ops)])
 
         def ms_per_op(name):
             workload, ctx, items = runs[name]
@@ -92,7 +93,7 @@ def main(argv):
                 workload.run(ctx, item)
             return 1e3 * (time.process_time() - start) / ops
 
-        print(f"{workload_name} seed {SEED} ops 0-{ops - 1}, {reps} reps, "
+        print(f"{workload_name} seed {seed} ops 0-{ops - 1}, {reps} reps, "
               "ms/op by process_time")
         ratios = []
         for rep in range(reps):
