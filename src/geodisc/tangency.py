@@ -142,9 +142,7 @@ def tangency_residual(rho2: ConvexDomain, z_o, candidate_w, disc,
         raise PreconditionError(
             f"disc does not pass through the candidate point (distance {dist_w:.3g})")
     d = disc.derivative(np.array([tau_w]))[0]
-    d = d / np.linalg.norm(d)
-    pair = np.sum(rho2.grad(w) * d)
-    return np.array([float(rho2.rho(w)), pair.real, pair.imag])
+    return _inner_rows(rho2, w, d / np.linalg.norm(d))
 
 
 def _inner_rows(domain2, w, d):
@@ -402,11 +400,17 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     first of the :func:`_ranked_seeds` whose tangent disc converges.
     The curve is traversed in the sense of the rotation w -> e^{it} w
     about the inner domain's center, so its order does not depend on the
-    sign that the SVD gives the first kernel tangent.  Each step is
-    predicted on the parabola that the last two kernel tangents bend
-    (:func:`_predict`), at the point nearest the tangent step, where the
-    corrector would land from it; the first step, and any whose bend is
-    too large for its length to be trusted, is the tangent step.  Raises
+    sign that the SVD gives the first kernel tangent.  The step size is
+    set once from the locus radius 1/|bend|, where bend is the turn of
+    the kernel tangent over one probe correction from the first point
+    per unit of touch-point distance (the radius capped at 10 x the
+    distance of the first point from the inner domain's center); the
+    probe yields no point, and the first step starts from its disc.
+    Each step is predicted on the parabola that the last two kernel
+    tangents bend (:func:`_predict`), at the point nearest the tangent
+    step, where the corrector would land from it; the first step, and
+    any whose bend is too large for its length to be trusted, is the
+    tangent step.  Raises
     :class:`PreconditionError` for steps < 1 or a base point that is not
     strictly between the domains, before any solve.
     """
@@ -448,21 +452,21 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
             t = -t
         return t / max(np.linalg.norm(t[:2 * n]), 1e-12)
 
-    # probe two small steps to estimate the locus through-circle, so the
-    # step size tracks the locus size (which shrinks as z_o approaches
-    # the inner boundary) rather than the domain size; the tangent at the
-    # first point serves both the first probe and the first step
+    # the turn of the kernel tangent over a probe step is the locus
+    # curvature, so the step size tracks the locus size (which shrinks as
+    # z_o approaches the inner boundary) rather than the domain size; the
+    # tangent at the first point serves both the probe and the first step
     probe = 0.02 * domain_scale
     # oriented by Re <t_w, i (w - c)> > 0 (the packed dot product)
     rotation = system.pack(1j * (first.w - domain2.center), np.zeros(n), 0.0)
     t_first = kernel_tangent(u, disc, rotation)
-    u_c, _, disc_c = system.correct(u + probe * t_first, disc)
     # each correction starts from the last disc accepted: the first step
-    # from the second probe's
-    u_d, _, disc = system.correct(
-        u_c + probe * kernel_tangent(u_c, disc_c, t_first), disc_c)
-    radius = _circumradius(*(_touch(s, n) for s in (u, u_c, u_d)))
-    radius = min(max(radius, probe), 10.0 * domain_scale)
+    # from the probe's
+    u_c, _, disc = system.correct(u + probe * t_first, disc)
+    turn = (kernel_tangent(u_c, disc, t_first) - t_first)[:2 * n]
+    curvature = np.linalg.norm(turn) / np.linalg.norm(_touch(u_c, n) - first.w)
+    # the radius 1 / curvature, at most 10 x the domain scale
+    radius = 1.0 / max(float(curvature), 0.1 / domain_scale)
     h = min(2.0 * np.pi * radius / steps, 0.5 * radius)
 
     points = [first]
@@ -501,9 +505,10 @@ def _predict(u, t, bend, h):
     where the corrector's minimum-norm steps would land from u + h t.
     Its s solves the cubic ((s - h) t + s^2 bend / 2) . (t + s bend) = 0,
     by three Newton steps from s = h.  Where there is no curvature
-    estimate ``bend`` yet, or h |bend| >= |t|^2 / 2 (the estimate is
-    noise where the probe outgrew the locus), it is the tangent step
-    u + h t."""
+    estimate ``bend`` yet, or h |bend| >= |t|^2 / 2 (a step too long for
+    the parabola to be trusted; on a ball locus of 12 steps, where
+    |t| = 1, every step has h |bend| >= 2 pi / 12 ~ 0.52), it is the
+    tangent step u + h t."""
     if bend is None:
         return u + h * t
     tt, bb = t @ t, bend @ bend
@@ -515,18 +520,6 @@ def _predict(u, t, bend, h):
         f = (s - h) * tt + (1.5 * s - h) * s * tb + 0.5 * s ** 3 * bb
         s -= f / (tt + (3.0 * s - h) * tb + 1.5 * s * s * bb)
     return u + s * t + 0.5 * s * s * bend
-
-
-def _circumradius(p0, p1, p2) -> float:
-    """Radius of the circle through three points of C^n (in their plane)."""
-    a = float(np.linalg.norm(p1 - p0))
-    b = float(np.linalg.norm(p2 - p1))
-    c = float(np.linalg.norm(p2 - p0))
-    s = 0.5 * (a + b + c)
-    area_sq = max(s * (s - a) * (s - b) * (s - c), 0.0)
-    if area_sq <= 0.0:
-        return float("inf")
-    return a * b * c / (4.0 * np.sqrt(area_sq))
 
 
 def _sample_patch(system, first, u, steps, h):

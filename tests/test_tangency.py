@@ -442,6 +442,21 @@ def test_tangency_tangent_belongs_to_its_disc(monkeypatch):
     assert calls == []
 
 
+def test_make_point_flips_a_negative_sigma_back_to_the_same_disc():
+    # (w, -d, -sigma) is the same tangent disc with the base point at
+    # -sigma: make_point flips it to (w, d, sigma) and corrects from there
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
+                                          np.array(seed_w), settings)
+    u, _, disc = system.correct(u + 0.02 * np.cos(np.arange(len(u))), disc)
+    w, d, sigma = system.unpack(u)
+    assert sigma > 0
+    point = system.make_point(system.pack(w, -d, -sigma),
+                              system.rows(u, disc), disc)
+    assert np.array_equal(point.w, w) and point.sigma == sigma
+    assert np.max(np.abs(point.disc.coeffs - disc.coeffs)) < 1e-11
+
+
 def test_a_correction_builds_one_gn_jacobian_per_newton_step(monkeypatch):
     # the corrector iterates on the touch state and the disc's Gauss-Newton
     # state together: each step linearizes the disc once and no residual
@@ -548,8 +563,8 @@ def test_a_ball_correction_and_its_point_take_the_chord_once(monkeypatch,
 
 
 def test_a_ball_trace_takes_one_chord_per_correction(monkeypatch):
-    # neither the points nor the circumradius of the probes take a chord
-    # of their own: one per correction, the seed's included
+    # neither the points nor the curvature of the probe take a chord of
+    # their own: one per correction, the seed's included
     inner = make_ball([0, 0], 0.5)
     small = SolverSettings(modes=32, grid=CircleGrid(128))
     chords, corrections = [], []
@@ -570,7 +585,7 @@ def test_a_ball_trace_takes_one_chord_per_correction(monkeypatch):
     locus = trace_locus(BALL, inner, np.array([0.7, 0.1j]), 12, small)
     monkeypatch.undo()
     assert len(locus.points) >= 12
-    assert len(chords) == len(corrections) >= len(locus.points) + 2
+    assert len(chords) == len(corrections) >= len(locus.points) + 1
 
 
 def test_a_rank_deficient_ball_correction_ends_in_solver_divergence():
@@ -631,8 +646,8 @@ def test_outer_solves_leave_their_systems_unchanged():
 
 def test_a_failed_correction_is_retried_from_the_last_accepted_disc(
         monkeypatch):
-    # corrections 1-3 are the seed and the two probes and 4 is the first
-    # locus step; 5 solves its disc and then fails, so the trace halves its
+    # corrections 1-2 are the seed and the probe and 3-4 are the first two
+    # locus steps; 5 solves its disc and then fails, so the trace halves its
     # step and retries: the retry starts from the disc of 4, not from the
     # disc that the failed correction solved
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
@@ -743,17 +758,25 @@ def test_the_curved_predictor_saves_joint_steps(monkeypatch):
     assert len(steps) < 51
 
 
-def test_the_predictor_falls_back_to_the_tangent_on_a_tiny_locus(
-        monkeypatch):
-    # at 1e-6 from the inner boundary the probe outgrows the locus and the
-    # curvature estimate is noise: every step is the tangent step
-    inner = make_ball([0, 0], 0.5)
-    z_o = np.array([0.5 + 1e-6, 0.0])
-    curved = trace_locus(BALL, inner, z_o, 16, SETTINGS).touch_points()
-    monkeypatch.setattr(tangency_module, "_predict",
-                        lambda u, t, bend, h: u + h * t)
-    tangent = trace_locus(BALL, inner, z_o, 16, SETTINGS).touch_points()
-    assert np.array_equal(curved, tangent)
+@pytest.mark.parametrize("da", [1e-6, 1e-8])
+def test_a_locus_smaller_than_the_probe_is_traced_once_around(da):
+    # near the inner boundary the locus (radius 1e-3 at da = 1e-6, 1e-4 at
+    # 1e-8) is smaller than the probe step of 0.01; the step is sized from
+    # the kernel tangent's turn over the probe, so it is not held to the
+    # probe, and the trace closes after one turn about the locus
+    r2 = 0.5
+    inner = make_ball([0, 0], r2)
+    a = r2 + da
+    w = trace_locus(BALL, inner, np.array([a, 0.0]), 16,
+                    SETTINGS).touch_points()
+    angle = np.unwrap(np.angle(w[:, 1]))
+    assert abs(angle[-1] - angle[0]) < 1.1 * 2.0 * np.pi
+    # at 1e-8 the chord z_o - w is 1e-4 long, and the corrector's
+    # absolute tolerance on its pairing row leaves w 3.7e-6 off the circle
+    if da == 1e-6:
+        w1, w2 = ball_locus_oracle(a, r2)
+        error = np.hypot(np.abs(w[:, 0] - w1), np.abs(w[:, 1]) - w2)
+        assert np.max(error) < 1e-6
 
 
 def test_the_predictor_lands_on_the_parabola_nearest_the_tangent_step():

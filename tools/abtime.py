@@ -9,11 +9,13 @@ both load into one process, and each tree's ``perfbench/workloads.py``
 is loaded against its own copy; nothing else of perfbench is read.
 Every rep runs ops 0..OPS-1 of seed SEED (default 1; perfbench holds
 seed 90210 out for confirming claims) of WORKLOAD on both trees, one
-after the other, the order flipped every rep; each side builds its
-context and runs the workload's warm-up op once, untimed, before the
-first rep.  It prints ms/op by ``time.process_time`` per rep and side,
-the ratio parent/change, and the median ratio over the reps (above 1
-means the change is faster).
+after the other, the order flipped every rep.  Before the first rep,
+untimed, each side builds its context, runs the workload's warm-up op,
+and runs ops 0..OPS-1 once through the workload's ``check``; a failed
+check exits non-zero naming the side and the op, so no speed ratio is
+printed for outputs outside the acceptance tolerances.  It prints ms/op
+by ``time.process_time`` per rep and side, the ratio parent/change, and
+the median ratio over the reps (above 1 means the change is faster).
 
 Both trees share one process, so host drift between the two sides of a
 rep is small; single timed runs of a few seconds drift by several
@@ -79,12 +81,17 @@ def main(argv):
         sys.path.insert(0, package_dir)
         runs = {}
         for name, root in zip(SIDES, (parent, change)):
-            workload = load_workloads(root, name, package_dir).WORKLOADS[
-                workload_name]
+            workloads = load_workloads(root, name, package_dir)
+            workload = workloads.WORKLOADS[workload_name]
             ctx = workload.build()
             workload.run(ctx, workload.warmup_item())
-            runs[name] = (workload, ctx,
-                          [workload.item(seed, i) for i in range(ops)])
+            items = [workload.item(seed, i) for i in range(ops)]
+            for i, item in enumerate(items):
+                try:
+                    workload.check(ctx, item, workload.run(ctx, item))
+                except workloads.CheckFailed as exc:
+                    sys.exit(f"{name} op {i}: check failed: {exc}")
+            runs[name] = (workload, ctx, items)
 
         def ms_per_op(name):
             workload, ctx, items = runs[name]
