@@ -41,7 +41,10 @@ zero-padded to M, start the solve at M, which takes at least one
 Gauss-Newton step, since the padded state has only the accuracy of M/2.
 Where the half-resolution solve diverges, the solve at M starts from
 the closed form at M instead.  Below M = 16 there is no half-resolution
-level.  Only when the solve at M diverges on a non-ball domain is the
+level (:func:`_half_resolution` gives its settings).  The outer
+system's joint iteration has the same level where it starts from a
+solved disc, and none where it starts cold (:meth:`_OuterSystem.newton`).
+Only when the solve at M diverges on a non-ball domain is the
 homotopy from the ball to the domain subdivided into blended domains,
 halving the step on each failure.  An attempt that stagnates with its
 residual norm already below newton_tol has reached the resolution floor
@@ -92,22 +95,26 @@ serves both: one linearization of the disc's equations gives their
 Gauss-Newton step and the state's parameter tangent, the outer step
 follows from the outer Jacobian on that tangent with the through-point
 rows moved by the Gauss-Newton step, and the state follows the outer
-step along the tangent.  No residual solves a disc, and each step
-linearizes the disc once.  This iteration starts from a solved disc as
-it is; every other disc solve is cold.  The disc it returns carries its
-parameter tangent, the derivative of the coefficients and of g along the
-4n real perturbations of z and v (implicit-function theorem), solved as
-4n more right-hand sides of each step's factorization, so it lags the
-returned state by the last step.
+step along the tangent.  No residual solves a disc or builds one, and
+each step linearizes the disc once.  This iteration starts from a solved
+disc, or from a cold solve where it has none; from a solved disc at
+M >= 16 it first iterates at (M/2, N/2) to COARSE_TOL and then finishes
+at M with at least one step.  Every other disc solve is cold.  The disc
+it returns carries its parameter tangent, the derivative of the
+coefficients and of g along the 4n real perturbations of z and v
+(implicit-function theorem), solved as 4n more right-hand sides of each
+step's factorization at M, so it lags the returned state by the last
+step.
 """
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import glob
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -119,7 +126,7 @@ from .errors import PreconditionError, SolverDivergence
 
 INTERIOR_MARGIN = 1e-8
 MAX_ENTRY = 1e150
-COARSE_TOL = 1e-6          # of the half-resolution start of a cold solve
+COARSE_TOL = 1e-6          # of the half-resolution level of a solve
 
 
 @dataclass
@@ -1145,29 +1152,44 @@ def _blend(domain_a, domain_b, t):
                         meta={"center": domain_b.center})
 
 
+def _half_resolution(settings):
+    """The settings of the half-resolution level of a solve at
+    ``settings`` (nested iteration, see the module docstring): (M/2, N/2),
+    solved to COARSE_TOL; None below M = 16, which has no such level."""
+    if settings.modes < 16:
+        return None
+    return replace(settings.scaled(modes=settings.modes // 2,
+                                   grid_size=settings.grid.size // 2),
+                   newton_tol=COARSE_TOL)
+
+
 def _coarse_start(system, init, settings):
-    """The state of ``system`` zero-padded from its solve at (M/2, N/2) to
-    COARSE_TOL, started from the closed-form disc ``init`` truncated to
-    M/2; where that solve diverges, ``init`` itself, as at M."""
-    half = settings.scaled(modes=settings.modes // 2,
-                           grid_size=settings.grid.size // 2)
-    coarse = _CenterDirectionSystem(system.domain, system.z, system.v, half)
-    try:
-        u, _ = coarse.gauss_newton(
-            coarse.initial_state(init.coeffs, init.solver_g), COARSE_TOL,
-            half.max_iters)
-    except SolverDivergence:
-        return system.initial_state(init.coeffs, init.solver_g)
-    return system.initial_state(coarse.disc_coeffs(u),
-                                _gamma(u[-2 * (coarse.M + 1):]))
+    """The state of ``system`` zero-padded from its solve at the half
+    resolution of ``settings`` (:func:`_half_resolution`), started from
+    the closed-form disc ``init`` truncated there; where there is no such
+    level or that solve diverges, ``init`` itself, as at M."""
+    half = _half_resolution(settings)
+    if half is not None:
+        coarse = _CenterDirectionSystem(system.domain, system.z, system.v,
+                                        half)
+        try:
+            u, _ = coarse.gauss_newton(
+                coarse.initial_state(init.coeffs, init.solver_g),
+                half.newton_tol, half.max_iters)
+        except SolverDivergence:
+            pass
+        else:
+            return system.initial_state(coarse.disc_coeffs(u),
+                                        _gamma(u[-2 * (coarse.M + 1):]))
+    return system.initial_state(init.coeffs, init.solver_g)
 
 
 def _solve_cd_raw(domain, z, v, settings):
     """The cold center-direction solve of the module docstring; returns
     the solved :class:`AnalyticDisc`, without a parameter tangent.  Off a
-    ball at M >= 16 the first target of the homotopy starts from its
-    solve at half resolution (:func:`_coarse_start`), and off a ball
-    every Gauss-Newton call at M takes at least one step."""
+    ball the first target of the homotopy starts from its solve at half
+    resolution (:func:`_coarse_start`), and every Gauss-Newton call at M
+    takes at least one step."""
     z, v = _point_and_direction(domain, z, v)
     if not _interior(domain, z):
         raise PreconditionError("base point must be strictly interior")
@@ -1190,7 +1212,7 @@ def _solve_cd_raw(domain, z, v, settings):
     # off a ball the closed form is not the solved state, and a start
     # prolonged from M/2 is solved only to the accuracy of M/2
     min_steps = int(ball0 is not domain)
-    coarse = ball0 is not domain and settings.modes >= 16
+    coarse = ball0 is not domain
     t, dt = 0.0, dt_max
     failure = None                  # the domain's own last divergence
     while t < 1.0:
@@ -1279,11 +1301,12 @@ class _OuterSystem:
     """Newton system for the disc with center c and direction d/|d| that
     passes through ``target`` at the real parameter s.  A subclass's
     unknowns x are the trailing entries of q = (Re c, Im c, Re d, Im d, s),
-    the leading ones ``pinned``; it adds its rows on a disc (``rows(x,
-    disc, powers=None)``, ending with :meth:`through_rows`) and their
-    Jacobian (``jacobian(x, disc, powers=None)``, from
-    :meth:`through_jacobian`), where ``powers`` are the real s^0..s^M at
-    hand.
+    the leading ones ``pinned``; it adds its rows on the disc coefficients
+    a (``_rows(x, a, powers=None)``, ending with :meth:`through_rows`) and
+    their Jacobian with the coefficients' parameter tangent da
+    (``_jacobian(x, a, da, powers=None)``, from :meth:`through_jacobian`),
+    where ``powers`` are the real s^0..s^M at hand.  :meth:`rows` and
+    :meth:`jacobian` take them on a solved disc.
 
     The Newton iteration runs over X = (x, y), y the disc's Gauss-Newton
     state, and no residual solves a disc (:meth:`newton`).  The system
@@ -1303,6 +1326,17 @@ class _OuterSystem:
         return (q[:n] + 1j * q[n:2 * n], q[2 * n:3 * n] + 1j * q[3 * n:4 * n],
                 q[4 * n])
 
+    def rows(self, x, disc):
+        """The rows at x on the solved ``disc``."""
+        return self._rows(x, disc.coeffs)
+
+    def jacobian(self, x, disc):
+        """The Jacobian of the rows at x on the solved ``disc``, which moves
+        with x along its parameter tangent (:func:`_parameter_tangent`);
+        solves no disc."""
+        dcoeffs, _ = _parameter_tangent(self.domain, disc, self.settings)
+        return self._jacobian(x, disc.coeffs, dcoeffs)
+
     def residual(self, x, aux=None):
         """(R, disc): the rows at x on the disc solved cold there, the
         function of x whose Jacobian :meth:`jacobian` gives; ``aux`` is
@@ -1312,30 +1346,31 @@ class _OuterSystem:
                              self.settings)
         return self.rows(x, disc), disc
 
-    def through_rows(self, disc, d, s, target, powers=None):
-        """(Re, Im)(phi(s) - target) and |d|^2 - 1 on ``disc``; ``powers``
-        are s^0..s^M (:func:`circle._powers`), made here where not given."""
+    def through_rows(self, a, d, s, target, powers=None):
+        """(Re, Im)(phi(s) - target) and |d|^2 - 1 on the disc of
+        coefficients ``a``; ``powers`` are s^0..s^M
+        (:func:`circle._powers`), made here where not given."""
         if powers is None:
-            powers = _powers(s, len(disc.coeffs))
-        val = powers @ disc.coeffs - target
+            powers = _powers(s, len(a))
+        val = powers @ a - target
         return np.concatenate([val.real, val.imag,
                                [np.linalg.norm(d) ** 2 - 1.0]])
 
-    def through_jacobian(self, disc, d, s, powers=None):
+    def through_jacobian(self, a, dcoeffs, d, s, powers=None):
         """Jacobian (2n + 1, 4n + 1) of the through-point rows in
-        (Re c, Im c, Re d, Im d, s) on ``disc``; solves no disc.
-        dphi(s)/dp along (Re c, Im c, Re v, Im v) comes from the disc's
-        parameter tangent, and v = d/|d| moves with (Re d, Im d)
-        (:func:`_along_direction`).  It, and phi'(s), are read with the
-        real ``powers`` s^0..s^M, made here where not given."""
+        (Re c, Im c, Re d, Im d, s) on the disc of coefficients ``a``;
+        solves no disc.  dphi(s)/dp along (Re c, Im c, Re v, Im v) comes
+        from the coefficients' parameter tangent ``dcoeffs`` (4n, M+1, n),
+        and v = d/|d| moves with (Re d, Im d) (:func:`_along_direction`).
+        It, and phi'(s), are read with the real ``powers`` s^0..s^M, made
+        here where not given."""
         n = self.n
         if powers is None:
-            powers = _powers(s, len(disc.coeffs))
-        dcoeffs, _ = _parameter_tangent(self.domain, disc, self.settings)
+            powers = _powers(s, len(a))
         dphi = powers @ dcoeffs
         dphi = np.concatenate([dphi[:2 * n],
                                _along_direction(d, dphi[2 * n:])])
-        ds = (np.arange(1, len(powers)) * powers[:-1]) @ disc.coeffs[1:]
+        ds = (np.arange(1, len(powers)) * powers[:-1]) @ a[1:]
         J = np.zeros((2 * n + 1, 4 * n + 1))
         J[:2 * n, :4 * n] = np.concatenate([dphi.T.real, dphi.T.imag])
         J[:2 * n, 4 * n] = np.concatenate([ds.real, ds.imag])
@@ -1348,15 +1383,54 @@ class _OuterSystem:
         state y in X = (x, y) starts at the solved disc ``start``, its
         scale |a_1| taken along the direction at x
         (:meth:`_CenterDirectionSystem.initial_state`), or solved cold at
-        x where it is None; X converges when the
-        disc's attachment, lift modes and gauge are <= newton_tol and
-        max |R| <= tol, and the disc returned carries the tangent of the
-        last step (:meth:`_joint_step`)."""
+        x where it is None; X converges when the disc's attachment, lift
+        modes and gauge are <= newton_tol and max |R| <= tol, and the disc
+        returned carries the tangent of the last step (:meth:`_joint_step`).
+
+        From a solved ``start`` at M >= 16 the iteration runs in two levels
+        (nested iteration, see the module docstring): first on this system
+        at (M/2, N/2) (:func:`_half_resolution`), from ``start`` truncated
+        there, until the disc and the rows meet COARSE_TOL; then at M from
+        that state zero-padded, with at least one step, so the disc and
+        its tangent come from a linearization at M.  Where the
+        half-resolution level diverges, the iteration at M starts from
+        ``start`` as it is.  A cold start has no half-resolution level."""
+        if start is None:
+            c, d, _ = self.unpack(x)
+            start = _solve_cd_raw(self.domain, c, d / np.linalg.norm(d),
+                                  self.settings)
+            half = None
+        else:
+            half = _half_resolution(self.settings)
+        coeffs, gamma, must_step = start.coeffs, start.solver_g, False
+        if half is not None:
+            coarse = copy.copy(self)
+            coarse.settings = half
+            try:
+                x_h, system, y, _, _, _ = coarse._iterate(
+                    x, coeffs, gamma, COARSE_TOL, max_iters)
+            except SolverDivergence:
+                pass
+            else:
+                x, coeffs, gamma = (x_h, system.disc_coeffs(y),
+                                    _gamma(y[-2 * (system.M + 1):]))
+                must_step = True
+        x, system, y, R, diag, T = self._iterate(x, coeffs, gamma, tol,
+                                                 max_iters, must_step)
+        tangent = None if T is None else system.coefficient_tangent(y, T)
+        return x, R, _finalize(system, y, diag, self.settings, tangent)
+
+    def _iterate(self, x, coeffs, gamma, tol, max_iters, must_step=False):
+        """(x, system, y, R, diag, T): the joint iteration of :meth:`newton`
+        at this system's settings, from x and the state of the disc
+        coefficients ``coeffs`` and boundary factor ``gamma``, of any
+        length (:meth:`_CenterDirectionSystem.initial_state`), with at
+        least one step where ``must_step``.  ``system`` is the disc's
+        system at the x returned, y its state, and T the state's parameter
+        tangent from the last step, None where none was taken."""
         c, d, _ = self.unpack(x)
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
-        if start is None:
-            start = _solve_cd_raw(self.domain, c, system.v, self.settings)
         last = [None]
 
         def step(X, FR, aux):
@@ -1365,28 +1439,21 @@ class _OuterSystem:
 
         def converged(FR, aux):
             _, _, R, diag, _, _ = aux
-            return max(diag["attachment"], diag["neg_modes"],
-                       diag["gauge"]) <= self.settings.newton_tol \
+            return (last[0] is not None or not must_step) and max(
+                diag["attachment"], diag["neg_modes"],
+                diag["gauge"]) <= self.settings.newton_tol \
                 and np.max(np.abs(R)) <= tol
 
         X, _, (system, _, R, diag, _, _) = _damped_newton(
-            np.concatenate([x, system.initial_state(start.coeffs,
-                                                    start.solver_g)]),
+            np.concatenate([x, system.initial_state(coeffs, gamma)]),
             self._joint_residual, step, converged, tol, max_iters)
         x, y = self._split(X)
-        tangent = None if last[0] is None \
-            else system.coefficient_tangent(y, last[0])
-        return x, R, _finalize(system, y, diag, self.settings, tangent)
+        return x, system, y, R, diag, last[0]
 
     def _split(self, X):
         """(x, y) of the iterate X of :meth:`newton`."""
         m = 4 * self.n + 1 - len(self.pinned)
         return X[:m], X[m:]
-
-    def _disc(self, system, y, tangent=None):
-        """The disc at the Gauss-Newton state y of ``system``, unsolved."""
-        return AnalyticDisc(system.disc_coeffs(y), self.settings.grid,
-                            self.domain, tangent=tangent)
 
     def _joint_residual(self, X, aux=None):
         """(F, R) stacked at X = (x, y), with the aux (system, F, R, diag,
@@ -1402,7 +1469,7 @@ class _OuterSystem:
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
         powers = _powers(s, system.M + 1)
-        R = self.rows(x, self._disc(system, y), powers)
+        R = self._rows(x, system.disc_coeffs(y), powers)
         F, (diag, fields) = system.residual(y)
         return np.concatenate([F, R]), (system, F, R, diag, fields, powers)
 
@@ -1425,13 +1492,14 @@ class _OuterSystem:
         sol = system._ls_step(
             normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p]))
         du0, T = sol[:, 0], sol[:, 1:]
-        disc = self._disc(system, y, system.coefficient_tangent(y, T))
+        a = system.disc_coeffs(y)
+        dcoeffs, _ = system.coefficient_tangent(y, T)
         _, d, _ = self.unpack(x)
         n = self.n
-        shift = powers @ (system.disc_coeffs(y + du0) - disc.coeffs)
+        shift = powers @ (system.disc_coeffs(y + du0) - a)
         R = R.copy()
         R[-2 * n - 1:-1] += np.concatenate([shift.real, shift.imag])
-        dx = _min_norm_solve(self.jacobian(x, disc, powers), -R)
+        dx = _min_norm_solve(self._jacobian(x, a, dcoeffs, powers), -R)
         dq = np.concatenate([np.zeros(len(self.pinned)), dx])
         dp = np.concatenate([dq[:2 * n], _along_direction(d, dq[2 * n:4 * n])])
         return np.concatenate([dx, du0 + T @ dp]), T
@@ -1455,13 +1523,13 @@ class _TwoPointSystem(_OuterSystem):
             raise PreconditionError("two-point state left the admissible region")
         return z, v, xi
 
-    def rows(self, x, disc, powers=None):
+    def _rows(self, x, a, powers=None):
         _, v, xi = self.unpack(x)
-        return self.through_rows(disc, v, xi, self.w, powers)
+        return self.through_rows(a, v, xi, self.w, powers)
 
-    def jacobian(self, x, disc, powers=None):
+    def _jacobian(self, x, a, dcoeffs, powers=None):
         _, v, xi = self.unpack(x)
-        return self.through_jacobian(disc, v, xi, powers)[:, 2 * self.n:]
+        return self.through_jacobian(a, dcoeffs, v, xi, powers)[:, 2 * self.n:]
 
 
 def _parameter_tangent(domain, disc, settings):

@@ -197,17 +197,18 @@ class _TangencySystem(_OuterSystem):
     def pack(self, w, d, sigma):
         return np.concatenate([w.real, w.imag, d.real, d.imag, [sigma]])
 
-    def rows(self, u, disc, powers=None):
+    def _rows(self, u, a, powers=None):
         w, d, sigma = self.unpack(u)
         return np.concatenate([
             _inner_rows(self.d2, w, d / np.linalg.norm(d)),
-            self.through_rows(disc, d, sigma, self.z_o, powers),
+            self.through_rows(a, d, sigma, self.z_o, powers),
         ])
 
-    def jacobian(self, u, disc, powers=None):
-        """Analytic Jacobian of the rows at u on ``disc``, the disc moving
-        with u along its parameter tangent; solves no disc.  ``powers``
-        are sigma^0..sigma^M, made where not given."""
+    def _jacobian(self, u, a, dcoeffs, powers=None):
+        """Analytic Jacobian of the rows at u on the disc of coefficients
+        ``a``, which move with u along their parameter tangent
+        ``dcoeffs``; solves no disc.  ``powers`` are sigma^0..sigma^M,
+        made where not given."""
         n = self.n
         w, d, _ = self.unpack(u)
         along_w, grad2 = _inner_jacobian(self.d2, w, d / np.linalg.norm(d))
@@ -216,17 +217,19 @@ class _TangencySystem(_OuterSystem):
         dpair = _along_direction(d, _coordinate_tangents(n)) @ grad2
         inner[1, 2 * n:4 * n] = dpair.real
         inner[2, 2 * n:4 * n] = dpair.imag
-        return np.vstack([inner, self.through_jacobian(disc, d, u[4 * n],
+        return np.vstack([inner, self.through_jacobian(a, dcoeffs, d, u[4 * n],
                                                        powers)])
 
     def correct(self, u, start):
-        """(u, R, disc) with max |R| <= TANGENCY_TOL, in at most 12 damped
-        Newton steps of :meth:`_OuterSystem.newton`, starting from the
-        solved disc ``start`` with its scale |a_1| (solved cold at u where
-        it is None);
+        """(u, R, disc) with max |R| <= TANGENCY_TOL by
+        :meth:`_OuterSystem.newton`, starting from the solved disc
+        ``start`` with its scale |a_1| (solved cold at u where it is None);
         each step also moves the disc's Gauss-Newton state, whose
-        attachment ends <= newton_tol.  The system is underdetermined
-        (2n + 4 equations, 4n + 1 unknowns)."""
+        attachment ends <= newton_tol.  From a solved disc at M >= 16 it
+        takes at most 12 damped Newton steps at (M/2, N/2), to COARSE_TOL,
+        and then at most 12 at M, at least one; a cold start, or a
+        half-resolution level that diverges, leaves at most 12 at M.  The
+        system is underdetermined (2n + 4 equations, 4n + 1 unknowns)."""
         return self.newton(u, TANGENCY_TOL, 12, start)
 
     def seed(self, w0):
@@ -410,7 +413,11 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     tangents bend (:func:`_predict`), at the point nearest the tangent
     step, where the corrector would land from it; the first step, and
     any whose bend is too large for its length to be trusted, is the
-    tangent step.  Raises
+    tangent step.  Off a ball every correction, the first point's from
+    its seed disc included, starts from a solved disc, so at M >= 16 it
+    iterates at half resolution first and finishes with one or more
+    steps at M (:meth:`_TangencySystem.correct`); only a point whose
+    sigma comes out negative is corrected again from a cold solve.  Raises
     :class:`PreconditionError` for steps < 1 or a base point that is not
     strictly between the domains, before any solve.
     """

@@ -8,7 +8,8 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      jacobian_certificate, push_domain_through_psi,
                      pi_set_sample, tangent_line_disc, lift_from_disc,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
-                     PreconditionError, SolverDivergence)
+                     PreconditionError, SolverDivergence, NAMED_FUNCTIONS,
+                     consistency_check)
 from geodisc import discs as discs_module
 from geodisc import tangency as tangency_module
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
@@ -756,6 +757,100 @@ def test_the_curved_predictor_saves_joint_steps(monkeypatch):
                         seed_w=np.array(seed_w))
     assert len(locus.points) == 12
     assert len(steps) < 51
+
+
+def test_a_warm_correction_finishes_with_one_gram_at_full_resolution(
+        monkeypatch):
+    # a correction from a solved disc iterates at (M/2, N/2) first, then
+    # takes one joint step at M: one Gram at M per correction, plus the one
+    # of the seed's cold solve.  That last step at M starts within about
+    # 1e-7 of the solution, so it attaches every locus disc far below
+    # newton_tol, and the consistency values meet the oracle to 1e-12
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    outer, inner = make_domains()
+    z_o = np.array(z_o)
+    grams, starts = {}, []
+    jacobian = _CenterDirectionSystem.jacobian
+    correct = _TangencySystem.correct
+
+    def counting_jacobian(system, u, fields=None):
+        grams[system.M] = grams.get(system.M, 0) + 1
+        return jacobian(system, u, fields)
+
+    def counting_correct(system, u, start):
+        starts.append(start)
+        return correct(system, u, start)
+
+    monkeypatch.setattr(_CenterDirectionSystem, "jacobian", counting_jacobian)
+    monkeypatch.setattr(_TangencySystem, "correct", counting_correct)
+    locus = trace_locus(outer, inner, z_o, 12, settings,
+                        seed_w=np.array(seed_w))
+    monkeypatch.undo()
+    assert len(locus.points) == 12
+    assert all(start is not None for start in starts)
+    assert grams[settings.modes] == len(starts) + 1
+    assert grams[settings.modes // 2] > len(starts)
+    assert max(p.disc.attachment_residual for p in locus.points) <= 1e-12
+    report = consistency_check(NAMED_FUNCTIONS["holo_mix"], outer, inner, z_o,
+                               6, settings, locus=locus)
+    exact = z_o[0] ** 2 + np.exp(z_o[1])
+    assert len(report.values) == 6
+    assert np.max(np.abs(report.values - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 8, 35])
+def test_half_resolution_divergence_leaves_the_correction_as_it_was(
+        monkeypatch, seed):
+    # at M = 4 the half-resolution level cannot attach the disc to 1e-12
+    # and diverges; the correction then is the single-level iteration from
+    # its start, as where there is no half-resolution level: the same
+    # point, residual and disc (offset 0), or the same failure (offsets 8,
+    # a stalled line search, and 35, a stagnation)
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
+                                          np.array(seed_w), settings)
+    u = u + 0.3 * np.random.default_rng(seed).standard_normal(len(u))
+    iterate = _OuterSystem._iterate
+    levels = []
+
+    def logging_iterate(self, *args):
+        try:
+            out = iterate(self, *args)
+        except SolverDivergence:
+            levels.append((self.settings.modes, False))
+            raise
+        levels.append((self.settings.modes, True))
+        return out
+
+    def correction(half_resolution):
+        monkeypatch.setattr(discs_module, "_half_resolution", half_resolution)
+        levels.clear()
+        try:
+            return system.correct(u, disc)
+        except SolverDivergence as exc:
+            return exc
+
+    monkeypatch.setattr(_OuterSystem, "_iterate", logging_iterate)
+    one_level = correction(lambda settings: None)
+    assert [modes for modes, _ in levels] == [settings.modes]
+    fallback = correction(lambda settings: dataclasses.replace(
+        settings.scaled(modes=4, grid_size=16), newton_tol=1e-12))
+    assert levels[0] == (4, False)
+    assert [modes for modes, _ in levels[1:]] == [settings.modes]
+    if seed == 0:
+        (u_one, R_one, disc_one), (u_fb, R_fb, disc_fb) = one_level, fallback
+        assert np.array_equal(u_one, u_fb) and np.array_equal(R_one, R_fb)
+        assert np.array_equal(disc_one.coeffs, disc_fb.coeffs)
+        assert np.array_equal(disc_one.solver_g, disc_fb.solver_g)
+        assert disc_one.attachment_residual == disc_fb.attachment_residual
+        for a, b in zip(disc_one.tangent, disc_fb.tangent):
+            assert np.array_equal(a, b)
+    else:
+        assert isinstance(one_level, SolverDivergence)
+        assert isinstance(fallback, SolverDivergence)
+        assert str(one_level) == str(fallback)
+        assert one_level.last_residual == fallback.last_residual
+        assert one_level.stagnated == fallback.stagnated == (seed == 35)
 
 
 @pytest.mark.parametrize("da", [1e-6, 1e-8])

@@ -14,8 +14,10 @@ untimed, each side builds its context, runs the workload's warm-up op,
 and runs ops 0..OPS-1 once through the workload's ``check``; a failed
 check exits non-zero naming the side and the op, so no speed ratio is
 printed for outputs outside the acceptance tolerances.  It prints ms/op
-by ``time.process_time`` per rep and side, the ratio parent/change, and
-the median ratio over the reps (above 1 means the change is faster).
+by ``time.process_time`` per rep and side, the ratio parent/change, the
+median ratio over the reps (above 1 means the change is faster), and in
+how many reps the change was faster (ratio above 1; a tie counts for
+neither side), the count that a claimed gain needs in nine of ten pairs.
 
 Both trees share one process, so host drift between the two sides of a
 rep is small; single timed runs of a few seconds drift by several
@@ -111,6 +113,8 @@ def main(argv):
                   f"{times['change']:.3f}  ratio {ratios[-1]:.4f}"
                   f"  ({order[0]} first)")
         print(f"median ratio parent/change {statistics.median(ratios):.4f}")
+        wins = sum(ratio > 1.0 for ratio in ratios)
+        print(f"change faster in {wins} of {reps} reps")
 
 
 if __name__ == "__main__":
