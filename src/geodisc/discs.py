@@ -42,8 +42,8 @@ Gauss-Newton step, since the padded state has only the accuracy of M/2.
 Where the half-resolution solve diverges, the solve at M starts from
 the closed form at M instead.  Below M = 16 there is no half-resolution
 level (:func:`_half_resolution` gives its settings).  The outer
-system's joint iteration has the same level where it starts from a
-solved disc, and none where it starts cold (:meth:`_OuterSystem.newton`).
+system's joint iteration has the same level, from a solved disc or from
+one it solves cold (:meth:`_OuterSystem.newton`).
 Only when the solve at M diverges on a non-ball domain is the
 homotopy from the ball to the domain subdivided into blended domains,
 halving the step on each failure.  An attempt that stagnates with its
@@ -97,9 +97,9 @@ follows from the outer Jacobian on that tangent with the through-point
 rows moved by the Gauss-Newton step, and the state follows the outer
 step along the tangent.  No residual solves a disc or builds one, and
 each step linearizes the disc once.  This iteration starts from a solved
-disc, or from a cold solve where it has none; from a solved disc at
-M >= 16 it first iterates at (M/2, N/2) to COARSE_TOL and then finishes
-at M with at least one step.  Every other disc solve is cold.  The disc
+disc, or from a cold solve where it has none; from either, at M >= 16,
+it first iterates at (M/2, N/2) to COARSE_TOL and then finishes at M
+with at least one step.  Every other disc solve is cold.  The disc
 it returns carries its parameter tangent, the derivative of the
 coefficients and of g along the 4n real perturbations of z and v
 (implicit-function theorem), solved as 4n more right-hand sides of each
@@ -1387,21 +1387,19 @@ class _OuterSystem:
         modes and gauge are <= newton_tol and max |R| <= tol, and the disc
         returned carries the tangent of the last step (:meth:`_joint_step`).
 
-        From a solved ``start`` at M >= 16 the iteration runs in two levels
-        (nested iteration, see the module docstring): first on this system
-        at (M/2, N/2) (:func:`_half_resolution`), from ``start`` truncated
-        there, until the disc and the rows meet COARSE_TOL; then at M from
-        that state zero-padded, with at least one step, so the disc and
-        its tangent come from a linearization at M.  Where the
-        half-resolution level diverges, the iteration at M starts from
-        ``start`` as it is.  A cold start has no half-resolution level."""
+        At M >= 16 the iteration runs in two levels (nested iteration, see
+        the module docstring), from a solved ``start`` and from the disc
+        solved cold alike: first on this system at (M/2, N/2)
+        (:func:`_half_resolution`), from that disc truncated there, until
+        the disc and the rows meet COARSE_TOL; then at M from that state
+        zero-padded, with at least one step, so the disc and its tangent
+        come from a linearization at M.  Where the half-resolution level
+        diverges, the iteration at M starts from that disc as it is."""
         if start is None:
             c, d, _ = self.unpack(x)
             start = _solve_cd_raw(self.domain, c, d / np.linalg.norm(d),
                                   self.settings)
-            half = None
-        else:
-            half = _half_resolution(self.settings)
+        half = _half_resolution(self.settings)
         coeffs, gamma, must_step = start.coeffs, start.solver_g, False
         if half is not None:
             coarse = copy.copy(self)
@@ -1546,6 +1544,24 @@ def _parameter_tangent(domain, disc, settings):
         u, system._ls_step(normal.gram, normal.rhs_p))
 
 
+def _flipped(disc):
+    """The solved ``disc`` reparametrized by tau -> -tau, which is
+    stationary at center a_0 and direction -a_1: the coefficients
+    (-1)^k a_k, and the boundary factor g(-tau), its j-th cos/sin pair
+    times (-1)^j, divided by g(-1) > 0 so that it is 1 at tau = 1 again.
+    Attachment and lift holomorphy carry over, the lift modes scaled by
+    1/g(-1); the parameter tangent does not, and is dropped
+    (:func:`_parameter_tangent` rebuilds it where it is read)."""
+    sign = (-1.0) ** np.arange(disc.modes + 1)
+    gamma = disc.solver_g.copy()
+    pair = sign[1:len(gamma) // 2 + 1]                  # (-1)^j, j = 1..K
+    gamma[1::2] *= pair
+    gamma[2::2] *= pair
+    gamma /= gamma[0] + np.sum(gamma[1::2])              # g(-1)
+    return replace(disc, coeffs=sign[:, None] * disc.coeffs, solver_g=gamma,
+                   tangent=None)
+
+
 def _along_direction(d, a):
     """(I - w w^T) a / |d| for w = (Re d, Im d)/|d| and a of shape (2n,)
     or (2n, k): how v = d/|d| moves with the real coordinates (Re d, Im d),
@@ -1578,7 +1594,8 @@ def solve_two_point(domain: ConvexDomain, z, w,
     the Newton iteration of :class:`_OuterSystem` with the center pinned
     at z, over the direction sphere and xi: only the first disc is
     solved, cold; the iteration then carries the disc's Gauss-Newton
-    state with (v, xi), and each step linearizes the disc once.
+    state with (v, xi), at (M/2, N/2) first and then at M, and each step
+    linearizes the disc once.
     """
     settings = settings or SolverSettings()
     z, w = _point(domain, z), _point(domain, w, "point w")

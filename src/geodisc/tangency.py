@@ -45,8 +45,8 @@ from .circle import _count, _tolerance, ring_values
 from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
                     _along_direction, _ball_disc, _ball_psi_inverse,
                     _ball_two_point_data, _complete_unitary,
-                    _coordinate_tangents, _damped_newton, _herm, _interior,
-                    _min_norm_solve, _point, _solve_cd_raw)
+                    _coordinate_tangents, _damped_newton, _flipped, _herm,
+                    _interior, _min_norm_solve, _point, _solve_cd_raw)
 from .domains import (ConvexDomain, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
@@ -225,11 +225,11 @@ class _TangencySystem(_OuterSystem):
         :meth:`_OuterSystem.newton`, starting from the solved disc
         ``start`` with its scale |a_1| (solved cold at u where it is None);
         each step also moves the disc's Gauss-Newton state, whose
-        attachment ends <= newton_tol.  From a solved disc at M >= 16 it
-        takes at most 12 damped Newton steps at (M/2, N/2), to COARSE_TOL,
-        and then at most 12 at M, at least one; a cold start, or a
-        half-resolution level that diverges, leaves at most 12 at M.  The
-        system is underdetermined (2n + 4 equations, 4n + 1 unknowns)."""
+        attachment ends <= newton_tol.  At M >= 16 it takes at most 12
+        damped Newton steps at (M/2, N/2), to COARSE_TOL, and then at most
+        12 at M, at least one; a half-resolution level that diverges leaves
+        at most 12 at M.  The system is underdetermined (2n + 4 equations,
+        4n + 1 unknowns)."""
         return self.newton(u, TANGENCY_TOL, 12, start)
 
     def seed(self, w0):
@@ -253,11 +253,13 @@ class _TangencySystem(_OuterSystem):
         return self.pack(w0, d0 * phase, abs(sigma0)), disc
 
     def make_point(self, u, R, disc) -> TangencyPoint:
-        w, d, sigma = self.unpack(u)
+        """The locus point at u from the disc and rows R of its correction.
+        Where sigma < 0 the point is the state (w, -d, -sigma), the same
+        disc with tau -> -tau (:func:`_flipped`), through z_o at -sigma;
+        its rows have the same max |R|, so nothing is solved again."""
+        w, _, sigma = self.unpack(u)
         if sigma < 0:
-            # flip the direction so the base point sits at positive sigma
-            u, R, disc = self.correct(self.pack(w, -d, -sigma), None)
-            w, _, sigma = self.unpack(u)
+            disc, sigma = _flipped(disc), -sigma
         return _tangency_point(self, w, sigma, R, disc)
 
 
@@ -416,8 +418,9 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     tangent step.  Off a ball every correction, the first point's from
     its seed disc included, starts from a solved disc, so at M >= 16 it
     iterates at half resolution first and finishes with one or more
-    steps at M (:meth:`_TangencySystem.correct`); only a point whose
-    sigma comes out negative is corrected again from a cold solve.  Raises
+    steps at M (:meth:`_TangencySystem.correct`); a point whose sigma
+    comes out negative is the same disc with tau -> -tau, not solved
+    again (:meth:`_TangencySystem.make_point`).  Raises
     :class:`PreconditionError` for steps < 1 or a base point that is not
     strictly between the domains, before any solve.
     """

@@ -1608,6 +1608,55 @@ def test_two_point_solve_iterates_on_the_disc_state(monkeypatch):
                          - w)) <= 1e-8
 
 
+def test_a_cold_two_point_solve_iterates_at_half_resolution_first(
+        monkeypatch):
+    # nested iteration from the cold disc too: once that disc is solved,
+    # the joint Grams are built at M/2 first, and the iteration finishes at
+    # M with at least one step
+    domain, z, w = _two_point_case()
+    grams, cold = [], []
+    jacobian = _CenterDirectionSystem.jacobian
+
+    def counting(system, u, fields=None):
+        grams.append(system.M)
+        return jacobian(system, u, fields)
+
+    def recording(*args, **kwargs):
+        disc = _solve_cd_raw(*args, **kwargs)
+        cold.append(len(grams))
+        return disc
+
+    monkeypatch.setattr(_CenterDirectionSystem, "jacobian", counting)
+    monkeypatch.setattr(discs_module, "_solve_cd_raw", recording)
+    disc, xi = solve_two_point(domain, z, w, SMALL)
+    monkeypatch.undo()
+    assert len(cold) == 1
+    joint = grams[cold[0]:]
+    half = joint.count(SMALL.modes // 2)
+    assert half >= 1 and joint[half:].count(SMALL.modes) >= 1
+    assert joint == [SMALL.modes // 2] * half \
+        + [SMALL.modes] * (len(joint) - half)
+    assert disc.attachment_residual <= SMALL.newton_tol
+    assert np.max(np.abs(disc(np.array([xi + 0j]))[0] - w)) <= 1e-9
+
+
+def test_a_singular_gram_takes_the_least_squares_step(monkeypatch):
+    # the Gram of a zero Jacobian has trace 0, so no shift makes it
+    # definite: neither Cholesky nor LU solves it, and lstsq gives the step
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    B = np.random.default_rng(3).standard_normal((5, 2))
+    step = _CenterDirectionSystem._ls_step(np.zeros((5, 5)), B)
+    assert len(calls) == 1
+    assert step.shape == B.shape and np.all(np.isfinite(step))
+
+
 def test_a_rejected_joint_trial_is_followed_from_the_accepted_iterate(
         monkeypatch):
     # the first trial of the first step raises, as a state whose xi left

@@ -78,6 +78,20 @@ def test_roundtrips_perturbed_ball():
         assert np.max(np.abs(back - w)) < 1e-6
 
 
+def test_a_round_trip_at_m64_meets_1e_12():
+    # op 1449 of the geodesics benchmark's seed 1, once its worst round
+    # trip (9.97e-10): the cold two-point solve behind psi starts its joint
+    # iteration at half resolution and finishes at M with a full step
+    pb = make_perturbed_ball(0.05, "re_z1_sq")
+    settings = SolverSettings(modes=64, grid=CircleGrid(256))
+    z = np.array([-0.0676803239136 + 0.065265120428023j,
+                  -0.087791592456705 - 0.265547460134706j])
+    w = np.array([0.034497225312703 - 0.244192514555724j,
+                  0.13878354211133 + 0.340309843449813j])
+    back = psi_inverse(pb, z, psi(pb, z, w, settings).psi_value, settings)
+    assert np.max(np.abs(back - w)) <= 1e-12
+
+
 def test_injectivity_on_samples():
     z = np.array([0.2, 0.1])
     rng = np.random.default_rng(2)

@@ -443,19 +443,65 @@ def test_tangency_tangent_belongs_to_its_disc(monkeypatch):
     assert calls == []
 
 
-def test_make_point_flips_a_negative_sigma_back_to_the_same_disc():
-    # (w, -d, -sigma) is the same tangent disc with the base point at
-    # -sigma: make_point flips it to (w, d, sigma) and corrects from there
+def _a_negative_sigma_state():
+    """(system, u, disc, flipped): a corrected state u = (w, d, sigma)
+    with sigma > 0 and its disc, and the disc of (w, -d, -sigma), solved
+    cold, which passes through z_o at -sigma."""
     make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
     system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
                                           np.array(seed_w), settings)
     u, _, disc = system.correct(u + 0.02 * np.cos(np.arange(len(u))), disc)
     w, d, sigma = system.unpack(u)
     assert sigma > 0
+    flipped = _solve_cd_raw(system.domain, w, -d / np.linalg.norm(d),
+                            settings)
+    return system, u, disc, flipped
+
+
+def test_make_point_flips_a_negative_sigma_back_to_the_same_disc():
+    # (w, -d, -sigma) is the same tangent disc with the base point at
+    # -sigma: make_point flips it, with the disc of that state, to
+    # (w, d, sigma)
+    system, u, disc, flipped = _a_negative_sigma_state()
+    w, d, sigma = system.unpack(u)
     point = system.make_point(system.pack(w, -d, -sigma),
-                              system.rows(u, disc), disc)
+                              system.rows(u, disc), flipped)
     assert np.array_equal(point.w, w) and point.sigma == sigma
     assert np.max(np.abs(point.disc.coeffs - disc.coeffs)) < 1e-11
+
+
+def test_a_negative_sigma_is_flipped_without_a_solve(monkeypatch):
+    # the flip is tau -> -tau on the disc in hand: no disc is solved and
+    # no Newton iteration runs, and the disc is solved at its flipped
+    # state, gauged to g(1) = 1, through z_o at sigma
+    system, u, _, flipped = _a_negative_sigma_state()
+    w, d, sigma = system.unpack(u)
+    settings = system.settings
+    calls = []
+
+    def refusing(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the flip solves nothing")
+
+    for module in (discs_module, tangency_module):
+        monkeypatch.setattr(module, "_solve_cd_raw", refusing)
+    monkeypatch.setattr(_OuterSystem, "newton", refusing)
+    negative = system.pack(w, -d, -sigma)
+    R = system.rows(negative, flipped)
+    point = system.make_point(negative, R, flipped)
+    monkeypatch.undo()
+    assert calls == []
+    assert point.residual == np.max(np.abs(R))
+    assert point.disc.tangent is None
+    disc_system = _CenterDirectionSystem(system.domain, w,
+                                         d / np.linalg.norm(d), settings)
+    _, (diag, _) = disc_system.residual(disc_system.initial_state(
+        point.disc.coeffs, point.disc.solver_g))
+    assert max(diag["attachment"], diag["neg_modes"],
+               diag["gauge"]) <= settings.newton_tol
+    assert diag["min_g"] > 0 and diag["gauge"] <= 1e-15
+    assert np.max(np.abs(point.disc(np.array([point.sigma + 0j]))[0]
+                         - system.z_o)) <= 1e-12
 
 
 def test_a_correction_builds_one_gn_jacobian_per_newton_step(monkeypatch):
@@ -798,18 +844,12 @@ def test_a_warm_correction_finishes_with_one_gram_at_full_resolution(
     assert np.max(np.abs(report.values - exact)) <= 1e-12
 
 
-@pytest.mark.parametrize("seed", [0, 8, 35])
-def test_half_resolution_divergence_leaves_the_correction_as_it_was(
-        monkeypatch, seed):
-    # at M = 4 the half-resolution level cannot attach the disc to 1e-12
-    # and diverges; the correction then is the single-level iteration from
-    # its start, as where there is no half-resolution level: the same
-    # point, residual and disc (offset 0), or the same failure (offsets 8,
-    # a stalled line search, and 35, a stagnation)
-    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
-    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
-                                          np.array(seed_w), settings)
-    u = u + 0.3 * np.random.default_rng(seed).standard_normal(len(u))
+def _one_level_and_fallback(monkeypatch, run, modes):
+    """The outcomes of ``run()`` (its value, or the SolverDivergence it
+    raised) with no half-resolution level, and with one at M = 4 and
+    newton_tol 1e-12, which cannot attach the disc and diverges; checks
+    that the first iterates at ``modes`` alone and the second diverges at
+    M = 4 and then iterates at ``modes``."""
     iterate = _OuterSystem._iterate
     levels = []
 
@@ -822,35 +862,118 @@ def test_half_resolution_divergence_leaves_the_correction_as_it_was(
         levels.append((self.settings.modes, True))
         return out
 
-    def correction(half_resolution):
+    def outcome(half_resolution):
         monkeypatch.setattr(discs_module, "_half_resolution", half_resolution)
         levels.clear()
         try:
-            return system.correct(u, disc)
+            return run()
         except SolverDivergence as exc:
             return exc
 
     monkeypatch.setattr(_OuterSystem, "_iterate", logging_iterate)
-    one_level = correction(lambda settings: None)
-    assert [modes for modes, _ in levels] == [settings.modes]
-    fallback = correction(lambda settings: dataclasses.replace(
+    one_level = outcome(lambda settings: None)
+    assert [m for m, _ in levels] == [modes]
+    fallback = outcome(lambda settings: dataclasses.replace(
         settings.scaled(modes=4, grid_size=16), newton_tol=1e-12))
     assert levels[0] == (4, False)
-    assert [modes for modes, _ in levels[1:]] == [settings.modes]
+    assert [m for m, _ in levels[1:]] == [modes]
+    monkeypatch.undo()
+    return one_level, fallback
+
+
+def _assert_same_disc(a, b):
+    assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a.solver_g, b.solver_g)
+    assert a.attachment_residual == b.attachment_residual
+    for x, y in zip(a.tangent, b.tangent):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("seed", [0, 8, 35])
+def test_half_resolution_divergence_leaves_the_correction_as_it_was(
+        monkeypatch, seed):
+    # at M = 4 the half-resolution level cannot attach the disc to 1e-12
+    # and diverges; the correction then is the single-level iteration from
+    # its start, as where there is no half-resolution level: the same
+    # point, residual and disc (offset 0), or the same failure (offsets 8,
+    # a stalled line search, and 35, a stagnation)
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
+                                          np.array(seed_w), settings)
+    u = u + 0.3 * np.random.default_rng(seed).standard_normal(len(u))
+    one_level, fallback = _one_level_and_fallback(
+        monkeypatch, lambda: system.correct(u, disc), settings.modes)
     if seed == 0:
         (u_one, R_one, disc_one), (u_fb, R_fb, disc_fb) = one_level, fallback
         assert np.array_equal(u_one, u_fb) and np.array_equal(R_one, R_fb)
-        assert np.array_equal(disc_one.coeffs, disc_fb.coeffs)
-        assert np.array_equal(disc_one.solver_g, disc_fb.solver_g)
-        assert disc_one.attachment_residual == disc_fb.attachment_residual
-        for a, b in zip(disc_one.tangent, disc_fb.tangent):
-            assert np.array_equal(a, b)
+        _assert_same_disc(disc_one, disc_fb)
     else:
         assert isinstance(one_level, SolverDivergence)
         assert isinstance(fallback, SolverDivergence)
         assert str(one_level) == str(fallback)
         assert one_level.last_residual == fallback.last_residual
         assert one_level.stagnated == fallback.stagnated == (seed == 35)
+
+
+def test_half_resolution_divergence_leaves_the_cold_solve_as_it_was(
+        monkeypatch):
+    # the cold two-point solve's joint iteration falls back the same way:
+    # where its half-resolution level stagnates, it returns the
+    # single-level disc and xi bit for bit
+    make_domains, _, _, settings = TANGENCY_CASES["perturbed"]
+    outer, _ = make_domains()
+    z, w = np.array([0.2 + 0.1j, -0.1j]), np.array([-0.1, 0.25 + 0.2j])
+    (disc_one, xi_one), (disc_fb, xi_fb) = _one_level_and_fallback(
+        monkeypatch, lambda: discs_module.solve_two_point(outer, z, w,
+                                                          settings),
+        settings.modes)
+    assert xi_one == xi_fb
+    _assert_same_disc(disc_one, disc_fb)
+
+
+def test_a_trace_whose_steps_all_fail_raises_step_size_collapse(monkeypatch):
+    # the seed and the probe are corrected, and every locus step after
+    # them fails: the step is halved five times, below 1/16 of its size
+    correct = _BallTangencySystem.correct
+    calls = []
+
+    def failing(self, u, start=None):
+        calls.append(u)
+        if len(calls) > 2:
+            raise SolverDivergence("no convergence")
+        return correct(self, u, start)
+
+    monkeypatch.setattr(_BallTangencySystem, "correct", failing)
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["ball2"]
+    with pytest.raises(SolverDivergence,
+                       match="^step-size collapse while tracing the "
+                             "tangency locus$"):
+        trace_locus(*make_domains(), np.array(z_o), 12, settings,
+                    seed_w=np.array(seed_w))
+    assert len(calls) == 2 + 5
+
+
+def test_a_trace_that_does_not_come_around_raises_did_not_close(monkeypatch):
+    # each correction lands a tenth of the way from the last point it
+    # returned: 4 * steps points cover less arc than the locus has, and
+    # the trace gives up
+    correct = _BallTangencySystem.correct
+    landed = []
+
+    def short(self, u, start=None):
+        if landed:
+            u = landed[-1] + 0.1 * (u - landed[-1])
+        out = correct(self, u, start)
+        landed.append(out[0])
+        return out
+
+    monkeypatch.setattr(_BallTangencySystem, "correct", short)
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["ball2"]
+    with pytest.raises(SolverDivergence,
+                       match="^tangency locus did not close while tracing$"):
+        trace_locus(*make_domains(), np.array(z_o), 12, settings,
+                    seed_w=np.array(seed_w))
+    assert len(landed) == 2 + 4 * 12
 
 
 @pytest.mark.parametrize("da", [1e-6, 1e-8])

@@ -18,6 +18,10 @@ by ``time.process_time`` per rep and side, the ratio parent/change, the
 median ratio over the reps (above 1 means the change is faster), and in
 how many reps the change was faster (ratio above 1; a tie counts for
 neither side), the count that a claimed gain needs in nine of ten pairs.
+Then, for each op kind (the workload's ``kind(item)``), it prints each
+side's median ms/op over the reps and their ratio parent/change: a
+change to one kind of op is diluted in the overall ratio by the share of
+the other kinds.
 
 Both trees share one process, so host drift between the two sides of a
 rep is small; single timed runs of a few seconds drift by several
@@ -96,18 +100,29 @@ def main(argv):
             runs[name] = (workload, ctx, items)
 
         def ms_per_op(name):
+            """ms/op over all ops, and by op kind, of one rep of a side."""
             workload, ctx, items = runs[name]
+            by_kind = {}
             start = time.process_time()
             for item in items:
+                before = time.process_time()
                 workload.run(ctx, item)
-            return 1e3 * (time.process_time() - start) / ops
+                by_kind.setdefault(workload.kind(item), []).append(
+                    time.process_time() - before)
+            total = 1e3 * (time.process_time() - start) / ops
+            return total, {kind: 1e3 * sum(t) / len(t)
+                           for kind, t in by_kind.items()}
 
         print(f"{workload_name} seed {seed} ops 0-{ops - 1}, {reps} reps, "
               "ms/op by process_time")
-        ratios = []
+        ratios, kinds = [], {name: {} for name in SIDES}
         for rep in range(reps):
             order = SIDES if rep % 2 == 0 else SIDES[::-1]
-            times = {name: ms_per_op(name) for name in order}
+            times = {}
+            for name in order:
+                times[name], by_kind = ms_per_op(name)
+                for kind, ms in by_kind.items():
+                    kinds[name].setdefault(kind, []).append(ms)
             ratios.append(times["parent"] / times["change"])
             print(f"rep {rep}: parent {times['parent']:.3f}  change "
                   f"{times['change']:.3f}  ratio {ratios[-1]:.4f}"
@@ -115,6 +130,12 @@ def main(argv):
         print(f"median ratio parent/change {statistics.median(ratios):.4f}")
         wins = sum(ratio > 1.0 for ratio in ratios)
         print(f"change faster in {wins} of {reps} reps")
+        for kind in sorted(kinds["parent"]):
+            medians = {name: statistics.median(kinds[name][kind])
+                       for name in SIDES}
+            print(f"{kind}: median ms/op parent {medians['parent']:.3f}  "
+                  f"change {medians['change']:.3f}  ratio "
+                  f"{medians['parent'] / medians['change']:.4f}")
 
 
 if __name__ == "__main__":
