@@ -82,29 +82,29 @@ ball the two-point solve and the tangency corrector share one outer
 system and its minimum-norm step (:class:`_OuterSystem`): a disc with
 center c and direction d/|d| that passes through a target at the real
 parameter s.  The step solves the rows' Gram J J^T and maps back by J^T
-(:func:`_min_norm_solve`), with lstsq only where the rows are dependent;
-the rows, their Jacobian and the step read phi(s), phi'(s) and dphi(s)/dp
-with one real vector of powers of s per iterate.  A ball needs no such
-iteration, since its geodesics are its complex lines: the two-point
-data are closed-form (:func:`_ball_two_point_data`), and the disc
-through them is :func:`_ball_disc`, the closed form where that attaches
-to newton_tol, else a cold Gauss-Newton solve.  The outer system takes any domain, so
-the ball is a test oracle for it.  Its iterate is the outer unknowns
-together with the disc's Gauss-Newton state, and one bordered step
-serves both: one linearization of the disc's equations gives their
-Gauss-Newton step and the state's parameter tangent, the outer step
-follows from the outer Jacobian on that tangent with the through-point
-rows moved by the Gauss-Newton step, and the state follows the outer
-step along the tangent.  No residual solves a disc or builds one, and
-each step linearizes the disc once.  This iteration starts from a solved
-disc, or from a cold solve where it has none; from either, at M >= 16,
-it first iterates at (M/2, N/2) to COARSE_TOL and then finishes at M
-with at least one step.  Every other disc solve is cold.  The disc
-it returns carries its parameter tangent, the derivative of the
-coefficients and of g along the 4n real perturbations of z and v
-(implicit-function theorem), solved as 4n more right-hand sides of each
-step's factorization at M, so it lags the returned state by the last
-step.
+(:func:`_min_norm_solve`), with lstsq only where the rows are dependent.
+A ball needs no such iteration, since its geodesics are its complex
+lines: the two-point data are closed-form (:func:`_ball_two_point_data`),
+and the disc through them is :func:`_ball_disc`, the closed form where
+that attaches to newton_tol, else a cold Gauss-Newton solve.  The outer
+system takes any domain, so the ball is a test oracle for it.  Its
+iterate is the outer unknowns together with the disc's Gauss-Newton
+state, and one bordered step serves both: one linearization of the
+disc's equations gives their Gauss-Newton step and the state's
+parameter tangent, the outer step follows from the outer Jacobian on
+that tangent with the through-point rows moved by the Gauss-Newton
+step, and the state follows the outer step along the tangent.  Each
+residual derives the iterate once (:class:`_Iterate`), and the rows,
+their Jacobian and the step read it.  No residual solves a disc or
+builds one, and each step linearizes the disc once.  This iteration
+starts from a solved disc, or from a cold solve where it has none; from
+either, at M >= 16, it first iterates at (M/2, N/2) to COARSE_TOL and
+then finishes at M with at least one step.  Every other disc solve is
+cold.  The disc it returns carries its parameter tangent, the
+derivative of the coefficients and of g along the 4n real perturbations
+of z and v (implicit-function theorem), solved as 4n more right-hand
+sides of each step's factorization at M, so it lags the returned state
+by the last step.
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ import ctypes
 import glob
 import os
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -804,22 +805,28 @@ class _CenterDirectionSystem:
     # -- evaluation ----------------------------------------------------
 
     def _fields(self, u):
-        """(phi, g) at the residual grid nodes at state u, from one inverse
-        FFT: g is real, so its spectrum (:func:`_half_spectrum` and its
-        conjugates at -j) rides as one more column next to phi's
-        coefficients."""
+        """(phi, g) of :meth:`_grid_fields` at state u."""
+        return self._grid_fields(u, self.disc_coeffs(u))
+
+    def _grid_fields(self, u, a):
+        """(phi, g) at the residual grid nodes at state u, whose disc
+        coefficients are ``a``, from one inverse FFT: g is real, so its
+        spectrum (:func:`_half_spectrum` and its conjugates at -j) rides as
+        one more column next to phi's coefficients."""
         n, M, nn = self.n, self.M, self.nn
         spectra = np.zeros((nn, n + 1), dtype=complex)
-        spectra[:M + 1, :n] = self.disc_coeffs(u)
+        spectra[:M + 1, :n] = a
         spectra[:M + 1, n] = _half_spectrum(_gamma(u[-2 * (M + 1):]))
         spectra[nn - M:, n] = np.conj(spectra[M:0:-1, n])
         values = np.fft.ifft(spectra, axis=0, norm="forward")
         return values[:, :n], values[:, n].real
 
     def residual(self, u, aux=None):
-        """(F, (diag, fields)) at state u; the fields (phi, g, grad rho) at
-        the residual grid nodes serve :meth:`jacobian`."""
-        phi, g = self._fields(u)
+        """(F, (diag, fields)) at state u; the fields, the disc coefficients
+        a and (phi, g, grad rho) at the residual grid nodes, serve
+        :meth:`jacobian` and the outer system (:class:`_Iterate`)."""
+        a = self.disc_coeffs(u)
+        phi, g = self._grid_fields(u, a)
         rho_vals = np.real(self.domain.rho(phi))
         grads = self.domain.grad(phi)
         w = (g * self.tau)[:, None] * grads
@@ -839,7 +846,7 @@ class _CenterDirectionSystem:
             "gauge": abs(g[0] - 1.0),
             "min_g": float(np.min(g)),
         }
-        return F, (diag, (phi, g, grads))
+        return F, (diag, (a, phi, g, grads))
 
     def _linearization(self, u, fields=None):
         """Boundary factor times tau, gradient and Hessian blocks of rho
@@ -847,8 +854,8 @@ class _CenterDirectionSystem:
         :meth:`residual` returned at u, or evaluated here without them."""
         if fields is None:
             phi, g = self._fields(u)
-            fields = phi, g, self.domain.grad(phi)
-        phi, g, grads = fields
+            fields = None, phi, g, self.domain.grad(phi)
+        _, phi, g, grads = fields
         A, C = self.domain.hess_complex(phi)
         return g * self.tau, grads, A, C
 
@@ -911,10 +918,9 @@ class _CenterDirectionSystem:
         return _NormalEquations(_decouple(G, unused), Gp, self, stretches)
 
     def coefficient_tangent(self, u, du):
-        """(d coeffs, d gamma) along the 4n real parameter perturbations,
-        shapes (4n, M+1, n) and (4n, 1 + 2M), from the state derivative
-        ``du`` (len(u), 4n) at state u: a_0 = z moves by dz and a_1 = r v
-        by dr v + r dv."""
+        """d coeffs (4n, M+1, n) along the 4n real parameter
+        perturbations, from the state derivative ``du`` (len(u), 4n) at
+        state u: a_0 = z moves by dz and a_1 = r v by dr v + r dv."""
         n, P = self.n, self.M + 1
         x = du.reshape(n + 1, 2, P, 4 * n)
         E = _coordinate_tangents(n)
@@ -924,7 +930,7 @@ class _CenterDirectionSystem:
         dcoeffs[:, 1] = du[1][:, None] * self.v \
             + u[1] * np.concatenate([zero, E])
         dcoeffs[:, 2:] = (x[:n, 0, 2:] + 1j * x[:n, 1, 2:]).transpose(2, 1, 0)
-        return dcoeffs, _gamma(du[-2 * P:]).T
+        return dcoeffs
 
     # -- the iteration --------------------------------------------------
 
@@ -1297,25 +1303,35 @@ def solve_from_center_direction(domain: ConvexDomain, z, v,
     return disc, lift
 
 
+_Iterate = namedtuple("_Iterate", "x c d v a powers system y F diag fields R",
+                      defaults=(None,) * 6)
+_Iterate.__doc__ = """An iterate of :class:`_OuterSystem`, derived once:
+the unknowns x, their c, d and v = d/|d|, the disc coefficients a and the
+real powers s^0..s^M that read every series at s; in the joint iteration
+also the disc's system at (c, v), its state y with y's residual F, diag
+and fields (:meth:`_CenterDirectionSystem.residual`), and the rows R at
+x, which on a solved disc are None.  A tuple, so it does not change."""
+
+
 class _OuterSystem:
     """Newton system for the disc with center c and direction d/|d| that
-    passes through ``target`` at the real parameter s.  A subclass's
-    unknowns x are the trailing entries of q = (Re c, Im c, Re d, Im d, s),
-    the leading ones ``pinned``; it adds its rows on the disc coefficients
-    a (``_rows(x, a, powers=None)``, ending with :meth:`through_rows`) and
-    their Jacobian with the coefficients' parameter tangent da
-    (``_jacobian(x, a, da, powers=None)``, from :meth:`through_jacobian`),
-    where ``powers`` are the real s^0..s^M at hand.  :meth:`rows` and
-    :meth:`jacobian` take them on a solved disc.
+    passes through ``target`` at the real parameter s.  Its unknowns x
+    are the trailing entries of q = (Re c, Im c, Re d, Im d, s), the
+    leading ones ``pinned``.  Its rows (:meth:`_rows`) and their Jacobian
+    with the coefficients' parameter tangent da (:meth:`_jacobian`) read
+    an :class:`_Iterate`; a subclass puts its own rows in front of them.
+    :meth:`rows` and :meth:`jacobian` take that iterate on a solved disc.
 
     The Newton iteration runs over X = (x, y), y the disc's Gauss-Newton
-    state, and no residual solves a disc (:meth:`newton`).  The system
-    keeps no state between calls."""
+    state, and no residual solves a disc (:meth:`newton`); each residual
+    derives its iterate once, and the step reads it as the residual's
+    aux.  The system keeps no state between calls."""
 
     pinned = np.zeros(0)
 
-    def __init__(self, domain, settings):
+    def __init__(self, domain, target, settings):
         self.domain = domain
+        self.target = target
         self.settings = settings
         self.n = domain.dimension
 
@@ -1326,16 +1342,22 @@ class _OuterSystem:
         return (q[:n] + 1j * q[n:2 * n], q[2 * n:3 * n] + 1j * q[3 * n:4 * n],
                 q[4 * n])
 
+    def _on_disc(self, x, disc):
+        """The :class:`_Iterate` at the unknowns x on the solved ``disc``."""
+        c, d, s = self.unpack(x)
+        return _Iterate(x, c, d, d / np.linalg.norm(d), disc.coeffs,
+                        _powers(s, len(disc.coeffs)))
+
     def rows(self, x, disc):
         """The rows at x on the solved ``disc``."""
-        return self._rows(x, disc.coeffs)
+        return self._rows(self._on_disc(x, disc))
 
     def jacobian(self, x, disc):
         """The Jacobian of the rows at x on the solved ``disc``, which moves
         with x along its parameter tangent (:func:`_parameter_tangent`);
         solves no disc."""
         dcoeffs, _ = _parameter_tangent(self.domain, disc, self.settings)
-        return self._jacobian(x, disc.coeffs, dcoeffs)
+        return self._jacobian(self._on_disc(x, disc), dcoeffs)
 
     def residual(self, x, aux=None):
         """(R, disc): the rows at x on the disc solved cold there, the
@@ -1346,36 +1368,29 @@ class _OuterSystem:
                              self.settings)
         return self.rows(x, disc), disc
 
-    def through_rows(self, a, d, s, target, powers=None):
-        """(Re, Im)(phi(s) - target) and |d|^2 - 1 on the disc of
-        coefficients ``a``; ``powers`` are s^0..s^M
-        (:func:`circle._powers`), made here where not given."""
-        if powers is None:
-            powers = _powers(s, len(a))
-        val = powers @ a - target
+    def _rows(self, it):
+        """(Re, Im)(phi(s) - target) and |d|^2 - 1 at the iterate ``it``."""
+        val = it.powers @ it.a - self.target
         return np.concatenate([val.real, val.imag,
-                               [np.linalg.norm(d) ** 2 - 1.0]])
+                               [np.linalg.norm(it.d) ** 2 - 1.0]])
 
-    def through_jacobian(self, a, dcoeffs, d, s, powers=None):
-        """Jacobian (2n + 1, 4n + 1) of the through-point rows in
-        (Re c, Im c, Re d, Im d, s) on the disc of coefficients ``a``;
-        solves no disc.  dphi(s)/dp along (Re c, Im c, Re v, Im v) comes
-        from the coefficients' parameter tangent ``dcoeffs`` (4n, M+1, n),
-        and v = d/|d| moves with (Re d, Im d) (:func:`_along_direction`).
-        It, and phi'(s), are read with the real ``powers`` s^0..s^M, made
-        here where not given."""
-        n = self.n
-        if powers is None:
-            powers = _powers(s, len(a))
+    def _jacobian(self, it, dcoeffs):
+        """Jacobian (2n + 1, len(x)) of :meth:`_rows` in the unknowns x at
+        the iterate ``it``, from the columns of (Re c, Im c, Re d, Im d,
+        s); solves no disc.  dphi(s)/dp along (Re c, Im c, Re v, Im v)
+        comes from the coefficients' parameter tangent ``dcoeffs`` (4n,
+        M+1, n), and v = d/|d| moves with (Re d, Im d)
+        (:func:`_along_direction`)."""
+        n, d, powers = self.n, it.d, it.powers
         dphi = powers @ dcoeffs
         dphi = np.concatenate([dphi[:2 * n],
                                _along_direction(d, dphi[2 * n:])])
-        ds = (np.arange(1, len(powers)) * powers[:-1]) @ a[1:]
+        ds = (np.arange(1, len(powers)) * powers[:-1]) @ it.a[1:]
         J = np.zeros((2 * n + 1, 4 * n + 1))
         J[:2 * n, :4 * n] = np.concatenate([dphi.T.real, dphi.T.imag])
         J[:2 * n, 4 * n] = np.concatenate([ds.real, ds.imag])
         J[2 * n, 2 * n:4 * n] = 2.0 * np.concatenate([d.real, d.imag])
-        return J
+        return J[:, len(self.pinned):]
 
     def newton(self, x, tol, max_iters, start):
         """(x, R, disc) with max |R| <= tol by :func:`_damped_newton` and
@@ -1396,110 +1411,100 @@ class _OuterSystem:
         come from a linearization at M.  Where the half-resolution level
         diverges, the iteration at M starts from that disc as it is."""
         if start is None:
-            c, d, _ = self.unpack(x)
-            start = _solve_cd_raw(self.domain, c, d / np.linalg.norm(d),
-                                  self.settings)
+            _, start = self.residual(x)
         half = _half_resolution(self.settings)
         coeffs, gamma, must_step = start.coeffs, start.solver_g, False
         if half is not None:
             coarse = copy.copy(self)
             coarse.settings = half
             try:
-                x_h, system, y, _, _, _ = coarse._iterate(
-                    x, coeffs, gamma, COARSE_TOL, max_iters)
+                it, _ = coarse._iterate(x, coeffs, gamma, COARSE_TOL,
+                                        max_iters)
             except SolverDivergence:
                 pass
             else:
-                x, coeffs, gamma = (x_h, system.disc_coeffs(y),
-                                    _gamma(y[-2 * (system.M + 1):]))
+                x, coeffs, gamma = (it.x, it.a,
+                                    _gamma(it.y[-2 * (it.system.M + 1):]))
                 must_step = True
-        x, system, y, R, diag, T = self._iterate(x, coeffs, gamma, tol,
-                                                 max_iters, must_step)
-        tangent = None if T is None else system.coefficient_tangent(y, T)
-        return x, R, _finalize(system, y, diag, self.settings, tangent)
+        it, T = self._iterate(x, coeffs, gamma, tol, max_iters, must_step)
+        tangent = None if T is None else (
+            it.system.coefficient_tangent(it.y, T),
+            _gamma(T[-2 * (it.system.M + 1):]).T)
+        return it.x, it.R, _finalize(it.system, it.y, it.diag, self.settings,
+                                     tangent)
 
     def _iterate(self, x, coeffs, gamma, tol, max_iters, must_step=False):
-        """(x, system, y, R, diag, T): the joint iteration of :meth:`newton`
-        at this system's settings, from x and the state of the disc
-        coefficients ``coeffs`` and boundary factor ``gamma``, of any
-        length (:meth:`_CenterDirectionSystem.initial_state`), with at
-        least one step where ``must_step``.  ``system`` is the disc's
-        system at the x returned, y its state, and T the state's parameter
-        tangent from the last step, None where none was taken."""
+        """(it, T): the joint iteration of :meth:`newton` at this system's
+        settings, from x and the state of the disc coefficients ``coeffs``
+        and boundary factor ``gamma``, of any length
+        (:meth:`_CenterDirectionSystem.initial_state`), with at least one
+        step where ``must_step``.  ``it`` is the :class:`_Iterate` it
+        converged at, and T its state's parameter tangent from the last
+        step, None where none was taken."""
         c, d, _ = self.unpack(x)
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
                                         self.settings)
         last = [None]
 
-        def step(X, FR, aux):
-            dX, last[0] = self._joint_step(X, aux)
+        def step(X, FR, it):
+            dX, last[0] = self._joint_step(X, it)
             return dX
 
-        def converged(FR, aux):
-            _, _, R, diag, _, _ = aux
+        def converged(FR, it):
             return (last[0] is not None or not must_step) and max(
-                diag["attachment"], diag["neg_modes"],
-                diag["gauge"]) <= self.settings.newton_tol \
-                and np.max(np.abs(R)) <= tol
+                it.diag["attachment"], it.diag["neg_modes"],
+                it.diag["gauge"]) <= self.settings.newton_tol \
+                and np.max(np.abs(it.R)) <= tol
 
-        X, _, (system, _, R, diag, _, _) = _damped_newton(
+        _, _, it = _damped_newton(
             np.concatenate([x, system.initial_state(coeffs, gamma)]),
             self._joint_residual, step, converged, tol, max_iters)
-        x, y = self._split(X)
-        return x, system, y, R, diag, last[0]
-
-    def _split(self, X):
-        """(x, y) of the iterate X of :meth:`newton`."""
-        m = 4 * self.n + 1 - len(self.pinned)
-        return X[:m], X[m:]
+        return it, last[0]
 
     def _joint_residual(self, X, aux=None):
-        """(F, R) stacked at X = (x, y), with the aux (system, F, R, diag,
-        fields, powers): F and (diag, fields) are the Gauss-Newton residual
-        of y for the disc with center c and direction d/|d| at x, R the
-        rows at x on the disc of y, and powers the real s^0..s^M with
-        which R and the step read every series at s.  Raises
-        PreconditionError where c leaves the domain."""
-        x, y = self._split(X)
+        """(F, R) stacked at X = (x, y), with the :class:`_Iterate` at X as
+        aux: F the Gauss-Newton residual of y for the disc with center c
+        and direction d/|d| at x, R the rows at x on the disc of y.
+        Raises PreconditionError where c leaves the domain."""
+        m = 4 * self.n + 1 - len(self.pinned)
+        x, y = X[:m], X[m:]
         c, d, s = self.unpack(x)
         if not _interior(self.domain, c):
             raise PreconditionError("the disc center left the domain")
-        system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
-                                        self.settings)
-        powers = _powers(s, system.M + 1)
-        R = self._rows(x, system.disc_coeffs(y), powers)
+        v = d / np.linalg.norm(d)
+        system = _CenterDirectionSystem(self.domain, c, v, self.settings)
         F, (diag, fields) = system.residual(y)
-        return np.concatenate([F, R]), (system, F, R, diag, fields, powers)
+        it = _Iterate(x, c, d, v, fields[0], _powers(s, system.M + 1),
+                      system, y, F, diag, fields)
+        R = self._rows(it)
+        return np.concatenate([F, R]), it._replace(R=R)
 
     def _joint_step(self, X, aux):
-        """(dX, T): the bordered Newton step at X = (x, y) from the aux of
-        its residual, and T = dy/dp along the 4n parameter perturbations.
+        """(dX, T): the bordered Newton step at X = (x, y) from the
+        :class:`_Iterate` of its residual, and T = dy/dp along the 4n
+        parameter perturbations.
 
         One linearization of the Gauss-Newton system at y gives its step
         du0 at fixed parameters and T, as 1 + 4n right-hand sides of one
         factorization.  The outer Jacobian is taken on the disc of y with
-        the tangent T, and the through-point rows are moved to the disc
-        of y + du0, which is linear in y; the minimum-norm dx
+        T's coefficient part, and the through-point rows are moved to the
+        disc of y + du0, which is linear in y; the minimum-norm dx
         (:func:`_min_norm_solve`) solves the outer rows, and dy = du0 + T
         dp, where dp is dx on the parameters, its d part taken to v =
-        d/|d| (:func:`_along_direction`).  The rows, their Jacobian and
-        the shift read the series at s with the powers of the aux."""
-        x, y = self._split(X)
-        system, F, R, _, fields, powers = aux
-        normal = system.jacobian(y, fields)
+        d/|d| (:func:`_along_direction`)."""
+        it, system, n = aux, aux.system, self.n
+        normal = system.jacobian(it.y, it.fields)
         sol = system._ls_step(
-            normal.gram, np.column_stack([normal.rhs(F), normal.rhs_p]))
+            normal.gram, np.column_stack([normal.rhs(it.F), normal.rhs_p]))
         du0, T = sol[:, 0], sol[:, 1:]
-        a = system.disc_coeffs(y)
-        dcoeffs, _ = system.coefficient_tangent(y, T)
-        _, d, _ = self.unpack(x)
-        n = self.n
-        shift = powers @ (system.disc_coeffs(y + du0) - a)
-        R = R.copy()
+        shift = it.powers @ (system.disc_coeffs(it.y + du0) - it.a)
+        R = it.R.copy()
         R[-2 * n - 1:-1] += np.concatenate([shift.real, shift.imag])
-        dx = _min_norm_solve(self._jacobian(x, a, dcoeffs, powers), -R)
+        dx = _min_norm_solve(
+            self._jacobian(it, system.coefficient_tangent(it.y, T)), -R)
         dq = np.concatenate([np.zeros(len(self.pinned)), dx])
-        dp = np.concatenate([dq[:2 * n], _along_direction(d, dq[2 * n:4 * n])])
+        dp = np.concatenate([dq[:2 * n],
+                             _along_direction(it.d, dq[2 * n:4 * n])])
         return np.concatenate([dx, du0 + T @ dp]), T
 
 
@@ -1508,9 +1513,7 @@ class _TwoPointSystem(_OuterSystem):
     x = (Re v, Im v, xi): the outer system with the center pinned at z."""
 
     def __init__(self, domain, z, w, settings):
-        super().__init__(domain, settings)
-        self.z = z
-        self.w = w
+        super().__init__(domain, w, settings)
         self.pinned = np.concatenate([z.real, z.imag])
 
     def unpack(self, x):
@@ -1520,14 +1523,6 @@ class _TwoPointSystem(_OuterSystem):
         if not 0.0 < xi < 1.0 or np.linalg.norm(v) < 1e-8:
             raise PreconditionError("two-point state left the admissible region")
         return z, v, xi
-
-    def _rows(self, x, a, powers=None):
-        _, v, xi = self.unpack(x)
-        return self.through_rows(a, v, xi, self.w, powers)
-
-    def _jacobian(self, x, a, dcoeffs, powers=None):
-        _, v, xi = self.unpack(x)
-        return self.through_jacobian(a, dcoeffs, v, xi, powers)[:, 2 * self.n:]
 
 
 def _parameter_tangent(domain, disc, settings):
@@ -1540,8 +1535,9 @@ def _parameter_tangent(domain, disc, settings):
     system = _CenterDirectionSystem(domain, disc.base_point, v, settings)
     u = system.initial_state(disc.coeffs, disc.solver_g)
     normal = system.jacobian(u)
-    return system.coefficient_tangent(
-        u, system._ls_step(normal.gram, normal.rhs_p))
+    du = system._ls_step(normal.gram, normal.rhs_p)
+    return (system.coefficient_tangent(u, du),
+            _gamma(du[-2 * (system.M + 1):]).T)
 
 
 def _flipped(disc):

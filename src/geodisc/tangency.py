@@ -190,35 +190,28 @@ class _TangencySystem(_OuterSystem):
     sigma."""
 
     def __init__(self, domain1, domain2, z_o, settings):
-        super().__init__(domain1, settings)
+        super().__init__(domain1, np.asarray(z_o, dtype=complex), settings)
         self.d2 = domain2
-        self.z_o = np.asarray(z_o, dtype=complex)
+        self.z_o = self.target
 
     def pack(self, w, d, sigma):
         return np.concatenate([w.real, w.imag, d.real, d.imag, [sigma]])
 
-    def _rows(self, u, a, powers=None):
-        w, d, sigma = self.unpack(u)
-        return np.concatenate([
-            _inner_rows(self.d2, w, d / np.linalg.norm(d)),
-            self.through_rows(a, d, sigma, self.z_o, powers),
-        ])
+    def _rows(self, it):
+        return np.concatenate([_inner_rows(self.d2, it.c, it.v),
+                               super()._rows(it)])
 
-    def _jacobian(self, u, a, dcoeffs, powers=None):
-        """Analytic Jacobian of the rows at u on the disc of coefficients
-        ``a``, which move with u along their parameter tangent
-        ``dcoeffs``; solves no disc.  ``powers`` are sigma^0..sigma^M,
-        made where not given."""
+    def _jacobian(self, it, dcoeffs):
+        """Analytic Jacobian of the rows at the iterate ``it``, its disc
+        coefficients moving along their parameter tangent ``dcoeffs``."""
         n = self.n
-        w, d, _ = self.unpack(u)
-        along_w, grad2 = _inner_jacobian(self.d2, w, d / np.linalg.norm(d))
+        along_w, grad2 = _inner_jacobian(self.d2, it.c, it.v)
         inner = np.zeros((3, 4 * n + 1))
         inner[:, :2 * n] = along_w
-        dpair = _along_direction(d, _coordinate_tangents(n)) @ grad2
+        dpair = _along_direction(it.d, _coordinate_tangents(n)) @ grad2
         inner[1, 2 * n:4 * n] = dpair.real
         inner[2, 2 * n:4 * n] = dpair.imag
-        return np.vstack([inner, self.through_jacobian(a, dcoeffs, d, u[4 * n],
-                                                       powers)])
+        return np.vstack([inner, super()._jacobian(it, dcoeffs)])
 
     def correct(self, u, start):
         """(u, R, disc) with max |R| <= TANGENCY_TOL by
@@ -534,7 +527,9 @@ def _predict(u, t, bend, h):
 
 def _sample_patch(system, first, u, steps, h):
     """Local patch of the (2n-3)-dimensional locus around the seed point
-    ``first``, whose state is u."""
+    ``first``, whose state is u: ``steps`` corrections from u + h t along
+    random kernel tangents t, each retried at half the step where it
+    fails, down to h/16 as in the n = 2 trace, and then raised."""
     rng = np.random.default_rng(11)
     points = [first]
     J = system.jacobian(u, first.disc)
@@ -545,11 +540,16 @@ def _sample_patch(system, first, u, steps, h):
         combo = rng.standard_normal(kernel.shape[0])
         t = combo @ kernel
         t /= max(np.linalg.norm(t[:2 * system.n]), 1e-12)
-        try:
-            u_new, R_new, disc_new = system.correct(u + h * t, first.disc)
-            points.append(system.make_point(u_new, R_new, disc_new))
-        except SolverDivergence:
-            continue
+        for step in (h, h / 2, h / 4, h / 8, h / 16):
+            try:
+                corrected = system.correct(u + step * t, first.disc)
+                break
+            except SolverDivergence:
+                pass
+        else:
+            raise SolverDivergence(
+                "step-size collapse while sampling the tangency patch")
+        points.append(system.make_point(*corrected))
     return TangencyLocus(system.z_o, points, float("nan"))
 
 

@@ -336,6 +336,44 @@ def test_trace_locus_patch_dimension_three():
     assert np.max(np.linalg.norm(W - W[0], axis=1)) > 1e-4
 
 
+def test_a_patch_off_a_ball_retries_a_failed_sample_at_half_the_step():
+    # at n = 3 off a ball, each sample of a 4-step patch fails from
+    # h = 2 pi 0.4 / 4 and is corrected from a shorter step
+    outer = make_perturbed_ball(0.05, "re_z1_sq", dimension=3)
+    inner = make_ball([0, 0, 0], 0.4)
+    locus = trace_locus(outer, inner, np.array([0.62, 0.05j, 0]), 4,
+                        SolverSettings(modes=32, grid=CircleGrid(128)))
+    assert len(locus.points) == 5
+    for tp in locus.points:
+        assert tp.residual <= TANGENCY_TOL
+        assert abs(float(inner.rho(tp.w))) <= TANGENCY_TOL
+    W = locus.touch_points()
+    assert np.min(np.linalg.norm(W[1:] - W[0], axis=1)) > 1e-4
+
+
+def test_a_patch_whose_samples_all_fail_raises_step_size_collapse(
+        monkeypatch):
+    # the seed is corrected, and the first sample fails at every step from
+    # h down to h/16 before the patch gives up
+    correct = _BallTangencySystem.correct
+    calls = []
+
+    def failing(self, u, start=None):
+        calls.append(u)
+        if len(calls) > 1:
+            raise SolverDivergence("no convergence")
+        return correct(self, u, start)
+
+    monkeypatch.setattr(_BallTangencySystem, "correct", failing)
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["ball3"]
+    with pytest.raises(SolverDivergence,
+                       match="^step-size collapse while sampling the "
+                             "tangency patch$"):
+        trace_locus(*make_domains(), np.array(z_o), 5, settings,
+                    seed_w=np.array(seed_w))
+    assert len(calls) == 1 + 5
+
+
 def _converged_tangency(outer, inner, z_o, seed_w, settings):
     """A tangency system with a corrected state and its solved disc."""
     tp = solve_tangent_disc(outer, inner, z_o, seed_w, settings)
@@ -354,6 +392,10 @@ TANGENCY_CASES = {
                            make_ball([0, 0], 0.4)),
                   [0.62 + 0j, 0.05j], [0.3, 0.25],
                   SolverSettings(modes=32, grid=CircleGrid(128))),
+    "perturbed3": (lambda: (make_perturbed_ball(0.05, "re_z1_sq", dimension=3),
+                            make_ball([0, 0, 0], 0.4)),
+                   [0.62 + 0j, 0.05j, 0.1j], [0.3, 0.25, 0.1],
+                   SolverSettings(modes=32, grid=CircleGrid(128))),
 }
 
 
@@ -540,6 +582,57 @@ def test_a_correction_builds_one_gn_jacobian_per_newton_step(monkeypatch):
     assert disc_new.boundary_residual() <= settings.newton_tol
     lift = lift_from_disc(outer, disc_new)
     assert boundary_conormality_residual(outer, disc_new, lift) <= 1e-10
+
+
+def test_a_correction_derives_each_iterate_once(monkeypatch):
+    # each joint residual unpacks x and takes the disc coefficients once,
+    # into the iterate it hands on; the step reads that iterate, takes the
+    # coefficients of y + du0 alone and builds the coefficient part of the
+    # parameter tangent, not its gamma part
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["perturbed"]
+    system, u, disc = _converged_tangency(*make_domains(), np.array(z_o),
+                                          np.array(seed_w), settings)
+    calls = dict.fromkeys(("unpack", "disc_coeffs", "tangent", "gamma"), 0)
+    spans = {"_joint_residual": [], "_joint_step": []}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def spanning(name, fn):
+        def wrapped(*args, **kwargs):
+            before = dict(calls)
+            out = fn(*args, **kwargs)
+            spans[name].append({k: calls[k] - before[k] for k in calls})
+            return out
+        return wrapped
+
+    monkeypatch.setattr(_OuterSystem, "unpack",
+                        counting("unpack", _OuterSystem.unpack))
+    for name, method in (("disc_coeffs", "disc_coeffs"),
+                         ("tangent", "coefficient_tangent")):
+        monkeypatch.setattr(_CenterDirectionSystem, method, counting(
+            name, getattr(_CenterDirectionSystem, method)))
+    monkeypatch.setattr(discs_module, "_gamma",
+                        counting("gamma", discs_module._gamma))
+    for name in spans:
+        monkeypatch.setattr(_OuterSystem, name,
+                            spanning(name, getattr(_OuterSystem, name)))
+    _, R, disc_new = system.correct(u + 0.02 * np.cos(np.arange(len(u))),
+                                    disc)
+    monkeypatch.undo()
+    assert len(spans["_joint_step"]) >= 2
+    assert np.max(np.abs(R)) <= TANGENCY_TOL
+    assert disc_new.tangent is not None
+    # the residual's one gamma is that of g on the residual grid
+    for span in spans["_joint_residual"]:
+        assert span == {"unpack": 1, "disc_coeffs": 1, "tangent": 0,
+                        "gamma": 1}
+    for span in spans["_joint_step"]:
+        assert span == {"unpack": 0, "disc_coeffs": 1, "tangent": 1,
+                        "gamma": 0}
 
 
 @pytest.mark.parametrize("case", ["ball2", "ball3"])

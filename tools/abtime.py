@@ -13,7 +13,10 @@ after the other, the order flipped every rep.  Before the first rep,
 untimed, each side builds its context, runs the workload's warm-up op,
 and runs ops 0..OPS-1 once through the workload's ``check``; a failed
 check exits non-zero naming the side and the op, so no speed ratio is
-printed for outputs outside the acceptance tolerances.  It prints ms/op
+printed for outputs outside the acceptance tolerances.  The outputs of
+that pass are compared op by op across the sides (:func:`difference`):
+it prints on how many ops they are bit-identical and, where some
+differ, the largest difference and its op.  Then it prints ms/op
 by ``time.process_time`` per rep and side, the ratio parent/change, the
 median ratio over the reps (above 1 means the change is faster), and in
 how many reps the change was faster (ratio above 1; a tie counts for
@@ -34,15 +37,60 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import dataclasses  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import numbers  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 SIDES = ("parent", "change")
+
+
+def leaves(output, path="output"):
+    """{path: array} of the ndarrays and numbers in an op's ``output``,
+    found through tuples, lists and dataclass fields.  A path names
+    fields, not types, since each side's types belong to its own copy of
+    the package; callables and every other value are skipped."""
+    if dataclasses.is_dataclass(output) and not isinstance(output, type):
+        parts = ((f".{f.name}", getattr(output, f.name))
+                 for f in dataclasses.fields(output))
+    elif isinstance(output, (tuple, list)):
+        parts = ((f"[{i}]", item) for i, item in enumerate(output))
+    elif isinstance(output, (np.ndarray, np.generic, numbers.Number)):
+        return {path: np.asarray(output)}
+    else:
+        return {}
+    found = {}
+    for name, part in parts:
+        found.update(leaves(part, path + name))
+    return found
+
+
+def difference(a, b):
+    """None where the outputs a and b are bit-identical in every leaf
+    (:func:`leaves`), else the largest absolute difference over their
+    leaves: inf where the leaves differ in path, dtype or shape, or where
+    one is NaN and the other not."""
+    la, lb = leaves(a), leaves(b)
+    if la.keys() != lb.keys():
+        return float("inf")
+    largest = None
+    for path, x in la.items():
+        y = lb[path]
+        if x.dtype != y.dtype or x.shape != y.shape:
+            return float("inf")
+        if x.tobytes() == y.tobytes():
+            continue
+        d = np.abs(x.astype(complex) - y.astype(complex))
+        d = float(np.max(np.where(np.isnan(d), np.inf, d)))
+        largest = d if largest is None else max(largest, d)
+    return largest
 
 
 def load_workloads(root, name, package_dir):
@@ -85,19 +133,31 @@ def main(argv):
     seed = int(argv[5]) if len(argv) == 6 else 1
     with tempfile.TemporaryDirectory() as package_dir:
         sys.path.insert(0, package_dir)
-        runs = {}
+        runs, outputs = {}, {}
         for name, root in zip(SIDES, (parent, change)):
             workloads = load_workloads(root, name, package_dir)
             workload = workloads.WORKLOADS[workload_name]
             ctx = workload.build()
             workload.run(ctx, workload.warmup_item())
             items = [workload.item(seed, i) for i in range(ops)]
+            outputs[name] = []
             for i, item in enumerate(items):
+                outputs[name].append(workload.run(ctx, item))
                 try:
-                    workload.check(ctx, item, workload.run(ctx, item))
+                    workload.check(ctx, item, outputs[name][-1])
                 except workloads.CheckFailed as exc:
                     sys.exit(f"{name} op {i}: check failed: {exc}")
             runs[name] = (workload, ctx, items)
+        differences = {i: d for i, d in enumerate(
+            map(difference, outputs["parent"], outputs["change"]))
+            if d is not None}
+        print(f"outputs bit-identical on {ops - len(differences)} of {ops} "
+              "ops")
+        if differences:
+            worst = max(differences, key=differences.get)
+            print(f"largest difference {differences[worst]:.3g} at op "
+                  f"{worst} ({len(differences)} ops differ)")
+        del outputs
 
         def ms_per_op(name):
             """ms/op over all ops, and by op kind, of one rep of a side."""
