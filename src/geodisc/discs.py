@@ -28,32 +28,31 @@ takes phi and g from one inverse FFT, g's spectrum as one more column
 next to phi's coefficients.  Off these grids a series is read from
 the powers of :func:`circle._powers`: by :func:`circle.power_series`,
 or at the real parameter s of the outer system by a real vector of
-powers of s.  A cold solve on a ball starts from its
+powers of s.  The cold solve and the outer system's joint iteration run
+in two levels (nested iteration: Brandt, "Multi-level adaptive solutions
+to boundary-value problems", Math. Comp. 31, 1977), by one driver,
+:func:`_two_levels`.  At M >= 16 a solve first runs at (M/2, N/2) from
+its start truncated there, to the loose COARSE_TOL, and then at M from
+that solution zero-padded, taking at least one step, since the padded
+state has only the accuracy of M/2.  Where the half-resolution level
+diverges, or below M = 16, where there is none, the solve at M starts
+from its start as given.  A cold solve on a ball starts from its
 closed-form state, coefficients and g, and runs Gauss-Newton on it,
 which has no step to take where the truncation attaches.  Off a ball it
 starts from the closed form of an inscribed ball, on which no
-Gauss-Newton runs, and solves in two levels (nested iteration: Brandt,
-"Multi-level adaptive solutions to boundary-value problems", Math.
-Comp. 31, 1977).  The first target of the homotopy, the domain itself
-unless continuation_steps > 1, is solved at (M/2, N/2) from that closed
-form truncated there, to the loose COARSE_TOL; its coefficients and g,
-zero-padded to M, start the solve at M, which takes at least one
-Gauss-Newton step, since the padded state has only the accuracy of M/2.
-Where the half-resolution solve diverges, the solve at M starts from
-the closed form at M instead.  Below M = 16 there is no half-resolution
-level (:func:`_half_resolution` gives its settings).  The outer
-system's joint iteration has the same level, from a solved disc or from
-one it solves cold (:meth:`_OuterSystem.newton`).
-Only when the solve at M diverges on a non-ball domain is the
-homotopy from the ball to the domain subdivided into blended domains,
-halving the step on each failure.  An attempt that stagnates with its
-residual norm already below newton_tol has reached the resolution floor
-of M, and the solve ends there.  Where the domain itself was tried and
-failed, the error raised is the domain's own last divergence, with a
-failing blend's as its ``__cause__``, so that it describes the domain
-asked for.  A ball has no homotopy: where Gauss-Newton fails there, the
-error names the M at which the closed form is truncated, with the
-Gauss-Newton failure as its cause.
+Gauss-Newton runs; the first target of the homotopy, the domain itself
+unless continuation_steps > 1, is solved in two levels, and every
+Gauss-Newton call at M takes at least one step.  Only when the solve at
+M diverges on a non-ball domain is the homotopy from the ball to the
+domain subdivided into blended domains, halving the step on each
+failure.  An attempt that stagnates with its residual norm already below
+newton_tol has reached the resolution floor of M, and the solve ends
+there.  Where the domain itself was tried and failed, the error raised
+is the domain's own last divergence, with a failing blend's as its
+``__cause__``, so that it describes the domain asked for.  A ball has no
+homotopy: where Gauss-Newton fails there, the error names the M at which
+the closed form is truncated, with the Gauss-Newton failure as its
+cause.
 
 The Gauss-Newton normal equations are built without the Jacobian J:
 every column of J is a shifted copy of one of a few field spectra, so
@@ -97,10 +96,9 @@ step, and the state follows the outer step along the tangent.  Each
 residual derives the iterate once (:class:`_Iterate`), and the rows,
 their Jacobian and the step read it.  No residual solves a disc or
 builds one, and each step linearizes the disc once.  This iteration
-starts from a solved disc, or from a cold solve where it has none; from
-either, at M >= 16, it first iterates at (M/2, N/2) to COARSE_TOL and
-then finishes at M with at least one step.  Every other disc solve is
-cold.  The disc it returns carries its parameter tangent, the
+starts from a solved disc, or from a cold solve where it has none, and
+runs in two levels from either.  Every other disc solve is cold.  The
+disc it returns carries its parameter tangent, the
 derivative of the coefficients and of g along the 4n real perturbations
 of z and v (implicit-function theorem), solved as 4n more right-hand
 sides of each step's factorization at M, so it lags the returned state
@@ -109,14 +107,13 @@ by the last step.
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import glob
 import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -323,9 +320,9 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     g = |1 - mu tau|^2 / |1 - mu|^2 on |tau| = 1 (Lempert, Bull. SMF 109,
     1981): ``solver_g`` is gamma = (1 + |mu|^2, -2 Re mu, 2 Im mu, 0, ...)
     / |1 - mu|^2.  Up to the truncation |mu|^M this is the solved state
-    of the Gauss-Newton system.  A cold solve on a ball starts from it;
-    off a ball it starts from an inscribed ball's, truncated to M/2 for
-    the half-resolution level, and runs no Gauss-Newton on that ball.
+    of the Gauss-Newton system.  A cold solve on a ball starts from it,
+    and off a ball from an inscribed ball's, on which it runs no
+    Gauss-Newton (see :func:`_two_levels` for its levels).
     """
     if domain.kind != "ball":
         raise PreconditionError("ball_geodesic needs a ball domain")
@@ -802,6 +799,11 @@ class _CenterDirectionSystem:
             x[-1, 1, 1:K + 1] = -gamma[2:2 * K + 1:2]
         return x.ravel()
 
+    def gamma(self, u):
+        """gamma of g at state u, or its derivative from a state
+        derivative u (len(u), k): :func:`_gamma` of u's g-block."""
+        return _gamma(u[-2 * (self.M + 1):])
+
     # -- evaluation ----------------------------------------------------
 
     def _fields(self, u):
@@ -816,7 +818,7 @@ class _CenterDirectionSystem:
         n, M, nn = self.n, self.M, self.nn
         spectra = np.zeros((nn, n + 1), dtype=complex)
         spectra[:M + 1, :n] = a
-        spectra[:M + 1, n] = _half_spectrum(_gamma(u[-2 * (M + 1):]))
+        spectra[:M + 1, n] = _half_spectrum(self.gamma(u))
         spectra[nn - M:, n] = np.conj(spectra[M:0:-1, n])
         values = np.fft.ifft(spectra, axis=0, norm="forward")
         return values[:, :n], values[:, n].real
@@ -956,19 +958,15 @@ class _CenterDirectionSystem:
     def gauss_newton(self, u0, tol, max_iters, min_steps=0):
         """(u, diag) with attachment, lift modes and gauge all <= tol,
         after at least ``min_steps`` steps."""
-        steps = [0]
-
         def step(u, F, aux):
-            steps[0] += 1
             normal = self.jacobian(u, aux[1])
             return self._ls_step(normal.gram, normal.rhs(F))
 
         u, _, (diag, _) = _damped_newton(
             u0, self.residual, step,
-            lambda F, aux: steps[0] >= min_steps and max(
-                aux[0]["attachment"], aux[0]["neg_modes"],
-                aux[0]["gauge"]) <= tol,
-            tol, max_iters)
+            lambda F, aux: max(aux[0]["attachment"], aux[0]["neg_modes"],
+                               aux[0]["gauge"]) <= tol,
+            tol, max_iters, min_steps=min_steps)
         return u, diag
 
 
@@ -1049,17 +1047,19 @@ def _cholesky_solve(A, B):
     return X
 
 
-def _damped_newton(u, residual, step, converged, tol, max_iters, aux=None):
+def _damped_newton(u, residual, step, converged, tol, max_iters, aux=None,
+                   min_steps=0):
     """The damped Newton iteration of the disc, tangency and two-point
     solves, with the policy of the module docstring (Deuflhard, *Newton
     Methods for Nonlinear Problems*, 2004, ch. 3).  ``residual(u, aux)``
     gives (F, aux) at u from the aux of the accepted iterate (``aux`` at
     the start), ``step(u, F, aux)`` the undamped step and ``converged(F,
-    aux)`` the stopping test; returns (u, F, aux)."""
+    aux)`` the stopping test, not taken before ``min_steps`` steps;
+    returns (u, F, aux)."""
     F, aux = residual(u, aux)
     norms = [np.linalg.norm(F)]
     for _ in range(max_iters):
-        if converged(F, aux):
+        if len(norms) > min_steps and converged(F, aux):
             return u, F, aux
         norm = norms[-1]
         if len(norms) > 5 and norm >= 0.5 * norms[-6]:
@@ -1083,7 +1083,7 @@ def _damped_newton(u, residual, step, converged, tol, max_iters, aux=None):
                 last_residual=float(norm))
         u, F, aux = trial, F_new, aux_new
         norms.append(np.linalg.norm(F))
-    if converged(F, aux):
+    if len(norms) > min_steps and converged(F, aux):
         return u, F, aux
     norm = np.linalg.norm(F)
     raise SolverDivergence(
@@ -1158,44 +1158,38 @@ def _blend(domain_a, domain_b, t):
                         meta={"center": domain_b.center})
 
 
-def _half_resolution(settings):
-    """The settings of the half-resolution level of a solve at
-    ``settings`` (nested iteration, see the module docstring): (M/2, N/2),
-    solved to COARSE_TOL; None below M = 16, which has no such level."""
+def _half_resolution(settings, tol):
+    """The settings at (M/2, N/2) of a solve at ``settings``, with
+    newton_tol ``tol``; None below M = 16, which has no such level."""
     if settings.modes < 16:
         return None
     return replace(settings.scaled(modes=settings.modes // 2,
                                    grid_size=settings.grid.size // 2),
-                   newton_tol=COARSE_TOL)
+                   newton_tol=tol)
 
 
-def _coarse_start(system, init, settings):
-    """The state of ``system`` zero-padded from its solve at the half
-    resolution of ``settings`` (:func:`_half_resolution`), started from
-    the closed-form disc ``init`` truncated there; where there is no such
-    level or that solve diverges, ``init`` itself, as at M."""
-    half = _half_resolution(settings)
+def _two_levels(settings, tol, start, solve, min_steps=0):
+    """The result at ``settings`` to ``tol`` of the two levels of the
+    module docstring.  ``solve(level, tol, start, min_steps)`` gives
+    (result, next start) at the settings ``level`` from ``start`` after
+    at least ``min_steps`` steps.  The level at M/2
+    (:func:`_half_resolution`) starts from ``start``, and the solve at M
+    from its next start with one step at least, or, where that level is
+    missing or diverges, from ``start`` with ``min_steps``."""
+    half = _half_resolution(settings, COARSE_TOL)
     if half is not None:
-        coarse = _CenterDirectionSystem(system.domain, system.z, system.v,
-                                        half)
         try:
-            u, _ = coarse.gauss_newton(
-                coarse.initial_state(init.coeffs, init.solver_g),
-                half.newton_tol, half.max_iters)
+            _, start_at_m = solve(half, half.newton_tol, start, 0)
         except SolverDivergence:
             pass
         else:
-            return system.initial_state(coarse.disc_coeffs(u),
-                                        _gamma(u[-2 * (coarse.M + 1):]))
-    return system.initial_state(init.coeffs, init.solver_g)
+            return solve(settings, tol, start_at_m, 1)[0]
+    return solve(settings, tol, start, min_steps)[0]
 
 
 def _solve_cd_raw(domain, z, v, settings):
     """The cold center-direction solve of the module docstring; returns
-    the solved :class:`AnalyticDisc`, without a parameter tangent.  Off a
-    ball the first target of the homotopy starts from its solve at half
-    resolution (:func:`_coarse_start`), and every Gauss-Newton call at M
-    takes at least one step."""
+    the solved :class:`AnalyticDisc`, without a parameter tangent."""
     z, v = _point_and_direction(domain, z, v)
     if not _interior(domain, z):
         raise PreconditionError("base point must be strictly interior")
@@ -1215,10 +1209,18 @@ def _solve_cd_raw(domain, z, v, settings):
         dt_max = 1.0 / settings.continuation_steps
     init = ball_geodesic(ball0, z, v, settings)
     u = system.initial_state(init.coeffs, init.solver_g)
-    # off a ball the closed form is not the solved state, and a start
-    # prolonged from M/2 is solved only to the accuracy of M/2
+    # off a ball the closed form is not the solved state
     min_steps = int(ball0 is not domain)
     coarse = ball0 is not domain
+
+    def solve(level, tol, start, min_steps):
+        # the target at M, or a system of its domain at the coarse level
+        s = target if level is settings else _CenterDirectionSystem(
+            target.domain, z, v, level)
+        u, diag = s.gauss_newton(s.initial_state(*start), tol,
+                                 level.max_iters, min_steps)
+        return (u, diag), (s.disc_coeffs(u), s.gamma(u))
+
     t, dt = 0.0, dt_max
     failure = None                  # the domain's own last divergence
     while t < 1.0:
@@ -1227,11 +1229,15 @@ def _solve_cd_raw(domain, z, v, settings):
             t_next = 1.0
         target = system if t_next == 1.0 else _CenterDirectionSystem(
             _blend(ball0, domain, t_next), z, v, settings)
-        start = _coarse_start(target, init, settings) if coarse else u
-        coarse = False
         try:
-            u_next, diag = target.gauss_newton(start, tol, settings.max_iters,
-                                               min_steps)
+            if coarse:               # the first target, off a ball
+                coarse = False
+                u_next, diag = _two_levels(
+                    settings, tol, (init.coeffs, init.solver_g), solve,
+                    min_steps)
+            else:
+                u_next, diag = target.gauss_newton(u, tol, settings.max_iters,
+                                                   min_steps)
         except SolverDivergence as exc:
             if ball0 is domain:
                 # a ball has no homotopy to subdivide: its closed form is
@@ -1279,7 +1285,7 @@ def _finalize(system, u, diag, settings, tangent=None):
                                last_residual=diag["attachment"])
     return AnalyticDisc(system.disc_coeffs(u), settings.grid, system.domain,
                         attachment_residual=diag["attachment"],
-                        solver_g=_gamma(u[-2 * (system.M + 1):]),
+                        solver_g=system.gamma(u),
                         tangent=tangent)
 
 
@@ -1401,49 +1407,31 @@ class _OuterSystem:
         x where it is None; X converges when the disc's attachment, lift
         modes and gauge are <= newton_tol and max |R| <= tol, and the disc
         returned carries the tangent of the last step (:meth:`_joint_step`).
-
-        At M >= 16 the iteration runs in two levels (nested iteration, see
-        the module docstring), from a solved ``start`` and from the disc
-        solved cold alike: first on this system at (M/2, N/2)
-        (:func:`_half_resolution`), from that disc truncated there, until
-        the disc and the rows meet COARSE_TOL; then at M from that state
-        zero-padded, with at least one step, so the disc and its tangent
-        come from a linearization at M.  Where the half-resolution level
-        diverges, the iteration at M starts from that disc as it is."""
+        The iteration runs in two levels (:func:`_two_levels`), from a
+        solved ``start`` and from the disc solved cold alike, so at
+        M >= 16 the disc and its tangent come from a linearization at M."""
         if start is None:
             _, start = self.residual(x)
-        half = _half_resolution(self.settings)
-        coeffs, gamma, must_step = start.coeffs, start.solver_g, False
-        if half is not None:
-            coarse = copy.copy(self)
-            coarse.settings = half
-            try:
-                it, _ = coarse._iterate(x, coeffs, gamma, COARSE_TOL,
-                                        max_iters)
-            except SolverDivergence:
-                pass
-            else:
-                x, coeffs, gamma = (it.x, it.a,
-                                    _gamma(it.y[-2 * (it.system.M + 1):]))
-                must_step = True
-        it, T = self._iterate(x, coeffs, gamma, tol, max_iters, must_step)
+        it, T = _two_levels(self.settings, tol,
+                            (x, start.coeffs, start.solver_g),
+                            partial(self._iterate, max_iters=max_iters))
         tangent = None if T is None else (
-            it.system.coefficient_tangent(it.y, T),
-            _gamma(T[-2 * (it.system.M + 1):]).T)
+            it.system.coefficient_tangent(it.y, T), it.system.gamma(T).T)
         return it.x, it.R, _finalize(it.system, it.y, it.diag, self.settings,
                                      tangent)
 
-    def _iterate(self, x, coeffs, gamma, tol, max_iters, must_step=False):
-        """(it, T): the joint iteration of :meth:`newton` at this system's
-        settings, from x and the state of the disc coefficients ``coeffs``
-        and boundary factor ``gamma``, of any length
-        (:meth:`_CenterDirectionSystem.initial_state`), with at least one
-        step where ``must_step``.  ``it`` is the :class:`_Iterate` it
-        converged at, and T its state's parameter tangent from the last
-        step, None where none was taken."""
+    def _iterate(self, settings, tol, start, min_steps, max_iters):
+        """((it, T), next start): the joint iteration of :meth:`newton` at
+        ``settings``, from ``start`` = (x, coeffs, gamma), x and the state
+        of disc coefficients and boundary factor of any length
+        (:meth:`_CenterDirectionSystem.initial_state`), with at least
+        ``min_steps`` steps.  ``it`` is the :class:`_Iterate` it converged
+        at, T its state's parameter tangent from the last step, None where
+        none was taken, and the next start (x, coeffs, gamma) at ``it``."""
+        x, coeffs, gamma = start
         c, d, _ = self.unpack(x)
         system = _CenterDirectionSystem(self.domain, c, d / np.linalg.norm(d),
-                                        self.settings)
+                                        settings)
         last = [None]
 
         def step(X, FR, it):
@@ -1451,28 +1439,28 @@ class _OuterSystem:
             return dX
 
         def converged(FR, it):
-            return (last[0] is not None or not must_step) and max(
-                it.diag["attachment"], it.diag["neg_modes"],
-                it.diag["gauge"]) <= self.settings.newton_tol \
+            return max(it.diag["attachment"], it.diag["neg_modes"],
+                       it.diag["gauge"]) <= settings.newton_tol \
                 and np.max(np.abs(it.R)) <= tol
 
         _, _, it = _damped_newton(
             np.concatenate([x, system.initial_state(coeffs, gamma)]),
-            self._joint_residual, step, converged, tol, max_iters)
-        return it, last[0]
+            partial(self._joint_residual, settings), step, converged, tol,
+            max_iters, min_steps=min_steps)
+        return (it, last[0]), (it.x, it.a, it.system.gamma(it.y))
 
-    def _joint_residual(self, X, aux=None):
+    def _joint_residual(self, settings, X, aux=None):
         """(F, R) stacked at X = (x, y), with the :class:`_Iterate` at X as
-        aux: F the Gauss-Newton residual of y for the disc with center c
-        and direction d/|d| at x, R the rows at x on the disc of y.
-        Raises PreconditionError where c leaves the domain."""
+        aux: F the Gauss-Newton residual of y at ``settings`` for the disc
+        with center c and direction d/|d| at x, R the rows at x on the
+        disc of y.  Raises PreconditionError where c leaves the domain."""
         m = 4 * self.n + 1 - len(self.pinned)
         x, y = X[:m], X[m:]
         c, d, s = self.unpack(x)
         if not _interior(self.domain, c):
             raise PreconditionError("the disc center left the domain")
         v = d / np.linalg.norm(d)
-        system = _CenterDirectionSystem(self.domain, c, v, self.settings)
+        system = _CenterDirectionSystem(self.domain, c, v, settings)
         F, (diag, fields) = system.residual(y)
         it = _Iterate(x, c, d, v, fields[0], _powers(s, system.M + 1),
                       system, y, F, diag, fields)
@@ -1536,8 +1524,7 @@ def _parameter_tangent(domain, disc, settings):
     u = system.initial_state(disc.coeffs, disc.solver_g)
     normal = system.jacobian(u)
     du = system._ls_step(normal.gram, normal.rhs_p)
-    return (system.coefficient_tangent(u, du),
-            _gamma(du[-2 * (system.M + 1):]).T)
+    return system.coefficient_tangent(u, du), system.gamma(du).T
 
 
 def _flipped(disc):
@@ -1688,6 +1675,8 @@ def kobayashi_distance(domain: ConvexDomain, z, w,
     """Kobayashi distance from the two-point geodesic parameter:
     (1/2) log((1+xi)/(1-xi))."""
     z, w = _point(domain, z), _point(domain, w, "point w")
+    if not (_interior(domain, z) and _interior(domain, w)):
+        raise PreconditionError("both points must be strictly interior")
     if np.array_equal(z, w):
         return 0.0
     _, xi = solve_two_point(domain, z, w, settings)

@@ -15,6 +15,7 @@ directions of ``boundary_point``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,9 @@ class ConvexDomain:
 
     def boundary_point(self, direction, tol: float = 1e-12) -> np.ndarray:
         """Intersection of the ray center + t*direction with rho = 0, for
-        directions of shape (..., n); the result has the same shape."""
+        directions of shape (..., n); the result has the same shape.
+        Raises PreconditionError unless ``tol`` is a finite number of at
+        least machine epsilon, at which adjacent floats end the bisection."""
         direction = np.asarray(direction, dtype=complex)
         t = _ray_bisect(self, self.center, direction, tol)
         return self.center + t[..., None] * direction
@@ -103,6 +106,10 @@ def _ray_bisect(domain, base, direction, tol=1e-12):
         raise PreconditionError("zero direction")
     if domain.rho(base) >= 0:
         raise PreconditionError("ray base point is not interior")
+    eps = np.finfo(float).eps
+    if not (isinstance(tol, numbers.Real) and eps <= tol < np.inf):
+        raise PreconditionError(
+            f"tol must be finite and >= {eps:g}, not {tol!r}")
     t_lo, t_hi = np.zeros(len(d)), 1.0 / scale
     live = np.arange(len(d))
     for _ in range(80):

@@ -36,6 +36,7 @@ d and sigma are closed-form, and a correction builds its disc once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -130,7 +131,12 @@ def tangency_residual(rho2: ConvexDomain, z_o, candidate_w, disc,
     (rho2(w), Re<drho2(w), d>, Im<drho2(w), d>) with d the unit tangent
     of the disc at w and <.,.> the bilinear pairing.  Raises
     :class:`PreconditionError` for a base or candidate point of the wrong
-    shape or not finite, or one the disc does not pass through."""
+    shape or not finite, or one the disc does not pass through, and for a
+    start ``sigma_w`` of w's parameter off the closed unit disc."""
+    if sigma_w is not None and not (isinstance(sigma_w, numbers.Complex)
+                                    and abs(sigma_w) <= 1.0):
+        raise PreconditionError(
+            f"sigma_w must be a point of the closed unit disc, not {sigma_w!r}")
     z_o = _point(rho2, z_o)
     w = _point(rho2, candidate_w, "candidate point")
     _, dist_z = _find_parameter(disc, z_o)
@@ -218,11 +224,10 @@ class _TangencySystem(_OuterSystem):
         :meth:`_OuterSystem.newton`, starting from the solved disc
         ``start`` with its scale |a_1| (solved cold at u where it is None);
         each step also moves the disc's Gauss-Newton state, whose
-        attachment ends <= newton_tol.  At M >= 16 it takes at most 12
-        damped Newton steps at (M/2, N/2), to COARSE_TOL, and then at most
-        12 at M, at least one; a half-resolution level that diverges leaves
-        at most 12 at M.  The system is underdetermined (2n + 4 equations,
-        4n + 1 unknowns)."""
+        attachment ends <= newton_tol.  It runs in two levels
+        (:func:`discs._two_levels`), each of at most 12 damped Newton
+        steps.  The system is underdetermined (2n + 4 equations, 4n + 1
+        unknowns)."""
         return self.newton(u, TANGENCY_TOL, 12, start)
 
     def seed(self, w0):
@@ -409,9 +414,8 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     step, where the corrector would land from it; the first step, and
     any whose bend is too large for its length to be trusted, is the
     tangent step.  Off a ball every correction, the first point's from
-    its seed disc included, starts from a solved disc, so at M >= 16 it
-    iterates at half resolution first and finishes with one or more
-    steps at M (:meth:`_TangencySystem.correct`); a point whose sigma
+    its seed disc included, starts from a solved disc and runs in two
+    levels (:meth:`_TangencySystem.correct`); a point whose sigma
     comes out negative is the same disc with tau -> -tau, not solved
     again (:meth:`_TangencySystem.make_point`).  Raises
     :class:`PreconditionError` for steps < 1 or a base point that is not

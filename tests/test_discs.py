@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import inspect
@@ -690,15 +691,20 @@ def test_cold_solve_steps_at_full_resolution_after_a_converged_coarse_level(
     v = np.array([-0.4688515842600667 - 0.6471046288662244j,
                   0.18942500562993964 - 0.5705716067934231j])
     v = v / np.linalg.norm(v)
-    system = _CenterDirectionSystem(domain, z, v, SETTINGS)
-    padded = discs_module._coarse_start(
-        system, _inscribed_start(domain, z, v, SETTINGS), SETTINGS)
+    starts = {}                         # M -> (system, start) of its call
+    gauss_newton = _CenterDirectionSystem.gauss_newton
+
+    def recording(system, u0, *args):
+        starts.setdefault(system.M, (system, u0))
+        return gauss_newton(system, u0, *args)
+
+    monkeypatch.setattr(_CenterDirectionSystem, "gauss_newton", recording)
+    log = _ContinuationLog(monkeypatch, domain)
+    disc, lift = solve_from_center_direction(domain, z, v, SETTINGS)
+    system, padded = starts[64]
     _, (diag, _) = system.residual(padded)
     assert max(diag["attachment"], diag["neg_modes"],
                diag["gauge"]) <= SETTINGS.newton_tol
-
-    log = _ContinuationLog(monkeypatch, domain)
-    disc, lift = solve_from_center_direction(domain, z, v, SETTINGS)
     assert log.target_calls == {32: [True], 64: [True]}
     assert log.jacobians_at[64] >= 1
     assert disc.attachment_residual <= SETTINGS.newton_tol
@@ -720,9 +726,8 @@ def test_coarse_divergence_leaves_the_error_as_it_was(monkeypatch):
     log = _ContinuationLog(monkeypatch, domain)
     two_level = failure()
     assert log.target_calls[16] == [False]
-    monkeypatch.setattr(discs_module, "_coarse_start",
-                        lambda system, init, settings: system.initial_state(
-                            init.coeffs, init.solver_g))
+    monkeypatch.setattr(discs_module, "_half_resolution",
+                        lambda settings, tol: None)
     one_level = failure()
     for exc in (two_level, one_level):
         assert isinstance(exc.__cause__, SolverDivergence)
@@ -861,6 +866,14 @@ def _zbar1_trace():
     a ball geodesic."""
     return restrict(NAMED_FUNCTIONS["zbar1"], ball_geodesic(BALL, _Z, _V,
                                                             SMALL))
+
+
+def _residual_from(sigma_w):
+    """tangency_residual at the point tau = 0.5 of a ball geodesic
+    through _Z_O, its parameter search started at ``sigma_w``."""
+    disc = ball_geodesic(BALL, _Z_O, _V, SMALL)
+    return tangency_residual(_INNER, _Z_O, disc(np.array([0.5]))[0], disc,
+                             sigma_w=sigma_w)
 
 
 def _matching(pattern, call):
@@ -1156,6 +1169,17 @@ def _matching(pattern, call):
     pytest.param(lambda: AnalyticDisc(np.array([_HUGE, [1.0, 0.0]]),
                                       CircleGrid(64), BALL).boundary_residual(),
                  None, id="disc-huge-coefficients"),
+    pytest.param(lambda: kobayashi_distance(BALL, np.array([2.0, 0.0]),
+                                            np.array([2.0, 0.0])),
+                 ["geodesic", "distance", "--domain", "ball", "--z", "2,0",
+                  "--w", "2,0"], id="distance-exterior-w-equals-z"),
+    *[pytest.param(lambda tol=tol: BALL.boundary_point(np.array([1.0, 0.0]),
+                                                       tol=tol),
+                   None, id=f"boundary-point-tol-{tol}")
+      for tol in (0.0, -1.0, 1e-300, np.nan, np.inf)],
+    *[pytest.param(lambda s=s: _residual_from(s), None,
+                   id=f"tangency-residual-sigma-w-{s}")
+      for s in (np.nan, np.inf, 1e300, "abc")],
     *[pytest.param(call, None, id=f"{name}-inner-radius-{r2}")
       for r2 in (1.5, 0.0, np.nan, -0.3)
       for name, call in (
@@ -1673,13 +1697,13 @@ def test_a_rejected_joint_trial_is_followed_from_the_accepted_iterate(
     residual, joint_step = (_OuterSystem._joint_residual,
                             _OuterSystem._joint_step)
 
-    def rejecting_the_first_trial(self, X, aux=None):
+    def rejecting_the_first_trial(self, settings, X, aux=None):
         states.append(X.copy())
         handed.append(aux)
         if len(states) == 2:
             returned.append(None)
             raise PreconditionError("two-point state left the admissible region")
-        out = residual(self, X, aux)
+        out = residual(self, settings, X, aux)
         returned.append(out[1])
         return out
 
@@ -1851,6 +1875,24 @@ def test_one_armijo_loop():
     # hand-written line search would repeat its sufficient-decrease test
     src = pathlib.Path(discs_module.__file__).parent
     assert sum(p.read_text().count("1e-4 * t") for p in src.glob("*.py")) == 1
+
+
+def test_one_nested_iteration():
+    # the cold disc solve and the joint iteration share one two-level
+    # driver, the one function that asks for the half-resolution level and
+    # reads its tolerance; the step floor is _damped_newton's min_steps
+    src = pathlib.Path(discs_module.__file__).parent
+    users = {"_half_resolution": set(), "COARSE_TOL": set()}
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        assert "copy.copy" not in text and "must_step" not in text
+        for function in ast.walk(ast.parse(text)):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Name) and node.id in users:
+                        users[node.id].add(function.name)
+    assert users == {"_half_resolution": {"_two_levels"},
+                     "COARSE_TOL": {"_two_levels"}}
 
 
 def test_one_outer_system():

@@ -946,13 +946,13 @@ def _one_level_and_fallback(monkeypatch, run, modes):
     iterate = _OuterSystem._iterate
     levels = []
 
-    def logging_iterate(self, *args):
+    def logging_iterate(self, settings, *args, **kwargs):
         try:
-            out = iterate(self, *args)
+            out = iterate(self, settings, *args, **kwargs)
         except SolverDivergence:
-            levels.append((self.settings.modes, False))
+            levels.append((settings.modes, False))
             raise
-        levels.append((self.settings.modes, True))
+        levels.append((settings.modes, True))
         return out
 
     def outcome(half_resolution):
@@ -964,9 +964,9 @@ def _one_level_and_fallback(monkeypatch, run, modes):
             return exc
 
     monkeypatch.setattr(_OuterSystem, "_iterate", logging_iterate)
-    one_level = outcome(lambda settings: None)
+    one_level = outcome(lambda settings, tol: None)
     assert [m for m, _ in levels] == [modes]
-    fallback = outcome(lambda settings: dataclasses.replace(
+    fallback = outcome(lambda settings, tol: dataclasses.replace(
         settings.scaled(modes=4, grid_size=16), newton_tol=1e-12))
     assert levels[0] == (4, False)
     assert [m for m, _ in levels[1:]] == [modes]
