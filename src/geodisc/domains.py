@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -64,9 +65,11 @@ class ConvexDomain:
 
     def boundary_point(self, direction, tol: float = 1e-12) -> np.ndarray:
         """Intersection of the ray center + t*direction with rho = 0, for
-        directions of shape (..., n); the result has the same shape.
-        Raises PreconditionError unless ``tol`` is a finite number of at
-        least machine epsilon, at which adjacent floats end the bisection."""
+        directions of shape (..., n); the result has the same shape.  The
+        point p lies within tol * max(1, |p - center|) of the crossing
+        along the ray, whatever the length of the direction.  Raises
+        PreconditionError unless ``tol`` is a finite number of at least
+        machine epsilon, at which adjacent floats end the bisection."""
         direction = np.asarray(direction, dtype=complex)
         t = _ray_bisect(self, self.center, direction, tol)
         return self.center + t[..., None] * direction
@@ -93,10 +96,14 @@ def _ray_bisect(domain, base, direction, tol=1e-12):
     direction) = 0 along each ray of a (..., n) batch of directions.
 
     Every ray runs the same rule: double t from 1/|direction| until rho >
-    0 (at most 80 times), then bisect until its bracket is narrower than
-    tol * max(1, t_hi).  The rays advance together; only the rays that
-    have not met the rule are evaluated, so each keeps the bracket it
-    would reach alone."""
+    0 (at most 80 times), then bisect until s (t_hi - t_lo) <= tol *
+    max(1, s t_hi), with s = max(1, |direction|).  Where |direction| >= 1
+    the bracket's length along the ray is s (t_hi - t_lo), so the point
+    lands within tol * max(1, |p - base|) whatever the length; where
+    |direction| <= 1, s = 1 and the rule is the bracket in t, whose
+    length along the ray is shorter still.  The rays advance together;
+    only the rays that have not met the rule are evaluated, so each keeps
+    the bracket it would reach alone."""
     direction = np.asarray(direction, dtype=complex)
     if not np.all(np.isfinite(direction)):
         raise PreconditionError("direction is not finite")
@@ -121,14 +128,20 @@ def _ray_bisect(domain, base, direction, tol=1e-12):
         t_hi[live] *= 2.0
     else:
         raise PreconditionError("domain appears unbounded along the ray")
-    live = np.flatnonzero(t_hi - t_lo > tol * np.maximum(1.0, t_hi))
+    s = np.maximum(1.0, scale)
+
+    def wide(live):
+        lo, hi, s_live = t_lo[live], t_hi[live], s[live]
+        return (hi - lo) * s_live > tol * np.maximum(1.0, hi * s_live)
+
+    live = np.arange(len(d))
+    live = live[wide(live)]
     while live.size:
         mid = 0.5 * (t_lo[live] + t_hi[live])
         out = domain.rho(base + mid[:, None] * d[live]) > 0
         t_hi[live[out]] = mid[out]
         t_lo[live[~out]] = mid[~out]
-        lo, hi = t_lo[live], t_hi[live]
-        live = live[hi - lo > tol * np.maximum(1.0, hi)]
+        live = live[wide(live)]
     return (0.5 * (t_lo + t_hi)).reshape(direction.shape[:-1])
 
 
@@ -328,73 +341,130 @@ def tangency_order_constant(rho2: ConvexDomain, disc, *, radial: int = 16,
     the innermost ring) and q decreases outward, the step runs along the
     ring in theta alone.  A step is accepted only when q decreases, so
     the result is never above the coarse minimum; the refinement stops
-    at the first rejected step or at a singular or indefinite Hessian.
+    at the first rejected step, at a singular or indefinite Hessian, or
+    once the decrease the step predicts is at roundoff level.
     ``zoom_rounds`` caps the number of Newton steps (0 returns the coarse
     minimum).  The refined value is invariant under rotations of the
-    disc parametrization.  Raises :class:`PreconditionError` unless
-    ``radial`` and ``angular`` are integers >= 1 and ``zoom_rounds`` an
-    integer >= 0.
+    disc parametrization.  This is the batch of one of
+    :func:`_order_constants`, which takes the constants of many discs at
+    once.  Raises :class:`PreconditionError` unless ``radial`` and
+    ``angular`` are integers >= 1 and ``zoom_rounds`` an integer >= 0.
     """
     _count("radial", radial)
     _count("angular", angular)
     _count("zoom_rounds", zoom_rounds, 0)
+    return float(_order_constants(rho2, [disc], radial, angular,
+                                  zoom_rounds)[0])
+
+
+#: discs per coarse grid of :func:`_order_constants`.  The default grid
+#: of one disc takes ~0.2 MB of temporaries at n = 2; chunks of 2 ran as
+#: fast as chunks of 4 on ball_shell, with half the transient memory
+_GRID_CHUNK = 2
+
+
+@cache
+def _polar_grid(radial, angular):
+    """(radii, angles) of the order constant's coarse grid: the ring
+    |tau| = 1e-3 and ``radial`` rings up to the rim, ``angular`` angles
+    each.  Shared between calls, hence read-only."""
     radii = np.concatenate(([1e-3], np.linspace(1.0 / radial, 1.0, radial)))
     angles = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
+    radii.flags.writeable = angles.flags.writeable = False
+    return radii, angles
 
-    a = disc.coeffs
-    vals = rho2.rho(ring_values(a, angular, radii)) / radii[:, None] ** 2
-    idx = np.unravel_index(np.argmin(vals), vals.shape)
-    r, th = radii[idx[0]], angles[idx[1]]
-    best = float(vals[idx])
 
-    k = np.arange(len(a))[:, None]
-    jets = np.zeros((len(a), 3, a.shape[1]), dtype=complex)
-    jets[:, 0] = a
-    jets[:-1, 1] = k[1:] * a[1:]
-    jets[:-2, 2] = k[2:] * (k[2:] - 1) * a[2:]
-    jets = jets.reshape(len(a), -1)
+def _order_constants(rho2, discs, radial=16, angular=128, zoom_rounds=8):
+    """The :func:`tangency_order_constant` of each of ``discs`` against
+    rho2, an array of len(discs), in one pass over all of them.
+
+    The discs' coefficients are stacked along the trailing axes of
+    :func:`circle.ring_values` (zero-padded to the longest), and the
+    coarse grid is taken _GRID_CHUNK discs at a time, one rho2 evaluation
+    per chunk.  The Newton steps then run on all discs together: each
+    disc stays live until its own rule stops it, which is the rule of a
+    disc refined alone, namely
+    - a step that does not decrease q (it is not taken),
+    - a Hessian that is singular or not positive definite (along the
+      ring: q_thetatheta <= 0),
+    - a predicted decrease g^T H^{-1} g / 2 of at most 1e-15 |q|, where
+      the step can gain nothing above roundoff,
+    - ``zoom_rounds`` steps.
+    The jets are contracted by ``einsum``, with no BLAS call, so the
+    constants do not depend on the BLAS kernel."""
+    radii, angles = _polar_grid(radial, angular)
+    count, K = len(discs), max(len(disc.coeffs) for disc in discs)
+    coeffs = np.zeros((K, count, rho2.dimension), dtype=complex)
+    for i, disc in enumerate(discs):
+        coeffs[:len(disc.coeffs), i] = disc.coeffs
+    best, r, th = np.empty(count), np.empty(count), np.empty(count)
+    for lo in range(0, count, _GRID_CHUNK):
+        chunk = slice(lo, lo + _GRID_CHUNK)
+        vals = rho2.rho(ring_values(coeffs[:, chunk], angular, radii)) \
+            / radii[:, None, None] ** 2
+        vals = vals.reshape(-1, vals.shape[-1])
+        at = np.argmin(vals, axis=0)
+        best[chunk] = vals[at, np.arange(vals.shape[1])]
+        r[chunk], th[chunk] = radii[at // angular], angles[at % angular]
+
+    k = np.arange(K)[:, None, None]
+    jets = np.zeros((K, 3) + coeffs.shape[1:], dtype=complex)
+    jets[:, 0] = coeffs
+    jets[:-1, 1] = k[1:] * coeffs[1:]
+    jets[:-2, 2] = k[2:] * (k[2:] - 1) * coeffs[2:]
+    # (count, K, 3n): one disc's jets are one contiguous block
+    jets = jets.transpose(2, 0, 1, 3).reshape(count, K, -1)
+    live = np.arange(count)
     _, grad, hess = _order_quotient_jet(rho2, jets, r, th)
     for _ in range(zoom_rounds):
         q_r, q_t = grad
         q_rr, q_rt, q_tt = hess
-        # at the rim or the innermost ring with q falling outward: step
-        # along the ring
-        if (r >= 1.0 and q_r < 0) or (r <= radii[0] and q_r > 0):
-            if not q_tt > 0:
-                break
-            r_new, th_new = r, th - q_t / q_tt
-        else:
-            # the 2x2 Newton step, with positive definiteness, in closed form
-            det = q_rr * q_tt - q_rt * q_rt
-            if not (q_rr > 0 and det > 0):
-                break
-            dr = (q_rt * q_t - q_tt * q_r) / det
-            dth = (q_rt * q_r - q_rr * q_t) / det
-            r_new, th_new = min(max(r + dr, radii[0]), 1.0), th + dth
-        q, grad, hess = _order_quotient_jet(rho2, jets, r_new, th_new)
-        if not q < best:
+        # at the rim or the innermost ring with q falling outward: a step
+        # along the ring; elsewhere the 2x2 Newton step, with positive
+        # definiteness, in closed form
+        ring = ((r[live] >= 1.0) & (q_r < 0)) \
+            | ((r[live] <= radii[0]) & (q_r > 0))
+        det = q_rr * q_tt - q_rt * q_rt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dr = np.where(ring, 0.0, (q_rt * q_t - q_tt * q_r) / det)
+            dth = np.where(ring, -q_t / q_tt,
+                           (q_rt * q_r - q_rr * q_t) / det)
+        go = np.where(ring, q_tt > 0, (q_rr > 0) & (det > 0)) \
+            & (-0.5 * (q_r * dr + q_t * dth) > 1e-15 * np.abs(best[live]))
+        live, dr, dth = live[go], dr[go], dth[go]
+        if live.size == 0:
             break
-        r, th, best = r_new, th_new, q
+        r_new = np.minimum(np.maximum(r[live] + dr, radii[0]), 1.0)
+        th_new = th[live] + dth
+        q, grad, hess = _order_quotient_jet(rho2, jets[live], r_new, th_new)
+        taken = q < best[live]
+        live = live[taken]
+        r[live], th[live], best[live] = r_new[taken], th_new[taken], q[taken]
+        grad = tuple(g[taken] for g in grad)
+        hess = tuple(h[taken] for h in hess)
     return best
 
 
 def _order_quotient_jet(rho2, jets, r, th):
     """q(r, theta) = rho2(phi(tau)) / r^2 at tau = r e^{i theta}, with its
-    gradient (q_r, q_theta) and Hessian (q_rr, q_rtheta, q_thetatheta).
-    ``jets`` (K, 3n) stacks the power-series coefficients of phi, phi'
-    and phi'' along its columns, so one vector of powers of tau
-    (:func:`circle._powers`) reads all three."""
+    gradient (q_r, q_theta) and Hessian (q_rr, q_rtheta, q_thetatheta),
+    for a batch of B discs at r and theta of shape (B,), one point per
+    disc; q and each entry of the gradient and Hessian have shape (B,).
+    ``jets`` (B, K, 3n) stacks each disc's power-series
+    coefficients of phi, phi' and phi'' along its columns, so one vector
+    of powers of tau (:func:`circle._powers`) reads all three."""
     e = np.exp(1j * th)
     tau = r * e
-    phi, d1, d2 = (_powers(tau, len(jets)) @ jets).reshape(3, -1)
-    f = float(rho2.rho(phi))
+    vals = np.einsum("kb,bkj->bj", _powers(tau, jets.shape[1]), jets)
+    phi, d1, d2 = vals.reshape(len(vals), 3, -1).transpose(1, 0, 2)
+    f = rho2.rho(phi)
     g = rho2.grad(phi)
     A, C = rho2.hess_complex(phi)
     # complex derivatives of f(tau) = rho2(phi(tau)): a = df/dtau,
     # b = d^2 f/dtau^2, c = d^2 f/dtau dtau_bar (real)
-    a = g @ d1
-    b = d1 @ A @ d1 + g @ d2
-    c = float((d1 @ C @ np.conj(d1)).real)
+    a = np.einsum("bi,bi->b", g, d1)
+    b = np.einsum("bi,bij,bj->b", d1, A, d1) + np.einsum("bi,bi->b", g, d2)
+    c = np.einsum("bi,bij,bj->b", d1, C, np.conj(d1)).real
     # along r, tau moves by e; along theta, by i tau
     f_r = 2.0 * (a * e).real
     f_t = -2.0 * (a * tau).imag

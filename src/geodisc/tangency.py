@@ -48,7 +48,7 @@ from .discs import (AnalyticDisc, SolverSettings, _OuterSystem,
                     _ball_two_point_data, _complete_unitary,
                     _coordinate_tangents, _damped_newton, _flipped, _herm,
                     _interior, _min_norm_solve, _point, _solve_cd_raw)
-from .domains import (ConvexDomain, _random_directions,
+from .domains import (ConvexDomain, _order_constants, _random_directions,
                       tangency_order_constant)
 from .errors import HypothesisViolation, PreconditionError, SolverDivergence
 
@@ -176,17 +176,29 @@ def _touch(u, n):
 
 def _tangency_point(system, w, sigma, R, disc) -> TangencyPoint:
     """The locus point of ``system`` touching at w, with its corrected
-    residual R and its disc through z_o at sigma; raises
-    HypothesisViolation where the tangency constant is not positive."""
-    const = tangency_order_constant(system.d2, disc)
-    if const <= 0:
-        raise HypothesisViolation(
-            "tangency constant is not positive: the inner domain is not "
-            "strongly convex with respect to this disc "
-            f"(constant {const:.3g})")
-    return TangencyPoint(w=w, disc=disc, tangency_constant=const,
+    residual R and its disc through z_o at sigma; its tangency constant
+    is NaN until :func:`_certify` sets it."""
+    return TangencyPoint(w=w, disc=disc, tangency_constant=float("nan"),
                          sigma=float(sigma), base_point=system.z_o,
                          residual=float(np.max(np.abs(R))))
+
+
+def _certify(points, constants):
+    """Set the tangency constant of each of ``points``, in order; raises
+    HypothesisViolation at the first that is not positive, naming it."""
+    for point, const in zip(points, constants):
+        point.tangency_constant = float(const)
+        if const <= 0:
+            raise HypothesisViolation(
+                "tangency constant is not positive: the inner domain is not "
+                "strongly convex with respect to this disc "
+                f"(constant {const:.3g})")
+
+
+def _certify_locus(domain2, points):
+    """:func:`_certify` with the constants of all ``points`` from one
+    batched pass (:func:`domains._order_constants`)."""
+    _certify(points, _order_constants(domain2, [p.disc for p in points]))
 
 
 class _TangencySystem(_OuterSystem):
@@ -356,20 +368,28 @@ def _base_point(domain1, domain2, z_o):
     return z_o
 
 
+def _corrected_point(system, seed_w) -> TangencyPoint:
+    """The locus point of ``system`` corrected from the tangent disc
+    nearest ``seed_w``, with no tangency constant yet."""
+    return system.make_point(*system.correct(*_initial_state(system, seed_w)))
+
+
 def solve_tangent_disc(domain1: ConvexDomain, domain2: ConvexDomain, z_o,
                        seed_w, settings: SolverSettings | None = None
                        ) -> TangencyPoint:
     """Newton iteration for a single tangency point near ``seed_w``.
 
     z_o must lie strictly between the domains.  A nonpositive tangency
-    constant is reported as a hypothesis violation, distinct from a
-    solver failure.
+    constant (:func:`domains.tangency_order_constant`), taken once the
+    point is corrected, is reported as a :class:`HypothesisViolation`,
+    distinct from a solver failure.
     """
     settings = settings or SolverSettings()
     z_o = _base_point(domain1, domain2, z_o)
-    system = _tangency_system(domain1, domain2, z_o, settings)
-    u, R, disc = system.correct(*_initial_state(system, seed_w))
-    return system.make_point(u, R, disc)
+    point = _corrected_point(
+        _tangency_system(domain1, domain2, z_o, settings), seed_w)
+    _certify([point], [tangency_order_constant(domain2, point.disc)])
+    return point
 
 
 def _ranked_seeds(domain2, z_o):
@@ -397,10 +417,65 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     """Sample the tangency locus through z_o.
 
     For n = 2 the locus is a closed curve traced by predictor-corrector
-    continuation along the kernel of the residual Jacobian; for n >= 3
-    a local patch of ``steps`` corrected samples around a seed point is
-    returned (no atlas).  Without ``seed_w`` the locus starts at the
+    continuation along the kernel of the residual Jacobian
+    (:func:`_trace_curve`); for n >= 3 a local patch of ``steps``
+    corrected samples around a seed point is returned (no atlas,
+    :func:`_sample_patch`).  Without ``seed_w`` the locus starts at the
     first of the :func:`_ranked_seeds` whose tangent disc converges.
+
+    The points are traced without their tangency constants; once the
+    locus is traced, the constants of all its points are taken in one
+    batched pass (:func:`domains._order_constants`), and a nonpositive
+    one raises :class:`HypothesisViolation` naming the first such point's
+    constant, in locus order.  Where the trace fails with
+    :class:`SolverDivergence` after its first point, the points traced
+    so far are certified the same way first, so a nonpositive constant
+    takes precedence over the divergence.  Raises
+    :class:`PreconditionError` for steps < 1 or a base point that is not
+    strictly between the domains, before any solve.
+    """
+    _count("steps", steps)
+    settings = settings or SolverSettings()
+    z_o = _base_point(domain1, domain2, z_o)
+    system = _tangency_system(domain1, domain2, z_o, settings)
+    if seed_w is not None:
+        first = _corrected_point(system, seed_w)
+    else:
+        first = None
+        error = None
+        for candidate in _ranked_seeds(domain2, z_o):
+            try:
+                first = _corrected_point(system, candidate)
+                break
+            except (SolverDivergence, PreconditionError) as exc:
+                error = exc
+        if first is None:
+            raise SolverDivergence(
+                f"no tangency seed converged ({error})")
+    disc = first.disc
+    u = system.pack(first.w, disc.base_direction
+                    / np.linalg.norm(disc.base_direction), first.sigma)
+    domain_scale = float(np.linalg.norm(first.w - domain2.center))
+    points = [first]
+    try:
+        if domain1.dimension >= 3:
+            gap = _sample_patch(system, points, u, steps,
+                                2.0 * np.pi * domain_scale / steps)
+        else:
+            gap = _trace_curve(system, points, u, steps, domain_scale)
+    except SolverDivergence:
+        _certify_locus(domain2, points)
+        raise
+    _certify_locus(domain2, points)
+    return TangencyLocus(z_o, points, gap)
+
+
+def _trace_curve(system, points, u, steps, domain_scale):
+    """Trace the closed locus curve (n = 2) from its point ``points[0]``,
+    whose state is u and whose distance from the inner domain's center
+    is ``domain_scale``, appending each corrected point to ``points``;
+    returns the closure gap.
+
     The curve is traversed in the sense of the rotation w -> e^{it} w
     about the inner domain's center, so its order does not depend on the
     sign that the SVD gives the first kernel tangent.  The step size is
@@ -418,38 +493,11 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     levels (:meth:`_TangencySystem.correct`); a point whose sigma
     comes out negative is the same disc with tau -> -tau, not solved
     again (:meth:`_TangencySystem.make_point`).  Raises
-    :class:`PreconditionError` for steps < 1 or a base point that is not
-    strictly between the domains, before any solve.
-    """
-    _count("steps", steps)
-    settings = settings or SolverSettings()
-    z_o = _base_point(domain1, domain2, z_o)
-    if seed_w is not None:
-        first = solve_tangent_disc(domain1, domain2, z_o, seed_w, settings)
-    else:
-        first = None
-        error = None
-        for candidate in _ranked_seeds(domain2, z_o):
-            try:
-                first = solve_tangent_disc(domain1, domain2, z_o, candidate,
-                                           settings)
-                break
-            except (SolverDivergence, PreconditionError) as exc:
-                error = exc
-        if first is None:
-            raise SolverDivergence(
-                f"no tangency seed converged ({error})")
-    system = _tangency_system(domain1, domain2, z_o, settings)
+    :class:`SolverDivergence` where the step size collapses or the
+    curve does not close in 4 x ``steps`` steps."""
+    first = points[0]
     disc = first.disc
-    n = domain1.dimension
-    u = system.pack(first.w, disc.base_direction
-                    / np.linalg.norm(disc.base_direction), first.sigma)
-
-    domain_scale = float(np.linalg.norm(first.w - domain2.center))
-
-    if n >= 3:
-        return _sample_patch(system, first, u, steps,
-                             2.0 * np.pi * domain_scale / steps)
+    n = system.n
 
     def kernel_tangent(u, disc, t_prev):
         J = system.jacobian(u, disc)
@@ -465,7 +513,8 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     # tangent at the first point serves both the probe and the first step
     probe = 0.02 * domain_scale
     # oriented by Re <t_w, i (w - c)> > 0 (the packed dot product)
-    rotation = system.pack(1j * (first.w - domain2.center), np.zeros(n), 0.0)
+    rotation = system.pack(1j * (first.w - system.d2.center), np.zeros(n),
+                           0.0)
     t_first = kernel_tangent(u, disc, rotation)
     # each correction starts from the last disc accepted: the first step
     # from the probe's
@@ -476,9 +525,7 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
     radius = 1.0 / max(float(curvature), 0.1 / domain_scale)
     h = min(2.0 * np.pi * radius / steps, 0.5 * radius)
 
-    points = [first]
     t_prev, bend = t_first, None
-    w_start = first.w
     h_min, h_max = h / 16.0, 1.25 * h
     arc = 0.0
     for _ in range(4 * steps):
@@ -497,9 +544,9 @@ def trace_locus(domain1: ConvexDomain, domain2: ConvexDomain, z_o, steps: int,
         points.append(point)
         u, disc = u_new, disc_new
         h = min(1.15 * h, h_max)
-        gap = float(np.linalg.norm(point.w - w_start))
+        gap = float(np.linalg.norm(point.w - first.w))
         if len(points) >= 5 and arc > 4.0 * radius and gap < h:
-            return TangencyLocus(z_o, points, gap)
+            return gap
         t_new = kernel_tangent(u, disc, t_prev)
         bend = (t_new - t_prev) / length
         t_prev = t_new
@@ -529,13 +576,14 @@ def _predict(u, t, bend, h):
     return u + s * t + 0.5 * s * s * bend
 
 
-def _sample_patch(system, first, u, steps, h):
-    """Local patch of the (2n-3)-dimensional locus around the seed point
-    ``first``, whose state is u: ``steps`` corrections from u + h t along
-    random kernel tangents t, each retried at half the step where it
-    fails, down to h/16 as in the n = 2 trace, and then raised."""
+def _sample_patch(system, points, u, steps, h):
+    """Local patch of the (2n-3)-dimensional locus around its point
+    ``points[0]``, whose state is u: ``steps`` corrections from u + h t
+    along random kernel tangents t, appended to ``points``; returns the
+    closure gap, NaN for a patch.  Each is retried at half the step where
+    it fails, down to h/16 as in the n = 2 trace, and then raised."""
+    first = points[0]
     rng = np.random.default_rng(11)
-    points = [first]
     J = system.jacobian(u, first.disc)
     _, sv, vt = np.linalg.svd(J)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
@@ -554,7 +602,7 @@ def _sample_patch(system, first, u, steps, h):
             raise SolverDivergence(
                 "step-size collapse while sampling the tangency patch")
         points.append(system.make_point(*corrected))
-    return TangencyLocus(system.z_o, points, float("nan"))
+    return float("nan")
 
 
 # ---------------------------------------------------------------------------

@@ -363,10 +363,11 @@ def test_tangency_pi_command(tmp_path):
 
 def test_hypothesis_violation_exits_4(tmp_path, capsys, monkeypatch):
     # a nonpositive tangency constant: the inner domain is not strongly
-    # convex with respect to the tangent disc
+    # convex with respect to the tangent disc; a traced locus takes the
+    # constants of all its points from one batched pass
     from geodisc import tangency
-    monkeypatch.setattr(tangency, "tangency_order_constant",
-                        lambda domain, disc: -1.0)
+    monkeypatch.setattr(tangency, "_order_constants",
+                        lambda domain, discs: np.full(len(discs), -1.0))
     code, rep = run(["tangency", "trace", "--domain1", "ball", "--domain2",
                      "ball:0.5", "--z-o", "0.7,0", "--steps", "4",
                      "--modes", "32", "--grid", "128"], tmp_path)

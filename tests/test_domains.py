@@ -1,13 +1,20 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from geodisc import (make_ball, make_ellipsoid, make_perturbed_ball, certify,
                      unit_outward_conormal, tangency_order_constant,
-                     ball_geodesic, solve_tangent_disc, SolverSettings,
+                     ball_geodesic, solve_tangent_disc, trace_locus,
+                     SolverSettings,
                      solve_from_center_direction,
                      AnalyticDisc, CircleGrid, PreconditionError)
 from geodisc.circle import power_series, ring_values
-from geodisc.domains import NAMED_BUMPS, _random_directions
+from geodisc.domains import (NAMED_BUMPS, _order_constants,
+                             _random_directions)
 
 
 def test_ball_examples():
@@ -297,6 +304,88 @@ def test_tangency_order_constant_matches_the_power_series_path():
             == _power_series_order_constant(rho2, disc, zoom_rounds=0)
 
 
+def _batched_order_constant_cases():
+    """(rho2, discs): the discs of _order_constant_cases() batched by inner
+    domain (balls about 0 of one radius, so discs of 2, 4 and 33
+    coefficients share a batch), and the discs of a ball locus, a
+    perturbed-ball locus and an n = 3 patch against their inner balls."""
+    batches = {}
+    for rho2, disc in _order_constant_cases():
+        batches.setdefault(rho2.meta["radius"], (rho2, []))[1].append(disc)
+    small = SolverSettings(modes=32, grid=CircleGrid(128))
+    loci = [(make_ball([0, 0], 1.0), make_ball([0, 0], 0.5), [0.7, 0.2j], 12),
+            (make_perturbed_ball(0.05, "re_z1_sq"), make_ball([0, 0], 0.4),
+             [0.62, 0.05j], 10),
+            (make_ball([0, 0, 0], 1.0), make_ball([0, 0, 0], 0.5),
+             [0.75, 0, 0.1j], 4)]
+    cases = list(batches.values())
+    for outer, inner, z_o, steps in loci:
+        locus = trace_locus(outer, inner, np.array(z_o, dtype=complex),
+                            steps, small)
+        cases.append((inner, [p.disc for p in locus.points]))
+    return cases
+
+
+def test_batched_order_constants_match_the_per_disc_path():
+    # one pass over many discs refines each to the per-disc power-series
+    # value; its coarse minima are the per-disc ones bit for bit, and no
+    # refined constant is above its coarse minimum
+    for rho2, discs in _batched_order_constant_cases():
+        constants = _order_constants(rho2, discs)
+        coarse = _order_constants(rho2, discs, zoom_rounds=0)
+        assert constants.shape == coarse.shape == (len(discs),)
+        for disc, const, least in zip(discs, constants, coarse):
+            refined = _power_series_order_constant(rho2, disc)
+            assert abs(const - refined) <= 1e-14 * abs(refined)
+            assert least == _coarse_minimum(rho2, disc)
+            assert const <= least
+
+
+#: order constants of fixed seeded discs (17 to 129 coefficients, their
+#: a_0 on the sphere |z| = 0.5 and a_1 tangent to it) against a ball and a
+#: perturbed ball, printed as the bytes of the float64 array; the inputs
+#: are built without BLAS (no norm or dot), so only the constants can move
+_SEEDED_ORDER_CONSTANTS = """
+import numpy as np
+from geodisc import make_ball, make_perturbed_ball
+from geodisc.discs import AnalyticDisc
+from geodisc.circle import CircleGrid
+from geodisc.domains import _order_constants
+
+rng = np.random.default_rng(2024)
+discs = []
+for K in (17, 33, 65, 129):
+    for _ in range(4):
+        c = (rng.standard_normal((K, 2)) + 1j * rng.standard_normal((K, 2))) \
+            * (0.05 * 0.7 ** np.arange(K))[:, None]
+        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        c[0] = 0.5 * w / np.sqrt(np.sum(np.abs(w) ** 2))
+        c[1] = 0.6 * np.array([-np.conj(c[0, 1]), np.conj(c[0, 0])])
+        discs.append(AnalyticDisc(c, CircleGrid(128)))
+constants = [_order_constants(rho2, discs)
+             for rho2 in (make_ball([0, 0], 0.5),
+                          make_perturbed_ball(0.05, "re_z1z2"))]
+print(np.concatenate(constants).tobytes().hex())
+"""
+
+
+def test_order_constants_do_not_depend_on_the_blas_kernel():
+    # the jets are contracted by einsum, not matmul, so OpenBLAS's core
+    # type (forced by OPENBLAS_CORETYPE) moves no constant by a bit
+    src = pathlib.Path(__file__).parents[1] / "src"
+    outputs = set()
+    for core in ("Prescott", "Sandybridge", "Haswell", "SkylakeX"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(src),
+                                             env.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-c", _SEEDED_ORDER_CONSTANTS],
+                             env=env, check=True, timeout=300,
+                             capture_output=True, text=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
 def test_hess_real_matches_complex_blocks():
     pb = make_perturbed_ball(0.05, "re_z1_sq")
     z = np.array([0.2 + 0.1j, -0.3 + 0.05j])
@@ -315,12 +404,14 @@ def test_certify_requires_min_samples():
 
 def _scalar_ray_bisect(domain, direction, tol=1e-12):
     """Reference: the one-ray doubling-then-bisection rule, written with
-    Python scalars."""
+    Python scalars; s = max(1, |direction|) measures the bracket along
+    the ray."""
     base = domain.center
     t_lo, t_hi = 0.0, 1.0 / np.linalg.norm(direction)
+    s = max(1.0, float(np.linalg.norm(direction)))
     while domain.rho(base + t_hi * direction) <= 0:
         t_lo, t_hi = t_hi, 2.0 * t_hi
-    while t_hi - t_lo > tol * max(1.0, t_hi):
+    while (t_hi - t_lo) * s > tol * max(1.0, t_hi * s):
         mid = 0.5 * (t_lo + t_hi)
         if domain.rho(base + mid * direction) > 0:
             t_hi = mid
@@ -354,6 +445,24 @@ def test_boundary_point_batched(name, shape):
         t = _scalar_ray_bisect(domain, d)
         assert np.linalg.norm(p - (center + t * d)) \
             <= 1e-12 * t * np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("length", [1e-3, 0.1, 1.0, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("radius", [0.5, 30.0])
+def test_boundary_point_lands_on_the_sphere_for_any_direction_length(
+        length, radius):
+    # the bisection ends on the point, not on t: p is within tol * max(1,
+    # |p - center|) of the sphere whatever |direction| is (at 1e6 the rule
+    # on t alone missed the unit-scale sphere by ~5e-7)
+    ball = make_ball([0.1, -0.2j], radius)
+    rng = np.random.default_rng(17)
+    dirs = np.vstack([[1.0, 0.0], rng.standard_normal((8, 2))
+                      + 1j * rng.standard_normal((8, 2))])
+    dirs *= length / np.linalg.norm(dirs, axis=1, keepdims=True)
+    for tol in (1e-12, 1e-9):
+        dist = np.linalg.norm(ball.boundary_point(dirs, tol) - ball.center,
+                              axis=1)
+        assert np.all(np.abs(dist - radius) <= tol * np.maximum(1.0, dist))
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])

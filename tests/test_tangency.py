@@ -8,8 +8,8 @@ from geodisc import (make_ball, make_perturbed_ball, ball_geodesic,
                      jacobian_certificate, push_domain_through_psi,
                      pi_set_sample, tangent_line_disc, lift_from_disc,
                      projectivize, SolverSettings, CircleGrid, ConvexDomain,
-                     PreconditionError, SolverDivergence, NAMED_FUNCTIONS,
-                     consistency_check)
+                     PreconditionError, SolverDivergence, HypothesisViolation,
+                     NAMED_FUNCTIONS, consistency_check)
 from geodisc import discs as discs_module
 from geodisc import tangency as tangency_module
 from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
@@ -1067,6 +1067,98 @@ def test_a_trace_that_does_not_come_around_raises_did_not_close(monkeypatch):
         trace_locus(*make_domains(), np.array(z_o), 12, settings,
                     seed_w=np.array(seed_w))
     assert len(landed) == 2 + 4 * 12
+
+
+def _nonpositive_constants(monkeypatch, bad):
+    """Patch the batched order constants of a traced locus so that the
+    points at the indices of ``bad`` (index -> constant) get those
+    constants; returns the sizes of the batches it was called with."""
+    order_constants = tangency_module._order_constants
+    batches = []
+
+    def patched(domain, discs):
+        batches.append(len(discs))
+        constants = order_constants(domain, discs)
+        for i, const in bad.items():
+            if i < len(constants):
+                constants[i] = const
+        return constants
+
+    monkeypatch.setattr(tangency_module, "_order_constants", patched)
+    return batches
+
+
+def test_a_nonpositive_constant_at_a_later_point_is_a_hypothesis_violation(
+        monkeypatch):
+    # the constants of the whole locus come from one pass once it closes,
+    # and the violation names the first nonpositive one in locus order
+    batches = _nonpositive_constants(monkeypatch, {4: -0.25, 7: -0.5})
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["ball2"]
+    with pytest.raises(HypothesisViolation,
+                       match=r"^tangency constant is not positive: .*"
+                             r"\(constant -0\.25\)$"):
+        trace_locus(*make_domains(), np.array(z_o), 12, settings,
+                    seed_w=np.array(seed_w))
+    assert len(batches) == 1 and batches[0] >= 12
+
+
+def _collapsing(correct):
+    """A correction that fails from its fifth call on: the seed, the
+    probe and two locus points are corrected, then every step fails."""
+    calls = []
+
+    def failing(self, u, start=None):
+        calls.append(u)
+        if len(calls) > 4:
+            raise SolverDivergence("no convergence")
+        return correct(self, u, start)
+
+    return failing
+
+
+def _not_closing(correct):
+    """A correction that lands a tenth of the way from the last point it
+    returned, so the locus does not close."""
+    landed = []
+
+    def short(self, u, start=None):
+        if landed:
+            u = landed[-1] + 0.1 * (u - landed[-1])
+        out = correct(self, u, start)
+        landed.append(out[0])
+        return out
+
+    return short
+
+
+@pytest.mark.parametrize("failure,points", [(_collapsing, 3),
+                                            (_not_closing, 4 * 12 + 1)])
+def test_a_nonpositive_constant_takes_precedence_over_a_later_divergence(
+        monkeypatch, failure, points):
+    # the trace fails after a point with a nonpositive constant (step-size
+    # collapse or no closure): the points traced so far are certified
+    # first, and the violation is raised in place of the divergence
+    monkeypatch.setattr(_BallTangencySystem, "correct",
+                        failure(_BallTangencySystem.correct))
+    batches = _nonpositive_constants(monkeypatch, {1: -0.5, 2: -0.75})
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["ball2"]
+    with pytest.raises(HypothesisViolation, match=r"\(constant -0\.5\)$"):
+        trace_locus(*make_domains(), np.array(z_o), 12, settings,
+                    seed_w=np.array(seed_w))
+    assert batches == [points]
+
+
+def test_a_divergence_after_positive_constants_is_raised_as_it_was(
+        monkeypatch):
+    # with every constant positive the divergence stands
+    monkeypatch.setattr(_BallTangencySystem, "correct",
+                        _collapsing(_BallTangencySystem.correct))
+    batches = _nonpositive_constants(monkeypatch, {})
+    make_domains, z_o, seed_w, settings = TANGENCY_CASES["ball2"]
+    with pytest.raises(SolverDivergence, match="^step-size collapse"):
+        trace_locus(*make_domains(), np.array(z_o), 12, settings,
+                    seed_w=np.array(seed_w))
+    assert batches == [3]
 
 
 @pytest.mark.parametrize("da", [1e-6, 1e-8])

@@ -16,7 +16,11 @@ check exits non-zero naming the side and the op, so no speed ratio is
 printed for outputs outside the acceptance tolerances.  The outputs of
 that pass are compared op by op across the sides (:func:`difference`):
 it prints on how many ops they are bit-identical and, where some
-differ, the largest difference and its op.  Then it prints ms/op
+differ, the largest difference and its op.  It also prints each side's
+``tracemalloc`` peak over that pass, above the traced memory at its
+start (the peak is reset between the sides; tracing stops before the
+timed reps): a batch that holds large temporaries shows there, not in
+the timings.  Then it prints ms/op
 by ``time.process_time`` per rep and side, the ratio parent/change, the
 median ratio over the reps (above 1 means the change is faster), and in
 how many reps the change was faster (ratio above 1; a tie counts for
@@ -46,6 +50,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -133,7 +138,8 @@ def main(argv):
     seed = int(argv[5]) if len(argv) == 6 else 1
     with tempfile.TemporaryDirectory() as package_dir:
         sys.path.insert(0, package_dir)
-        runs, outputs = {}, {}
+        runs, outputs, peaks = {}, {}, {}
+        tracemalloc.start()
         for name, root in zip(SIDES, (parent, change)):
             workloads = load_workloads(root, name, package_dir)
             workload = workloads.WORKLOADS[workload_name]
@@ -141,13 +147,20 @@ def main(argv):
             workload.run(ctx, workload.warmup_item())
             items = [workload.item(seed, i) for i in range(ops)]
             outputs[name] = []
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
             for i, item in enumerate(items):
                 outputs[name].append(workload.run(ctx, item))
                 try:
                     workload.check(ctx, item, outputs[name][-1])
                 except workloads.CheckFailed as exc:
                     sys.exit(f"{name} op {i}: check failed: {exc}")
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
             runs[name] = (workload, ctx, items)
+        tracemalloc.stop()
+        print("tracemalloc peak over the check pass: "
+              + "  ".join(f"{name} {peaks[name] / 2 ** 20:.3f} MB"
+                          for name in SIDES))
         differences = {i: d for i, d in enumerate(
             map(difference, outputs["parent"], outputs["change"]))
             if d is not None}
