@@ -36,23 +36,19 @@ its start truncated there, to the loose COARSE_TOL, and then at M from
 that solution zero-padded, taking at least one step, since the padded
 state has only the accuracy of M/2.  Where the half-resolution level
 diverges, or below M = 16, where there is none, the solve at M starts
-from its start as given.  A cold solve on a ball starts from its
-closed-form state, coefficients and g, and runs Gauss-Newton on it,
-which has no step to take where the truncation attaches.  Off a ball it
-starts from the closed form of an inscribed ball, on which no
-Gauss-Newton runs; the first target of the homotopy, the domain itself
-unless continuation_steps > 1, is solved in two levels, and every
-Gauss-Newton call at M takes at least one step.  Only when the solve at
-M diverges on a non-ball domain is the homotopy from the ball to the
-domain subdivided into blended domains, halving the step on each
-failure.  An attempt that stagnates with its residual norm already below
-newton_tol has reached the resolution floor of M, and the solve ends
-there.  Where the domain itself was tried and failed, the error raised
-is the domain's own last divergence, with a failing blend's as its
-``__cause__``, so that it describes the domain asked for.  A ball has no
-homotopy: where Gauss-Newton fails there, the error names the M at which
-the closed form is truncated, with the Gauss-Newton failure as its
-cause.
+from its start as given.  A cold solve on a ball is :func:`_ball_disc`,
+the ball's one solve (see below).  Every other cold solve is a
+homotopy: it starts from the closed form of an inscribed ball, on which
+no Gauss-Newton runs; the first target, the domain itself unless
+continuation_steps > 1, is solved in two levels, and every Gauss-Newton
+call at M takes at least one step.  Only when the solve at M diverges is
+the homotopy from the ball to the domain subdivided into blended
+domains, halving the step on each failure.  An attempt that stagnates
+with its residual norm already below newton_tol has reached the
+resolution floor of M, and the solve ends there.  Where the domain
+itself was tried and failed, the error raised is the domain's own last
+divergence, with a failing blend's as its ``__cause__``, so that it
+describes the domain asked for.
 
 The Gauss-Newton normal equations are built without the Jacobian J:
 every column of J is a shifted copy of one of a few field spectra, so
@@ -84,9 +80,12 @@ parameter s.  The step solves the rows' Gram J J^T and maps back by J^T
 (:func:`_min_norm_solve`), with lstsq only where the rows are dependent.
 A ball needs no such iteration, since its geodesics are its complex
 lines: the two-point data are closed-form (:func:`_ball_two_point_data`),
-and the disc through them is :func:`_ball_disc`, the closed form where
-that attaches to newton_tol, else a cold Gauss-Newton solve.  The outer
-system takes any domain, so the ball is a test oracle for it.  Its
+and the disc through them is :func:`_ball_disc`, as is every other disc
+a ball's solve returns: the closed form where that attaches to
+newton_tol at the truncation M, else Gauss-Newton from it, with no
+homotopy and no half-resolution level; where Gauss-Newton fails too,
+the error names M, with the Gauss-Newton failure as its cause.  The
+outer system takes any domain, so the ball is a test oracle for it.  Its
 iterate is the outer unknowns together with the disc's Gauss-Newton
 state, and one bordered step serves both: one linearization of the
 disc's equations gives their Gauss-Newton step and the state's
@@ -109,6 +108,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import numbers
 import os
 import threading
 from collections import namedtuple
@@ -161,7 +161,8 @@ class AnalyticDisc:
     disc into C^n, attached to the boundary of ``domain``.
 
     The coefficients must have shape (M+1, n) with M >= 1 and n >= 1
-    and be finite; otherwise the constructor raises PreconditionError.
+    and be finite, and ``grid`` must be a :class:`CircleGrid`; otherwise
+    the constructor raises PreconditionError.
 
     A disc returned by a Gauss-Newton solve or by :func:`ball_geodesic`
     carries the solver's state: its boundary factor ``solver_g`` and,
@@ -183,6 +184,7 @@ class AnalyticDisc:
             raise PreconditionError("disc coefficients must have shape "
                                     "(M+1, n) with M >= 1 and n >= 1")
         _bounded(self.coeffs, "disc coefficients")
+        _grid(self.grid)
 
     @property
     def modes(self) -> int:
@@ -242,7 +244,7 @@ class AnalyticDisc:
         try:
             coeffs = np.array([[complex(re, im) for re, im in row]
                                for row in data["coeffs"]])
-            grid = CircleGrid(int(data["grid"]))
+            grid = CircleGrid(data["grid"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed disc data ({exc})") from None
         return cls(coeffs, grid, domain,
@@ -267,7 +269,9 @@ class SolverSettings:
     def __post_init__(self):
         for name in ("modes", "continuation_steps", "max_iters"):
             _count(name, getattr(self, name))
-        if not 1e-12 <= self.newton_tol < np.inf:
+        _grid(self.grid)
+        if not (isinstance(self.newton_tol, numbers.Real)
+                and 1e-12 <= self.newton_tol < np.inf):
             raise PreconditionError(
                 f"newton_tol must be finite and >= 1e-12, not {self.newton_tol}")
         if self.modes > self.grid.size // 4:
@@ -320,9 +324,10 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     g = |1 - mu tau|^2 / |1 - mu|^2 on |tau| = 1 (Lempert, Bull. SMF 109,
     1981): ``solver_g`` is gamma = (1 + |mu|^2, -2 Re mu, 2 Im mu, 0, ...)
     / |1 - mu|^2.  Up to the truncation |mu|^M this is the solved state
-    of the Gauss-Newton system.  A cold solve on a ball starts from it,
-    and off a ball from an inscribed ball's, on which it runs no
-    Gauss-Newton (see :func:`_two_levels` for its levels).
+    of the Gauss-Newton system.  A ball's solve returns it where it
+    attaches to newton_tol and polishes it otherwise (:func:`_ball_disc`);
+    a cold solve off a ball starts from an inscribed ball's, on which it
+    runs no Gauss-Newton.
     """
     if domain.kind != "ball":
         raise PreconditionError("ball_geodesic needs a ball domain")
@@ -347,6 +352,12 @@ def ball_geodesic(domain: ConvexDomain, center_z, direction_v,
     disc = AnalyticDisc(a, settings.grid, domain, solver_g=gamma)
     disc.attachment_residual = disc.boundary_residual()
     return disc
+
+
+def _grid(grid):
+    """Raise PreconditionError unless ``grid`` is a :class:`CircleGrid`."""
+    if not isinstance(grid, CircleGrid):
+        raise PreconditionError(f"grid must be a CircleGrid, not {grid!r}")
 
 
 def _bounded(values, name):
@@ -1193,25 +1204,23 @@ def _solve_cd_raw(domain, z, v, settings):
     z, v = _point_and_direction(domain, z, v)
     if not _interior(domain, z):
         raise PreconditionError("base point must be strictly interior")
+    if domain.kind == "ball":
+        return _ball_disc(domain, z, v, settings)
 
     system = _CenterDirectionSystem(domain, z, v, settings)
     tol = settings.newton_tol
 
-    # start from the closed-form state of the domain when it is a ball,
-    # else of an inscribed ball that contains z, and try the domain; only
-    # where Newton diverges is the homotopy from that ball subdivided
-    ball0, dt_max = domain, 1.0
-    if domain.kind != "ball":
-        center = domain.center
-        r_ins = _inscribed_ball_radius(domain)
-        ball0 = make_ball(center, max(
-            r_ins, 1.05 * float(np.linalg.norm(z - center)) + 0.05 * r_ins))
-        dt_max = 1.0 / settings.continuation_steps
+    # start from the closed-form state of an inscribed ball that contains
+    # z, and try the domain; only where Newton diverges is the homotopy
+    # from that ball subdivided
+    center = domain.center
+    r_ins = _inscribed_ball_radius(domain)
+    ball0 = make_ball(center, max(
+        r_ins, 1.05 * float(np.linalg.norm(z - center)) + 0.05 * r_ins))
+    dt_max = 1.0 / settings.continuation_steps
     init = ball_geodesic(ball0, z, v, settings)
-    u = system.initial_state(init.coeffs, init.solver_g)
-    # off a ball the closed form is not the solved state
-    min_steps = int(ball0 is not domain)
-    coarse = ball0 is not domain
+    start = (init.coeffs, init.solver_g)
+    u = system.initial_state(*start)
 
     def solve(level, tol, start, min_steps):
         # the target at M, or a system of its domain at the coarse level
@@ -1221,7 +1230,9 @@ def _solve_cd_raw(domain, z, v, settings):
                                  level.max_iters, min_steps)
         return (u, diag), (s.disc_coeffs(u), s.gamma(u))
 
-    t, dt = 0.0, dt_max
+    # the closed form is not the solved state: every Gauss-Newton call at
+    # M takes a step, and the first target runs in two levels
+    t, dt, first = 0.0, dt_max, True
     failure = None                  # the domain's own last divergence
     while t < 1.0:
         t_next = t + dt
@@ -1230,22 +1241,13 @@ def _solve_cd_raw(domain, z, v, settings):
         target = system if t_next == 1.0 else _CenterDirectionSystem(
             _blend(ball0, domain, t_next), z, v, settings)
         try:
-            if coarse:               # the first target, off a ball
-                coarse = False
-                u_next, diag = _two_levels(
-                    settings, tol, (init.coeffs, init.solver_g), solve,
-                    min_steps)
+            if first:
+                first = False
+                u_next, diag = _two_levels(settings, tol, start, solve, 1)
             else:
                 u_next, diag = target.gauss_newton(u, tol, settings.max_iters,
-                                                   min_steps)
+                                                   1)
         except SolverDivergence as exc:
-            if ball0 is domain:
-                # a ball has no homotopy to subdivide: its closed form is
-                # what M cannot attach
-                raise SolverDivergence(
-                    f"ball geodesic truncated at M = {settings.modes} is "
-                    f"attached only to {init.attachment_residual:.3g}",
-                    last_residual=init.attachment_residual) from exc
             # stagnation below newton_tol is the resolution floor of this
             # M, which no shorter homotopy step lowers
             floor = exc.stagnated and exc.last_residual <= tol
@@ -1266,14 +1268,27 @@ def _solve_cd_raw(domain, z, v, settings):
 
 
 def _ball_disc(domain, z, v, settings):
-    """The geodesic of the ball ``domain`` through z along v: its closed
-    form (:func:`ball_geodesic`) where that attaches to newton_tol at the
-    truncation M, else the cold solve from it, which raises
-    SolverDivergence naming M where Gauss-Newton cannot attach it."""
+    """The geodesic of the ball ``domain`` through z along v, the one
+    place a ball's disc is solved: its closed form (:func:`ball_geodesic`)
+    where that attaches to newton_tol at the truncation M, else
+    Gauss-Newton from it at (z, v/|v|).  Where that fails too, M cannot
+    attach the geodesic, and the SolverDivergence raised names M, with
+    the Gauss-Newton failure as its cause."""
     disc = ball_geodesic(domain, z, v, settings)
     if disc.attachment_residual <= settings.newton_tol:
         return disc
-    return _solve_cd_raw(domain, z, v, settings)
+    system = _CenterDirectionSystem(domain, *_point_and_direction(domain, z, v),
+                                    settings)
+    try:
+        u, diag = system.gauss_newton(
+            system.initial_state(disc.coeffs, disc.solver_g),
+            settings.newton_tol, settings.max_iters)
+    except SolverDivergence as exc:
+        raise SolverDivergence(
+            f"ball geodesic truncated at M = {settings.modes} is attached "
+            f"only to {disc.attachment_residual:.3g}",
+            last_residual=disc.attachment_residual) from exc
+    return _finalize(system, u, diag, settings)
 
 
 def _finalize(system, u, diag, settings, tangent=None):

@@ -67,8 +67,19 @@ class ConormalLift:
             + power_series(self.holo_coeffs, tau)
 
     def boundary_values(self, grid: CircleGrid | None = None) -> np.ndarray:
-        grid = grid or self.disc.grid
-        return self(grid.nodes)
+        """phi* at the nodes of ``grid`` (default the disc's grid)."""
+        return self._grid_values((grid or self.disc.grid).size)
+
+    def _grid_values(self, size) -> np.ndarray:
+        """phi* at the ``size`` nodes tau_j = e^{2 pi i j/size}, of any
+        number, from one inverse FFT (:func:`circle.ring_values`): there
+        1/tau = tau^(size-1), so the residue is the coefficient of index
+        size - 1, and the holomorphic coefficients fold mod size."""
+        holo = self.holo_coeffs
+        coeffs = np.zeros((max(len(holo), size), self.dimension), dtype=complex)
+        coeffs[:len(holo)] = holo
+        coeffs[size - 1] += self.pole_coeff
+        return ring_values(coeffs, size)
 
     def to_json(self) -> dict:
         out = self.disc.to_json()
@@ -122,7 +133,7 @@ def move_pole(lift: ConormalLift, tau_o: complex) -> ConormalLift:
     grid2 = CircleGrid(2 * disc.grid.size)
     tau2 = grid2.nodes
     nu = (tau2 - tau_o) * (1.0 - np.conj(tau_o) * tau2) / tau2
-    boundary = lift(tau2) * nu[:, None]
+    boundary = lift.boundary_values(grid2) * nu[:, None]
     return _lift_from_boundary(disc, boundary, grid2)
 
 
@@ -182,7 +193,7 @@ def boundary_conormality_residual(domain: ConvexDomain, disc,
                                   lift: ConormalLift) -> float:
     """max over grid nodes of the relative distance from phi*(e^{i theta})
     to the real line spanned by drho(phi(e^{i theta}))."""
-    w = lift(disc.grid.nodes)
+    w = lift.boundary_values(disc.grid)
     d = domain.grad(disc.boundary_values())
     t = np.sum(w * np.conj(d), axis=1).real / np.sum(np.abs(d) ** 2, axis=1)
     dist = np.linalg.norm(w - t[:, None] * d, axis=1)
@@ -201,9 +212,7 @@ def disc_separation_integral(lift1: ConormalLift, lift2: ConormalLift,
     :class:`PreconditionError` unless ``n_nodes`` is an integer >= 1.
     """
     _count("n_nodes", n_nodes)
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    tau = np.exp(1j * theta)
-    dl = lift1(tau) - lift2(tau)
+    dl = lift1._grid_values(n_nodes) - lift2._grid_values(n_nodes)
     dp = ring_values(lift2.disc.coeffs, n_nodes) \
         - ring_values(lift1.disc.coeffs, n_nodes)
     integrand = np.sum(dl * dp, axis=1).real

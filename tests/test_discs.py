@@ -38,7 +38,8 @@ from geodisc.discs import (_CenterDirectionSystem, _OuterSystem,
                            _TwoPointSystem, _ball_disc, _ball_series,
                            _ball_two_point_data, _coordinate_tangents,
                            _damped_newton, _gamma, _min_norm_solve,
-                           _parameter_tangent, _solve_cd_raw, _state_layout)
+                           _parameter_tangent, _point_and_direction,
+                           _solve_cd_raw, _state_layout)
 
 BALL = make_ball([0, 0], 1.0)
 SETTINGS = SolverSettings()
@@ -521,7 +522,7 @@ def test_cold_solve_tries_the_domain_directly(monkeypatch):
 def test_cold_ball_solve_inside_the_resolvable_radius_builds_no_jacobian(
         monkeypatch, center, radius):
     # with |mu|^M below newton_tol the closed-form coefficients and g are
-    # the solved state: Gauss-Newton is converged before its first step
+    # the solved state, and the solve returns them as they are
     ball = make_ball(center, radius)
     rng = np.random.default_rng(11)
     log = _ContinuationLog(monkeypatch, ball)
@@ -535,8 +536,8 @@ def test_cold_ball_solve_inside_the_resolvable_radius_builds_no_jacobian(
         assert np.max(np.abs(disc.coeffs - exact.coeffs)) < 1e-15
         assert np.array_equal(disc.solver_g, exact.solver_g)
     assert log.jacobians == 0 and log.blends == 0 and log.other_calls == 0
-    # a ball has no half-resolution level
-    assert log.target_calls == {64: [True] * 4}
+    # an attached closed form runs no Gauss-Newton at all
+    assert log.target_calls == {}
 
 
 def test_continuation_steps_land_on_the_domain(monkeypatch):
@@ -1143,6 +1144,17 @@ def _matching(pattern, call):
     pytest.param(lambda: AnalyticDisc.from_json(
         {"coeffs": [[[0.5, 0.0], [0.0, 0.0]]], "grid": 64}),
                  None, id="disc-json-one-row"),
+    pytest.param(lambda: AnalyticDisc.from_json(
+        {"coeffs": [[[0.5, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.0, 0.0]]],
+         "grid": 256.7}), None, id="disc-json-fractional-grid"),
+    pytest.param(lambda: AnalyticDisc(np.zeros((2, 2)), 64), None,
+                 id="disc-int-grid"),
+    pytest.param(lambda: SolverSettings(grid=256), None,
+                 id="settings-int-grid"),
+    pytest.param(lambda: SolverSettings(newton_tol=None), None,
+                 id="none-newton-tol"),
+    pytest.param(lambda: SolverSettings(newton_tol="a"), None,
+                 id="string-newton-tol"),
     pytest.param(lambda: tangent_line_disc(0.5, [np.nan, 0.0], [0.0, 1.0],
                                            CircleGrid(64)),
                  None, id="tangent-line-disc-nan-base-point"),
@@ -1858,13 +1870,13 @@ def test_damped_newton_stops_when_the_residual_stagnates():
 
 def test_cold_ball_solve_with_transverse_direction_builds_no_jacobian(
         monkeypatch):
-    # <v, z> = 0 gives mu = 0: the closed-form start is the exact disc with
-    # g = 1, so Gauss-Newton is converged before its first step
+    # <v, z> = 0 gives mu = 0: the closed form is the exact disc with
+    # g = 1, and the solve returns it as it is
     z = np.array([0.3, 0.2j])
     v = np.array([2j / 3, 1.0])
     log = _ContinuationLog(monkeypatch, BALL)
     disc = _solve_cd_raw(BALL, z, v, SETTINGS)
-    assert log.jacobians == 0 and log.target_calls == {64: [True]}
+    assert log.jacobians == 0 and log.target_calls == {}
     assert disc.attachment_residual <= SETTINGS.newton_tol
     exact = ball_geodesic(BALL, z, v, SETTINGS).coeffs
     assert np.max(np.abs(disc.coeffs - exact)) < 1e-15
@@ -1898,20 +1910,58 @@ def test_one_nested_iteration():
 def test_one_outer_system():
     # the joint tangency corrector and the two-point solve share
     # discs._OuterSystem, which takes every domain alike; its
-    # through-point Jacobian is the one reader of a parameter tangent.  A
-    # ball's disc comes from discs._ball_disc, the one place its
-    # truncation is reported, and tangency.py builds no ball geodesic
+    # through-point Jacobian is the one reader of a parameter tangent.
+    # tangency.py builds no ball geodesic (see test_one_ball_solve)
     from geodisc.tangency import _TangencySystem
 
     src = pathlib.Path(discs_module.__file__).parent
     text = "".join(p.read_text() for p in src.glob("*.py"))
     name = "_parameter_tangent("
     assert text.count(name) - text.count(f"def {name}") == 1
-    assert text.count("ball geodesic truncated at M =") == 1
     assert "_ball_point" not in text and "_DiscPoint" not in text
     assert "ball_geodesic(" not in (src / "tangency.py").read_text()
     for system in (_OuterSystem, _TangencySystem):
         assert '"ball"' not in inspect.getsource(system)
+
+
+def test_one_ball_solve():
+    # a ball's disc is solved in one place, discs._ball_disc, which also
+    # reports its truncation: the cold solve sends a ball there once and
+    # is otherwise the homotopy alone, and _ball_disc does not call back
+    cold = inspect.getsource(_solve_cd_raw)
+    assert cold.count('"ball"') == 1 and cold.count("_ball_disc(") == 1
+    assert "ball0 is domain" not in cold
+    ball = inspect.getsource(_ball_disc)
+    assert "_solve_cd_raw(" not in ball
+    src = pathlib.Path(discs_module.__file__).parent
+    text = "".join(p.read_text() for p in src.glob("*.py"))
+    assert text.count("ball geodesic truncated at M =") == 1
+    assert "ball geodesic truncated at M =" in ball
+
+
+@pytest.mark.parametrize("center,radius,z,v", [
+    ([0, 0], 1.0, [0.3 + 0.1j, -0.2j], [1.0, 0.5j]),
+    ([0, 0], 1.0, [0.5, 0.2 - 0.1j], [0.3j, -2.0]),
+    ([0.1, -0.2j], 0.8, [0.2 + 0.1j, -0.3j], [1.0 + 1.0j, 0.5]),
+])
+def test_a_cold_ball_solve_is_its_closed_form_where_that_attaches(
+        center, radius, z, v):
+    # every cold solve of a ball returns discs._ball_disc's disc at its
+    # normalized (z, v), bit for bit: the closed form, where it attaches
+    ball = make_ball(center, radius)
+    z, v = np.array(z), np.array(v)
+    exact = ball_geodesic(ball, *_point_and_direction(ball, z, v), SETTINGS)
+    assert exact.attachment_residual <= SETTINGS.newton_tol
+    for disc in (_solve_cd_raw(ball, z, v, SETTINGS),
+                 solve_from_center_direction(ball, z, v, SETTINGS)[0]):
+        assert np.array_equal(disc.coeffs, exact.coeffs)
+        assert np.array_equal(disc.solver_g, exact.solver_g)
+        assert disc.attachment_residual == exact.attachment_residual
+    zeta = 0.4 * v / np.linalg.norm(v)
+    along = ball_geodesic(ball, *_point_and_direction(ball, z, zeta / 0.4),
+                          SETTINGS)
+    assert np.array_equal(psi_inverse(ball, z, zeta, SETTINGS),
+                          along(np.array([0.4 + 0j]))[0])
 
 
 def test_one_place_builds_a_solved_disc():

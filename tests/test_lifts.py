@@ -192,15 +192,21 @@ def test_lift_rejects_non_injective_cover():
 
 
 def test_lift_boundary_values():
-    # the lift at the nodes of the disc's grid, or of a grid given; on a
-    # ball geodesic a positive real multiple of drho(phi) at every node,
+    # the lift at the nodes of the disc's grid, or of a grid given, from
+    # one inverse FFT, which agrees with the power series to roundoff; on
+    # a ball geodesic a positive real multiple of drho(phi) at every node,
     # the conormal bundle
     disc, lift = lift_of([0.3, 0.1j], [1.0, 0.5j])
     values = lift.boundary_values()
     assert values.shape == (disc.grid.size, 2)
-    assert np.array_equal(values, lift(disc.grid.nodes))
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(values - lift(disc.grid.nodes))) < 1e-14 * scale
+    for size in (64, 100, 7):
+        nodes = np.exp(2j * np.pi * np.arange(size) / size)
+        assert np.max(np.abs(lift._grid_values(size) - lift(nodes))) \
+            < 1e-14 * scale
     grid = CircleGrid(64)
-    assert np.array_equal(lift.boundary_values(grid), lift(grid.nodes))
+    assert np.array_equal(lift.boundary_values(grid), lift._grid_values(64))
     grads = BALL.grad(disc.boundary_values())
     scale = np.sum(values * np.conj(grads), axis=1) \
         / np.sum(np.abs(grads) ** 2, axis=1)
@@ -285,6 +291,8 @@ def test_separation_integral_frozen_value():
     _, l2 = lift_of([0, 0], [0, 1])
     val = disc_separation_integral(l1, l2)
     assert abs(val - (-4.0 * np.pi)) < 1e-10
+    # on any number of nodes
+    assert abs(disc_separation_integral(l1, l2, 100) - val) < 1e-10
 
 
 def test_separation_integral_sign_uniform():
